@@ -4,11 +4,11 @@ The columnar twin of :class:`repro.dns.mapping.IpDomainResolver`.
 Ingest keeps the exact reference epoch semantics -- same-qname
 observations within the freshness window refresh the open epoch,
 anything else (different qname, or a stale gap wider than the window)
-opens a new one -- but epochs land in one flat entry log. Batch
-queries run the same rank-encoded segmented searchsorted as
-:class:`~repro.columnar.leases.ColumnarLeaseIndex`, locating the
-latest epoch whose first observation is at or before each flow start,
-then applying the freshness (or gap-discounted freshness) predicate.
+opens a new one -- but epochs land in one flat
+:class:`~repro.columnar.entrylog.EntryLog`. Batch queries locate the
+latest epoch whose first observation is at or before each flow start
+through its point-in-time index, then apply the freshness (or
+gap-discounted freshness) predicate to the epoch's live ``last_seen``.
 
 The gap-discount identity the degraded batch path relies on: the
 reference clips gap spans to each flow's ``(last_seen, ts)`` interval
@@ -26,6 +26,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from repro.columnar.entrylog import EntryLog
 from repro.dns.mapping import DEFAULT_FRESHNESS_SECONDS
 from repro.dns.records import DnsLogRecord
 from repro.reliability.errors import CATEGORY_ORDER, RecordError
@@ -58,21 +59,12 @@ class ColumnarDnsIndex:
         if freshness_seconds <= 0:
             raise ValueError("freshness_seconds must be positive")
         self.freshness_seconds = float(freshness_seconds)
-        # The flat epoch log lives in growable numpy buffers (amortized
-        # doubling, `_size` live entries) so batch ingest appends slices
-        # and _build never converts python lists.
-        self._size = 0
-        self._cap = 0
-        self._ip_log = np.empty(0, dtype=np.int64)
-        self._time_log = np.empty(0, dtype=np.float64)
-        self._seen_log = np.empty(0, dtype=np.float64)
-        self._nid_log = np.empty(0, dtype=np.int64)
-        #: ip -> flat index of its most recent epoch.
-        self._tail: Dict[int, int] = {}
+        #: Epochs: ``start`` is the first sighting, ``until`` the last
+        #: (``last_seen``), ``label`` the name id.
+        self._log = EntryLog()
         self.name_table: List[str] = []
         self._name_ids: Dict[str, int] = {}
         self._record_count = 0
-        self._built: Optional[tuple] = None
 
     # -- ingest (scalar; the exact reference state machine) ---------------
 
@@ -84,44 +76,24 @@ class ColumnarDnsIndex:
             self.name_table.append(name)
         return nid
 
-    def _reserve(self, extra: int) -> int:
-        """Grow the log buffers to fit ``extra`` more entries; returns
-        the first free slot."""
-        need = self._size + extra
-        if need > self._cap:
-            cap = max(64, 2 * self._cap, need)
-            for name in ("_ip_log", "_time_log", "_seen_log", "_nid_log"):
-                buf = getattr(self, name)
-                grown = np.empty(cap, dtype=buf.dtype)
-                grown[:self._size] = buf[:self._size]
-                setattr(self, name, grown)
-            self._cap = cap
-        return self._size
-
     def ingest(self, record: DnsLogRecord) -> None:
         """Incorporate one query's answers (time-ordered per IP)."""
         self._record_count += 1
+        log = self._log
         for address in record.answers:
-            tail = self._tail.get(address)
-            if tail is not None and record.ts < self._seen_log[tail]:
+            tail = log.tail.get(address)
+            if tail is not None and record.ts < log.until[tail]:
                 raise RecordError(
                     f"DNS log out of order for answer {address}: "
-                    f"{record.ts} < {self._seen_log[tail]}",
+                    f"{record.ts} < {log.until[tail]}",
                     source="dns", category=CATEGORY_ORDER)
             nid = self._intern_name(record.qname)
-            self._built = None
-            if (tail is not None and self._nid_log[tail] == nid
-                    and record.ts - self._seen_log[tail]
+            if (tail is not None and log.label[tail] == nid
+                    and record.ts - log.until[tail]
                     <= self.freshness_seconds):
-                self._seen_log[tail] = record.ts  # refresh the open epoch
+                log.until[tail] = record.ts  # refresh the open epoch
             else:
-                slot = self._reserve(1)
-                self._tail[address] = slot
-                self._ip_log[slot] = address
-                self._time_log[slot] = record.ts
-                self._seen_log[slot] = record.ts
-                self._nid_log[slot] = nid
-                self._size = slot + 1
+                log.append(address, record.ts, record.ts, nid)
 
     def ingest_batch(self, records: Sequence[DnsLogRecord]) -> None:
         """Vector twin of :meth:`ingest` over a record sequence.
@@ -157,7 +129,7 @@ class ColumnarDnsIndex:
         total = int(counts.sum())
         if total == 0:
             return
-        self._built = None
+        log = self._log
         ips = np.fromiter(chain.from_iterable(answers), np.int64,
                           count=total)
         tss = np.repeat(ts_r, counts)
@@ -178,16 +150,15 @@ class ColumnarDnsIndex:
         prev_nid = np.empty(total, dtype=np.int64)
         prev_ts[1:] = tss_s[:-1]
         prev_nid[1:] = nids_s[:-1]
-        get_tail = self._tail.get
         tails = np.fromiter(
-            map(get_tail, ips_s[group_first].tolist(), repeat(-1)),
+            map(log.tail.get, ips_s[group_first].tolist(), repeat(-1)),
             np.int64, count=group_first.size)
         known = tails >= 0
         safe = np.maximum(tails, 0)
         prev_ts[group_first] = np.where(
-            known, self._seen_log[safe] if self._size else -np.inf, -np.inf)
+            known, log.until[safe] if log.size else -np.inf, -np.inf)
         prev_nid[group_first] = np.where(
-            known, self._nid_log[safe] if self._size else -1, -1)
+            known, log.label[safe] if log.size else -1, -1)
 
         bad = tss_s < prev_ts
         if bad.any():
@@ -217,97 +188,48 @@ class ColumnarDnsIndex:
         refresh_runs = np.flatnonzero(~boundary[run_starts])
         if refresh_runs.size:
             refresh_tails = np.fromiter(
-                map(self._tail.__getitem__,
+                map(log.tail.__getitem__,
                     ips_s[run_starts[refresh_runs]].tolist()),
                 np.int64, count=refresh_runs.size)
-            self._seen_log[refresh_tails] = run_last[refresh_runs]
+            log.until[refresh_tails] = run_last[refresh_runs]
 
         # Append new epochs in flat (arrival) order -- the order the
         # scalar loop would have created them -- so the entry log and
-        # every _tail pointer land byte-identical.
+        # every tail pointer land byte-identical.
         new_runs = np.flatnonzero(boundary[run_starts])
         perm = np.argsort(order[run_starts[new_runs]], kind="stable")
         pos = run_starts[new_runs[perm]]
-        count = pos.size
-        base = self._reserve(count)
-        self._ip_log[base:base + count] = ips_s[pos]
-        self._time_log[base:base + count] = tss_s[pos]
-        self._seen_log[base:base + count] = run_last[new_runs[perm]]
-        self._nid_log[base:base + count] = nids_s[pos]
-        self._size = base + count
-        # Later duplicates win in zip order, exactly like sequential
-        # _tail assignment.
-        self._tail.update(
-            zip(ips_s[pos].tolist(), range(base, base + count)))
-
-    # -- build / locate ----------------------------------------------------
-
-    def _build(self) -> tuple:
-        if self._built is None:
-            n = self._size
-            ips = self._ip_log[:n]
-            times = self._time_log[:n]
-            last = self._seen_log[:n]
-            nids = self._nid_log[:n].astype(np.int32)
-            order = np.argsort(ips, kind="stable")
-            ips_s = ips[order]
-            times_s = times[order]
-            uniq, offsets = np.unique(ips_s, return_index=True)
-            time_values = np.sort(times)
-            radix = np.int64(n + 1)
-            ranks = np.searchsorted(time_values, times_s, side="left")
-            keys = (np.searchsorted(uniq, ips_s).astype(np.int64) * radix
-                    + ranks)
-            self._built = (uniq, offsets.astype(np.int64), keys,
-                           time_values, radix, last[order], nids[order])
-        return self._built
-
-    def _locate(self, ips: np.ndarray,
-                tss: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-        m = len(ips)
-        if not self._size:
-            return np.zeros(m, dtype=np.int64), np.zeros(m, dtype=bool)
-        uniq, offsets, keys, time_values, radix, _last, _nids = self._build()
-        pos = np.searchsorted(uniq, ips)
-        posc = np.minimum(pos, len(uniq) - 1)
-        found = uniq[posc] == ips
-        q = np.searchsorted(time_values, tss, side="right")
-        p = np.searchsorted(keys, posc.astype(np.int64) * radix + q,
-                            side="left")
-        valid = found & (p > offsets[posc])
-        return np.maximum(p - 1, 0), valid
+        log.extend(ips_s[pos], tss_s[pos], run_last[new_runs[perm]],
+                   nids_s[pos])
 
     # -- batch queries -----------------------------------------------------
 
     def domain_ids_at(self, ips: np.ndarray, tss: np.ndarray) -> np.ndarray:
         """Vector twin of ``domain_at``: name-table ids, -1 unknown."""
-        idx, valid = self._locate(ips, tss)
+        idx, valid = self._log.locate(ips, tss)
         out = np.full(len(ips), -1, dtype=np.int32)
         if valid.any():
-            built = self._build()
-            last_s, nids_s = built[5], built[6]
-            ok = valid & (tss - last_s[idx] <= self.freshness_seconds)
-            out[ok] = nids_s[idx[ok]]
+            ok = valid & (tss - self._log.until[idx]
+                          <= self.freshness_seconds)
+            out[ok] = self._log.label[idx[ok]]
         return out
 
     def domain_ids_at_degraded(
             self, ips: np.ndarray, tss: np.ndarray,
             gaps: Sequence[Tuple[float, float]]) -> np.ndarray:
         """Vector twin of ``domain_at_degraded``: gap-discounted budget."""
-        idx, valid = self._locate(ips, tss)
+        idx, valid = self._log.locate(ips, tss)
         out = np.full(len(ips), -1, dtype=np.int32)
         if not valid.any():
             return out
-        built = self._build()
-        last_s, nids_s = built[5], built[6]
-        last = last_s[idx]
+        last = self._log.until[idx]
         stale = tss - last
         covered = np.zeros(len(ips), dtype=np.float64)
         for start, end in merge_spans(gaps):
             covered += np.clip(np.minimum(end, tss) - np.maximum(start, last),
                                0.0, None)
         ok = valid & (stale - covered <= self.freshness_seconds)
-        out[ok] = nids_s[idx[ok]]
+        out[ok] = self._log.label[idx[ok]]
         return out
 
     # -- scalar compat surface (reference API) -----------------------------
@@ -327,11 +249,11 @@ class ColumnarDnsIndex:
 
     def observed_ips(self) -> Tuple[int, ...]:
         """All answer addresses seen (inspection/testing)."""
-        return tuple(self._tail)
+        return tuple(self._log.tail)
 
     @property
     def record_count(self) -> int:
         return self._record_count
 
     def __len__(self) -> int:
-        return len(self._tail)
+        return len(self._log.tail)

@@ -15,6 +15,7 @@ from typing import Dict, Iterable, List, Optional, Tuple
 
 from repro.dhcp.log import DhcpLogRecord
 from repro.net.mac import MacAddress
+from repro.reliability.errors import CATEGORY_ORDER, RecordError
 
 
 class IpMacResolver:
@@ -49,10 +50,10 @@ class IpMacResolver:
         self._record_count += 1
 
         if starts and record.ts < starts[-1]:
-            raise ValueError(
+            raise RecordError(
                 f"DHCP log out of order for IP {record.ip}: "
-                f"{record.ts} < {starts[-1]}"
-            )
+                f"{record.ts} < {starts[-1]}",
+                source="dhcp", category=CATEGORY_ORDER)
         if macs and macs[-1] == record.mac and record.ts <= ends[-1]:
             # Renewal: extend the open binding.
             ends[-1] = max(ends[-1], record.lease_end)

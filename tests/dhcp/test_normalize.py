@@ -2,9 +2,11 @@
 
 import pytest
 
+from repro.columnar.leases import ColumnarLeaseIndex
 from repro.dhcp.log import DhcpLogRecord
 from repro.dhcp.normalize import IpMacResolver
 from repro.net.mac import MacAddress
+from repro.reliability.errors import CATEGORY_ORDER, RecordError
 
 MAC_A = MacAddress.parse("9c:1a:00:00:00:01")
 MAC_B = MacAddress.parse("9c:1a:00:00:00:02")
@@ -59,6 +61,15 @@ class TestIngest:
         resolver.ingest(_ack(1000.0, MAC_A))
         with pytest.raises(ValueError):
             resolver.ingest(_ack(500.0, MAC_B))
+
+    @pytest.mark.parametrize("twin", [IpMacResolver, ColumnarLeaseIndex])
+    def test_out_of_order_is_a_typed_record_error(self, twin):
+        resolver = twin()
+        resolver.ingest(_ack(1000.0, MAC_A))
+        with pytest.raises(RecordError) as excinfo:
+            resolver.ingest(_ack(500.0, MAC_B))
+        assert excinfo.value.source == "dhcp"
+        assert excinfo.value.category == CATEGORY_ORDER
 
     def test_counters(self):
         resolver = IpMacResolver.from_records([

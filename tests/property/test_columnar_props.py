@@ -5,11 +5,12 @@ tables, batch flow engine) must answer every query exactly as its
 row-at-a-time reference twin on *randomly generated* inputs covering
 the awkward regions: overlapping leases, expired leases queried inside
 staleness holdover, DNS epochs split by stale gaps, flows interleaved
-across batch boundaries and idle timeouts.
+across batch boundaries and idle timeouts, and index entries changed or
+joined by later ingest after a query has already indexed them.
 """
 
 import numpy as np
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from repro.columnar.dnsindex import ColumnarDnsIndex
 from repro.columnar.engine import ColumnarFlowEngine
@@ -38,6 +39,23 @@ _query_point = st.tuples(
     st.integers(min_value=0, max_value=4),       # ip index (incl. unseen)
     st.floats(min_value=-500.0, max_value=30_000.0),
 )
+
+
+#: (ip index, seconds back from the stream clock at query time) --
+#: negative values probe past the newest record.
+_recent_query = st.tuples(
+    st.integers(min_value=0, max_value=4),
+    st.floats(min_value=-12_000.0, max_value=20_000.0),
+)
+
+_cuts = st.lists(st.integers(min_value=1, max_value=39), max_size=4,
+                 unique=True)
+
+
+def _chunks(items, cuts):
+    edges = sorted({cut for cut in cuts if cut < len(items)})
+    return [items[lo:hi]
+            for lo, hi in zip([0] + edges, edges + [len(items)])]
 
 
 def _lease_records(events):
@@ -79,6 +97,44 @@ class TestLeaseIndexProperties:
             got_stale = (None if stale_ids[i] < 0
                          else columnar.mac_table[int(stale_ids[i])])
             assert got_stale == expected_stale
+
+    @given(st.lists(_lease_event, max_size=40), _cuts,
+           st.lists(_recent_query, min_size=1, max_size=10),
+           st.floats(min_value=0.0, max_value=5000.0))
+    @example(  # a binding renewed after a query indexed it
+        events=[(0, 0.0, 1000.0, 0), (0, 500.0, 1000.0, 0)], cuts=[1],
+        queries=[(0, -700.0)], staleness=0.0)
+    @example(  # a binding truncated by a foreign grant after indexing
+        events=[(0, 0.0, 1000.0, 0), (0, 500.0, 1000.0, 1)], cuts=[1],
+        queries=[(0, 100.0), (0, -200.0)], staleness=600.0)
+    @example(  # equal (ip, start) keys split across batches
+        events=[(0, 10.0, 1000.0, 0), (0, 0.0, 1000.0, 1)], cuts=[1],
+        queries=[(0, 0.0), (0, -2000.0)], staleness=1500.0)
+    @settings(max_examples=200)
+    def test_interleaved_ingest_and_query_equals_reference(
+            self, events, cuts, queries, staleness):
+        reference = IpMacResolver()
+        columnar = ColumnarLeaseIndex()
+        clock = 0.0
+        for chunk in _chunks(_lease_records(events), cuts):
+            for record in chunk:
+                reference.ingest(record)
+                columnar.ingest(record)
+                clock = record.ts
+            ips = np.array([0x0A00_0000 + q[0] for q in queries],
+                           dtype=np.int64)
+            tss = np.array([clock - q[1] for q in queries],
+                           dtype=np.float64)
+            fresh_ids = columnar.mac_ids_at(ips, tss)
+            stale_ids = columnar.mac_ids_at_stale(ips, tss, staleness)
+            for i, (ip, ts) in enumerate(zip(ips.tolist(), tss.tolist())):
+                got = (None if fresh_ids[i] < 0
+                       else columnar.mac_table[int(fresh_ids[i])])
+                assert got == reference.mac_at(ip, ts)
+                got_stale = (None if stale_ids[i] < 0
+                             else columnar.mac_table[int(stale_ids[i])])
+                assert got_stale == reference.mac_at_stale(ip, ts,
+                                                           staleness)
 
 
 # -- DNS epoch tables ------------------------------------------------------
@@ -159,6 +215,47 @@ class TestDnsIndexProperties:
                    else columnar.name_table[int(ids[i])])
             assert got == expected
 
+    @given(st.lists(_dns_event, max_size=40), _cuts,
+           st.lists(_recent_query, min_size=1, max_size=10),
+           st.lists(_gap_span, max_size=3), st.booleans())
+    @example(  # an epoch refreshed after a query indexed it
+        events=[(0.0, 0, [0]), (100.0, 0, [0])], cuts=[1],
+        queries=[(0, -8950.0)], spans=[], batch=True)
+    @example(  # equal (ip, start) keys split across batches
+        events=[(10.0, 0, [0, 1]), (0.0, 1, [0])], cuts=[1],
+        queries=[(0, 0.0), (1, 0.0), (0, -9500.0)],
+        spans=[(5000.0, 5000.0)], batch=False)
+    @settings(max_examples=200)
+    def test_interleaved_ingest_and_query_equals_reference(
+            self, events, cuts, queries, spans, batch):
+        reference = IpDomainResolver(freshness_seconds=self.FRESHNESS)
+        columnar = ColumnarDnsIndex(freshness_seconds=self.FRESHNESS)
+        gaps = [(start, start + length) for start, length in spans]
+        clock = 0.0
+        for chunk in _chunks(_dns_records(events), cuts):
+            for record in chunk:
+                reference.ingest(record)
+                clock = record.ts
+            if batch:
+                columnar.ingest_batch(chunk)
+            else:
+                for record in chunk:
+                    columnar.ingest(record)
+            ips = np.array([0x08080800 + q[0] for q in queries],
+                           dtype=np.int64)
+            tss = np.array([clock - q[1] for q in queries],
+                           dtype=np.float64)
+            ids = columnar.domain_ids_at(ips, tss)
+            degraded = columnar.domain_ids_at_degraded(ips, tss, gaps)
+            for i, (ip, ts) in enumerate(zip(ips.tolist(), tss.tolist())):
+                got = (None if ids[i] < 0
+                       else columnar.name_table[int(ids[i])])
+                assert got == reference.domain_at(ip, ts)
+                got_degraded = (None if degraded[i] < 0
+                                else columnar.name_table[int(degraded[i])])
+                assert got_degraded == reference.domain_at_degraded(
+                    ip, ts, gaps)
+
     @given(st.lists(_dns_event, max_size=40))
     @settings(max_examples=100)
     def test_batch_ingest_equals_scalar_ingest(self, events):
@@ -216,13 +313,8 @@ class TestFlowEngineProperties:
         bursts = _bursts(events)
         reference = FlowEngine(idle_timeout=600.0)
         columnar = ColumnarFlowEngine(idle_timeout=600.0)
-        edges = sorted({cut for cut in cuts if cut < len(bursts)})
-        chunks, prev = [], 0
-        for edge in edges + [len(bursts)]:
-            chunks.append(bursts[prev:edge])
-            prev = edge
         clock = 0.0
-        for chunk in chunks:
+        for chunk in _chunks(bursts, cuts):
             assert columnar.process(chunk) == reference.process(chunk)
             if chunk:
                 clock = max(clock, chunk[-1].ts)
