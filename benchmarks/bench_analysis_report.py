@@ -23,9 +23,11 @@ The numbers land in ``BENCH_analysis.json`` (override the path with
 stitching and table speedups are asserted at >= 5x, the end-to-end
 ones at modest factors that leave headroom for host noise: the figure
 stage contains per-day loops that are deliberately scalar on both
-paths (see fig2/fig4) to keep the outputs bit-identical, and the
-ingest ratio is bounded by the one remaining row scan (extracting
-columns from Python burst objects).
+paths (see fig2/fig4) to keep the outputs bit-identical. Day traces
+carry their bursts as columns (:class:`~repro.net.wire.BurstColumns`),
+so columnar ingest reads them as they are, while the row-at-a-time
+reference materializes one ``SegmentBurst`` per burst through
+``BurstColumns.rows()`` on every pass.
 """
 
 import dataclasses
@@ -241,8 +243,7 @@ def test_analysis_speedup_report(artifacts):
     # (day matrices, bincounts, the deliberately-scalar fig2/fig4 day
     # loops) is largely shared between both paths, so its gap is much
     # smaller than the per-kernel gaps; the pipeline number is
-    # dominated by the ingest ratio, whose floor is the one remaining
-    # row scan (burst-object column extraction).
+    # dominated by the ingest ratio.
     assert end_to_end["analysis_speedup"] >= 1.1
     assert end_to_end["ingest_speedup"] >= 2.0
     assert end_to_end["speedup"] >= 2.0

@@ -1,11 +1,13 @@
-"""Record batches: parallel column sets extracted from row objects.
+"""Record batches: the parallel column sets of the columnar ingest path.
 
 Two batch shapes cross the columnar ingest path:
 
-* :class:`BurstBatch` -- one column per :class:`~repro.net.wire.
-  SegmentBurst` field, extracted in a single pass over the day's burst
-  objects. This is the only place the columnar path touches Python
-  row objects; everything downstream is numpy.
+* :class:`BurstBatch` -- one day's wire bursts, built by
+  :meth:`BurstBatch.from_bursts` from the
+  :class:`~repro.net.wire.BurstColumns` a day trace carries. The
+  numeric columns pass through untouched and the string columns are
+  dictionary-encoded. The generator emits those columns directly, so
+  no per-burst Python object exists between generation and ingest.
 * :class:`FlowBatch` -- closed flows in *emission order* (the exact
   order the scalar engine would have returned them), produced by
   :class:`~repro.columnar.engine.ColumnarFlowEngine` and consumed by
@@ -18,18 +20,14 @@ string table, with ``-1`` standing for None.
 
 from __future__ import annotations
 
-from operator import attrgetter
-from typing import (TYPE_CHECKING, Iterable, List, Optional, Sequence,
-                    Tuple, Union)
+from typing import TYPE_CHECKING, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
 from repro.zeek.conn import ConnRecord
 
 if TYPE_CHECKING:
-    from numpy.typing import DTypeLike
-
-    from repro.net.wire import SegmentBurst
+    from repro.net.wire import BurstColumns
 
 
 def _encode_strings(values: Union[np.ndarray, Sequence[Optional[str]]]
@@ -56,42 +54,22 @@ def _encode_protocols(protos: np.ndarray) -> Tuple[np.ndarray, List[str]]:
 
     One vectorized equality sweep per distinct protocol beats a full
     unicode conversion + sort: the column holds a handful of distinct
-    interned strings ("tcp", "udp"), never None.
+    interned strings ("tcp", "udp"), never None. Each sweep after the
+    first runs over the rows still unmatched only. Table order is
+    first appearance.
     """
-    n = len(protos)
-    ids = np.empty(n, dtype=np.int64)
-    table: List[str] = []
-    remaining = np.ones(n, dtype=bool)
-    while remaining.any():
-        name = str(protos[int(remaining.argmax())])
-        mask = protos == name
-        ids[mask] = len(table)
+    ids = np.zeros(len(protos), dtype=np.int64)
+    if not len(protos):
+        return ids, []
+    table = [str(protos[0])]
+    rest = np.flatnonzero(protos != table[0])
+    while rest.size:
+        name = str(protos[rest[0]])
+        mask = protos[rest] == name
+        ids[rest[mask]] = len(table)
         table.append(name)
-        remaining &= ~mask
+        rest = rest[~mask]
     return ids, table
-
-
-def _column(rows: list, name: str, dtype: "DTypeLike") -> np.ndarray:
-    """One field of every row as a typed array, in a single C-level
-    pass (fromiter over an attrgetter map -- no intermediate list)."""
-    return np.fromiter(map(attrgetter(name), rows), dtype, count=len(rows))
-
-
-#: SegmentBurst fields, pulled in two fromiter passes over structured
-#: dtypes -- attrgetter yields a tuple per row and numpy scatters it
-#: straight into the record array. Numeric and object fields go in
-#: separate passes: a homogeneous record scatter is measurably faster
-#: than one mixing machine types with refcounted pointers.
-_NUMERIC_DTYPE = np.dtype([
-    ("ts", "<f8"), ("client_ip", "<i8"), ("client_port", "<i8"),
-    ("server_ip", "<i8"), ("server_port", "<i8"),
-    ("orig_bytes", "<i8"), ("resp_bytes", "<i8"), ("is_final", "?"),
-])
-_OBJECT_DTYPE = np.dtype([
-    ("user_agent", "O"), ("http_host", "O"), ("proto", "O"),
-])
-_NUMERIC_GETTER = attrgetter(*_NUMERIC_DTYPE.names)
-_OBJECT_GETTER = attrgetter(*_OBJECT_DTYPE.names)
 
 
 class BurstBatch:
@@ -126,37 +104,31 @@ class BurstBatch:
         self.is_final = is_final
 
     @classmethod
-    def from_bursts(cls, bursts: "Iterable[SegmentBurst]") -> "BurstBatch":
-        """Extract columns from SegmentBurst-like row objects.
+    def from_bursts(cls, bursts: "BurstColumns") -> "BurstBatch":
+        """The ingest form of a day's burst columns.
 
-        The per-field comprehensions below are the extraction boundary:
-        the one deliberate scan over Python objects that buys every
-        later stage its vector form.
+        Numeric columns are shared as they are (nothing downstream
+        writes to a batch column); the three string columns are
+        dictionary-encoded into id columns plus batch-local tables.
         """
-        rows = bursts if isinstance(bursts, list) else list(bursts)
-        n = len(rows)
-        rec = np.fromiter(map(_NUMERIC_GETTER, rows), _NUMERIC_DTYPE,
-                          count=n)
-        obj = np.fromiter(map(_OBJECT_GETTER, rows), _OBJECT_DTYPE,
-                          count=n)
-        ua_id, ua_table = _encode_strings(obj["user_agent"])
-        host_id, host_table = _encode_strings(obj["http_host"])
-        proto_id, proto_table = _encode_protocols(obj["proto"])
+        ua_id, ua_table = _encode_strings(bursts.user_agent)
+        host_id, host_table = _encode_strings(bursts.http_host)
+        proto_id, proto_table = _encode_protocols(bursts.proto)
         return cls(
-            ts=rec["ts"],
-            client_ip=rec["client_ip"],
-            client_port=rec["client_port"],
-            server_ip=rec["server_ip"],
-            server_port=rec["server_port"],
+            ts=bursts.ts,
+            client_ip=bursts.client_ip,
+            client_port=bursts.client_port,
+            server_ip=bursts.server_ip,
+            server_port=bursts.server_port,
             proto_id=proto_id,
             proto_table=proto_table,
-            orig_bytes=rec["orig_bytes"],
-            resp_bytes=rec["resp_bytes"],
+            orig_bytes=bursts.orig_bytes,
+            resp_bytes=bursts.resp_bytes,
             ua_id=ua_id,
             ua_table=ua_table,
             host_id=host_id,
             host_table=host_table,
-            is_final=rec["is_final"],
+            is_final=bursts.is_final,
         )
 
     def compress(self, mask: np.ndarray) -> "BurstBatch":

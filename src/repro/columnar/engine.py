@@ -31,17 +31,13 @@ uid assignment.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Dict, Iterable, List, Optional
+from typing import Dict, List, Optional
 
 import numpy as np
 
 from repro.columnar.batch import BurstBatch, FlowBatch
 from repro.perf.kernels import segmented_running_max
-from repro.zeek.conn import ConnRecord
 from repro.zeek.http import HttpRecord
-
-if TYPE_CHECKING:
-    from repro.net.wire import SegmentBurst
 
 #: Five-tuple key packed into two int64 words: (client_ip << 32 |
 #: server_ip, client_port << 32 | server_port << 16 | proto_code).
@@ -495,14 +491,3 @@ class ColumnarFlowEngine:
         self._http_count = 0
         self._http_pending = []
         return records
-
-    # -- scalar compat surface (reference API) -----------------------------
-
-    def process(self, bursts: "Iterable[SegmentBurst]") -> List[ConnRecord]:
-        """Row-object twin of :meth:`process_batch` (compat/testing)."""
-        return self.process_batch(
-            BurstBatch.from_bursts(bursts)).to_conn_records()
-
-    def flush(self, now: Optional[float] = None) -> List[ConnRecord]:
-        """Row-object twin of :meth:`flush_batch` (compat/testing)."""
-        return self.flush_batch(now).to_conn_records()

@@ -19,12 +19,12 @@ import gzip
 import json
 import os
 from dataclasses import dataclass
-from typing import Iterable, Iterator, List, Optional
+from typing import Any, Dict, Iterable, Iterator, List, Optional
 
 from repro.dhcp.log import DhcpLogRecord
 from repro.dns.records import DnsLogRecord
 from repro.net.ip import int_to_ip, ip_to_int
-from repro.net.wire import SegmentBurst
+from repro.net.wire import BurstColumns, SegmentBurst
 from repro.reliability.atomic import replacing, write_text
 from repro.reliability.errors import (
     CATEGORY_FIELD,
@@ -51,7 +51,7 @@ class TraceDayFiles:
     day_start: float
     dhcp_records: List[DhcpLogRecord]
     dns_records: List[DnsLogRecord]
-    bursts: List[SegmentBurst]
+    bursts: BurstColumns
 
 
 # ---------------------------------------------------------------------------
@@ -77,6 +77,22 @@ def burst_to_json(burst: SegmentBurst) -> str:
     return json.dumps(payload)
 
 
+def _optional_text(payload: Dict[str, Any], key: str) -> Optional[str]:
+    """A header field: absent/null or a string, nothing else."""
+    value = payload.get(key)
+    if value is not None and not isinstance(value, str):
+        raise TypeError(f"field {key!r} is not a string: {value!r}")
+    return value
+
+
+def _final_flag(payload: Dict[str, Any]) -> bool:
+    """The teardown flag: absent, 0/1 or false/true, nothing else."""
+    value = payload.get("fin", 0)
+    if not isinstance(value, int) or value not in (0, 1):
+        raise ValueError(f"field 'fin' is not 0/1/true/false: {value!r}")
+    return bool(value)
+
+
 def burst_from_json(line: str, line_no: Optional[int] = None) -> SegmentBurst:
     payload = parse_json_object(line, source="wire", line_no=line_no)
     try:
@@ -89,9 +105,9 @@ def burst_from_json(line: str, line_no: Optional[int] = None) -> SegmentBurst:
             proto=str(payload["pr"]),
             orig_bytes=int(payload["ob"]),
             resp_bytes=int(payload["rb"]),
-            user_agent=payload.get("ua"),
-            http_host=payload.get("hh"),
-            is_final=bool(payload.get("fin", 0)),
+            user_agent=_optional_text(payload, "ua"),
+            http_host=_optional_text(payload, "hh"),
+            is_final=_final_flag(payload),
         )
     except KeyError as exc:
         raise RecordError(
@@ -144,7 +160,7 @@ def export_traces(traces, root: str,
         _write_gz_lines(os.path.join(day_dir, DNS_FILE),
                         (record.to_json() for record in trace.dns_records))
         _write_gz_lines(os.path.join(day_dir, WIRE_FILE),
-                        (burst_to_json(burst) for burst in trace.bursts))
+                        map(burst_to_json, trace.bursts.rows()))
         days.append(label)
 
     manifest = {
@@ -190,9 +206,9 @@ def iter_trace_days(root: str, *, mode: str = "strict",
             dns_records=_read_gz_records(
                 os.path.join(day_dir, DNS_FILE), DnsLogRecord.from_json,
                 "dns", mode, sink),
-            bursts=_read_gz_records(
+            bursts=BurstColumns.from_rows(_read_gz_records(
                 os.path.join(day_dir, WIRE_FILE), burst_from_json,
-                "wire", mode, sink),
+                "wire", mode, sink)),
         )
 
 

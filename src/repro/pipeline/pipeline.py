@@ -2,11 +2,11 @@
 
 Consumes :class:`~repro.synth.generator.DayTrace` objects (or, more
 precisely, anything exposing ``dhcp_records``, ``dns_records`` and
-``bursts``) and produces the annotated, anonymized
-:class:`~repro.pipeline.dataset.FlowDataset`. Raw identifiers never
-leave this module: flows whose client IP cannot be attributed through
-the DHCP logs are counted and dropped, and attributed MACs are
-immediately tokenized.
+``bursts`` as :class:`~repro.net.wire.BurstColumns`) and produces the
+annotated, anonymized :class:`~repro.pipeline.dataset.FlowDataset`.
+Raw identifiers never leave this module: flows whose client IP cannot
+be attributed through the DHCP logs are counted and dropped, and
+attributed MACs are immediately tokenized.
 
 Telemetry gaps are first-class: a day trace may carry ``log_gaps``
 (spans during which the DHCP or DNS log collector was down -- see
@@ -221,7 +221,7 @@ class MonitoringPipeline:
                 self.flow_engine.flush_batch(trace.day_start + DAY))
             http_drained = self.flow_engine.drain_http_count()
         else:
-            kept = self.tap.filter(trace.bursts)
+            kept = self.tap.filter(trace.bursts.rows())
             for conn in self.flow_engine.process(kept):
                 self._register(conn)
             for conn in self.flow_engine.flush(trace.day_start + DAY):

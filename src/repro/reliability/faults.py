@@ -43,6 +43,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
+from repro.net.wire import BurstColumns
 from repro.reliability.errors import DiskFullError, TransientIOError
 from repro.util.rng import substream
 
@@ -90,7 +91,7 @@ class GappedDayTrace:
 
     day_start: float
     dns_records: Tuple[Any, ...]
-    bursts: Tuple[Any, ...]
+    bursts: BurstColumns
     dhcp_records: Tuple[Any, ...]
     session_count: int
     connection_count: int
@@ -181,7 +182,7 @@ class FaultPlan:
         return GappedDayTrace(
             day_start=day_start,
             dns_records=dns_records,
-            bursts=tuple(trace.bursts),
+            bursts=trace.bursts,
             dhcp_records=dhcp_records,
             session_count=getattr(trace, "session_count", 0),
             connection_count=getattr(trace, "connection_count", 0),

@@ -18,13 +18,13 @@ from repro.dhcp.server import DhcpServer
 from repro.dns.records import DnsLogRecord
 from repro.dns.resolver import SyntheticResolver
 from repro.net.oui_db import OuiDatabase, default_oui_database
-from repro.net.wire import SegmentBurst
+from repro.net.wire import BurstColumns
 from repro.synth.archetypes import default_archetypes
 from repro.synth.behavior import BehaviorModel
 from repro.synth.devices import SimDevice
 from repro.synth.population import Population, build_population
 from repro.synth.sessions import AppSession, sample_day_sessions
-from repro.synth.wiregen import DnsCache, WireGenerator
+from repro.synth.wiregen import BurstColumnLists, DnsCache, WireGenerator
 from repro.util.rng import RngFactory
 from repro.util.timeutil import DAY, format_day, iter_days
 from repro.world.addressing import AddressPlan, build_address_plan
@@ -41,7 +41,8 @@ class DayTrace:
 
     day_start: float
     dns_records: List[DnsLogRecord]
-    bursts: List[SegmentBurst]
+    #: The tap's input, in time order.
+    bursts: BurstColumns
     dhcp_records: List[DhcpLogRecord]
     #: Simulation-side tallies (ground truth; tests only).
     session_count: int
@@ -132,7 +133,7 @@ class CampusTraceGenerator:
         sessions.sort(key=lambda pair: pair[0].start)
 
         dns_records: List[DnsLogRecord] = []
-        bursts: List[SegmentBurst] = []
+        bursts = BurstColumnLists()
         caches: Dict[int, DnsCache] = {}
         connection_count = 0
 
@@ -145,13 +146,12 @@ class CampusTraceGenerator:
                 session, device, self.archetypes[session.archetype_name],
                 lease.ip, rng, cache, dns_records, bursts)
 
-        bursts.sort(key=lambda burst: burst.ts)
         dns_records.sort(key=lambda record: record.ts)
 
         return DayTrace(
             day_start=day_start,
             dns_records=dns_records,
-            bursts=bursts,
+            bursts=bursts.columns(),
             dhcp_records=self.dhcp.drain_log(),
             session_count=len(sessions),
             connection_count=connection_count,

@@ -18,7 +18,7 @@ import numpy as np
 from repro import constants
 from repro.dns.records import DnsLogRecord
 from repro.dns.resolver import SyntheticResolver
-from repro.net.wire import SegmentBurst
+from repro.net.wire import BurstColumns
 from repro.synth.archetypes import AppArchetype, DomainComponent
 from repro.synth.devices import SimDevice
 from repro.synth.sessions import AppSession, lognormal_with_mean
@@ -32,6 +32,31 @@ _CACHE_SLACK = 2.0
 
 #: Minimum bytes for any connection (TLS handshake floor).
 _MIN_CONNECTION_BYTES = 600.0
+
+
+class BurstColumnLists:
+    """One day's bursts as growing per-field lists, in emission order.
+
+    The generator appends plain scalars here -- no per-burst object is
+    ever built -- and :meth:`columns` types and time-orders them once
+    the day is complete.
+    """
+
+    __slots__ = BurstColumns.__slots__
+
+    def __init__(self) -> None:
+        for name in self.__slots__:
+            setattr(self, name, [])
+
+    def columns(self) -> BurstColumns:
+        """The day's bursts as columns, ordered by ``ts``.
+
+        A stable argsort keeps equal-``ts`` bursts in emission order,
+        exactly the order a stable sort of the rows by ``ts`` gives.
+        """
+        columns = BurstColumns(**{name: getattr(self, name)
+                                  for name in self.__slots__})
+        return columns.take(np.argsort(columns.ts, kind="stable"))
 
 
 @dataclass
@@ -97,7 +122,7 @@ class WireGenerator:
                        rng: np.random.Generator,
                        dns_cache: DnsCache,
                        dns_out: List[DnsLogRecord],
-                       burst_out: List[SegmentBurst]) -> int:
+                       burst_out: BurstColumnLists) -> int:
         """Append the session's wire events; returns connections emitted."""
         minutes = session.duration / MINUTE
         n_connections = max(1, int(rng.poisson(
@@ -178,7 +203,7 @@ class WireGenerator:
                          rng: np.random.Generator,
                          dns_cache: DnsCache,
                          dns_out: List[DnsLogRecord],
-                         burst_out: List[SegmentBurst]) -> None:
+                         burst_out: BurstColumnLists) -> None:
         service = self.directory.get(component.service)
 
         server_ip = self._server_address(
@@ -263,7 +288,7 @@ class WireGenerator:
                      proto: str, upload: int, download: int,
                      user_agent: Optional[str], http_host: Optional[str],
                      rng: np.random.Generator,
-                     burst_out: List[SegmentBurst]) -> None:
+                     burst_out: BurstColumnLists) -> None:
         """Split one connection into bursts along its lifetime.
 
         The first burst sits at the flow start and the last at the flow
@@ -281,19 +306,22 @@ class WireGenerator:
             offsets = [0.0, *extra, duration]
         n_bursts = len(offsets)
         raw = rng.exponential(1.0, size=n_bursts)
-        splits = raw / raw.sum()
-        for index, offset in enumerate(offsets):
-            is_last = index == n_bursts - 1
-            burst_out.append(SegmentBurst(
-                ts=start + offset,
-                client_ip=client_ip,
-                client_port=client_port,
-                server_ip=server_ip,
-                server_port=server_port,
-                proto=proto,
-                orig_bytes=max(1, int(upload * splits[index])),
-                resp_bytes=max(1, int(download * splits[index])),
-                user_agent=user_agent if index == 0 else None,
-                http_host=http_host if index == 0 else None,
-                is_final=is_last,
-            ))
+        splits = (raw / raw.sum()).tolist()
+        burst_out.ts.extend([start + offset for offset in offsets])
+        burst_out.client_ip.extend([client_ip] * n_bursts)
+        burst_out.client_port.extend([client_port] * n_bursts)
+        burst_out.server_ip.extend([server_ip] * n_bursts)
+        burst_out.server_port.extend([server_port] * n_bursts)
+        burst_out.proto.extend([proto] * n_bursts)
+        burst_out.orig_bytes.extend(
+            [max(1, int(upload * split)) for split in splits])
+        burst_out.resp_bytes.extend(
+            [max(1, int(download * split)) for split in splits])
+        # Headers ride the first burst only; the last carries teardown.
+        later = n_bursts - 1
+        burst_out.user_agent.append(user_agent)
+        burst_out.user_agent.extend([None] * later)
+        burst_out.http_host.append(http_host)
+        burst_out.http_host.extend([None] * later)
+        burst_out.is_final.extend([False] * later)
+        burst_out.is_final.append(True)

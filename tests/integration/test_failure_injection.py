@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 from repro import StudyConfig
+from repro.net.wire import BurstColumns
 from repro.pipeline.pipeline import MonitoringPipeline
 from repro.synth.generator import CampusTraceGenerator
 from repro.util.timeutil import utc_ts
@@ -96,7 +97,8 @@ class TestReorderedInput:
         days, excluded = traces
         day = days[0]
         shuffled = dataclasses.replace(
-            day, bursts=list(reversed(day.bursts)))
+            day, bursts=BurstColumns.from_rows(
+                list(reversed(list(day.bursts.rows())))))
         pipeline = MonitoringPipeline(_CONFIG, excluded)
         with pytest.raises(ValueError):
             pipeline.ingest_day(shuffled)
@@ -106,7 +108,8 @@ class TestEmptyDays:
     def test_empty_trace_is_noop(self, traces):
         days, excluded = traces
         empty = dataclasses.replace(
-            days[0], dhcp_records=[], dns_records=[], bursts=[])
+            days[0], dhcp_records=[], dns_records=[],
+            bursts=BurstColumns.from_rows([]))
         pipeline = MonitoringPipeline(_CONFIG, excluded)
         pipeline.ingest_day(empty)
         dataset = pipeline.finalize()

@@ -55,7 +55,7 @@ class TestRoundTrip:
     def test_conn_log_round_trip(self, day_trace, tmp_path):
         trace, _ = day_trace
         engine = FlowEngine(idle_timeout=600)
-        flows = engine.process(trace.bursts) + engine.flush(None)
+        flows = engine.process(trace.bursts.rows()) + engine.flush(None)
         path = tmp_path / "conn.jsonl"
         with open(path, "w") as fileobj:
             write_conn_log(flows, fileobj)

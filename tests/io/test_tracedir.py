@@ -1,5 +1,6 @@
 """Tests for trace-directory export and replay."""
 
+import gzip
 import json
 import os
 
@@ -10,6 +11,7 @@ from repro import StudyConfig
 from repro.io.tracedir import (
     FORMAT_VERSION,
     MANIFEST_NAME,
+    WIRE_FILE,
     burst_from_json,
     burst_to_json,
     export_traces,
@@ -19,6 +21,8 @@ from repro.io.tracedir import (
 )
 from repro.net.wire import SegmentBurst
 from repro.pipeline.pipeline import MonitoringPipeline
+from repro.reliability.errors import CATEGORY_VALUE, RecordError
+from repro.reliability.quarantine import QuarantineSink
 from repro.synth.generator import CampusTraceGenerator
 from repro.util.timeutil import utc_ts
 
@@ -52,6 +56,89 @@ class TestBurstSerialization:
         assert burst_from_json(line) == burst
 
 
+_GOOD_WIRE = {"ts": 1.0, "ch": "100.64.0.1", "cp": 40000,
+              "sh": "50.0.0.1", "sp": 443, "pr": "tcp", "ob": 5, "rb": 6}
+
+#: Optional wire fields with a value of the wrong type or range.
+_MALFORMED_OPTIONALS = [
+    ("ua", 5), ("ua", ["Mozilla"]), ("ua", {"name": "x"}),
+    ("hh", ["x"]), ("hh", 7.5), ("hh", True),
+    ("fin", "no"), ("fin", "1"), ("fin", 2), ("fin", -1), ("fin", 0.5),
+    ("fin", None), ("fin", [1]),
+]
+
+
+class TestBurstParserValidation:
+    @pytest.mark.parametrize("key,value", _MALFORMED_OPTIONALS)
+    def test_malformed_optional_field_rejected(self, key, value):
+        line = json.dumps({**_GOOD_WIRE, key: value})
+        with pytest.raises(RecordError) as info:
+            burst_from_json(line, line_no=3)
+        assert info.value.source == "wire"
+        assert info.value.category == CATEGORY_VALUE
+        assert info.value.line_no == 3
+        assert info.value.line == line
+
+    @pytest.mark.parametrize("value,expected", [
+        (0, False), (1, True), (False, False), (True, True)])
+    def test_final_flag_accepts_only_0_1_false_true(self, value, expected):
+        line = json.dumps({**_GOOD_WIRE, "fin": value})
+        assert burst_from_json(line).is_final is expected
+
+    def test_null_headers_read_as_absent(self):
+        line = json.dumps({**_GOOD_WIRE, "ua": None, "hh": None})
+        burst = burst_from_json(line)
+        assert burst.user_agent is None and burst.http_host is None
+        assert burst.is_final is False
+
+
+class TestMalformedWireReplay:
+    """A malformed optional field fails strict replay and is quarantined
+    exactly once by lenient replay."""
+
+    @staticmethod
+    def _mangle(generated, root):
+        traces, _ = generated
+        export_traces(traces[:1], root)
+        path = os.path.join(root, read_manifest(root)["days"][0], WIRE_FILE)
+        with gzip.open(path, "rt") as fileobj:
+            lines = fileobj.read().splitlines()
+        touched = {}
+        for offset, (key, value) in enumerate(_MALFORMED_OPTIONALS):
+            index = 10 * offset + 5
+            touched[index + 1] = key  # line numbers are 1-based
+            lines[index] = json.dumps({**json.loads(lines[index]),
+                                       key: value})
+        with gzip.open(path, "wt") as fileobj:
+            fileobj.write("\n".join(lines) + "\n")
+        return len(lines), touched
+
+    def test_strict_replay_raises(self, generated, tmp_path):
+        root = str(tmp_path / "traces")
+        self._mangle(generated, root)
+        pipeline = MonitoringPipeline(_CONFIG, generated[1])
+        with pytest.raises(RecordError) as info:
+            ingest_trace_dir(pipeline, root)
+        assert info.value.source == "wire"
+        assert info.value.category == CATEGORY_VALUE
+
+    def test_lenient_replay_quarantines_each_once(self, generated,
+                                                  tmp_path):
+        root = str(tmp_path / "traces")
+        total, touched = self._mangle(generated, root)
+        sink = QuarantineSink(max_samples=100)
+        pipeline = MonitoringPipeline(_CONFIG, generated[1])
+        assert ingest_trace_dir(pipeline, root, mode="lenient",
+                                sink=sink) == 1
+        assert sink.counts == {("wire", CATEGORY_VALUE): len(touched)}
+        assert sorted(record.line_no for record in sink.samples("wire")) \
+            == sorted(touched)
+        assert pipeline.stats.quarantined_wire == len(touched)
+        day = next(iter_trace_days(root, mode="lenient",
+                                   sink=QuarantineSink()))
+        assert len(day.bursts) == total - len(touched)
+
+
 class TestExportAndReplay:
     def test_export_layout(self, generated, tmp_path):
         traces, _ = generated
@@ -74,7 +161,8 @@ class TestExportAndReplay:
             assert restored.day_start == original.day_start
             assert restored.dhcp_records == original.dhcp_records
             assert restored.dns_records == original.dns_records
-            assert restored.bursts == original.bursts
+            assert (list(restored.bursts.rows())
+                    == list(original.bursts.rows()))
 
     def test_replay_equivalent_to_live_ingest(self, generated, tmp_path):
         traces, excluded = generated

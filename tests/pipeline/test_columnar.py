@@ -14,7 +14,6 @@ from dataclasses import replace
 
 import pytest
 
-from repro.columnar.engine import ColumnarFlowEngine
 from repro.config import StudyConfig
 from repro.net.wire import SegmentBurst
 from repro.pipeline.parallel import ParallelPipeline
@@ -24,6 +23,7 @@ from repro.reliability.retry import RetryPolicy
 from repro.synth.generator import CampusTraceGenerator
 from repro.util.timeutil import DAY, utc_ts
 from repro.zeek.engine import FlowEngine
+from tests.oracles.flow_engine import RowColumnarFlowEngine
 
 _CONFIG = StudyConfig(n_students=4, seed=11,
                       start_ts=utc_ts(2020, 2, 1),
@@ -151,7 +151,7 @@ class TestMultiDayIdleCrossing:
 
     def test_cross_day_emission_identical(self):
         ref = FlowEngine(idle_timeout=600.0)
-        col = ColumnarFlowEngine(idle_timeout=600.0)
+        col = RowColumnarFlowEngine(idle_timeout=600.0)
         for offset, day in enumerate(self._days()):
             day_end = self.DAY0 + (offset + 1) * DAY
             ordered = sorted(day, key=lambda b: b.ts)

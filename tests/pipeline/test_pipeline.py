@@ -6,12 +6,13 @@ from typing import List
 import numpy as np
 import pytest
 
+from repro.columnar.batch import BurstBatch
 from repro.config import StudyConfig
 from repro.dhcp.log import DhcpLogRecord
 from repro.dns.records import DnsLogRecord
 from repro.net.ip import Prefix
 from repro.net.mac import MacAddress
-from repro.net.wire import SegmentBurst
+from repro.net.wire import BurstColumns, SegmentBurst
 from repro.pipeline.pipeline import MonitoringPipeline
 from repro.pipeline.visitors import apply_visitor_filter, visitor_filter_mask
 from repro.util.timeutil import DAY
@@ -29,7 +30,8 @@ class FakeTrace:
     day_start: float
     dhcp_records: List[DhcpLogRecord] = field(default_factory=list)
     dns_records: List[DnsLogRecord] = field(default_factory=list)
-    bursts: List[SegmentBurst] = field(default_factory=list)
+    bursts: BurstColumns = field(
+        default_factory=lambda: BurstColumns.from_rows([]))
 
 
 def _config():
@@ -44,9 +46,10 @@ def _burst(ts, client=CLIENT_A, server=SERVER, port=50000, orig=100,
         user_agent=ua, is_final=final)
 
 
-def _day(day_index=0, **kwargs):
+def _day(day_index=0, bursts=(), **kwargs):
     start = StudyConfig().start_ts + day_index * DAY
-    return FakeTrace(day_start=start, **kwargs)
+    return FakeTrace(day_start=start, bursts=BurstColumns.from_rows(bursts),
+                     **kwargs)
 
 
 def _lease(ts, mac=MAC_A, ip=CLIENT_A):
@@ -156,19 +159,19 @@ class TestVisitorFilter:
     def _dataset_with_device_days(self, day_lists):
         start = StudyConfig().start_ts
         pipe = MonitoringPipeline(_config())
-        traces = {}
+        leases, bursts = {}, {}
         for device_offset, days in enumerate(day_lists):
             mac = MacAddress(0x9C1A0000_0000 + device_offset)
             ip = CLIENT_A + device_offset
             for day in days:
-                trace = traces.setdefault(day, _day(day))
                 ts = start + day * DAY
-                trace.dhcp_records.append(
+                leases.setdefault(day, []).append(
                     DhcpLogRecord(ts, mac, ip, ts + 3600))
-                trace.bursts.append(
+                bursts.setdefault(day, []).append(
                     _burst(ts + 10, client=ip, port=40000 + day))
-        for day in sorted(traces):
-            pipe.ingest_day(traces[day])
+        for day in sorted(leases):
+            pipe.ingest_day(_day(day, dhcp_records=leases[day],
+                                 bursts=bursts[day]))
         return pipe.finalize()
 
     def test_threshold(self):
@@ -204,9 +207,9 @@ class TestFinalizeHttpDrain:
         end-of-day drain must still be counted by finalize()."""
         start = StudyConfig().start_ts
         pipe = MonitoringPipeline(_config())
-        kept = pipe.tap.filter([_burst(start + 10, ua="curl/8")])
-        for conn in pipe.flow_engine.process(kept):
-            pass
+        kept = pipe.tap.filter_batch(BurstBatch.from_bursts(
+            BurstColumns.from_rows([_burst(start + 10, ua="curl/8")])))
+        pipe.flow_engine.process_batch(kept)
         pipe.finalize()
         assert pipe.stats.http_records == 1
 

@@ -13,7 +13,6 @@ import numpy as np
 from hypothesis import example, given, settings, strategies as st
 
 from repro.columnar.dnsindex import ColumnarDnsIndex
-from repro.columnar.engine import ColumnarFlowEngine
 from repro.columnar.leases import ColumnarLeaseIndex
 from repro.dhcp.log import DhcpLogRecord
 from repro.dhcp.normalize import IpMacResolver
@@ -22,6 +21,7 @@ from repro.dns.records import DnsLogRecord
 from repro.net.mac import MacAddress
 from repro.net.wire import SegmentBurst
 from repro.zeek.engine import FlowEngine
+from tests.oracles.flow_engine import RowColumnarFlowEngine
 
 # -- DHCP lease interval join ---------------------------------------------
 
@@ -312,7 +312,7 @@ class TestFlowEngineProperties:
         ConnRecords (uids included) and flush behaviour."""
         bursts = _bursts(events)
         reference = FlowEngine(idle_timeout=600.0)
-        columnar = ColumnarFlowEngine(idle_timeout=600.0)
+        columnar = RowColumnarFlowEngine(idle_timeout=600.0)
         clock = 0.0
         for chunk in _chunks(bursts, cuts):
             assert columnar.process(chunk) == reference.process(chunk)

@@ -1,5 +1,8 @@
 """Tests for the day-by-day trace generator."""
 
+import hashlib
+import json
+
 import numpy as np
 import pytest
 
@@ -23,7 +26,7 @@ def generator():
 class TestGenerateDay:
     def test_events_sorted(self, generator):
         trace = generator.generate_day(utc_ts(2020, 2, 5))
-        burst_times = [b.ts for b in trace.bursts]
+        burst_times = trace.bursts.ts.tolist()
         assert burst_times == sorted(burst_times)
         dns_times = [r.ts for r in trace.dns_records]
         assert dns_times == sorted(dns_times)
@@ -36,8 +39,8 @@ class TestGenerateDay:
     def test_client_ips_come_from_pools(self, generator):
         trace = generator.generate_day(utc_ts(2020, 2, 7))
         pools = generator.plan.client_pools
-        for burst in trace.bursts[:500]:
-            assert any(pool.contains(burst.client_ip) for pool in pools)
+        for client_ip in trace.bursts.client_ip[:500].tolist():
+            assert any(pool.contains(client_ip) for pool in pools)
 
     def test_counts_populated(self, generator):
         trace = generator.generate_day(utc_ts(2020, 2, 8))
@@ -95,8 +98,49 @@ class TestDeterminism:
             trace = generator.generate_day(utc_ts(2020, 2, 5))
             return (trace.session_count, trace.connection_count,
                     len(trace.bursts),
-                    sum(b.orig_bytes + b.resp_bytes for b in trace.bursts))
+                    sum(b.orig_bytes + b.resp_bytes
+                        for b in trace.bursts.rows()))
         assert run() == run()
+
+
+class TestPinnedOutput:
+    """The generator's exact output for one day, as a sha256.
+
+    Any change to what is drawn, in which order, or how bursts are laid
+    out and sorted changes the digest. Recompute it only for a change
+    that is meant to alter the simulated campus.
+    """
+
+    #: 5916 bursts, 872 DNS records and 49 DHCP records.
+    DIGEST = "4031821fa7035fbe745c7a568bd758663086584d719ea825c4868e048df2c81a"
+
+    _NUMERIC = (("ts", "<f8"), ("client_ip", "<i8"), ("client_port", "<i8"),
+                ("server_ip", "<i8"), ("server_port", "<i8"),
+                ("orig_bytes", "<i8"), ("resp_bytes", "<i8"),
+                ("is_final", "?"))
+    _STRINGS = ("proto", "user_agent", "http_host")
+
+    @classmethod
+    def _digest(cls, trace):
+        bursts = trace.bursts
+        digest = hashlib.sha256()
+        for name, dtype in cls._NUMERIC:
+            column = getattr(bursts, name)
+            assert column.dtype == np.dtype(dtype)
+            digest.update(column.tobytes())
+        for name in cls._STRINGS:
+            digest.update(json.dumps(getattr(bursts, name).tolist()).encode())
+        for record in trace.dns_records:
+            digest.update(repr(record).encode())
+        for record in trace.dhcp_records:
+            digest.update(repr(record).encode())
+        return digest.hexdigest()
+
+    def test_day_digest_pinned(self):
+        trace = CampusTraceGenerator(_CONFIG).generate_day(utc_ts(2020, 2, 5))
+        assert (len(trace.bursts), len(trace.dns_records),
+                len(trace.dhcp_records)) == (5916, 872, 49)
+        assert self._digest(trace) == self.DIGEST
 
 
 class TestSubRangeReproducibility:
@@ -111,7 +155,8 @@ class TestSubRangeReproducibility:
         # address, which is the one generation-history-dependent field.
         return (burst.ts, burst.client_port, burst.server_ip,
                 burst.server_port, burst.proto, burst.orig_bytes,
-                burst.resp_bytes, burst.user_agent, burst.is_final)
+                burst.resp_bytes, burst.user_agent, burst.http_host,
+                burst.is_final)
 
     def test_fresh_generators_identical_over_same_range(self):
         runs = []
@@ -124,8 +169,8 @@ class TestSubRangeReproducibility:
             assert day_a.day_start == day_b.day_start
             assert day_a.session_count == day_b.session_count
             assert day_a.connection_count == day_b.connection_count
-            assert ([self._burst_key(b) for b in day_a.bursts]
-                    == [self._burst_key(b) for b in day_b.bursts])
+            assert ([self._burst_key(b) for b in day_a.bursts.rows()]
+                    == [self._burst_key(b) for b in day_b.bursts.rows()])
             assert ([(r.ts, r.qname, r.answers) for r in day_a.dns_records]
                     == [(r.ts, r.qname, r.answers)
                         for r in day_b.dns_records])
@@ -140,5 +185,5 @@ class TestSubRangeReproducibility:
             reference = full_days[trace.day_start]
             assert trace.session_count == reference.session_count
             assert trace.connection_count == reference.connection_count
-            assert ([self._burst_key(b) for b in trace.bursts]
-                    == [self._burst_key(b) for b in reference.bursts])
+            assert ([self._burst_key(b) for b in trace.bursts.rows()]
+                    == [self._burst_key(b) for b in reference.bursts.rows()])

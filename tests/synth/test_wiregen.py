@@ -7,7 +7,7 @@ from repro.net.oui_db import default_oui_database
 from repro.synth.archetypes import default_archetypes
 from repro.synth.devices import DeviceKind, make_device
 from repro.synth.sessions import AppSession
-from repro.synth.wiregen import DnsCache, WireGenerator
+from repro.synth.wiregen import BurstColumnLists, DnsCache, WireGenerator
 from repro.dns.resolver import SyntheticResolver
 from repro.util.rng import RngFactory
 from repro.util.timeutil import utc_ts
@@ -41,13 +41,13 @@ def _session(name, minutes=20.0, total_bytes=50e6):
 
 def _expand(env, name, seed=0, device=None, **session_kwargs):
     plan, generator, archetypes = env
-    dns_out, bursts = [], []
+    dns_out, bursts = [], BurstColumnLists()
     count = generator.expand_session(
         _session(name, **session_kwargs), device or _device(),
         archetypes[name], client_ip=0x64400101,
         rng=np.random.default_rng(seed), dns_cache=DnsCache(),
         dns_out=dns_out, burst_out=bursts)
-    return count, dns_out, bursts
+    return count, dns_out, list(bursts.columns().rows())
 
 
 class TestExpansion:
@@ -103,7 +103,7 @@ class TestExpansion:
         plan, generator, archetypes = env
         device = _device()
         cache = DnsCache()
-        dns_out, bursts = [], []
+        dns_out, bursts = [], BurstColumnLists()
         rng = np.random.default_rng(0)
         for offset in (0.0, 120.0):
             session = AppSession(
@@ -116,7 +116,7 @@ class TestExpansion:
         domains_queried = [r.qname for r in dns_out]
         # Cached answers mean strictly fewer queries than connections.
         assert len(domains_queried) < len(
-            {b.five_tuple for b in bursts}) + len(set(domains_queried))
+            {b.five_tuple for b in bursts.columns().rows()}) + len(set(domains_queried))
 
     def test_final_burst_flagged(self, env):
         _, _, bursts = _expand(env, "netflix", total_bytes=1e9)

@@ -4,7 +4,7 @@ import io
 
 import pytest
 
-from repro.net.wire import SegmentBurst
+from repro.net.wire import BurstColumns, SegmentBurst
 from repro.zeek.engine import FlowEngine
 from repro.zeek.http import HttpRecord, read_http_log, write_http_log
 
@@ -99,7 +99,8 @@ class TestPipelineHostFallback:
             dhcp_records=[DhcpLogRecord(
                 start, MacAddress.parse("9c:1a:00:00:00:01"),
                 0x64400001, start + 86400.0)],
-            bursts=[_burst(start + 10, host="weather.com", final=True)],
+            bursts=BurstColumns.from_rows(
+                [_burst(start + 10, host="weather.com", final=True)]),
         )
         pipeline.ingest_day(trace)
         dataset = pipeline.finalize()
