@@ -8,12 +8,15 @@ so the speedups are for identical results):
   on the whole dataset and on the Figure 6 Facebook-platform workload;
 * **signature domain tables** -- the per-signature suffix-match table
   behind every domain mask, summed over the full registry;
-* **end to end** -- the full measure-and-analyze pipeline on its
-  vectorized twins vs its reference twins: columnar vs row-at-a-time
-  ingest (a four-week trace window) plus ``StudyArtifacts.compute_all``
-  (all eight figures and the summary) on a kernel-backed vs a
-  reference-backed :class:`~repro.analysis.context.AnalysisContext`,
-  and the threaded fan-out for scale. Until the columnar core (PR 8),
+* **end to end** -- the full measure-and-analyze pipeline vs its
+  test-side oracles: columnar ingest vs the row-at-a-time
+  :class:`tests.oracles.pipeline.RowMonitoringPipeline` (a four-week
+  trace window) plus ``StudyArtifacts.compute_all`` (all eight figures
+  and the summary) on the kernel-backed
+  :class:`~repro.analysis.context.AnalysisContext` vs the
+  reference-backed
+  :class:`tests.oracles.analysis.ReferenceAnalysisContext`, and the
+  threaded fan-out for scale. Until the columnar core (PR 8),
   ingest had no fast path and this section could only compare the
   analysis stage -- which capped the whole-pipeline speedup at 1.19x;
   the ingest term is where the Amdahl weight was.
@@ -46,9 +49,15 @@ from repro.apps.facebook import (
 )
 from repro.perf.kernels import domain_str_array
 from repro.pipeline.pipeline import MonitoringPipeline
-from repro.sessions.stitch import stitch_sessions, stitch_sessions_reference
+from repro.sessions.stitch import stitch_sessions
 from repro.synth.generator import CampusTraceGenerator
 from repro.util.timeutil import utc_ts
+from tests.oracles.analysis import (
+    ReferenceAnalysisContext,
+    domain_table_reference,
+    stitch_sessions_reference,
+)
+from tests.oracles.pipeline import RowMonitoringPipeline
 
 
 def _best(fn, rounds):
@@ -71,17 +80,17 @@ def _best(fn, rounds):
     return min(times)
 
 
-def _fresh(artifacts, use_kernels):
+def _fresh(artifacts, context_cls):
     """The same study data behind a fresh cache and a fresh context."""
     return dataclasses.replace(
         artifacts,
-        context=AnalysisContext(artifacts.dataset, use_kernels=use_kernels),
+        context=context_cls(artifacts.dataset),
         _cache={}, _locks={}, _locks_guard=threading.Lock())
 
 
-def _ingest_window(config, traces, excluded):
+def _ingest_window(pipeline_cls, config, traces, excluded):
     """One serial measure pass over pre-generated day traces."""
-    pipeline = MonitoringPipeline(config, excluded)
+    pipeline = pipeline_cls(config, excluded)
     for trace in traces:
         pipeline.ingest_day(trace)
     return pipeline.finalize(), pipeline.stats
@@ -130,12 +139,12 @@ def test_analysis_speedup_report(artifacts):
     domain_arr = domain_str_array(dataset.domains)
     for signature in signatures:
         assert np.array_equal(signature.domain_table(domain_arr),
-                              signature.domain_table_reference(
-                                  dataset.domains))
+                              domain_table_reference(signature,
+                                                     dataset.domains))
     table_kernel = _best(
         lambda: [s.domain_table(domain_arr) for s in signatures], 10)
     table_reference = _best(
-        lambda: [s.domain_table_reference(dataset.domains)
+        lambda: [domain_table_reference(s, dataset.domains)
                  for s in signatures], 10)
     tables = {
         "signatures": len(signatures),
@@ -146,8 +155,9 @@ def test_analysis_speedup_report(artifacts):
     }
 
     # -- end to end: all figures + summary ------------------------------
-    kernel_results = _fresh(artifacts, True).compute_all()
-    reference_results = _fresh(artifacts, False).compute_all()
+    kernel_results = _fresh(artifacts, AnalysisContext).compute_all()
+    reference_results = _fresh(artifacts,
+                               ReferenceAnalysisContext).compute_all()
     assert np.array_equal(kernel_results["fig1"].total,
                           reference_results["fig1"].total)
     assert kernel_results["summary"] == reference_results["summary"]
@@ -155,32 +165,35 @@ def test_analysis_speedup_report(artifacts):
     del kernel_results, reference_results
 
     end_to_end_kernel = _best(
-        lambda: _fresh(artifacts, True).compute_all(), 2)
+        lambda: _fresh(artifacts, AnalysisContext).compute_all(), 2)
     end_to_end_threads = _best(
-        lambda: _fresh(artifacts, True).compute_all(workers=4), 2)
+        lambda: _fresh(artifacts, AnalysisContext).compute_all(workers=4),
+        2)
     end_to_end_reference = _best(
-        lambda: _fresh(artifacts, False).compute_all(), 2)
+        lambda: _fresh(artifacts, ReferenceAnalysisContext).compute_all(),
+        2)
 
-    # -- ingest: columnar core vs row-at-a-time reference twin ----------
+    # -- ingest: columnar core vs the row-at-a-time oracle ---------------
     generator = CampusTraceGenerator(artifacts.config)
     excluded = generator.plan.excluded_blocks(
         artifacts.config.excluded_operators)
     traces = list(generator.iter_days(utc_ts(2020, 2, 3),
                                       utc_ts(2020, 3, 2)))
-    columnar_config = dataclasses.replace(artifacts.config,
-                                          use_columnar=True)
-    reference_config = dataclasses.replace(artifacts.config,
-                                           use_columnar=False)
-    columnar_out = _ingest_window(columnar_config, traces, excluded)
-    reference_out = _ingest_window(reference_config, traces, excluded)
+    config = artifacts.config
+    columnar_out = _ingest_window(MonitoringPipeline, config, traces,
+                                  excluded)
+    reference_out = _ingest_window(RowMonitoringPipeline, config, traces,
+                                   excluded)
     assert columnar_out[0].identical(reference_out[0])
     assert columnar_out[1] == reference_out[1]
     ingest_flows = columnar_out[1].flows_closed
     del columnar_out, reference_out
     ingest_columnar = _best(
-        lambda: _ingest_window(columnar_config, traces, excluded), 2)
+        lambda: _ingest_window(MonitoringPipeline, config, traces,
+                               excluded), 2)
     ingest_reference = _best(
-        lambda: _ingest_window(reference_config, traces, excluded), 2)
+        lambda: _ingest_window(RowMonitoringPipeline, config, traces,
+                               excluded), 2)
 
     pipeline_vector = ingest_columnar + end_to_end_kernel
     pipeline_reference = ingest_reference + end_to_end_reference

@@ -5,7 +5,8 @@ path on one pre-generated week of wire events, and reports the cost of
 the visitor filter.
 
 ``test_ingest_speedup_report`` compares the batch-vectorized columnar
-ingest core against its row-at-a-time reference twin (equivalence is
+ingest core against the row-at-a-time oracle
+(:class:`tests.oracles.pipeline.RowMonitoringPipeline`; equivalence is
 asserted before anything is timed -- the speedup is for bit-identical
 output), times the sharded parallel run on the same window, and writes
 ``BENCH_ingest.json`` (override the path with ``BENCH_INGEST_JSON``)
@@ -18,7 +19,6 @@ import json
 import os
 import resource
 import time
-from dataclasses import replace
 
 import pytest
 
@@ -28,6 +28,7 @@ from repro.pipeline.pipeline import MonitoringPipeline
 from repro.pipeline.visitors import apply_visitor_filter, visitor_filter_mask
 from repro.synth.generator import CampusTraceGenerator
 from repro.util.timeutil import utc_ts
+from tests.oracles.pipeline import RowMonitoringPipeline
 
 _CONFIG = StudyConfig(n_students=25, seed=99,
                       start_ts=utc_ts(2020, 2, 3),
@@ -106,8 +107,8 @@ def _best(fn, rounds):
     return min(times)
 
 
-def _ingest(config, traces, excluded):
-    pipeline = MonitoringPipeline(config, excluded)
+def _ingest(pipeline_cls, traces, excluded):
+    pipeline = pipeline_cls(_CONFIG, excluded)
     for trace in traces:
         pipeline.ingest_day(trace)
     return pipeline.finalize(), pipeline.stats
@@ -116,28 +117,27 @@ def _ingest(config, traces, excluded):
 def test_ingest_speedup_report(week_traces):
     """Columnar-vs-reference ingest timings, with identity asserted."""
     traces, excluded = week_traces
-    columnar_config = replace(_CONFIG, use_columnar=True)
-    reference_config = replace(_CONFIG, use_columnar=False)
     bursts = sum(len(trace.bursts) for trace in traces)
 
     # Equivalence first: speedups below are for bit-identical output.
     _reset_peak_rss()
-    col_dataset, col_stats = _ingest(columnar_config, traces, excluded)
+    col_dataset, col_stats = _ingest(MonitoringPipeline, traces, excluded)
     columnar_rss = _peak_rss_mb()
     _reset_peak_rss()
-    ref_dataset, ref_stats = _ingest(reference_config, traces, excluded)
+    ref_dataset, ref_stats = _ingest(RowMonitoringPipeline, traces,
+                                     excluded)
     reference_rss = _peak_rss_mb()
     assert col_dataset.identical(ref_dataset)
     assert col_stats == ref_stats
     flows = col_stats.flows_closed
 
     columnar_seconds = _best(
-        lambda: _ingest(columnar_config, traces, excluded), 2)
+        lambda: _ingest(MonitoringPipeline, traces, excluded), 2)
     reference_seconds = _best(
-        lambda: _ingest(reference_config, traces, excluded), 2)
+        lambda: _ingest(RowMonitoringPipeline, traces, excluded), 2)
 
     started = time.perf_counter()
-    result = ParallelPipeline(columnar_config, 4).run()
+    result = ParallelPipeline(_CONFIG, 4).run()
     sharded_seconds = time.perf_counter() - started
     assert result.dataset.identical(col_dataset.canonicalize())
 
@@ -182,6 +182,6 @@ def test_ingest_speedup_report(week_traces):
         }, fileobj, indent=2)
         fileobj.write("\n")
 
-    # The columnar core must clearly beat the reference twin even on
+    # The columnar core must clearly beat the row oracle even on
     # this smoke-sized week (larger runs measure higher ratios).
     assert speedup >= 2.0

@@ -86,17 +86,6 @@ def post_shutdown_device_mask(dataset: FlowDataset,
     return bitmap.any_on_or_after(cutoff_day)
 
 
-def post_shutdown_device_mask_reference(dataset: FlowDataset,
-                                        cutoff_ts: float = constants.BREAK_END,
-                                        ) -> np.ndarray:
-    """Pure-Python reference for :func:`post_shutdown_device_mask`."""
-    cutoff_day = int((cutoff_ts - dataset.day0) // DAY)
-    return np.array(
-        [any(day >= cutoff_day for day in profile.days_seen)
-         for profile in dataset.devices],
-        dtype=bool)
-
-
 def month_day_range(dataset: FlowDataset, year: int, month: int,
                     ) -> Tuple[int, int]:
     """Half-open day-index interval of one calendar month."""
@@ -119,23 +108,4 @@ def devices_active_in_months(dataset: FlowDataset,
         start_day, end_day = month_day_range(dataset, year, month)
         mask = bitmap.any_in_range(start_day, end_day)
         result = mask if result is None else (result & mask)
-    return result
-
-
-def devices_active_in_months_reference(
-        dataset: FlowDataset,
-        months: Tuple[Tuple[int, int], ...]) -> np.ndarray:
-    """Pure-Python reference for :func:`devices_active_in_months`."""
-    if not months:
-        raise ValueError("at least one month is required")
-    masks = []
-    for year, month in months:
-        start_day, end_day = month_day_range(dataset, year, month)
-        masks.append(np.array(
-            [any(start_day <= day < end_day for day in profile.days_seen)
-             for profile in dataset.devices],
-            dtype=bool))
-    result = masks[0]
-    for mask in masks[1:]:
-        result = result & mask
     return result

@@ -7,12 +7,11 @@ this layer, each figure rebuilt its own copies; an
 :class:`AnalysisContext` computes each primitive once per dataset and
 hands the same (read-only) arrays to every figure and the summary.
 
-The context runs on the vectorized kernels of :mod:`repro.perf.kernels`
-by default. Constructed with ``use_kernels=False`` it routes every
-primitive through the pure-Python ``*_reference`` implementations
-instead -- same memoization, same interface -- which is how the golden
-tests prove the kernel path bit-identical to the reference path for
-every figure and the summary.
+The context runs on the vectorized kernels of :mod:`repro.perf.kernels`.
+The golden tests subclass it with pure-Python builders
+(``tests/oracles/analysis.py``) -- same memoization, same interface --
+to prove every figure and the summary bit-identical to the reference
+path.
 
 All cached getters are thread-safe (``compute_all`` fans figures out
 across threads), and ``stats`` counts how often each primitive was
@@ -28,7 +27,6 @@ import numpy as np
 
 from repro.analysis.common import (
     device_day_bitmap,
-    devices_active_in_months_reference,
     month_day_range,
     per_device_day_bytes,
 )
@@ -38,11 +36,8 @@ from repro.perf.kernels import DayBitmap, domain_str_array, table_flow_mask
 from repro.pipeline.dataset import FlowDataset
 from repro.reliability.coverage import CoverageReport
 from repro.reliability.errors import CoverageError
-from repro.sessions.stitch import (
-    StitchedSession,
-    stitch_sessions,
-    stitch_sessions_reference,
-)
+from repro.sessions.stitch import StitchedSession, stitch_sessions
+from repro.util.timeutil import month_bounds
 
 #: Site-table id for domains without a registrable site.
 NO_SITE = -1
@@ -62,11 +57,10 @@ class AnalysisContext:
     all eight figures and the summary reuse the same tables.
     """
 
-    def __init__(self, dataset: FlowDataset, *, use_kernels: bool = True,
+    def __init__(self, dataset: FlowDataset, *,
                  coverage: Optional[CoverageReport] = None,
                  strict_coverage: bool = False):
         self.dataset = dataset
-        self.use_kernels = use_kernels
         #: Telemetry coverage of the ingest behind this dataset; None
         #: means "assume complete" (e.g. datasets reloaded from disk).
         self.coverage = coverage
@@ -104,14 +98,10 @@ class AnalysisContext:
             table = self._tables.get(signature)
             if table is None:
                 self._count(f"domain_table:{signature.name}")
-                if self.use_kernels:
-                    if self._domain_arr is None:
-                        self._domain_arr = domain_str_array(
-                            self.dataset.domains)
-                    table = signature.domain_table(self._domain_arr)
-                else:
-                    table = signature.domain_table_reference(
+                if self._domain_arr is None:
+                    self._domain_arr = domain_str_array(
                         self.dataset.domains)
+                table = signature.domain_table(self._domain_arr)
                 self._tables[signature] = _freeze(table)
             return table
 
@@ -128,16 +118,13 @@ class AnalysisContext:
         with self._lock:
             mask = self._masks.get((kind, signature))
             if mask is None:
-                if self.use_kernels:
-                    mask = self._kernel_domain_mask(signature)
-                else:
-                    mask = signature.domain_mask_reference(self.dataset)
+                mask = self._domain_mask(signature)
                 if kind == "flow":
                     mask = mask | signature.ip_mask(self.dataset)
                 self._masks[(kind, signature)] = _freeze(mask)
             return mask
 
-    def _kernel_domain_mask(self, signature: AppSignature) -> np.ndarray:
+    def _domain_mask(self, signature: AppSignature) -> np.ndarray:
         # Same short-circuits as AppSignature.domain_mask, but through
         # the cached (and counted) per-signature table.
         dataset = self.dataset
@@ -178,13 +165,11 @@ class AnalysisContext:
                 _freeze(self._bitmap.active)
             return self._bitmap
 
-    def _device_mask(self, op: str, arg, compute_kernel,
-                     compute_reference) -> np.ndarray:
+    def _device_mask(self, op: str, arg, compute) -> np.ndarray:
         with self._lock:
             mask = self._device_masks.get((op, arg))
             if mask is None:
-                mask = (compute_kernel() if self.use_kernels
-                        else compute_reference())
+                mask = compute()
                 self._device_masks[(op, arg)] = _freeze(mask)
             return mask
 
@@ -192,28 +177,19 @@ class AnalysisContext:
         """Devices with any active day index ``>= day``."""
         return self._device_mask(
             "on_or_after", day,
-            lambda: self.day_bitmap().any_on_or_after(day),
-            lambda: np.array(
-                [any(d >= day for d in p.days_seen)
-                 for p in self.dataset.devices], dtype=bool))
+            lambda: self.day_bitmap().any_on_or_after(day))
 
     def active_before(self, day: int) -> np.ndarray:
         """Devices with any active day index ``< day``."""
         return self._device_mask(
             "before", day,
-            lambda: self.day_bitmap().any_before(day),
-            lambda: np.array(
-                [any(d < day for d in p.days_seen)
-                 for p in self.dataset.devices], dtype=bool))
+            lambda: self.day_bitmap().any_before(day))
 
     def first_active_on_or_after(self, day: int) -> np.ndarray:
         """Devices whose earliest active day is ``>= day``."""
         return self._device_mask(
             "first_on_or_after", day,
-            lambda: self.day_bitmap().first_active_on_or_after(day),
-            lambda: np.array(
-                [bool(p.days_seen) and min(p.days_seen) >= day
-                 for p in self.dataset.devices], dtype=bool))
+            lambda: self.day_bitmap().first_active_on_or_after(day))
 
     def active_in_months(self,
                          months: Tuple[Tuple[int, int], ...]) -> np.ndarray:
@@ -229,10 +205,7 @@ class AnalysisContext:
                 raise ValueError("at least one month is required")
             return result.copy()
 
-        return self._device_mask(
-            "in_months", tuple(months), _kernel,
-            lambda: devices_active_in_months_reference(self.dataset,
-                                                       tuple(months)))
+        return self._device_mask("in_months", tuple(months), _kernel)
 
     # -- telemetry coverage -----------------------------------------------
 
@@ -268,10 +241,9 @@ class AnalysisContext:
             sessions = self._sessions.get((key, slack))
             if sessions is None:
                 self._count(f"stitch:{key}")
-                impl = (stitch_sessions if self.use_kernels
-                        else stitch_sessions_reference)
-                sessions = impl(self.dataset, flow_mask,
-                                marker_mask=marker_mask, slack=slack)
+                sessions = stitch_sessions(self.dataset, flow_mask,
+                                           marker_mask=marker_mask,
+                                           slack=slack)
                 self._sessions[(key, slack)] = sessions
             return sessions
 
@@ -294,6 +266,37 @@ class AnalysisContext:
                 self._site_ids = (_freeze(ids), len(lookup))
             return self._site_ids
 
+    def mean_distinct_sites(self, device_mask: np.ndarray,
+                            months: Sequence[Tuple[int, int]]) -> float:
+        """Mean distinct sites per masked device, averaged over months.
+
+        Vectorized over the cached domain->site table: distinct
+        (device, site) pairs are distinct values of ``device * n_sites
+        + site_id``, so each month is one ``np.unique`` instead of a
+        Python pair-set loop. The counts -- and therefore the ratio --
+        are exactly those of that loop, which the golden tests keep as
+        their oracle.
+        """
+        dataset = self.dataset
+        site_ids, n_sites = self.site_ids()
+        eligible_flows = device_mask[dataset.device] & (dataset.domain >= 0)
+
+        monthly_means = []
+        for year, month in months:
+            start, end = month_bounds(year, month)
+            in_month = (eligible_flows & (dataset.ts >= start)
+                        & (dataset.ts < end))
+            devices = dataset.device[in_month].astype(np.int64)
+            sites = site_ids[dataset.domain[in_month]]
+            valid = sites >= 0
+            pair_keys = np.unique(devices[valid] * n_sites + sites[valid])
+            if pair_keys.size:
+                n_active = np.unique(pair_keys // n_sites).size
+                monthly_means.append(pair_keys.size / n_active)
+        if not monthly_means:
+            return float("nan")
+        return float(np.mean(monthly_means))
+
     # -- warm-up -----------------------------------------------------------
 
     def warm(self, signatures: Sequence[AppSignature] = (),
@@ -308,6 +311,5 @@ class AnalysisContext:
             self.flow_mask(signature)
         if n_days > 0:
             self.day_matrix(n_days)
-        if self.use_kernels:
-            self.day_bitmap()
+        self.day_bitmap()
         self.site_ids()

@@ -19,9 +19,7 @@ from typing import TYPE_CHECKING, Dict, Optional
 import numpy as np
 
 from repro.analysis.common import month_day_mask, study_day_count
-from repro.dns.domains import site_of
 from repro.pipeline.dataset import FlowDataset
-from repro.util.timeutil import month_bounds
 
 if TYPE_CHECKING:
     from repro.analysis.context import AnalysisContext
@@ -121,16 +119,9 @@ def compute_summary(dataset: FlowDataset,
     aprmay_daily = cohort[:, aprmay_mask].sum() / max(aprmay_mask.sum(), 1)
     increase = (aprmay_daily / feb_daily - 1.0) if feb_daily > 0 else float("nan")
 
-    if ctx.use_kernels:
-        sites_feb = _mean_distinct_sites(dataset, post_shutdown_mask,
-                                         ((2020, 2),), ctx)
-        sites_aprmay = _mean_distinct_sites(dataset, post_shutdown_mask,
-                                            ((2020, 4), (2020, 5)), ctx)
-    else:
-        sites_feb = _mean_distinct_sites_reference(
-            dataset, post_shutdown_mask, ((2020, 2),))
-        sites_aprmay = _mean_distinct_sites_reference(
-            dataset, post_shutdown_mask, ((2020, 4), (2020, 5)))
+    sites_feb = ctx.mean_distinct_sites(post_shutdown_mask, ((2020, 2),))
+    sites_aprmay = ctx.mean_distinct_sites(post_shutdown_mask,
+                                           ((2020, 4), (2020, 5)))
     sites_increase = (sites_aprmay / sites_feb - 1.0) if sites_feb > 0 else float("nan")
 
     # Coverage health: kernel-independent (pure interval arithmetic),
@@ -158,62 +149,6 @@ def compute_summary(dataset: FlowDataset,
         coverage_affected_days=coverage_affected_days,
         coverage_min_fraction=coverage_min_fraction,
     )
-
-
-def _mean_distinct_sites(dataset: FlowDataset, device_mask: np.ndarray,
-                         months, ctx: "AnalysisContext") -> float:
-    """Mean distinct sites per masked device, averaged over months.
-
-    Vectorized over the cached domain->site table: distinct
-    (device, site) pairs are distinct values of ``device * n_sites +
-    site_id``, so each month is one ``np.unique`` instead of a Python
-    pair-set loop. The counts -- and therefore the ratio -- are exactly
-    those of :func:`_mean_distinct_sites_reference`.
-    """
-    site_ids, n_sites = ctx.site_ids()
-    eligible_flows = device_mask[dataset.device] & (dataset.domain >= 0)
-
-    monthly_means = []
-    for year, month in months:
-        start, end = month_bounds(year, month)
-        in_month = eligible_flows & (dataset.ts >= start) & (dataset.ts < end)
-        devices = dataset.device[in_month].astype(np.int64)
-        sites = site_ids[dataset.domain[in_month]]
-        valid = sites >= 0
-        pair_keys = np.unique(devices[valid] * n_sites + sites[valid])
-        if pair_keys.size:
-            n_active = np.unique(pair_keys // n_sites).size
-            monthly_means.append(pair_keys.size / n_active)
-    if not monthly_means:
-        return float("nan")
-    return float(np.mean(monthly_means))
-
-
-def _mean_distinct_sites_reference(dataset: FlowDataset,
-                                   device_mask: np.ndarray,
-                                   months) -> float:
-    """Pure-Python pair-set reference for :func:`_mean_distinct_sites`."""
-    site_of_domain = [site_of(domain) for domain in dataset.domains]
-    eligible_flows = device_mask[dataset.device] & (dataset.domain >= 0)
-
-    monthly_means = []
-    for year, month in months:
-        start, end = month_bounds(year, month)
-        in_month = eligible_flows & (dataset.ts >= start) & (dataset.ts < end)
-        pairs = set()
-        devices = dataset.device[in_month]
-        domains = dataset.domain[in_month]
-        for device, domain_idx in zip(devices, domains):
-            site = site_of_domain[domain_idx]
-            if site is not None:
-                pairs.add((int(device), site))
-        # reprolint: allow[RL009] -- order-free reduction: set-to-set comprehension feeding only len()
-        active_devices = {device for device, _ in pairs}
-        if active_devices:
-            monthly_means.append(len(pairs) / len(active_devices))
-    if not monthly_means:
-        return float("nan")
-    return float(np.mean(monthly_means))
 
 
 def traffic_vs_baseline(study_aprmay_bytes: float,

@@ -55,12 +55,6 @@ class AppSignature:
         """
         return suffix_match_table(domain_arr, self.domain_suffixes)
 
-    def domain_table_reference(self, domains) -> np.ndarray:
-        """Pure-Python counterpart of :meth:`domain_table`."""
-        return np.array(
-            [self.matches_domain(domain) for domain in domains],
-            dtype=bool)
-
     def domain_mask(self, dataset: FlowDataset) -> np.ndarray:
         """Flow mask: annotated with a matching domain.
 
@@ -76,15 +70,6 @@ class AppSignature:
         table = self.domain_table(domain_str_array(dataset.domains))
         return table_flow_mask(dataset.domain, table)
 
-    def domain_mask_reference(self, dataset: FlowDataset) -> np.ndarray:
-        """Pure-Python reference for :meth:`domain_mask` (golden tests)."""
-        table = self.domain_table_reference(dataset.domains)
-        mask = np.zeros(len(dataset), dtype=bool)
-        annotated = dataset.domain >= 0
-        if table.size:
-            mask[annotated] = table[dataset.domain[annotated]]
-        return mask
-
     def ip_mask(self, dataset: FlowDataset) -> np.ndarray:
         """Flow mask: destination inside a signature IP range."""
         mask = np.zeros(len(dataset), dtype=bool)
@@ -96,10 +81,6 @@ class AppSignature:
     def flow_mask(self, dataset: FlowDataset) -> np.ndarray:
         """Flow mask: matched by domain or by IP range."""
         return self.domain_mask(dataset) | self.ip_mask(dataset)
-
-    def flow_mask_reference(self, dataset: FlowDataset) -> np.ndarray:
-        """Pure-Python reference for :meth:`flow_mask` (golden tests)."""
-        return self.domain_mask_reference(dataset) | self.ip_mask(dataset)
 
 
 def merge_signatures(name: str,

@@ -103,14 +103,12 @@ def _run_config(args: argparse.Namespace) -> StudyConfig:
                      else config.seed),
             "max_shard_retries": args.max_retries,
             "dhcp_staleness_seconds": args.dhcp_staleness,
-            "use_columnar": args.columnar,
         })
     return StudyConfig(
         n_students=args.students if args.students is not None else 100,
         seed=args.seed if args.seed is not None else 7,
         max_shard_retries=args.max_retries,
-        dhcp_staleness_seconds=args.dhcp_staleness,
-        use_columnar=args.columnar)
+        dhcp_staleness_seconds=args.dhcp_staleness)
 
 
 def _cmd_run_journaled(args: argparse.Namespace) -> int:
@@ -459,11 +457,6 @@ def build_parser() -> argparse.ArgumentParser:
                      help="seconds an expired DHCP lease may be held over "
                           "to attribute flows inside a DHCP telemetry gap "
                           "(0 disables degraded attribution)")
-    run.add_argument("--columnar", action=argparse.BooleanOptionalAction,
-                     default=True,
-                     help="batch-vectorized ingest core (default); "
-                          "--no-columnar selects the row-at-a-time "
-                          "reference twin (bit-identical, slower)")
     run.add_argument("--shard-deadline", type=float, default=None,
                      help="watchdog deadline in seconds: a shard that "
                           "makes no heartbeat progress for this long is "

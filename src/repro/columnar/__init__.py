@@ -1,7 +1,6 @@
-"""Columnar (record-batch) ingest core.
+"""Columnar (record-batch) ingest core: the one ingest path.
 
-The batch-vectorized twin of the row-at-a-time ingest path: wire
-bursts are extracted once into parallel numpy columns
+Wire bursts are extracted once into parallel numpy columns
 (:class:`~repro.columnar.batch.BurstBatch`), assembled into flows by a
 vectorized engine (:class:`~repro.columnar.engine.ColumnarFlowEngine`),
 attributed through sorted lease / DNS-epoch interval joins
@@ -10,13 +9,13 @@ attributed through sorted lease / DNS-epoch interval joins
 batch-at-a-time into the :class:`~repro.pipeline.dataset.FlowDataset`
 (:class:`~repro.columnar.ingest.BatchRegistrar`).
 
-Every component is a *bit-identical* drop-in for its pure-Python
-reference twin (``repro.zeek.engine``, ``repro.dhcp.normalize``,
-``repro.dns.mapping`` and the scalar ``MonitoringPipeline._register``
-loop): same flow boundaries, same emission order, same degraded-mode
-counters, same device/domain first-seen index assignment. The golden
-gates in ``tests/pipeline/test_columnar.py`` and
-``tests/property/test_columnar_props.py`` hold the twins together.
+Every component is *bit-identical* to a row-at-a-time reference
+kept under ``tests/oracles/`` (a per-burst flow engine, per-IP lease
+and DNS-epoch resolvers, and a per-flow registration loop): same flow
+boundaries, same emission order, same degraded-mode counters, same
+device/domain first-seen index assignment. The golden gates in
+``tests/pipeline/test_columnar.py`` and
+``tests/property/test_columnar_props.py`` hold the two together.
 """
 
 from repro.columnar.batch import BurstBatch, FlowBatch

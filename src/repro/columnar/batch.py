@@ -9,7 +9,7 @@ Two batch shapes cross the columnar ingest path:
   dictionary-encoded. The generator emits those columns directly, so
   no per-burst Python object exists between generation and ingest.
 * :class:`FlowBatch` -- closed flows in *emission order* (the exact
-  order the scalar engine would have returned them), produced by
+  order a sequential per-burst scan closes them), produced by
   :class:`~repro.columnar.engine.ColumnarFlowEngine` and consumed by
   :class:`~repro.columnar.ingest.BatchRegistrar`.
 
@@ -23,8 +23,6 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
-
-from repro.zeek.conn import ConnRecord
 
 if TYPE_CHECKING:
     from repro.net.wire import BurstColumns
@@ -154,7 +152,7 @@ class BurstBatch:
 
 
 class FlowBatch:
-    """Closed flows in scalar-engine emission order.
+    """Closed flows in sequential-scan emission order.
 
     ``proto`` holds engine-global protocol codes (``0`` tcp, ``1``
     udp, >=2 for anything else) indexing ``proto_table``; ``ua`` and
@@ -234,30 +232,3 @@ class FlowBatch:
             host=self.host[idx],
             host_table=self.host_table,
         )
-
-    def to_conn_records(self) -> List[ConnRecord]:
-        """Materialize ConnRecord rows (compat/testing surface only).
-
-        The hot path never calls this -- batches flow straight into
-        :class:`~repro.columnar.ingest.BatchRegistrar`.
-        """
-        table = self.proto_table
-        return [
-            ConnRecord(
-                uid=int(self.uid[i]),
-                ts=float(self.ts[i]),
-                duration=float(self.duration[i]),
-                orig_h=int(self.orig_h[i]),
-                orig_p=int(self.orig_p[i]),
-                resp_h=int(self.resp_h[i]),
-                resp_p=int(self.resp_p[i]),
-                proto=table[int(self.proto[i])],
-                orig_bytes=int(self.orig_bytes[i]),
-                resp_bytes=int(self.resp_bytes[i]),
-                user_agent=(None if self.ua[i] < 0
-                            else self.ua_table[int(self.ua[i])]),
-                http_host=(None if self.host[i] < 0
-                           else self.host_table[int(self.host[i])]),
-            )
-            for i in range(self.n)
-        ]

@@ -1,28 +1,30 @@
 """Vectorized server-IP -> domain lookback over per-IP epoch tables.
 
-The columnar twin of :class:`repro.dns.mapping.IpDomainResolver`.
-Ingest keeps the exact reference epoch semantics -- same-qname
-observations within the freshness window refresh the open epoch,
-anything else (different qname, or a stale gap wider than the window)
-opens a new one -- but epochs land in one flat
+Ingest keeps per-IP annotation epochs -- same-qname observations
+within the freshness window refresh the open epoch, anything else
+(different qname, or a stale gap wider than the window) opens a new
+one. Splitting on stale gaps keeps the effective lookback bounded by
+the freshness window, which is what lets sharded ingest rebuild
+identical annotation state from a finite warm-up (see
+:mod:`repro.pipeline.parallel`). Epochs land in one flat
 :class:`~repro.columnar.entrylog.EntryLog`. Batch queries locate the
 latest epoch whose first observation is at or before each flow start
 through its point-in-time index, then apply the freshness (or
 gap-discounted freshness) predicate to the epoch's live ``last_seen``.
 
-The gap-discount identity the degraded batch path relies on: the
-reference clips gap spans to each flow's ``(last_seen, ts)`` interval
-and then merges overlaps, which computes ``|union(gaps) n (last_seen,
-ts)|``. Merging the global span list once and clipping per flow
-computes the same measure, so one merged span loop serves the whole
-batch.
+The gap-discount identity the degraded batch path relies on: a
+per-flow lookup would clip gap spans to the flow's ``(last_seen, ts)``
+interval and then merge overlaps, which computes ``|union(gaps) n
+(last_seen, ts)|``. Merging the global span list once and clipping per
+flow computes the same measure, so one merged span loop serves the
+whole batch.
 """
 
 from __future__ import annotations
 
 from itertools import chain, repeat
 from operator import attrgetter
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
@@ -66,7 +68,7 @@ class ColumnarDnsIndex:
         self._name_ids: Dict[str, int] = {}
         self._record_count = 0
 
-    # -- ingest (scalar; the exact reference state machine) ---------------
+    # -- ingest ------------------------------------------------------------
 
     def _intern_name(self, name: str) -> int:
         nid = self._name_ids.get(name)
@@ -205,7 +207,13 @@ class ColumnarDnsIndex:
     # -- batch queries -----------------------------------------------------
 
     def domain_ids_at(self, ips: np.ndarray, tss: np.ndarray) -> np.ndarray:
-        """Vector twin of ``domain_at``: name-table ids, -1 unknown."""
+        """Name-table ids each ``(ip, ts)`` was serving, -1 unknown.
+
+        Uses the latest epoch starting at or before ``ts`` within the
+        freshness window; a flow predating any observation of its
+        server IP stays unannotated (the dnsless-media case the paper
+        handles with published IP ranges instead).
+        """
         idx, valid = self._log.locate(ips, tss)
         out = np.full(len(ips), -1, dtype=np.int32)
         if valid.any():
@@ -217,7 +225,13 @@ class ColumnarDnsIndex:
     def domain_ids_at_degraded(
             self, ips: np.ndarray, tss: np.ndarray,
             gaps: Sequence[Tuple[float, float]]) -> np.ndarray:
-        """Vector twin of ``domain_at_degraded``: gap-discounted budget."""
+        """Gap-aware lookup: discount DNS outage seconds from staleness.
+
+        During a DNS log gap no observation *could* have refreshed the
+        epoch, so seconds the gaps overlap with ``(last_seen, ts]`` do
+        not count against the freshness budget. Callers count every
+        rescue; outside gaps the answer is :meth:`domain_ids_at`'s.
+        """
         idx, valid = self._log.locate(ips, tss)
         out = np.full(len(ips), -1, dtype=np.int32)
         if not valid.any():
@@ -231,25 +245,6 @@ class ColumnarDnsIndex:
         ok = valid & (stale - covered <= self.freshness_seconds)
         out[ok] = self._log.label[idx[ok]]
         return out
-
-    # -- scalar compat surface (reference API) -----------------------------
-
-    def domain_at(self, ip: int, ts: float) -> Optional[str]:
-        nid = self.domain_ids_at(np.array([ip], dtype=np.int64),
-                                 np.array([ts], dtype=np.float64))[0]
-        return None if nid < 0 else self.name_table[int(nid)]
-
-    def domain_at_degraded(
-            self, ip: int, ts: float,
-            gaps: Sequence[Tuple[float, float]]) -> Optional[str]:
-        nid = self.domain_ids_at_degraded(
-            np.array([ip], dtype=np.int64),
-            np.array([ts], dtype=np.float64), gaps)[0]
-        return None if nid < 0 else self.name_table[int(nid)]
-
-    def observed_ips(self) -> Tuple[int, ...]:
-        """All answer addresses seen (inspection/testing)."""
-        return tuple(self._log.tail)
 
     @property
     def record_count(self) -> int:

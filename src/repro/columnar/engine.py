@@ -1,7 +1,12 @@
-"""Batch flow assembly: the columnar twin of the scalar FlowEngine.
+"""Batch flow assembly: Zeek-style connection tracking over columns.
 
-One :meth:`ColumnarFlowEngine.process_batch` call does what the scalar
-engine's per-burst loop does for a whole day of bursts:
+Flows are keyed by five-tuple: bursts sharing a key accumulate into one
+open flow, a teardown burst (``is_final``) closes it, and a gap longer
+than the idle timeout splits the key into two flows. The semantics are
+those of a sequential per-burst scan (kept as the test-side oracle in
+``tests/oracles/flow_engine.py``); one
+:meth:`ColumnarFlowEngine.process_batch` call does what that scan does
+for a whole day of bursts:
 
 1. bursts are stably sorted by five-tuple key (two packed uint64
    words), grouping each key's bursts while preserving time order;
@@ -25,7 +30,7 @@ Flows still open at the end of a batch are carried in a small columnar
 open-flow table whose ``seq`` column encodes the scalar engine's dict
 insertion order (continuations keep their seq; re-created keys get a
 fresh one), which is what makes :meth:`flush_batch` reproduce the
-reference flush's stable ``(first_ts, insertion order)`` emission and
+scalar flush's stable ``(first_ts, insertion order)`` emission and
 uid assignment.
 """
 
@@ -37,7 +42,6 @@ import numpy as np
 
 from repro.columnar.batch import BurstBatch, FlowBatch
 from repro.perf.kernels import segmented_running_max
-from repro.zeek.http import HttpRecord
 
 #: Five-tuple key packed into two int64 words: (client_ip << 32 |
 #: server_ip, client_port << 32 | server_port << 16 | proto_code).
@@ -116,7 +120,6 @@ class ColumnarFlowEngine:
         self._host_codes: Dict[str, int] = {}
         self._host_table: List[str] = []
         self._http_count = 0
-        self._http_pending: List[tuple] = []
 
     @property
     def open_flow_count(self) -> int:
@@ -176,12 +179,9 @@ class ColumnarFlowEngine:
             )
         self._last_burst_ts = max(self._last_burst_ts, float(hwm[-1]))
 
-        # Plaintext request sightings: count now, materialize on drain.
-        http = (batch.ua_id >= 0) | (batch.host_id >= 0)
-        http_seen = int(np.count_nonzero(http))
-        if http_seen:
-            self._http_count += http_seen
-            self._http_pending.append((batch, http))
+        # Plaintext request sightings: one http.log line each.
+        self._http_count += int(np.count_nonzero(
+            (batch.ua_id >= 0) | (batch.host_id >= 0)))
 
         proto = self._engine_protos(batch)
         # The five-tuple key as two contiguous int64 columns; the
@@ -466,28 +466,7 @@ class ColumnarFlowEngine:
     # -- http.log sightings ------------------------------------------------
 
     def drain_http_count(self) -> int:
-        """Count and clear pending http.log sightings (hot path)."""
+        """Count and clear pending http.log sightings."""
         count = self._http_count
         self._http_count = 0
-        self._http_pending = []
         return count
-
-    def drain_http(self) -> List[HttpRecord]:
-        """Materialize and clear pending http.log records (compat)."""
-        records: List[HttpRecord] = []
-        for batch, mask in self._http_pending:
-            for i in np.flatnonzero(mask):
-                ua_id = batch.ua_id[i]
-                host_id = batch.host_id[i]
-                records.append(HttpRecord(
-                    ts=float(batch.ts[i]),
-                    orig_h=int(batch.client_ip[i]),
-                    orig_p=int(batch.client_port[i]),
-                    resp_h=int(batch.server_ip[i]),
-                    resp_p=int(batch.server_port[i]),
-                    host=batch.host_table[host_id] if host_id >= 0 else None,
-                    user_agent=batch.ua_table[ua_id] if ua_id >= 0 else None,
-                ))
-        self._http_count = 0
-        self._http_pending = []
-        return records

@@ -9,7 +9,7 @@ still move after the append: the lease end on renewal or truncation,
 the epoch's last sighting on refresh.
 
 A lookup asks for the last entry of an IP whose start is at or before
-a time -- the ``bisect_right - 1`` of the row-at-a-time twins. The
+a time -- a per-IP ``bisect_right - 1``, batched. The
 index keeps the entries sorted by the key ``ip + 1j * start`` (numpy
 orders complex numbers lexicographically, and IPv4 ints are exact in
 float64) along with the permutation back to flat entry ids. Each

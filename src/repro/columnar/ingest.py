@@ -1,9 +1,9 @@
 """Batch flow registration: attribution, anonymization, annotation.
 
-The columnar twin of ``MonitoringPipeline._register``. One
-:meth:`BatchRegistrar.register` call runs a whole
-:class:`~repro.columnar.batch.FlowBatch` through the same decision
-tree the scalar loop walks per flow -- owned-window filter, DHCP
+One :meth:`BatchRegistrar.register` call runs a whole
+:class:`~repro.columnar.batch.FlowBatch` through the decision tree a
+scalar loop would walk per flow (the per-flow loop survives as the
+test-side oracle ``tests/oracles/pipeline.py``) -- owned-window filter, DHCP
 attribution (with the gap-holdover degraded path), tokenization,
 protocol validation, DNS / Host-header annotation (with the
 gap-discount degraded path) -- updating the same

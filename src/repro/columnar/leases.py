@@ -1,19 +1,18 @@
 """Vectorized IP->MAC attribution: an interval join over lease arrays.
 
-The columnar twin of :class:`repro.dhcp.normalize.IpMacResolver`.
-Ingest is the same per-record state machine (renewals extend the open
-binding, foreign grants truncate it), but bindings accumulate into one
-flat :class:`~repro.columnar.entrylog.EntryLog` instead of per-IP
-Python lists, and whole query batches locate "the last binding of this
-IP whose start <= ts" in one pass over its point-in-time index.
+Ingest is a per-record state machine (renewals extend the open
+binding, foreign grants truncate it); bindings accumulate into one
+flat :class:`~repro.columnar.entrylog.EntryLog`, and whole query
+batches locate "the last binding of this IP whose start <= ts" in one
+pass over its point-in-time index.
 
-Holdover (``mac_at_stale``) shares the located entry and only changes
-the expiry predicate, mirroring the reference's degraded path.
+Holdover (:meth:`ColumnarLeaseIndex.mac_ids_at_stale`) shares the
+located entry and only changes the expiry predicate.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import Dict, List
 
 import numpy as np
 
@@ -33,7 +32,7 @@ class ColumnarLeaseIndex:
         self._mac_ids: Dict[int, int] = {}
         self._record_count = 0
 
-    # -- ingest (scalar; the exact reference state machine) ---------------
+    # -- ingest (per record) -----------------------------------------------
 
     def _intern_mac(self, mac: MacAddress) -> int:
         mid = self._mac_ids.get(mac.value)
@@ -67,7 +66,7 @@ class ColumnarLeaseIndex:
     # -- batch queries -----------------------------------------------------
 
     def mac_ids_at(self, ips: np.ndarray, tss: np.ndarray) -> np.ndarray:
-        """Vector twin of ``mac_at``: mac-table ids, -1 where unbound."""
+        """MAC-table ids bound to each ``(ip, ts)``, -1 where unbound."""
         idx, valid = self._log.locate(ips, tss)
         out = np.full(len(ips), -1, dtype=np.int32)
         if valid.any():
@@ -77,7 +76,9 @@ class ColumnarLeaseIndex:
 
     def mac_ids_at_stale(self, ips: np.ndarray, tss: np.ndarray,
                          staleness_seconds: float) -> np.ndarray:
-        """Vector twin of ``mac_at_stale``: bounded lease holdover."""
+        """Degraded lookup: like :meth:`mac_ids_at`, but each binding
+        stays answerable ``staleness_seconds`` past its logged expiry
+        (used only for flows inside a known DHCP log gap)."""
         idx, valid = self._log.locate(ips, tss)
         out = np.full(len(ips), -1, dtype=np.int32)
         if valid.any():
@@ -85,20 +86,6 @@ class ColumnarLeaseIndex:
             ok = valid & ((tss < ends) | (tss - ends <= staleness_seconds))
             out[ok] = self._log.label[idx[ok]]
         return out
-
-    # -- scalar compat surface (reference API) -----------------------------
-
-    def mac_at(self, ip: int, ts: float) -> Optional[MacAddress]:
-        mid = self.mac_ids_at(np.array([ip], dtype=np.int64),
-                              np.array([ts], dtype=np.float64))[0]
-        return None if mid < 0 else self.mac_table[int(mid)]
-
-    def mac_at_stale(self, ip: int, ts: float,
-                     staleness_seconds: float) -> Optional[MacAddress]:
-        mid = self.mac_ids_at_stale(np.array([ip], dtype=np.int64),
-                                    np.array([ts], dtype=np.float64),
-                                    staleness_seconds)[0]
-        return None if mid < 0 else self.mac_table[int(mid)]
 
     @property
     def record_count(self) -> int:

@@ -91,13 +91,6 @@ class StudyConfig:
     #: restores fail-fast behaviour.
     max_shard_retries: int = 2
 
-    #: Run ingest through the columnar record-batch core
-    #: (:mod:`repro.columnar`) instead of the row-at-a-time reference
-    #: loop. Bit-identical either way (the golden parity suites hold
-    #: the twins together), so this is an execution-shape knob, not a
-    #: semantic one -- it is excluded from study fingerprints.
-    use_columnar: bool = True
-
     # -- presets ------------------------------------------------------------
 
     @classmethod

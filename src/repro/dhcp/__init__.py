@@ -8,15 +8,14 @@ logs (Section 3). This package provides both halves:
   (:class:`~repro.dhcp.server.DhcpServer`) that assigns, renews,
   expires and **reuses** addresses, writing ACK log records as a real
   server would; and
-* the *measurement* side -- a time-interval resolver
-  (:class:`~repro.dhcp.normalize.IpMacResolver`) reconstructed purely
-  from those logs, which answers "which MAC held this IP at this
-  instant". Address reuse makes this genuinely time-sensitive.
+* the *measurement* side -- the ACK log records a time-interval
+  resolver (:class:`~repro.columnar.leases.ColumnarLeaseIndex`)
+  reconstructs bindings from, to answer "which MAC held this IP at
+  this instant". Address reuse makes this genuinely time-sensitive.
 """
 
 from repro.dhcp.lease import Lease
 from repro.dhcp.log import DhcpLogRecord, read_dhcp_log, write_dhcp_log
-from repro.dhcp.normalize import IpMacResolver
 from repro.dhcp.protocol import (
     DhcpClient,
     DhcpMessage,
@@ -30,7 +29,6 @@ __all__ = [
     "DhcpMessage",
     "DhcpProtocolServer",
     "DhcpServer",
-    "IpMacResolver",
     "Lease",
     "PoolExhaustedError",
     "read_dhcp_log",

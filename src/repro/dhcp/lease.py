@@ -30,14 +30,12 @@ class Lease:
 
         When the DHCP log has a gap, a renewal may have happened without
         being logged; a lease is then conservatively held over for up to
-        ``staleness_seconds`` past its logged expiry. Both attribution
-        paths mirror this idea per binding:
-        ``IpMacResolver.mac_at_stale`` applies it per flow, and the
-        columnar interval join
+        ``staleness_seconds`` past its logged expiry. The columnar
+        interval join
         (``repro.columnar.leases.ColumnarLeaseIndex.mac_ids_at_stale``)
-        applies it as mask algebra over whole batches -- the property
-        suite (``tests/property/test_columnar_props.py``) holds those
-        two in exact agreement.
+        applies the same idea as mask algebra over whole batches; the
+        property suite (``tests/property/test_columnar_props.py``)
+        holds it in exact agreement with a per-flow reference resolver.
         """
         return self.start <= ts < self.end + staleness_seconds
 

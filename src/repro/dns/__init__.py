@@ -6,21 +6,21 @@ contemporaneous DNS logs (Section 3). This package provides:
 * the *simulation* side -- a resolver over the synthetic internet's
   address plan that answers queries with rotating host addresses and
   emits query-log records;
-* the *measurement* side -- :class:`~repro.dns.mapping.IpDomainResolver`,
-  which reconstructs "what domain was this server IP serving at this
-  time" purely from the logs; and
+* the *measurement* side -- the query-log records
+  :class:`~repro.columnar.dnsindex.ColumnarDnsIndex` reconstructs
+  "what domain was this server IP serving at this time" from, and the
+  annotation freshness window
+  (:data:`~repro.dns.mapping.DEFAULT_FRESHNESS_SECONDS`); and
 * registrable-domain ("site") grouping used by the distinct-sites
   statistic (Section 4.1).
 """
 
 from repro.dns.domains import site_of
-from repro.dns.mapping import IpDomainResolver
 from repro.dns.records import DnsLogRecord, read_dns_log, write_dns_log
 from repro.dns.resolver import SyntheticResolver
 
 __all__ = [
     "DnsLogRecord",
-    "IpDomainResolver",
     "SyntheticResolver",
     "read_dns_log",
     "site_of",

@@ -1,142 +1,14 @@
 """Remote-IP -> domain annotation from DNS logs (the measurement side).
 
-For each answer address seen in the logs, keeps the time-ordered
-history of the domains it was serving. A flow to a server IP is
-annotated with the most recent domain observed for that IP at or before
-the flow start, within a freshness window -- mirroring how the paper
-distinguishes services behind shared or rotating addresses.
+A flow to a server IP is annotated with the most recent domain observed
+for that IP at or before the flow start, within a freshness window --
+mirroring how the paper distinguishes services behind shared or
+rotating addresses. :class:`~repro.columnar.dnsindex.ColumnarDnsIndex`
+implements the lookup; this module fixes the window it and the sharded
+ingest's warm-up share.
 """
-
-from __future__ import annotations
-
-import bisect
-from collections import defaultdict
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
-
-from repro.dns.records import DnsLogRecord
-from repro.reliability.errors import CATEGORY_ORDER, RecordError
 
 #: How long an observed answer keeps annotating an address. DNS TTLs
 #: are minutes, but clients cache and reconnect, so the pipeline allows
 #: a generous window (the paper's logs are contemporaneous day-scale).
 DEFAULT_FRESHNESS_SECONDS = 48 * 3600.0
-
-
-class IpDomainResolver:
-    """Point-in-time server-IP -> domain lookup built from DNS logs."""
-
-    def __init__(self, freshness_seconds: float = DEFAULT_FRESHNESS_SECONDS):
-        if freshness_seconds <= 0:
-            raise ValueError("freshness_seconds must be positive")
-        self.freshness_seconds = float(freshness_seconds)
-        # Per answer address, parallel arrays per *annotation epoch*
-        # (a maximal run of observations of the same qname with no gap
-        # wider than the freshness window): the epoch's first
-        # observation (bisection key), its latest observation (freshness
-        # anchor), and the qname. Splitting on stale gaps keeps the
-        # resolver's effective lookback bounded by the freshness window,
-        # which is what lets sharded ingest rebuild identical annotation
-        # state from a finite warm-up (see repro.pipeline.parallel).
-        self._times: Dict[int, List[float]] = defaultdict(list)
-        self._last_seen: Dict[int, List[float]] = defaultdict(list)
-        self._names: Dict[int, List[str]] = defaultdict(list)
-        self._record_count = 0
-
-    @classmethod
-    def from_records(cls, records: Iterable[DnsLogRecord],
-                     freshness_seconds: float = DEFAULT_FRESHNESS_SECONDS,
-                     ) -> "IpDomainResolver":
-        resolver = cls(freshness_seconds)
-        for record in records:
-            resolver.ingest(record)
-        return resolver
-
-    def ingest(self, record: DnsLogRecord) -> None:
-        """Incorporate one query's answers (records in time order per IP)."""
-        self._record_count += 1
-        for address in record.answers:
-            times = self._times[address]
-            last_seen = self._last_seen[address]
-            names = self._names[address]
-            if last_seen and record.ts < last_seen[-1]:
-                # Structured (and a ValueError subclass, so pre-taxonomy
-                # callers still catch it): an out-of-order stream is a
-                # per-record defect, not a resolver bug.
-                raise RecordError(
-                    f"DNS log out of order for answer {address}: "
-                    f"{record.ts} < {last_seen[-1]}",
-                    source="dns", category=CATEGORY_ORDER)
-            if (names and names[-1] == record.qname
-                    and record.ts - last_seen[-1] <= self.freshness_seconds):
-                last_seen[-1] = record.ts  # refresh the open epoch
-            else:
-                times.append(record.ts)
-                last_seen.append(record.ts)
-                names.append(record.qname)
-
-    def domain_at(self, ip: int, ts: float) -> Optional[str]:
-        """Domain the address served at ``ts``, or None when unknown.
-
-        Uses the latest observation at or before ``ts`` within the
-        freshness window; a flow predating any observation of its
-        server IP stays unannotated (exactly the dnsless-media case the
-        paper handles with published IP ranges instead).
-        """
-        times = self._times.get(ip)
-        if not times:
-            return None
-        index = bisect.bisect_right(times, ts) - 1
-        if index < 0:
-            return None
-        if ts - self._last_seen[ip][index] > self.freshness_seconds:
-            return None
-        return self._names[ip][index]
-
-    def domain_at_degraded(
-            self, ip: int, ts: float,
-            gaps: Sequence[Tuple[float, float]]) -> Optional[str]:
-        """Gap-aware lookup: discount DNS outage seconds from staleness.
-
-        During a DNS log gap no observation *could* have refreshed the
-        epoch, so seconds the gap overlaps with ``(last_seen, ts]`` do
-        not count against the freshness budget. This is an explicit
-        degraded marker -- callers count every rescue -- rather than a
-        silent global widening of lookback; outside gaps behaviour is
-        exactly :meth:`domain_at`.
-        """
-        times = self._times.get(ip)
-        if not times:
-            return None
-        index = bisect.bisect_right(times, ts) - 1
-        if index < 0:
-            return None
-        last_seen = self._last_seen[ip][index]
-        stale = ts - last_seen
-        if stale <= self.freshness_seconds:
-            return self._names[ip][index]
-        # Merge overlapping gap spans before summing so double-declared
-        # outages cannot double-discount.
-        clipped = sorted(
-            (max(start, last_seen), min(end, ts))
-            for start, end in gaps if end > last_seen and start < ts)
-        covered = 0.0
-        cursor = float("-inf")
-        for start, end in clipped:
-            if end <= cursor:
-                continue
-            covered += end - max(start, cursor)
-            cursor = end
-        if stale - covered <= self.freshness_seconds:
-            return self._names[ip][index]
-        return None
-
-    def observed_ips(self) -> Tuple[int, ...]:
-        """All answer addresses seen (inspection/testing)."""
-        return tuple(self._times)
-
-    @property
-    def record_count(self) -> int:
-        return self._record_count
-
-    def __len__(self) -> int:
-        return len(self._times)

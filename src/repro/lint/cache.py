@@ -65,10 +65,12 @@ class LintCache:
     # -- keys ----------------------------------------------------------------
 
     def project_key(self, index: ProjectIndex) -> str:
-        """One digest over every module's content plus the tests text."""
+        """One digest over every module's and test file's path and
+        content."""
         parts = [f"{info.relpath}:{info.sha256}"
                  for info in index.modules]
-        parts.append(_digest(index.tests_text))
+        parts.extend(f"{path}:{_digest(source)}"
+                     for path, source in index.test_sources.items())
         return _digest(*parts)
 
     # -- raw entry I/O -------------------------------------------------------

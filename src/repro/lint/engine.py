@@ -5,8 +5,8 @@ it once into an :class:`ast.Module`, and hands each
 :class:`ModuleInfo` to every registered rule.  Rules that need a
 whole-repository view (e.g. the kernel/reference-twin pairing of
 RL003) get a :class:`ProjectIndex` instead, which also carries the raw
-text of ``<root>/tests`` so rules can require that an invariant is
-*exercised*, not merely declared.
+source of every file under ``<root>/tests`` so rules can require that
+an invariant is *exercised*, not merely declared.
 
 Findings are suppressible two ways, both intentionally explicit:
 
@@ -88,8 +88,9 @@ class ProjectIndex:
     modules: Tuple[ModuleInfo, ...]
     #: Top-level function names per dotted module.
     functions: Dict[str, Tuple[str, ...]]
-    #: Concatenated raw source of every ``tests/**/*.py`` file.
-    tests_text: str
+    #: Raw source of every ``tests/**/*.py`` file, keyed by its
+    #: repo-relative POSIX path, in path order.
+    test_sources: Dict[str, str]
 
     def module_named(self, dotted: str) -> Optional[ModuleInfo]:
         for info in self.modules:
@@ -179,14 +180,13 @@ def load_module(path: Path, root: Path, src_root: Path) -> ModuleInfo:
     )
 
 
-def _read_tests_text(root: Path) -> str:
+def _read_test_sources(root: Path) -> Dict[str, str]:
     tests_dir = root / "tests"
     if not tests_dir.is_dir():
-        return ""
-    chunks: List[str] = []
-    for path in sorted(tests_dir.rglob("*.py")):
-        chunks.append(path.read_text(encoding="utf-8"))
-    return "\n".join(chunks)
+        return {}
+    return {path.relative_to(root).as_posix(): path.read_text(
+                encoding="utf-8")
+            for path in sorted(tests_dir.rglob("*.py"))}
 
 
 def build_index(root: Path,
@@ -211,7 +211,7 @@ def build_index(root: Path,
         root=root,
         modules=modules,
         functions=functions,
-        tests_text=_read_tests_text(root),
+        test_sources=_read_test_sources(root),
     )
 
 

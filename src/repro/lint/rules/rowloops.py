@@ -6,15 +6,11 @@ records row by row inside those modules quietly re-introduces the exact
 cost the subsystem removed.  This rule flags row-scale iteration --
 loops over burst/record/flow collections, over ``range(...n)`` /
 ``range(len(...))``, or over ``np.flatnonzero(...)`` index sets -- in
-any ``repro.columnar`` module.
-
-Deliberate row-at-a-time surfaces stay legal through the package's own
-documentation convention: a function whose docstring declares itself
-``compat``, ``inspection``, ``testing`` or ``reference`` (e.g.
-``FlowBatch.to_conn_records`` -- "compat/testing surface only") is a
-materialization boundary, not a hot path.  Loops over *distinct-value*
-tables (protocol names, interned domains) iterate other shapes and are
-not matched.
+any ``repro.columnar`` module.  Row-at-a-time surfaces (materializing
+``ConnRecord`` rows, scalar point queries) belong with the test-side
+oracles under ``tests/oracles/``, not in the package.  Loops over
+*distinct-value* tables (protocol names, interned domains) iterate
+other shapes and are not matched.
 """
 
 from __future__ import annotations
@@ -31,10 +27,6 @@ COLUMNAR_PACKAGE = "repro.columnar"
 #: Bare names that conventionally bind row-object collections.
 ROW_COLLECTION_NAMES = frozenset(
     {"bursts", "records", "rows", "flows", "conn_records"})
-
-#: A docstring containing any of these marks the function as a
-#: deliberate row-at-a-time surface (materialization/compat/debug).
-EXEMPT_DOCSTRING_MARKERS = ("compat", "inspection", "testing", "reference")
 
 
 def _is_row_scale(node: ast.AST) -> bool:
@@ -68,40 +60,22 @@ def _is_row_scale(node: ast.AST) -> bool:
 class RowLoopRule(Rule):
     rule_id = "RL007"
     title = ("no per-row for loops over flow records in repro.columnar "
-             "hot paths (docstring-marked compat surfaces exempt)")
+             "hot paths")
 
     def check_module(self, module: ModuleInfo) -> Iterator[Finding]:
         if not module.module.startswith(COLUMNAR_PACKAGE):
             return
-        yield from self._scan(module, module.tree.body, exempt=False)
-
-    def _scan(self, module: ModuleInfo, body: List[ast.stmt],
-              exempt: bool) -> Iterator[Finding]:
-        for node in body:
-            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                docstring = ast.get_docstring(node) or ""
-                lowered = docstring.lower()
-                inner_exempt = exempt or any(
-                    marker in lowered
-                    for marker in EXEMPT_DOCSTRING_MARKERS)
-                yield from self._scan(module, node.body, inner_exempt)
-            elif isinstance(node, ast.ClassDef):
-                yield from self._scan(module, node.body, exempt)
-            else:
-                if exempt:
-                    continue
-                for sub in ast.walk(node):
-                    iterables: List[ast.AST] = []
-                    if isinstance(sub, (ast.For, ast.AsyncFor)):
-                        iterables.append(sub.iter)
-                    elif isinstance(sub, (ast.ListComp, ast.SetComp,
-                                          ast.DictComp, ast.GeneratorExp)):
-                        iterables.extend(g.iter for g in sub.generators)
-                    for iterable in iterables:
-                        if _is_row_scale(iterable):
-                            yield self.finding(
-                                module, sub,
-                                "per-row loop over flow records in a "
-                                "columnar hot path; vectorize it, or "
-                                "mark the enclosing function's docstring "
-                                "as a compat/inspection surface")
+        for node in ast.walk(module.tree):
+            iterables: List[ast.AST] = []
+            if isinstance(node, (ast.For, ast.AsyncFor)):
+                iterables.append(node.iter)
+            elif isinstance(node, (ast.ListComp, ast.SetComp,
+                                   ast.DictComp, ast.GeneratorExp)):
+                iterables.extend(g.iter for g in node.generators)
+            for iterable in iterables:
+                if _is_row_scale(iterable):
+                    yield self.finding(
+                        module, node,
+                        "per-row loop over flow records in a columnar "
+                        "hot path; vectorize it, or move the row-at-a-"
+                        "time surface to a test-side oracle")

@@ -2,8 +2,8 @@
 
 CI runs ``mypy`` in strict-leaning mode over the typed-core packages
 (``repro.perf``, ``repro.sessions``, ``repro.reliability``,
-``repro.lint``, ``repro.serve`` -- see ``[tool.mypy]`` in
-pyproject.toml), but mypy is
+``repro.lint``, ``repro.serve``, ``repro.columnar`` -- see
+``[tool.mypy]`` in pyproject.toml), but mypy is
 an optional dependency the runtime image does not carry.  This rule
 enforces the load-bearing prerequisite locally with zero dependencies:
 every function in a typed-core module annotates every parameter and
@@ -54,7 +54,7 @@ def _missing_annotations(func: ast.AST) -> List[str]:
 class TypedCoreRule(Rule):
     rule_id = "RL006"
     title = ("typed-core packages (perf/sessions/reliability/lint/"
-             "serve) annotate every parameter and return type")
+             "serve/columnar) annotate every parameter and return type")
 
     def check_module(self, module: ModuleInfo) -> Iterator[Finding]:
         if not module.module.startswith(CORE_PREFIXES):

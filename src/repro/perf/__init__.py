@@ -1,8 +1,8 @@
-"""Vectorized analysis kernels and their pure-Python reference twins.
+"""Vectorized analysis kernels.
 
-See :mod:`repro.perf.kernels` for the numpy implementations and
-:mod:`repro.perf.references` for the loop-based twins the parity tests
-(and the RL003 lint rule) hold them bit-identical to.
+See :mod:`repro.perf.kernels` for the numpy implementations. Each has
+a loop-based twin in ``tests/oracles/kernels.py`` that the parity
+tests (and the RL003 lint rule) hold it bit-identical to.
 """
 
 from repro.perf.kernels import (
@@ -15,28 +15,14 @@ from repro.perf.kernels import (
     suffix_match_table,
     table_flow_mask,
 )
-from repro.perf.references import (
-    build_day_bitmap_reference,
-    domain_str_array_reference,
-    segmented_running_max_reference,
-    stitch_segments_reference,
-    suffix_match_table_reference,
-    table_flow_mask_reference,
-)
 
 __all__ = [
     "DayBitmap",
     "SessionSegments",
     "build_day_bitmap",
-    "build_day_bitmap_reference",
     "domain_str_array",
-    "domain_str_array_reference",
     "segmented_running_max",
-    "segmented_running_max_reference",
     "stitch_segments",
-    "stitch_segments_reference",
     "suffix_match_table",
-    "suffix_match_table_reference",
     "table_flow_mask",
-    "table_flow_mask_reference",
 ]

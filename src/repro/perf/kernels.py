@@ -15,9 +15,11 @@ original implementations computed with per-element Python loops:
 Everything here operates on plain numpy arrays and returns plain numpy
 arrays; the module has no repro-internal imports, so any layer (apps,
 sessions, analysis) can use it without cycles. Every kernel is written
-to be *bit-identical* to its pure-Python reference counterpart -- the
-golden tests in ``tests/analysis/test_context.py`` and the property
-suite in ``tests/property/test_stitch_props.py`` hold them to that.
+to be *bit-identical* to its pure-Python reference counterpart in
+``tests/oracles/kernels.py`` -- the parity tests in
+``tests/perf/test_kernel_references.py``, the golden tests in
+``tests/analysis/test_context.py`` and the property suite in
+``tests/property/test_stitch_props.py`` hold them to that.
 """
 
 from __future__ import annotations

@@ -4,9 +4,12 @@ Mirrors the DeKoven et al. infrastructure the paper runs on:
 
 1. :class:`~repro.pipeline.tap.Tap` -- port mirror with an excluded-
    network list (high-volume operators are not captured);
-2. :class:`~repro.zeek.engine.FlowEngine` -- flow extraction;
-3. DHCP-log normalization of dynamic client IPs to device MACs;
-4. DNS-log annotation of remote server IPs with domains;
+2. :class:`~repro.columnar.engine.ColumnarFlowEngine` -- flow
+   extraction;
+3. DHCP-log normalization of dynamic client IPs to device MACs
+   (:class:`~repro.columnar.leases.ColumnarLeaseIndex`);
+4. DNS-log annotation of remote server IPs with domains
+   (:class:`~repro.columnar.dnsindex.ColumnarDnsIndex`);
 5. :class:`~repro.pipeline.anonymize.Anonymizer` -- one-way tokenization
    of device identifiers (raw MACs/IPs are discarded after processing);
 6. the 14-day visitor filter.

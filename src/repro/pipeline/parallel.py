@@ -38,12 +38,9 @@ result independent of shard count and byte-identical to a canonicalized
 serial run -- asserted by the golden tests in
 ``tests/pipeline/test_parallel.py``.
 
-Each worker's pipeline runs whichever ingest core its config selects
-(the batch-vectorized :mod:`repro.columnar` path by default,
-``use_columnar=False`` for the row-at-a-time reference twin); the
-sharding layer is agnostic to that choice, and
-``tests/pipeline/test_columnar.py`` pins serial==parallel identity on
-the columnar default including under crash-retry.
+Each worker's pipeline runs the batch-vectorized :mod:`repro.columnar`
+ingest core, and ``tests/pipeline/test_columnar.py`` pins
+serial==parallel identity on it, including under crash-retry.
 
 Fault tolerance (see :mod:`repro.reliability` and the chaos suite in
 ``tests/integration/test_chaos.py``):

@@ -34,25 +34,20 @@ from repro.columnar import (
     ColumnarLeaseIndex,
 )
 from repro.config import StudyConfig
-from repro.dhcp.normalize import IpMacResolver
-from repro.dns.mapping import IpDomainResolver
 from repro.net.ip import Prefix
 from repro.pipeline.anonymize import Anonymizer, TokenCache
 from repro.pipeline.dataset import FlowDataset, FlowDatasetBuilder
 from repro.pipeline.tap import Tap
 from repro.reliability.coverage import CoverageReport, CoverageTracker
-from repro.reliability.errors import CATEGORY_VALUE, RecordError
 from repro.reliability.quarantine import QuarantineSink
 from repro.util.timeutil import DAY
-from repro.zeek.conn import ConnRecord
-from repro.zeek.engine import FlowEngine
 
 
 @dataclass
 class PipelineStats:
     """Operational counters of one ingest run.
 
-    Every  is an additive counter, which is what makes per-shard
+    Every field is an additive counter, which is what makes per-shard
     stats :meth:`merge`-able into the totals a serial run would have
     produced (the tokenization-cache counters are the one per-process
     exception: shards warm their own caches, so their sums exceed a
@@ -151,8 +146,6 @@ class MonitoringPipeline:
                                               Optional[float]]] = None):
         self.config = config
         self.tap = Tap(excluded_prefixes)
-        # reprolint: allow[RL008] -- engine selection only; columnar/row parity is golden-tested to identical attribution
-        self.use_columnar = bool(getattr(config, "use_columnar", True))
         self.anonymizer = Anonymizer(config.anonymization_salt)
         self.builder = FlowDatasetBuilder(
             config.start_ts if day0 is None else day0)
@@ -166,18 +159,12 @@ class MonitoringPipeline:
         self.coverage = CoverageTracker()
         self._gap_spans: Dict[str, List[Tuple[float, float]]] = {
             "dhcp": [], "dns": []}
-        if self.use_columnar:
-            self.flow_engine = ColumnarFlowEngine(config.flow_idle_timeout)
-            self.ip_mac = ColumnarLeaseIndex()
-            self.ip_domain = ColumnarDnsIndex()
-            self._registrar: Optional[BatchRegistrar] = BatchRegistrar(
-                config, self.builder, self._anon_cache, self.ip_mac,
-                self.ip_domain, self.stats, self._gap_spans, owned_window)
-        else:
-            self.flow_engine = FlowEngine(config.flow_idle_timeout)
-            self.ip_mac = IpMacResolver()
-            self.ip_domain = IpDomainResolver()
-            self._registrar = None
+        self.flow_engine = ColumnarFlowEngine(config.flow_idle_timeout)
+        self.ip_mac = ColumnarLeaseIndex()
+        self.ip_domain = ColumnarDnsIndex()
+        self._registrar = BatchRegistrar(
+            config, self.builder, self._anon_cache, self.ip_mac,
+            self.ip_domain, self.stats, self._gap_spans, owned_window)
 
     @property
     def anon_cache_size(self) -> int:
@@ -205,28 +192,15 @@ class MonitoringPipeline:
             self.coverage.add_day(trace.day_start, gaps)
         for record in trace.dhcp_records:
             self.ip_mac.ingest(record)
-        if self._registrar is not None:
-            self.ip_domain.ingest_batch(trace.dns_records)
-        else:
-            for record in trace.dns_records:
-                self.ip_domain.ingest(record)
+        self.ip_domain.ingest_batch(trace.dns_records)
 
-        if self._registrar is not None:
-            batch = self.tap.filter_batch(
-                BurstBatch.from_bursts(trace.bursts))
-            self._registrar.register(self.flow_engine.process_batch(batch))
-            # Close flows that have gone idle by end of day; still-active
-            # flows remain open into the next day's processing.
-            self._registrar.register(
-                self.flow_engine.flush_batch(trace.day_start + DAY))
-            http_drained = self.flow_engine.drain_http_count()
-        else:
-            kept = self.tap.filter(trace.bursts.rows())
-            for conn in self.flow_engine.process(kept):
-                self._register(conn)
-            for conn in self.flow_engine.flush(trace.day_start + DAY):
-                self._register(conn)
-            http_drained = len(self.flow_engine.drain_http())
+        batch = self.tap.filter_batch(BurstBatch.from_bursts(trace.bursts))
+        self._registrar.register(self.flow_engine.process_batch(batch))
+        # Close flows that have gone idle by end of day; still-active
+        # flows remain open into the next day's processing.
+        self._registrar.register(
+            self.flow_engine.flush_batch(trace.day_start + DAY))
+        http_drained = self.flow_engine.drain_http_count()
         if owned_day:
             self.stats.dhcp_records += len(trace.dhcp_records)
             self.stats.dns_records += len(trace.dns_records)
@@ -254,89 +228,13 @@ class MonitoringPipeline:
 
     def finalize(self) -> FlowDataset:
         """Close remaining flows and freeze the dataset."""
-        if self._registrar is not None:
-            self._registrar.register(self.flow_engine.flush_batch(None))
-            # Late flows can carry plaintext headers whose http.log
-            # records were never drained by an end-of-day pass; count
-            # them here so a finalize-only flush does not silently drop
-            # them.
-            self.stats.http_records += self.flow_engine.drain_http_count()
-        else:
-            for conn in self.flow_engine.flush(None):
-                self._register(conn)
-            self.stats.http_records += len(self.flow_engine.drain_http())
+        self._registrar.register(self.flow_engine.flush_batch(None))
+        # Late flows can carry plaintext headers whose http.log records
+        # were never drained by an end-of-day pass; count them here so
+        # a finalize-only flush does not silently drop them.
+        self.stats.http_records += self.flow_engine.drain_http_count()
         return self.builder.finalize()
 
     def coverage_report(self) -> CoverageReport:
         """Freeze this pipeline's owned-day telemetry coverage."""
         return self.coverage.report()
-
-    # -- internals ---------------------------------------------------------
-
-    def _in_gap(self, source: str, ts: float) -> bool:
-        return any(start <= ts < end
-                   for start, end in self._gap_spans[source])
-
-    def _register(self, conn: ConnRecord) -> None:
-        if not self._owns(conn.ts):
-            # A warm-up or tail flow: the shard owning the day of its
-            # first burst registers (and counts) it instead.
-            return
-        self.stats.flows_closed += 1
-        mac = self.ip_mac.mac_at(conn.orig_h, conn.ts)
-        if mac is None and self._gap_spans["dhcp"] \
-                and self._in_gap("dhcp", conn.ts):
-            # The flow fell in a DHCP outage: the ACK that would have
-            # renewed its lease may simply never have been logged. Hold
-            # the last lease over for a bounded staleness window (the
-            # paper-style conservative fallback) before giving up.
-            staleness = self.config.dhcp_staleness_seconds
-            if staleness > 0:
-                mac = self.ip_mac.mac_at_stale(
-                    conn.orig_h, conn.ts, staleness)
-                if mac is not None:
-                    self.stats.flows_degraded_dhcp += 1
-            if mac is None:
-                self.stats.flows_unattributed_gap += 1
-        if mac is None:
-            # No contemporaneous lease: traffic we cannot attribute to a
-            # device (exactly what the real pipeline must drop).
-            self.stats.flows_unattributed += 1
-            return
-        anon, hit = self._anon_cache.lookup(mac)
-        if hit:
-            self.stats.anon_cache_hits += 1
-        else:
-            self.stats.anon_cache_misses += 1
-        if conn.proto not in ("tcp", "udp"):
-            raise RecordError(
-                f"flow has unknown protocol {conn.proto!r}",
-                source="conn", category=CATEGORY_VALUE)
-        device_idx = self.builder.device_index(anon)
-        # DNS-log annotation first; a plaintext Host header is direct
-        # evidence and fills in flows whose server never appeared in
-        # the DNS logs.
-        domain = self.ip_domain.domain_at(conn.resp_h, conn.ts)
-        if domain is None and self._gap_spans["dns"]:
-            # Staleness may only have accrued because the DNS log was
-            # down; discount gap seconds from the budget instead of
-            # silently widening lookback for everyone.
-            domain = self.ip_domain.domain_at_degraded(
-                conn.resp_h, conn.ts, self._gap_spans["dns"])
-            if domain is not None:
-                self.stats.flows_degraded_dns += 1
-        if domain is None and conn.http_host is not None:
-            domain = conn.http_host
-            self.stats.flows_host_annotated += 1
-        self.builder.add_flow(
-            ts=conn.ts,
-            duration=conn.duration,
-            device_idx=device_idx,
-            resp_h=conn.resp_h,
-            resp_p=conn.resp_p,
-            proto=conn.proto,
-            orig_bytes=conn.orig_bytes,
-            resp_bytes=conn.resp_bytes,
-            domain_idx=self.builder.domain_index(domain),
-            user_agent=conn.user_agent,
-        )

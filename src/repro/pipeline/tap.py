@@ -9,13 +9,11 @@ sees it.
 
 from __future__ import annotations
 
-import bisect
-from typing import TYPE_CHECKING, Iterable, List, Sequence, Tuple
+from typing import TYPE_CHECKING, List, Sequence, Tuple
 
 import numpy as np
 
 from repro.net.ip import Prefix
-from repro.net.wire import SegmentBurst
 
 if TYPE_CHECKING:  # imported lazily to avoid a cycle via repro.columnar
     from repro.columnar.batch import BurstBatch
@@ -33,37 +31,22 @@ class Tap:
                 merged[-1] = (merged[-1][0], max(merged[-1][1], last))
             else:
                 merged.append((first, last))
-        self._firsts = [span[0] for span in merged]
-        self._lasts = [span[1] for span in merged]
-        self._firsts_arr = np.array(self._firsts, dtype=np.int64)
-        self._lasts_arr = np.array(self._lasts, dtype=np.int64)
+        #: Disjoint excluded spans, sorted: first and last address.
+        self._firsts = np.array([span[0] for span in merged],
+                                dtype=np.int64)
+        self._lasts = np.array([span[1] for span in merged],
+                               dtype=np.int64)
         self.dropped_bursts = 0
         self.dropped_bytes = 0
 
-    def is_excluded(self, address: int) -> bool:
-        """True when an address falls in an excluded block."""
-        index = bisect.bisect_right(self._firsts, address) - 1
-        return index >= 0 and address <= self._lasts[index]
-
-    def filter(self, bursts: Iterable[SegmentBurst]) -> List[SegmentBurst]:
-        """Return the bursts the mirror forwards, tallying the drops."""
-        kept: List[SegmentBurst] = []
-        for burst in bursts:
-            if self.is_excluded(burst.server_ip):
-                self.dropped_bursts += 1
-                self.dropped_bytes += burst.orig_bytes + burst.resp_bytes
-            else:
-                kept.append(burst)
-        return kept
-
     def filter_batch(self, batch: "BurstBatch") -> "BurstBatch":
-        """Vector twin of :meth:`filter`: same drops, same tallies."""
-        if not self._firsts or batch.n == 0:
+        """Return the bursts the mirror forwards, tallying the drops."""
+        if self._firsts.size == 0 or batch.n == 0:
             return batch
-        index = np.searchsorted(self._firsts_arr, batch.server_ip,
+        index = np.searchsorted(self._firsts, batch.server_ip,
                                 side="right") - 1
         excluded = (index >= 0) & (
-            batch.server_ip <= self._lasts_arr[np.maximum(index, 0)])
+            batch.server_ip <= self._lasts[np.maximum(index, 0)])
         if not excluded.any():
             return batch
         self.dropped_bursts += int(np.count_nonzero(excluded))

@@ -35,12 +35,9 @@ DEFAULT_SCENARIO = "lockdown-2020"
 #: excluded from the fingerprint: execution shape (worker counts,
 #: retry budgets, watchdog deadlines), filesystem locations, and
 #: progress plumbing. ``max_shard_retries`` is a StudyConfig field but
-#: retries are proven byte-identical, so it is execution shape too, as
-#: is ``use_columnar`` (the columnar and reference ingest cores are
-#: held bit-identical by the golden parity suites).
+#: retries are proven byte-identical, so it is execution shape too.
 NON_SEMANTIC_FIELDS = frozenset({
     "max_shard_retries",
-    "use_columnar",
     "workers",
     "checkpoint_dir",
     "resume",

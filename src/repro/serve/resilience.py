@@ -36,6 +36,7 @@ output (RL001/RL009 -- artifacts stay bit-identical).
 
 from __future__ import annotations
 
+import math
 import threading
 import time
 from dataclasses import dataclass
@@ -71,9 +72,15 @@ class Deadline:
     @classmethod
     def after(cls, seconds: float, *,
               clock: MonotonicFn = time.monotonic) -> "Deadline":
-        """A deadline ``seconds`` from now on ``clock``."""
-        if seconds <= 0:
-            raise ValueError("deadline must be positive seconds")
+        """A deadline ``seconds`` from now on ``clock``.
+
+        ``seconds`` must be finite and positive: a NaN budget would
+        never expire (``clock() >= nan`` is always false) and an
+        infinite one never cuts compute off.
+        """
+        if not (math.isfinite(seconds) and seconds > 0):
+            raise ValueError(
+                f"deadline must be finite positive seconds, got {seconds!r}")
         return cls(clock() + seconds, clock=clock, budget=seconds)
 
     @property

@@ -131,12 +131,12 @@ class _Handler(BaseHTTPRequestHandler):
         if raw is None:
             raw = self.headers.get("X-Repro-Deadline-Ms")
         if raw is not None:
-            millis = float(raw)
-            if millis <= 0:
-                raise ValueError(f"deadline_ms must be positive, "
-                                 f"got {raw!r}")
-            return Deadline.after(millis / 1000.0,
-                                  clock=self.server.clock)
+            try:
+                return Deadline.after(float(raw) / 1000.0,
+                                      clock=self.server.clock)
+            except ValueError:
+                raise ValueError(f"deadline_ms must be a finite positive "
+                                 f"number, got {raw!r}") from None
         seconds = self.server.policy.default_deadline_seconds
         if seconds is None:
             return None

@@ -4,8 +4,8 @@
 (sort once, find session breaks with vectorized gap/device-change
 comparisons, reduce bytes/ends/markers with ``reduceat`` kernels -- see
 :func:`repro.perf.kernels.stitch_segments`). The original per-flow
-Python walk survives as :func:`stitch_sessions_reference`; golden and
-property tests hold the two bit-identical on every input.
+Python walk survives as a test-side oracle (``tests/oracles/``);
+golden and property tests hold the two bit-identical on every input.
 """
 
 from __future__ import annotations
@@ -108,63 +108,3 @@ def stitch_sessions(dataset: FlowDataset,
     return {flat[lo].device: flat[lo:hi]
             for lo, hi in zip(edges, edges[1:])}
 
-
-def stitch_sessions_reference(dataset: FlowDataset,
-                              flow_mask: np.ndarray,
-                              marker_mask: Optional[np.ndarray] = None,
-                              slack: float = DEFAULT_SLACK_SECONDS,
-                              ) -> Dict[int, List[StitchedSession]]:
-    """Pure-Python per-flow walk; the golden reference for
-    :func:`stitch_sessions`."""
-    if marker_mask is None:
-        marker_mask = np.zeros(len(dataset), dtype=bool)
-
-    selected = np.flatnonzero(flow_mask)
-    if selected.size == 0:
-        return {}
-
-    device = dataset.device[selected]
-    start = dataset.ts[selected]
-    end = start + dataset.duration[selected]
-    flow_bytes = dataset.total_bytes[selected]
-    marked = marker_mask[selected]
-
-    order = np.lexsort((start, device))
-    sessions: Dict[int, List[StitchedSession]] = {}
-
-    current_device = -1
-    cur_start = cur_end = 0.0
-    cur_bytes = 0
-    cur_flows = 0
-    cur_marked = False
-
-    def _flush() -> None:
-        if cur_flows:
-            sessions.setdefault(current_device, []).append(StitchedSession(
-                device=current_device,
-                start=cur_start,
-                end=cur_end,
-                total_bytes=int(cur_bytes),
-                flow_count=cur_flows,
-                marked=cur_marked,
-            ))
-
-    for row in order:
-        dev = int(device[row])
-        flow_start = float(start[row])
-        flow_end = float(end[row])
-        if dev != current_device or flow_start > cur_end + slack:
-            _flush()
-            current_device = dev
-            cur_start, cur_end = flow_start, flow_end
-            cur_bytes = int(flow_bytes[row])
-            cur_flows = 1
-            cur_marked = bool(marked[row])
-        else:
-            cur_end = max(cur_end, flow_end)
-            cur_bytes += int(flow_bytes[row])
-            cur_flows += 1
-            cur_marked = cur_marked or bool(marked[row])
-    _flush()
-
-    return sessions

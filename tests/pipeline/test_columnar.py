@@ -1,7 +1,8 @@
 """Golden bit-identity gates for the columnar ingest core.
 
-The contract: the batch-vectorized path (``use_columnar=True``, the
-default) must be *bit-identical* to the row-at-a-time reference twin --
+The contract: the batch-vectorized :class:`MonitoringPipeline` must be
+*bit-identical* to the row-at-a-time oracle
+(:class:`tests.oracles.pipeline.RowMonitoringPipeline`) --
 same :meth:`FlowDataset.identical` dataset, same ``PipelineStats`` --
 on clean runs, under telemetry-gap chaos (degraded DHCP holdover and
 DNS gap-discount annotation), across multi-day idle-timeout crossings,
@@ -9,8 +10,6 @@ between serial and sharded parallel ingest, and through crash-matrix
 retries. Any divergence is a correctness bug in the columnar engine,
 never an acceptable approximation.
 """
-
-from dataclasses import replace
 
 import pytest
 
@@ -22,8 +21,8 @@ from repro.reliability.faults import FaultPlan, LogGap, seeded_log_gaps
 from repro.reliability.retry import RetryPolicy
 from repro.synth.generator import CampusTraceGenerator
 from repro.util.timeutil import DAY, utc_ts
-from repro.zeek.engine import FlowEngine
-from tests.oracles.flow_engine import RowColumnarFlowEngine
+from tests.oracles.flow_engine import FlowEngine, RowColumnarFlowEngine
+from tests.oracles.pipeline import RowMonitoringPipeline
 
 _CONFIG = StudyConfig(n_students=4, seed=11,
                       start_ts=utc_ts(2020, 2, 1),
@@ -42,10 +41,11 @@ def _gap_plan() -> FaultPlan:
     return FaultPlan(log_gaps=dhcp + dns)
 
 
-def _serial_run(config: StudyConfig, faults: FaultPlan = None):
+def _serial_run(config: StudyConfig, faults: FaultPlan = None,
+                pipeline_cls=MonitoringPipeline):
     gen = CampusTraceGenerator(config)
     excluded = gen.plan.excluded_blocks(config.excluded_operators)
-    pipe = MonitoringPipeline(config, excluded)
+    pipe = pipeline_cls(config, excluded)
     for trace in gen.iter_days(config.start_ts, config.end_ts):
         pipe.ingest_day(faults.drop_log_span(trace) if faults else trace)
     dataset = pipe.finalize()
@@ -53,8 +53,8 @@ def _serial_run(config: StudyConfig, faults: FaultPlan = None):
 
 
 def _both(faults: FaultPlan = None):
-    ref = _serial_run(replace(_CONFIG, use_columnar=False), faults)
-    col = _serial_run(replace(_CONFIG, use_columnar=True), faults)
+    ref = _serial_run(_CONFIG, faults, RowMonitoringPipeline)
+    col = _serial_run(_CONFIG, faults)
     return ref, col
 
 
@@ -63,16 +63,6 @@ class TestCleanIdentity:
         (ref_pipe, ref_ds), (col_pipe, col_ds) = _both()
         assert col_ds.identical(ref_ds)
         assert col_pipe.stats == ref_pipe.stats
-
-    def test_columnar_is_the_default(self):
-        assert StudyConfig(n_students=2, seed=1).use_columnar
-        pipe = MonitoringPipeline(StudyConfig(n_students=2, seed=1))
-        assert pipe._registrar is not None
-
-    def test_reference_twin_still_selectable(self):
-        config = StudyConfig(n_students=2, seed=1, use_columnar=False)
-        pipe = MonitoringPipeline(config)
-        assert pipe._registrar is None
 
 
 class TestGapChaosIdentity:

@@ -12,16 +12,17 @@ joined by later ingest after a query has already indexed them.
 import numpy as np
 from hypothesis import example, given, settings, strategies as st
 
-from repro.columnar.dnsindex import ColumnarDnsIndex
-from repro.columnar.leases import ColumnarLeaseIndex
 from repro.dhcp.log import DhcpLogRecord
-from repro.dhcp.normalize import IpMacResolver
-from repro.dns.mapping import IpDomainResolver
 from repro.dns.records import DnsLogRecord
 from repro.net.mac import MacAddress
 from repro.net.wire import SegmentBurst
-from repro.zeek.engine import FlowEngine
-from tests.oracles.flow_engine import RowColumnarFlowEngine
+from tests.oracles.flow_engine import FlowEngine, RowColumnarFlowEngine
+from tests.oracles.resolvers import (
+    IpDomainResolver,
+    IpMacResolver,
+    RowDnsIndex,
+    RowLeaseIndex,
+)
 
 # -- DHCP lease interval join ---------------------------------------------
 
@@ -77,7 +78,7 @@ class TestLeaseIndexProperties:
     def test_interval_join_equals_reference(self, events, queries,
                                             staleness):
         reference = IpMacResolver()
-        columnar = ColumnarLeaseIndex()
+        columnar = RowLeaseIndex()
         for record in _lease_records(events):
             reference.ingest(record)
             columnar.ingest(record)
@@ -114,7 +115,7 @@ class TestLeaseIndexProperties:
     def test_interleaved_ingest_and_query_equals_reference(
             self, events, cuts, queries, staleness):
         reference = IpMacResolver()
-        columnar = ColumnarLeaseIndex()
+        columnar = RowLeaseIndex()
         clock = 0.0
         for chunk in _chunks(_lease_records(events), cuts):
             for record in chunk:
@@ -167,7 +168,7 @@ class TestDnsIndexProperties:
 
     def _build(self, events, batch):
         reference = IpDomainResolver(freshness_seconds=self.FRESHNESS)
-        columnar = ColumnarDnsIndex(freshness_seconds=self.FRESHNESS)
+        columnar = RowDnsIndex(freshness_seconds=self.FRESHNESS)
         records = _dns_records(events)
         for record in records:
             reference.ingest(record)
@@ -229,7 +230,7 @@ class TestDnsIndexProperties:
     def test_interleaved_ingest_and_query_equals_reference(
             self, events, cuts, queries, spans, batch):
         reference = IpDomainResolver(freshness_seconds=self.FRESHNESS)
-        columnar = ColumnarDnsIndex(freshness_seconds=self.FRESHNESS)
+        columnar = RowDnsIndex(freshness_seconds=self.FRESHNESS)
         gaps = [(start, start + length) for start, length in spans]
         clock = 0.0
         for chunk in _chunks(_dns_records(events), cuts):
@@ -324,3 +325,4 @@ class TestFlowEngineProperties:
             assert columnar.open_flow_count == reference.open_flow_count
         assert columnar.flush(None) == reference.flush(None)
         assert columnar.open_flow_count == reference.open_flow_count == 0
+        assert columnar.drain_http() == reference.drain_http()

@@ -2,10 +2,10 @@
 
 from hypothesis import given, settings, strategies as st
 
-from repro.dhcp.normalize import IpMacResolver
 from repro.dhcp.server import DhcpServer, PoolExhaustedError
 from repro.net.ip import Prefix
 from repro.net.mac import MacAddress
+from tests.oracles.resolvers import IpMacResolver
 
 #: A request is (client id, seconds since previous request).
 _request = st.tuples(

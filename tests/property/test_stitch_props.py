@@ -6,7 +6,8 @@ from hypothesis import given, settings, strategies as st
 from repro.net.mac import MacAddress
 from repro.pipeline.anonymize import Anonymizer
 from repro.pipeline.dataset import NO_DOMAIN, FlowDatasetBuilder
-from repro.sessions.stitch import stitch_sessions, stitch_sessions_reference
+from repro.sessions.stitch import stitch_sessions
+from tests.oracles.analysis import stitch_sessions_reference
 
 _flow = st.tuples(
     st.integers(min_value=0, max_value=3),            # device slot

@@ -9,6 +9,8 @@
 """
 
 import dataclasses
+import json
+from pathlib import Path
 
 from hypothesis import given, settings, strategies as st
 
@@ -22,6 +24,10 @@ from repro.serve.fingerprint import (
 )
 
 _HEX64 = 64
+
+#: The committed golden baseline behind ``repro eval`` (eval scale).
+_EVAL_BASELINE = (Path(__file__).resolve().parents[2]
+                  / "baselines" / "eval_small.json")
 
 # Semantic fields we can safely perturb without tripping config
 # validation, with a perturbation that always changes the value.
@@ -139,5 +145,9 @@ def test_non_semantic_fields_are_not_semantic_config_fields():
             assert spec.name not in payload
         else:
             assert spec.name in payload
-    assert sorted(_NON_SEMANTIC_CONFIG_FIELDS) == [
-        "max_shard_retries", "use_columnar"]
+    assert sorted(_NON_SEMANTIC_CONFIG_FIELDS) == ["max_shard_retries"]
+    # A payload written while the removed ``use_columnar`` ingest
+    # selector was a config field still rebuilds the same study.
+    legacy = {**StudyConfig.eval_scale().to_payload(), "use_columnar": False}
+    committed = json.loads(_EVAL_BASELINE.read_text())["fingerprint"]
+    assert study_fingerprint(StudyConfig.from_payload(legacy)) == committed

@@ -19,14 +19,16 @@ def server(populated_store):
     instance.shutdown()
 
 
-def _get(server, path):
-    with urllib.request.urlopen(server.url + path, timeout=10) as resp:
+def _get(server, path, headers=None):
+    request = urllib.request.Request(server.url + path,
+                                     headers=headers or {})
+    with urllib.request.urlopen(request, timeout=10) as resp:
         return resp.status, json.loads(resp.read())
 
 
-def _get_error(server, path):
+def _get_error(server, path, headers=None):
     with pytest.raises(urllib.error.HTTPError) as excinfo:
-        _get(server, path)
+        _get(server, path, headers)
     return excinfo.value.code, json.loads(excinfo.value.read())
 
 
@@ -148,9 +150,15 @@ def test_artifact_envelope_reports_degraded_false(server, ci_config):
 
 
 def test_invalid_deadline_is_400(server, ci_config):
-    fingerprint = study_fingerprint(ci_config)
-    code, payload = _get_error(
-        server, f"/artifacts/{fingerprint}/summary?deadline_ms=-5")
+    """Non-positive and non-finite budgets are rejected: a NaN budget
+    would never expire and an infinite one never cut compute off."""
+    path = f"/artifacts/{study_fingerprint(ci_config)}/summary"
+    for query in ("-5", "nan", "inf", "1e400"):
+        code, payload = _get_error(server, f"{path}?deadline_ms={query}")
+        assert code == 400, query
+        assert "deadline_ms" in payload["error"]
+    code, payload = _get_error(server, path,
+                               {"X-Repro-Deadline-Ms": "nan"})
     assert code == 400
     assert "deadline_ms" in payload["error"]
 

@@ -7,12 +7,9 @@ from repro.net.mac import MacAddress
 from repro.pipeline.anonymize import Anonymizer
 from repro.pipeline.dataset import NO_DOMAIN, FlowDatasetBuilder
 from repro.sessions.duration import monthly_duration_hours
-from repro.sessions.stitch import (
-    StitchedSession,
-    stitch_sessions,
-    stitch_sessions_reference,
-)
+from repro.sessions.stitch import StitchedSession, stitch_sessions
 from repro.util.timeutil import utc_ts
+from tests.oracles.analysis import stitch_sessions_reference
 
 FEB = utc_ts(2020, 2, 10)
 MAR = utc_ts(2020, 3, 10)

