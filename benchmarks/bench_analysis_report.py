@@ -15,8 +15,8 @@ so the speedups are for identical results):
   and the summary) on the kernel-backed
   :class:`~repro.analysis.context.AnalysisContext` vs the
   reference-backed
-  :class:`tests.oracles.analysis.ReferenceAnalysisContext`, and the
-  threaded fan-out for scale. Until the columnar core (PR 8),
+  :class:`tests.oracles.analysis.ReferenceAnalysisContext`. Until
+  the columnar core (PR 8),
   ingest had no fast path and this section could only compare the
   analysis stage -- which capped the whole-pipeline speedup at 1.19x;
   the ingest term is where the Amdahl weight was.
@@ -166,9 +166,6 @@ def test_analysis_speedup_report(artifacts):
 
     end_to_end_kernel = _best(
         lambda: _fresh(artifacts, AnalysisContext).compute_all(), 2)
-    end_to_end_threads = _best(
-        lambda: _fresh(artifacts, AnalysisContext).compute_all(workers=4),
-        2)
     end_to_end_reference = _best(
         lambda: _fresh(artifacts, ReferenceAnalysisContext).compute_all(),
         2)
@@ -200,7 +197,6 @@ def test_analysis_speedup_report(artifacts):
     end_to_end = {
         "analyses": analyses,
         "kernel_seconds": round(end_to_end_kernel, 4),
-        "kernel_threaded_seconds": round(end_to_end_threads, 4),
         "reference_seconds": round(end_to_end_reference, 4),
         "analysis_speedup": round(
             end_to_end_reference / end_to_end_kernel, 2),
@@ -224,7 +220,6 @@ def test_analysis_speedup_report(artifacts):
     print(f"figures stage       : "
           f"{end_to_end['analysis_speedup']:5.1f}x "
           f"(kernel {end_to_end_kernel:.2f}s, "
-          f"threaded {end_to_end_threads:.2f}s, "
           f"reference {end_to_end_reference:.2f}s)")
     print(f"ingest stage        : {end_to_end['ingest_speedup']:5.1f}x "
           f"(columnar {ingest_columnar:.2f}s, "
@@ -260,7 +255,3 @@ def test_analysis_speedup_report(artifacts):
     assert end_to_end["analysis_speedup"] >= 1.1
     assert end_to_end["ingest_speedup"] >= 2.0
     assert end_to_end["speedup"] >= 2.0
-    # The threaded fan-out must never lose to serial again: below the
-    # auto-degrade threshold it IS the serial path plus epsilon.
-    assert end_to_end["kernel_threaded_seconds"] <= (
-        end_to_end["kernel_seconds"] * 1.15)

@@ -56,7 +56,7 @@ class _StubService(StudyService):
             seed = config.seed
 
             @staticmethod
-            def compute_all(workers=1):
+            def compute_all():
                 return None
 
         return _Artifacts()

@@ -143,6 +143,15 @@ def _cmd_run_journaled(args: argparse.Namespace) -> int:
 
 def _cmd_run(args: argparse.Namespace) -> int:
     if args.journal_dir:
+        # The journaled runner has no strict-coverage gate, watchdog or
+        # 2019 arm; refuse these rather than silently drop them.
+        unsupported = [flag for flag, given in (
+            ("--strict-coverage", args.strict_coverage),
+            ("--shard-deadline", args.shard_deadline is not None),
+            ("--baseline", args.baseline)) if given]
+        if unsupported:
+            raise SystemExit(f"{', '.join(unsupported)} cannot be "
+                             f"combined with --journal-dir")
         return _cmd_run_journaled(args)
     if args.resume_run or args.run_id:
         raise SystemExit("--run-id/--resume-run require --journal-dir")
@@ -150,8 +159,6 @@ def _cmd_run(args: argparse.Namespace) -> int:
     study = LockdownStudy(config)
     started = time.time()
     artifacts = study.run(progress=_progress, workers=args.workers,
-                          checkpoint_dir=args.checkpoint_dir,
-                          resume=args.resume,
                           strict_coverage=args.strict_coverage,
                           shard_deadline=args.shard_deadline)
     if args.baseline:
@@ -443,13 +450,6 @@ def build_parser() -> argparse.ArgumentParser:
                      help="also synthesize the 2019 comparison baseline")
     run.add_argument("--out", type=str, default=None,
                      help="directory to persist the dataset and report")
-    run.add_argument("--checkpoint-dir", type=str, default=None,
-                     help="persist each finished ingest shard here so an "
-                          "interrupted run can be resumed")
-    run.add_argument("--resume", action="store_true",
-                     help="reuse finished shards from --checkpoint-dir "
-                          "instead of re-executing them (without this "
-                          "flag, prior checkpoints are cleared)")
     run.add_argument("--max-retries", type=int, default=2,
                      help="retries per ingest shard on transient worker "
                           "failures (0 = fail fast)")
@@ -469,7 +469,9 @@ def build_parser() -> argparse.ArgumentParser:
                      help="run under the crash-safe journaled runner: "
                           "each run gets a directory here with a durable "
                           "write-ahead journal, per-stage outputs and an "
-                          "artifact store (ignores --out)")
+                          "artifact store (ignores --out; rejects "
+                          "--strict-coverage, --shard-deadline and "
+                          "--baseline)")
     run.add_argument("--run-id", type=str, default=None,
                      help="explicit run id for a new journaled run "
                           "(default: derived from the config fingerprint)")
@@ -523,7 +525,8 @@ def build_parser() -> argparse.ArgumentParser:
         sub.add_argument("--scenario", type=str, default="lockdown-2020",
                          help="study scenario to fingerprint and run")
         sub.add_argument("--workers", type=int, default=1,
-                         help="worker threads for the analysis fan-out")
+                         help="worker processes for the sharded ingest "
+                              "of an on-demand compute (1 = serial)")
 
     serve = commands.add_parser(
         "serve", help="HTTP front end over a results store")
@@ -534,7 +537,8 @@ def build_parser() -> argparse.ArgumentParser:
                        help="TCP port (0 = bind any free port; the "
                             "bound address is printed on stdout)")
     serve.add_argument("--workers", type=int, default=1,
-                       help="worker threads for on-demand computation")
+                       help="worker processes for the sharded ingest "
+                            "of an on-demand compute (1 = serial)")
     serve.add_argument("--max-concurrent", type=int, default=8,
                        help="requests served concurrently; beyond this "
                             "they wait in the bounded queue")

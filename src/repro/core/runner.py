@@ -352,7 +352,6 @@ class JournaledRun:
         return ParallelPipeline(
             self.config, self.workers,
             checkpoint_dir=self.checkpoints_dir,
-            resume=True,
             retry_policy=self.retry_policy).run(progress=progress)
 
     def _stage_ingest(
@@ -424,7 +423,7 @@ class JournaledRun:
         artifacts = LockdownStudy.artifacts_from_dataset(
             self.config, dataset, coverage=coverage,
             pipeline_stats=stats)
-        artifacts.compute_all(workers=self.workers)
+        artifacts.compute_all()
 
         os.makedirs(self.artifacts_dir, exist_ok=True)
         outputs: Dict[str, str] = {}

@@ -12,9 +12,7 @@
 
 from __future__ import annotations
 
-import os
 import threading
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Callable, Dict, Optional, Tuple
 
@@ -50,20 +48,12 @@ from repro.pipeline.visitors import visitor_filter_mask
 from repro.reliability.coverage import CoverageReport
 from repro.synth.generator import (
     PRESENCE_ALL_RESIDENTS,
+    PRESENCE_STUDY,
     CampusTraceGenerator,
 )
 from repro.util.timeutil import format_day, utc_ts
 
 ProgressFn = Callable[[str], None]
-
-#: Below this many flows, the threaded ``compute_all`` fan-out costs
-#: more than it saves: with the shared context warmed, each figure is
-#: a handful of milliseconds of (GIL-holding) numpy glue, so the pool
-#: spends its time on scheduling and contention. Measured crossover on
-#: the benchmark dataset (~800k flows): workers=4 was ~15% *slower*
-#: than serial. ``compute_all`` degrades to the serial path under this
-#: threshold rather than making callers guess.
-THREADING_MIN_FLOWS = 2_000_000
 
 
 @dataclass
@@ -167,42 +157,25 @@ class StudyArtifacts:
             self.dataset, self.fig1().total, self.post_shutdown_mask,
             self.international_mask, ctx=self.context))
 
-    def compute_all(self, workers: int = 1) -> Dict[str, object]:
+    def compute_all(self) -> Dict[str, object]:
         """Compute every figure and the summary; returns them by name.
 
         The returned mapping's keys are exactly :attr:`ANALYSES`, in
-        that order, on both the serial and the threaded path -- the
-        results store iterates it to enumerate a run's artifacts.
-
-        With ``workers > 1`` the analyses run on a thread pool. The
-        shared context is warmed first so the cross-figure primitives
-        (signature masks, day matrix, activity bitmap, site table) are
-        built exactly once up front; figure-local work then proceeds
-        in parallel, with the per-key cache locks keeping dependent
-        analyses (the summary waits on Figure 1) computed once.
-
-        Small datasets auto-degrade to the serial path even when
-        ``workers > 1``: below :data:`THREADING_MIN_FLOWS` the
-        post-warm figure work is too cheap to amortize pool overhead
-        (see the constant's note for the measured crossover).
+        that order -- the results store iterates it to enumerate a
+        run's artifacts. The shared context is warmed first so the
+        cross-figure primitives (signature masks, day matrix, activity
+        bitmap, site table) are each built exactly once up front.
         """
         self.context.warm(
             signatures=(self.signatures.get("zoom"),),
             n_days=study_day_count(self.dataset))
-        if len(self.dataset) < THREADING_MIN_FLOWS:
-            workers = 1
-        if workers <= 1:
-            return {name: getattr(self, name)() for name in self.ANALYSES}
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            futures = {name: pool.submit(getattr(self, name))
-                       for name in self.ANALYSES}
-            return {name: futures[name].result()
-                    for name in self.ANALYSES}
+        return {name: getattr(self, name)() for name in self.ANALYSES}
 
     def _cached(self, key: str, compute: Callable[[], object]):
         # Double-checked per-key locking: concurrent callers of the
-        # same analysis compute it once (the rest wait), while distinct
-        # analyses never serialize against each other here.
+        # same analysis (serve request threads sharing one study)
+        # compute it once (the rest wait), while distinct analyses
+        # never serialize against each other here.
         if key in self._cache:
             return self._cache[key]
         with self._locks_guard:
@@ -214,15 +187,21 @@ class StudyArtifacts:
 
 
 class LockdownStudy:
-    """Run the full reproduction for one configuration."""
+    """Run the full reproduction for one configuration.
+
+    The study and its two comparison arms (the no-pandemic
+    counterfactual and the 2019 baseline) share one ingest
+    (:func:`_ingest`) and one artifact assembly (:func:`_assemble`);
+    they differ only in what they simulate. A run is in-memory and not
+    resumable: :class:`~repro.core.runner.JournaledRun` is the
+    crash-safe, resumable entry point.
+    """
 
     def __init__(self, config: Optional[StudyConfig] = None):
         self.config = config or StudyConfig()
 
     def run(self, progress: Optional[ProgressFn] = None,
             workers: int = 1, *,
-            checkpoint_dir: Optional[str] = None,
-            resume: bool = True,
             strict_coverage: bool = False,
             shard_deadline: Optional[float] = None) -> StudyArtifacts:
         """Generate, measure, classify; returns the artifacts.
@@ -233,10 +212,7 @@ class LockdownStudy:
         day-range shards, one worker process each, and the merged
         dataset is provably equivalent to the serial run's (identical
         arrays and side tables after canonical ordering). Transient
-        worker failures are retried per ``config.max_shard_retries``;
-        with a ``checkpoint_dir``, finished shards are persisted and a
-        rerun resumes instead of restarting (``resume=False`` clears
-        prior checkpoints first).
+        worker failures are retried per ``config.max_shard_retries``.
 
         ``strict_coverage=True`` makes the run fail (with
         :class:`~repro.reliability.errors.CoverageError`) if any
@@ -244,77 +220,18 @@ class LockdownStudy:
         watchdog (seconds without worker progress before a kill+retry;
         parallel runs only).
         """
-        if workers < 1:
-            raise ValueError("workers must be at least 1")
-        report = progress or (lambda message: None)
+        report = progress or _silent
         config = self.config
 
         generator = CampusTraceGenerator(config)
         report(f"population: {generator.population.counts()}")
-
-        if workers > 1 or checkpoint_dir is not None:
-            from repro.pipeline.parallel import ParallelPipeline
-
-            result = ParallelPipeline(
-                config, workers, checkpoint_dir=checkpoint_dir,
-                resume=resume,
-                shard_deadline=shard_deadline).run(progress=report)
-            dataset_all, pipeline_stats = result.dataset, result.stats
-            coverage = result.coverage
-        else:
-            excluded = generator.plan.excluded_blocks(
-                config.excluded_operators)
-            pipeline = MonitoringPipeline(config, excluded)
-            for trace in generator.iter_days():
-                pipeline.ingest_day(trace)
-                if trace.day_start % (7 * 86400.0) < 86400.0:
-                    report(f"ingested {format_day(trace.day_start)} "
-                           f"({len(pipeline.builder)} flows so far)")
-            dataset_all = pipeline.finalize()
-            pipeline_stats = pipeline.stats
-            coverage = pipeline.coverage_report()
+        dataset_all, pipeline_stats, coverage = _ingest(
+            config, generator, workers, report,
+            shard_deadline=shard_deadline)
         report(f"pipeline done: {len(dataset_all)} flows, "
                f"{dataset_all.n_devices} devices")
-
-        retained = visitor_filter_mask(dataset_all, config.visitor_min_days)
-        dataset = dataset_all.select(
-            dataset_all.flows_of_devices(retained)).compact()
-        report(f"visitor filter: kept {int(retained.sum())} of "
-               f"{dataset_all.n_devices} devices")
-
-        classifier = DeviceClassifier(oui_db=generator.oui_db)
-        classification = classifier.classify(dataset)
-        report(f"device classes: {classification.counts()}")
-
-        international = InternationalClassifier(
-            generator.plan.geo_db, config.geo_excluded_domains)
-        midpoints = international.classify(dataset)
-
-        # One shared context: the bitmap behind the post-shutdown mask
-        # is the same one the figures will query.
-        context = AnalysisContext(dataset, coverage=coverage,
-                                  strict_coverage=strict_coverage)
-        post_shutdown = post_shutdown_device_mask(
-            dataset, bitmap=context.day_bitmap())
-        report(f"post-shutdown devices: {int(post_shutdown.sum())}, "
-               f"international: {int((midpoints.is_international & post_shutdown).sum())}")
-
-        signatures = default_registry(generator.plan.zoom_publication())
-
-        return StudyArtifacts(
-            config=config,
-            generator=generator,
-            dataset_unfiltered=dataset_all,
-            dataset=dataset,
-            retained_devices=retained,
-            classification=classification,
-            midpoints=midpoints,
-            post_shutdown_mask=post_shutdown,
-            signatures=signatures,
-            pipeline_stats=pipeline_stats,
-            context=context,
-            coverage=coverage,
-        )
+        return _assemble(config, generator, dataset_all, pipeline_stats,
+                         coverage, report, strict_coverage=strict_coverage)
 
     # -- reconstruction from saved data --------------------------------------
 
@@ -336,118 +253,45 @@ class LockdownStudy:
         this); without them the artifacts carry no coverage and
         zeroed counters.
         """
-        generator = CampusTraceGenerator(config)
-        classification = DeviceClassifier(
-            oui_db=generator.oui_db).classify(dataset)
-        midpoints = InternationalClassifier(
-            generator.plan.geo_db,
-            config.geo_excluded_domains).classify(dataset)
-        context = AnalysisContext(dataset, coverage=coverage)
-        return StudyArtifacts(
-            config=config,
-            generator=generator,
-            dataset_unfiltered=dataset,
-            dataset=dataset,
-            retained_devices=np.ones(dataset.n_devices, dtype=bool),
-            classification=classification,
-            midpoints=midpoints,
-            post_shutdown_mask=post_shutdown_device_mask(
-                dataset, bitmap=context.day_bitmap()),
-            signatures=default_registry(generator.plan.zoom_publication()),
-            pipeline_stats=(pipeline_stats if pipeline_stats is not None
-                            else PipelineStats()),
-            context=context,
-            coverage=coverage,
-        )
+        return _assemble(
+            config, CampusTraceGenerator(config), dataset,
+            pipeline_stats if pipeline_stats is not None
+            else PipelineStats(),
+            coverage, _silent, prefiltered=True)
 
     # -- no-pandemic counterfactual -------------------------------------------
 
     def run_counterfactual(self,
                            progress: Optional[ProgressFn] = None,
-                           workers: int = 1, *,
-                           checkpoint_dir: Optional[str] = None,
-                           resume: bool = True) -> StudyArtifacts:
+                           workers: int = 1) -> StudyArtifacts:
         """Run the control arm of the natural experiment.
 
         Same population, same window, but the pandemic never happens:
         behaviour is pinned to the pre-pandemic phase and nobody leaves
         campus. Comparing this run's figures against the real study
         isolates the lock-down's effect from seasonal/term structure.
-
-        ``workers``/``checkpoint_dir``/``resume`` behave as in
-        :meth:`run`; checkpoints live under a ``counterfactual/``
-        subdirectory so they never collide with the main run's (the
-        store key covers config and shard plan, not presence or phase).
+        ``workers`` behaves as in :meth:`run`.
         """
         from repro.synth.timeline import Phase
 
-        if workers < 1:
-            raise ValueError("workers must be at least 1")
-        report = progress or (lambda message: None)
+        report = progress or _silent
         config = self.config
 
         generator = CampusTraceGenerator(config,
                                          phase_override=Phase.PRE)
         report("counterfactual: pandemic disabled, nobody departs")
-        if workers > 1 or checkpoint_dir is not None:
-            from repro.pipeline.parallel import ParallelPipeline
-
-            subdir = (None if checkpoint_dir is None
-                      else os.path.join(checkpoint_dir, "counterfactual"))
-            result = ParallelPipeline(
-                config, workers,
-                presence=PRESENCE_ALL_RESIDENTS,
-                phase_override=Phase.PRE,
-                checkpoint_dir=subdir,
-                resume=resume).run(progress=report)
-            dataset_all, pipeline_stats = result.dataset, result.stats
-            coverage = result.coverage
-        else:
-            excluded = generator.plan.excluded_blocks(
-                config.excluded_operators)
-            pipeline = MonitoringPipeline(config, excluded)
-            for trace in generator.iter_days(
-                    presence=PRESENCE_ALL_RESIDENTS):
-                pipeline.ingest_day(trace)
-            dataset_all = pipeline.finalize()
-            pipeline_stats = pipeline.stats
-            coverage = pipeline.coverage_report()
+        dataset_all, pipeline_stats, coverage = _ingest(
+            config, generator, workers, report,
+            presence=PRESENCE_ALL_RESIDENTS, phase_override=Phase.PRE)
         report(f"counterfactual pipeline done: {len(dataset_all)} flows")
-
-        retained = visitor_filter_mask(dataset_all, config.visitor_min_days)
-        dataset = dataset_all.select(
-            dataset_all.flows_of_devices(retained)).compact()
-
-        classifier = DeviceClassifier(oui_db=generator.oui_db)
-        classification = classifier.classify(dataset)
-        international = InternationalClassifier(
-            generator.plan.geo_db, config.geo_excluded_domains)
-        midpoints = international.classify(dataset)
-
-        context = AnalysisContext(dataset, coverage=coverage)
-        return StudyArtifacts(
-            config=config,
-            generator=generator,
-            dataset_unfiltered=dataset_all,
-            dataset=dataset,
-            retained_devices=retained,
-            classification=classification,
-            midpoints=midpoints,
-            post_shutdown_mask=post_shutdown_device_mask(
-                dataset, bitmap=context.day_bitmap()),
-            signatures=default_registry(generator.plan.zoom_publication()),
-            pipeline_stats=pipeline_stats,
-            context=context,
-            coverage=coverage,
-        )
+        return _assemble(config, generator, dataset_all, pipeline_stats,
+                         coverage, report)
 
     # -- prior-year baseline ------------------------------------------------
 
     def run_baseline_2019(self, artifacts: StudyArtifacts,
                           progress: Optional[ProgressFn] = None,
                           workers: int = 1, *,
-                          checkpoint_dir: Optional[str] = None,
-                          resume: bool = True,
                           window: Optional[Tuple[float, float]] = None,
                           ) -> float:
         """Attach the +X% vs-2019 statistic; returns the fraction.
@@ -458,37 +302,17 @@ class LockdownStudy:
         cohort's April/May traffic year over year by anonymized device
         token.
 
-        ``workers``/``checkpoint_dir``/``resume`` behave as in
-        :meth:`run`; checkpoints live under a ``baseline_2019/``
-        subdirectory. ``window`` overrides the measured range (tests
-        use a shorter one).
+        ``workers`` behaves as in :meth:`run`. ``window`` overrides the
+        measured range (tests use a shorter one).
         """
-        report = progress or (lambda message: None)
+        report = progress or _silent
         config = self.config
         start, end = window or (utc_ts(2019, 4, 1), utc_ts(2019, 6, 1))
 
-        if workers > 1 or checkpoint_dir is not None:
-            from repro.pipeline.parallel import ParallelPipeline
-
-            subdir = (None if checkpoint_dir is None
-                      else os.path.join(checkpoint_dir, "baseline_2019"))
-            result = ParallelPipeline(
-                config, workers,
-                presence=PRESENCE_ALL_RESIDENTS,
-                checkpoint_dir=subdir,
-                resume=resume,
-                window=(start, end),
-                day0=start).run(progress=report)
-            baseline = result.dataset
-        else:
-            generator = CampusTraceGenerator(config)
-            excluded = generator.plan.excluded_blocks(
-                config.excluded_operators)
-            pipeline = MonitoringPipeline(config, excluded, day0=start)
-            for trace in generator.iter_days(
-                    start, end, presence=PRESENCE_ALL_RESIDENTS):
-                pipeline.ingest_day(trace)
-            baseline = pipeline.finalize()
+        baseline, _, _ = _ingest(
+            config, None, workers, report,
+            presence=PRESENCE_ALL_RESIDENTS, window=(start, end),
+            day0=start)
         report(f"2019 baseline: {len(baseline)} flows")
 
         cohort_mask = cohort_token_mask(artifacts.dataset,
@@ -504,6 +328,107 @@ class LockdownStudy:
             summary.aprmay_total_bytes, baseline_bytes)
         summary.traffic_increase_vs_2019 = increase
         return increase
+
+
+def _silent(message: str) -> None:
+    """The progress sink when the caller passes none."""
+
+
+def _ingest(config: StudyConfig,
+            generator: Optional[CampusTraceGenerator],
+            workers: int, report: ProgressFn, *,
+            presence: str = PRESENCE_STUDY,
+            phase_override: Optional[str] = None,
+            window: Optional[Tuple[float, float]] = None,
+            day0: Optional[float] = None,
+            shard_deadline: Optional[float] = None,
+            ) -> Tuple[FlowDataset, PipelineStats, CoverageReport]:
+    """Generate and measure one arm; returns (dataset, stats, coverage).
+
+    One :class:`MonitoringPipeline` walks the days in process when
+    ``workers == 1``; otherwise a :class:`~repro.pipeline.parallel.
+    ParallelPipeline` shards the window across ``workers`` processes.
+    The serial walk reports progress once per simulated week, so a
+    progress hook that raises (the serve tier's deadline check) can
+    abort any arm mid-ingest. ``generator`` drives the serial walk;
+    ``None`` builds a fresh one for the arm's phase.
+    """
+    if workers < 1:
+        raise ValueError("workers must be at least 1")
+    if workers > 1:
+        from repro.pipeline.parallel import ParallelPipeline
+
+        result = ParallelPipeline(
+            config, workers, presence=presence,
+            phase_override=phase_override, window=window, day0=day0,
+            shard_deadline=shard_deadline).run(progress=report)
+        return result.dataset, result.stats, result.coverage
+    if generator is None:
+        generator = CampusTraceGenerator(config,
+                                         phase_override=phase_override)
+    start, end = window or (None, None)
+    pipeline = MonitoringPipeline(
+        config, generator.plan.excluded_blocks(config.excluded_operators),
+        day0=day0)
+    for trace in generator.iter_days(start, end, presence=presence):
+        pipeline.ingest_day(trace)
+        if trace.day_start % (7 * 86400.0) < 86400.0:
+            report(f"ingested {format_day(trace.day_start)} "
+                   f"({len(pipeline.builder)} flows so far)")
+    return pipeline.finalize(), pipeline.stats, pipeline.coverage_report()
+
+
+def _assemble(config: StudyConfig, generator: CampusTraceGenerator,
+              dataset_all: FlowDataset, pipeline_stats: PipelineStats,
+              coverage: Optional[CoverageReport], report: ProgressFn, *,
+              prefiltered: bool = False,
+              strict_coverage: bool = False) -> StudyArtifacts:
+    """Visitor filter, classify and annotate a measured dataset.
+
+    ``prefiltered`` marks ``dataset_all`` as already visitor-filtered
+    (a saved dataset): every device is then retained as is.
+    """
+    if prefiltered:
+        retained = np.ones(dataset_all.n_devices, dtype=bool)
+        dataset = dataset_all
+    else:
+        retained = visitor_filter_mask(dataset_all,
+                                       config.visitor_min_days)
+        dataset = dataset_all.select(
+            dataset_all.flows_of_devices(retained)).compact()
+        report(f"visitor filter: kept {int(retained.sum())} of "
+               f"{dataset_all.n_devices} devices")
+
+    classification = DeviceClassifier(
+        oui_db=generator.oui_db).classify(dataset)
+    report(f"device classes: {classification.counts()}")
+    midpoints = InternationalClassifier(
+        generator.plan.geo_db, config.geo_excluded_domains).classify(dataset)
+
+    # One shared context: the bitmap behind the post-shutdown mask
+    # is the same one the figures will query.
+    context = AnalysisContext(dataset, coverage=coverage,
+                              strict_coverage=strict_coverage)
+    post_shutdown = post_shutdown_device_mask(
+        dataset, bitmap=context.day_bitmap())
+    report(f"post-shutdown devices: {int(post_shutdown.sum())}, "
+           f"international: "
+           f"{int((midpoints.is_international & post_shutdown).sum())}")
+
+    return StudyArtifacts(
+        config=config,
+        generator=generator,
+        dataset_unfiltered=dataset_all,
+        dataset=dataset,
+        retained_devices=retained,
+        classification=classification,
+        midpoints=midpoints,
+        post_shutdown_mask=post_shutdown,
+        signatures=default_registry(generator.plan.zoom_publication()),
+        pipeline_stats=pipeline_stats,
+        context=context,
+        coverage=coverage,
+    )
 
 
 def cohort_token_mask(study_dataset: FlowDataset,

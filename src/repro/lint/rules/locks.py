@@ -1,6 +1,6 @@
 """RL005: memoized cache fields are written only under the owner's lock.
 
-``AnalysisContext`` fans out across threads (``compute_all``), and its
+``AnalysisContext`` is shared by concurrent serve threads, and its
 compute-at-most-once guarantee rests on every cache write happening
 inside ``with self._lock``.  That is exactly the kind of invariant a
 test can only sample -- a race that corrupts a memo table will not
@@ -102,8 +102,8 @@ class LockDisciplineRule(Rule):
                         module, stmt,
                         f"{cls.name}.{attr} is written outside a "
                         f"'with self._lock:' block; memoized state must "
-                        f"be cache-consistent under compute_all's "
-                        f"thread fan-out")
+                        f"be cache-consistent under concurrent serve "
+                        f"threads")
             # Recurse into compound statements (if/for/while/try)
             # without losing the lock state.
             for field_name in ("body", "orelse", "finalbody"):

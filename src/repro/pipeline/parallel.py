@@ -55,7 +55,10 @@ Fault tolerance (see :mod:`repro.reliability` and the chaos suite in
   dataset, stats and coverage report are persisted through a
   :class:`~repro.reliability.checkpoint.CheckpointStore` keyed by
   ``(config, shard plan)``; a rerun loads finished shards instead of
-  re-executing them, so a killed multi-hour run resumes where it died.
+  re-executing them, so a killed multi-hour run resumes where it died
+  (:class:`~repro.core.runner.JournaledRun`, the one resumable entry
+  point, is the only production caller that passes a
+  ``checkpoint_dir``).
   A checkpoint that reads back corrupt is discarded, counted
   (``PipelineStats.checkpoints_invalid``) and re-ingested instead of
   aborting the resume;
@@ -321,7 +324,6 @@ class ParallelPipeline:
                  faults: Optional[FaultPlan] = None,
                  retry_policy: Optional[RetryPolicy] = None,
                  checkpoint_dir: Optional[str] = None,
-                 resume: bool = True,
                  window: Optional[Tuple[float, float]] = None,
                  day0: Optional[float] = None,
                  shard_deadline: Optional[float] = None,
@@ -343,7 +345,6 @@ class ParallelPipeline:
             # reprolint: allow[RL008] -- retry budget is operational; crash matrix proves byte-identical outputs across retry counts
             max_attempts=config.max_shard_retries + 1, seed=config.seed)
         self.checkpoint_dir = checkpoint_dir
-        self.resume = resume
         if watchdog_policy is None:
             watchdog_policy = WatchdogPolicy(deadline_seconds=shard_deadline)
         elif shard_deadline is not None:
@@ -384,12 +385,14 @@ class ParallelPipeline:
 
         self._timeouts = 0
         self._retry_elapsed = {}
-        store = self._open_store(report)
+        store = (None if self.checkpoint_dir is None
+                 else CheckpointStore.for_run(self.checkpoint_dir,
+                                              self.config, self.shards))
         outcomes: Dict[int, Tuple[FlowDataset, PipelineStats,
                                   CoverageReport]] = {}
         resumed: List[int] = []
         invalid_checkpoints = 0
-        if store is not None and self.resume:
+        if store is not None:
             for index in store.completed_indices():
                 if index >= len(self.shards):
                     continue
@@ -469,17 +472,6 @@ class ParallelPipeline:
         )
 
     # -- internals ---------------------------------------------------------
-
-    def _open_store(self,
-                    report: ProgressFn) -> Optional[CheckpointStore]:
-        if self.checkpoint_dir is None:
-            return None
-        store = CheckpointStore.for_run(self.checkpoint_dir, self.config,
-                                        self.shards)
-        if not self.resume and store.completed_indices():
-            report("checkpoints: resume disabled, clearing prior shards")
-            store.clear()
-        return store
 
     def _allows_retry(self, index: int, attempt: int) -> bool:
         """Attempt budget *and* the policy's cumulative-delay deadline."""

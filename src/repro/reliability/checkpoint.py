@@ -31,7 +31,6 @@ import dataclasses
 import hashlib
 import json
 import os
-import shutil
 from typing import Any, List, Sequence, Tuple
 
 from repro.config import StudyConfig
@@ -187,8 +186,3 @@ class CheckpointStore:
                 indices.append(int(name[len("shard-"):-len(".ok")]))
         return sorted(indices)
 
-    def clear(self) -> None:
-        """Drop every checkpoint of this run (fresh-start semantics)."""
-        if os.path.isdir(self.directory):
-            shutil.rmtree(self.directory)
-        os.makedirs(self.directory, exist_ok=True)

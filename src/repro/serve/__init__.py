@@ -10,7 +10,7 @@ figures" into a queryable serving system:
   artifacts, one directory per fingerprint.
 * :mod:`repro.serve.service` -- :class:`StudyService`, the
   cache-or-compute layer: serve what the store has, compute what it
-  lacks (through ``StudyArtifacts.compute_all``'s fan-out), and count
+  lacks (through ``StudyArtifacts.compute_all``), and count
   both so tests can assert "second query never recomputes".
 * :mod:`repro.serve.server` -- a small stdlib HTTP front end over the
   store/service (``repro serve``).

@@ -4,7 +4,7 @@
 :class:`~repro.core.study.LockdownStudy`. A query names a config (or a
 fingerprint already in the store) and a set of artifact names; the
 service serves every artifact the store already has and computes the
-rest by running the study once and fanning the analyses out through
+rest by running the study once and computing every analysis through
 ``StudyArtifacts.compute_all``.
 
 Since ISSUE 10 the compute path is *resilient*:
@@ -196,10 +196,9 @@ class StudyService:
             with self._lock:
                 self._studies[fingerprint] = artifacts
                 self.counters["studies_run"] += 1
-        # Warm every analysis through the shared double-checked
-        # fan-out once; per-name serialization below then never
-        # triggers a figure computation of its own.
-        artifacts.compute_all(workers=self.workers)
+        # Warm every analysis once; per-name serialization below then
+        # never triggers a figure computation of its own.
+        artifacts.compute_all()
         self.store.put_meta(fingerprint, {
             "fingerprint": fingerprint,
             "scenario": scenario,

@@ -3,8 +3,8 @@
 The contract under test: every figure and the summary on the kernel
 path are **bit-identical** to the pure-Python ``*_reference`` path
 (:class:`tests.oracles.analysis.ReferenceAnalysisContext`), every
-shared primitive is built at most once per study run, and the thread
-fan-out of ``compute_all`` changes nothing.
+shared primitive is built at most once per study run, including by
+``compute_all``.
 """
 
 import dataclasses
@@ -120,22 +120,16 @@ class TestComputeOnce:
                 array[0] = 0
 
 
-class TestParallelComputeAll:
-    def test_thread_fanout_identical_to_serial(self, mini_artifacts):
-        serial = _fresh(mini_artifacts,
-                        AnalysisContext(mini_artifacts.dataset))
-        threaded = _fresh(mini_artifacts,
-                          AnalysisContext(mini_artifacts.dataset))
-        serial_results = serial.compute_all(workers=1)
-        threaded_results = threaded.compute_all(workers=4)
-        assert set(serial_results) == set(StudyArtifacts.ANALYSES)
-        for name in StudyArtifacts.ANALYSES:
-            assert_identical(threaded_results[name], serial_results[name],
-                             name)
-        # Fan-out must not break the build-once guarantee.
+class TestComputeAllBuildOnce:
+    def test_compute_all_builds_each_primitive_once(self, mini_artifacts):
+        fresh = _fresh(mini_artifacts,
+                       AnalysisContext(mini_artifacts.dataset))
+        results = fresh.compute_all()
+        assert tuple(results) == StudyArtifacts.ANALYSES
+        assert fresh.context.stats
         assert all(count == 1
-                   for count in threaded.context.stats.values()), \
-            threaded.context.stats
+                   for count in fresh.context.stats.values()), \
+            fresh.context.stats
 
 
 class TestPrimitiveEquivalence:

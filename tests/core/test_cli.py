@@ -40,6 +40,20 @@ class TestParser:
         with pytest.raises(SystemExit):
             main(["run", "--resume-run", "abababababab-001"])
 
+    @pytest.mark.parametrize("flags", [
+        ["--strict-coverage"],
+        ["--shard-deadline", "5"],
+        ["--baseline"],
+    ], ids=["strict-coverage", "shard-deadline", "baseline"])
+    def test_journaled_run_rejects_unsupported_flags(self, flags, tmp_path):
+        """The journaled runner would silently ignore these; it refuses
+        them before any journal exists."""
+        journal_dir = tmp_path / "journal"
+        with pytest.raises(SystemExit, match=flags[0]):
+            main(["run", "--preset", "chaos", "--journal-dir",
+                  str(journal_dir), *flags])
+        assert not journal_dir.exists()
+
     def test_checklist_flags(self):
         args = build_parser().parse_args(
             ["checklist", "--students", "12", "--baseline"])

@@ -163,7 +163,7 @@ class TestParallelVariants:
         assert (int(parallel.post_shutdown_mask.sum())
                 == int(serial.post_shutdown_mask.sum()))
 
-    def test_parallel_baseline_matches_serial(self, tmp_path):
+    def test_parallel_baseline_matches_serial(self):
         import math
 
         study = LockdownStudy(self.config())
@@ -174,7 +174,7 @@ class TestParallelVariants:
             artifacts, progress=logs["serial"].append, window=window)
         parallel_increase = study.run_baseline_2019(
             artifacts, progress=logs["parallel"].append, workers=2,
-            checkpoint_dir=str(tmp_path / "ckpt"), window=window)
+            window=window)
         # The 10-day February study has no April/May cohort, so the
         # statistic is NaN on both arms; the equivalence being tested
         # is that the parallel baseline ingest feeds the same numbers
@@ -186,8 +186,39 @@ class TestParallelVariants:
                  for key, messages in logs.items()}
         assert flows["serial"] == flows["parallel"]
         assert flows["serial"] and flows["serial"][0] != "2019 baseline: 0 flows"
-        # The checkpoint store landed in its own namespace.
-        assert (tmp_path / "ckpt" / "baseline_2019").is_dir()
+
+
+class TestSharedIngest:
+    """Every arm goes through the one ingest helper."""
+
+    _config = StudyConfig(
+        n_students=4, seed=5,
+        start_ts=utc_ts(2020, 2, 1), end_ts=utc_ts(2020, 2, 22),
+        visitor_min_days=3)
+
+    @pytest.mark.parametrize("arm", ["run", "counterfactual",
+                                     "baseline_2019"])
+    def test_zero_workers_rejected_on_every_arm(self, arm, mini_artifacts):
+        study = LockdownStudy(self._config)
+        call = {
+            "run": lambda: study.run(workers=0),
+            "counterfactual": lambda: study.run_counterfactual(workers=0),
+            "baseline_2019": lambda: study.run_baseline_2019(
+                mini_artifacts, workers=0,
+                window=(utc_ts(2019, 2, 1), utc_ts(2019, 2, 3))),
+        }[arm]
+        with pytest.raises(ValueError, match="workers"):
+            call()
+
+    def test_counterfactual_reports_weekly_progress(self):
+        """A serial counterfactual reports once per simulated week, so
+        a raising progress hook (the serve deadline) can stop it
+        mid-ingest."""
+        messages = []
+        LockdownStudy(self._config).run_counterfactual(
+            progress=messages.append)
+        ingested = [m for m in messages if m.startswith("ingested ")]
+        assert len(ingested) == 3, messages  # a 21-day window
 
 
 class TestCounterfactual:

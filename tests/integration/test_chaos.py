@@ -223,17 +223,6 @@ class TestCheckpointResume:
         assert result.dataset.identical(clean_run.dataset)
         assert result.stats == clean_run.stats
 
-    def test_resume_false_clears_and_reruns_everything(self, tmp_path,
-                                                       clean_run):
-        ParallelPipeline(_CONFIG, workers=2,
-                         checkpoint_dir=str(tmp_path)).run()
-        result = ParallelPipeline(_CONFIG, workers=2,
-                                  checkpoint_dir=str(tmp_path),
-                                  resume=False).run()
-        assert result.resumed == []
-        assert set(result.attempts) == {0, 1}
-        assert result.dataset.identical(clean_run.dataset)
-
     def test_config_change_never_reuses_checkpoints(self, tmp_path):
         """A different config keys a different run directory, so its
         shards are executed, not recalled."""

@@ -138,15 +138,6 @@ class TestStore:
         assert loaded.to_json() == coverage.to_json()
         assert not loaded.is_complete()
 
-    def test_clear_drops_everything(self, tmp_path, shard_outcome):
-        dataset, stats, coverage = shard_outcome
-        store = CheckpointStore.for_run(
-            str(tmp_path), _CONFIG, plan_shards(_CONFIG, 2))
-        store.save_shard(0, dataset, stats, coverage)
-        store.save_shard(1, dataset, stats, coverage)
-        store.clear()
-        assert store.completed_indices() == []
-
     def test_distinct_runs_do_not_collide(self, tmp_path, shard_outcome):
         """Two configs checkpoint side by side under one root."""
         dataset, stats, coverage = shard_outcome

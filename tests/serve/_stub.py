@@ -33,7 +33,7 @@ class FakeArtifacts:
         self.seed = seed
         self.compute_all_calls = 0
 
-    def compute_all(self, workers: int = 1) -> None:
+    def compute_all(self) -> None:
         self.compute_all_calls += 1
 
 
