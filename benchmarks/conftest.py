@@ -3,8 +3,7 @@
 One bench-scale study run (40 students, full four-month window) is
 synthesized once per session and reused by every figure benchmark; the
 benchmarks then measure the *analysis* stage, which is what the paper's
-evaluation pipeline re-runs per figure. ``bench_pipeline`` separately
-measures the ingest stage itself on a shorter window.
+evaluation pipeline re-runs per figure.
 """
 
 from __future__ import annotations

@@ -30,9 +30,6 @@ class Fig3Result:
     #: Hour labels 0..167 relative to each week's start day.
     hour_of_week: np.ndarray
 
-    def weekday_peak(self, label: str) -> float:
-        return float(np.nanmax(self.weeks[label]))
-
 
 def compute_fig3(dataset: FlowDataset,
                  week_starts: Sequence[float] = constants.FIGURE3_WEEKS,

@@ -78,27 +78,9 @@ class ColumnarDnsIndex:
             self.name_table.append(name)
         return nid
 
-    def ingest(self, record: DnsLogRecord) -> None:
-        """Incorporate one query's answers (time-ordered per IP)."""
-        self._record_count += 1
-        log = self._log
-        for address in record.answers:
-            tail = log.tail.get(address)
-            if tail is not None and record.ts < log.until[tail]:
-                raise RecordError(
-                    f"DNS log out of order for answer {address}: "
-                    f"{record.ts} < {log.until[tail]}",
-                    source="dns", category=CATEGORY_ORDER)
-            nid = self._intern_name(record.qname)
-            if (tail is not None and log.label[tail] == nid
-                    and record.ts - log.until[tail]
-                    <= self.freshness_seconds):
-                log.until[tail] = record.ts  # refresh the open epoch
-            else:
-                log.append(address, record.ts, record.ts, nid)
-
     def ingest_batch(self, records: Sequence[DnsLogRecord]) -> None:
-        """Vector twin of :meth:`ingest` over a record sequence.
+        """Incorporate a sequence of queries' answers (time-ordered
+        per IP).
 
         The per-IP epoch state machine collapses to pairwise tests
         because a processed observation always leaves its epoch's
@@ -107,10 +89,9 @@ class ColumnarDnsIndex:
         ``i`` opens a new epoch iff it is the IP's first sighting, its
         qname differs from entry ``i-1``'s, or the gap since entry
         ``i-1`` exceeds the freshness window. Ends with the same index
-        state as the scalar loop; raises the same out-of-order
-        RecordError at the first offending answer (earlier entries are
-        not ingested first, unlike the scalar path -- callers treat the
-        error as fatal either way).
+        state as ingesting the records one at a time. An out-of-order
+        answer raises the RecordError that one-at-a-time ingest would
+        raise first, before any epoch of the batch is written.
         """
         if not records:
             return

@@ -87,10 +87,6 @@ class DhcpServer:
         self._log = []
         return drained
 
-    @property
-    def active_lease_count(self) -> int:
-        return len(self._leases)
-
     # -- internals -------------------------------------------------------
 
     def _grant(self, lease: Lease, log_ts: float) -> None:

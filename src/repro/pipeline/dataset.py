@@ -9,7 +9,6 @@ modules consume this one structure.
 from __future__ import annotations
 
 import dataclasses
-from array import array
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Set
 
@@ -26,9 +25,15 @@ _PROTO_NAMES = {code: name for name, code in _PROTO_CODES.items()}
 #: Domain index used for flows with no DNS annotation.
 NO_DOMAIN = -1
 
-#: The columnar arrays of a finalized dataset, in schema order.
-ARRAY_FIELDS = ("ts", "duration", "device", "resp_h", "resp_p", "proto",
-                "orig_bytes", "resp_bytes", "domain", "day")
+#: The columnar arrays of a finalized dataset and their dtypes, in
+#: schema order.
+COLUMN_DTYPES = {
+    "ts": np.float64, "duration": np.float64, "device": np.int32,
+    "resp_h": np.int64, "resp_p": np.int32, "proto": np.int8,
+    "orig_bytes": np.int64, "resp_bytes": np.int64, "domain": np.int32,
+    "day": np.int32,
+}
+ARRAY_FIELDS = tuple(COLUMN_DTYPES)
 
 
 @dataclass
@@ -349,28 +354,14 @@ class FlowDataset:
 class FlowDatasetBuilder:
     """Accumulates flows into compact typed arrays.
 
-    Two ingestion surfaces share one store: :meth:`add_flow` appends a
-    row to compact ``array`` tails (the scalar reference path), while
-    :meth:`add_flow_batch` lands a whole column set as a finished numpy
-    chunk (the columnar path). The tail is flushed into the chunk list
-    whenever a chunk arrives, so rows keep arrival order however the
-    two surfaces interleave, and :meth:`finalize` is one concatenation.
+    :meth:`add_flow_batch` lands each column set as a finished numpy
+    chunk in arrival order, so :meth:`finalize` is one concatenation.
     """
 
     def __init__(self, day0: float):
         self.day0 = day0
-        self._ts = array("d")
-        self._duration = array("d")
-        self._device = array("l")
-        self._resp_h = array("q")
-        self._resp_p = array("l")
-        self._proto = array("b")
-        self._orig_bytes = array("q")
-        self._resp_bytes = array("q")
-        self._domain = array("l")
-        self._day = array("l")
-        #: Finished column chunks in arrival order (batch appends and
-        #: flushed scalar tails), already in final dtypes.
+        #: Finished column chunks in arrival order, already in final
+        #: dtypes.
         self._chunks: List[Dict[str, np.ndarray]] = []
         self._chunk_rows = 0
 
@@ -407,49 +398,19 @@ class FlowDatasetBuilder:
 
     # -- ingestion ----------------------------------------------------------
 
-    def add_flow(self, *, ts: float, duration: float, device_idx: int,
-                 resp_h: int, resp_p: int, proto: str, orig_bytes: int,
-                 resp_bytes: int, domain_idx: int,
-                 user_agent: Optional[str]) -> None:
-        """Append one annotated flow and update its device profile."""
-        day = int((ts - self.day0) // DAY)
-        self._ts.append(ts)
-        self._duration.append(duration)
-        self._device.append(device_idx)
-        self._resp_h.append(resp_h)
-        self._resp_p.append(resp_p)
-        self._proto.append(_PROTO_CODES[proto])
-        self._orig_bytes.append(orig_bytes)
-        self._resp_bytes.append(resp_bytes)
-        self._domain.append(domain_idx)
-        self._day.append(day)
-
-        profile = self._devices[device_idx]
-        profile.flow_count += 1
-        profile.total_bytes += orig_bytes + resp_bytes
-        profile.days_seen.add(day)
-        end_day = int((ts + duration - self.day0) // DAY)
-        if end_day != day:
-            profile.days_seen.add(end_day)
-        profile.first_ts = min(profile.first_ts, ts)
-        profile.last_ts = max(profile.last_ts, ts + duration)
-        if user_agent is not None:
-            profile.user_agents.add(user_agent)
-
     def add_flow_batch(self, *, ts: np.ndarray, duration: np.ndarray,
                        device: np.ndarray, resp_h: np.ndarray,
                        resp_p: np.ndarray, proto: np.ndarray,
                        orig_bytes: np.ndarray, resp_bytes: np.ndarray,
                        domain: np.ndarray, user_agent: np.ndarray,
                        ua_table: Sequence[str]) -> None:
-        """Append a column set of annotated flows (the batch twin).
+        """Append a column set of annotated flows.
 
         ``proto`` carries dataset protocol codes, ``device``/``domain``
         builder indices (devices must already exist via
         :meth:`device_index`), ``user_agent`` int ids into ``ua_table``
         with ``-1`` for None. Per-device profile aggregates are folded
-        in with the same results the scalar loop accumulates row by
-        row.
+        in with the same results as folding the rows one at a time.
         """
         n = len(ts)
         if n == 0:
@@ -460,7 +421,6 @@ class FlowDatasetBuilder:
         orig_bytes = np.asarray(orig_bytes, dtype=np.int64)
         resp_bytes = np.asarray(resp_bytes, dtype=np.int64)
         day = ((ts - self.day0) // DAY).astype(np.int64)
-        self._flush_tail()
         self._chunks.append({
             "ts": ts,
             "duration": duration,
@@ -513,109 +473,14 @@ class FlowDatasetBuilder:
                 self._devices[int(key // width)].user_agents.add(
                     ua_table[int(key % width)])
 
-    def _flush_tail(self) -> None:
-        """Move scalar-tail rows into a finished chunk."""
-        n = len(self._ts)
-        if n == 0:
-            return
-        self._chunks.append(self._tail_arrays())
-        self._chunk_rows += n
-        self._ts = array("d")
-        self._duration = array("d")
-        self._device = array("l")
-        self._resp_h = array("q")
-        self._resp_p = array("l")
-        self._proto = array("b")
-        self._orig_bytes = array("q")
-        self._resp_bytes = array("q")
-        self._domain = array("l")
-        self._day = array("l")
-
-    def _tail_arrays(self) -> Dict[str, np.ndarray]:
-        return {
-            "ts": np.array(self._ts, dtype=np.float64),
-            "duration": np.array(self._duration, dtype=np.float64),
-            "device": np.array(self._device, dtype=np.int32),
-            "resp_h": np.array(self._resp_h, dtype=np.int64),
-            "resp_p": np.array(self._resp_p, dtype=np.int32),
-            "proto": np.array(self._proto, dtype=np.int8),
-            "orig_bytes": np.array(self._orig_bytes, dtype=np.int64),
-            "resp_bytes": np.array(self._resp_bytes, dtype=np.int64),
-            "domain": np.array(self._domain, dtype=np.int32),
-            "day": np.array(self._day, dtype=np.int32),
-        }
-
-    def _snapshot(self) -> Dict[str, np.ndarray]:
-        """All accumulated columns, concatenated; non-mutating."""
-        parts = self._chunks + [self._tail_arrays()]
-        return {name: np.concatenate([part[name] for part in parts])
-                for name in ARRAY_FIELDS}
-
     def __len__(self) -> int:
-        return len(self._ts) + self._chunk_rows
-
-    # -- merging ------------------------------------------------------------
-
-    def merge(self, other: "FlowDatasetBuilder") -> "FlowDatasetBuilder":
-        """Fold another builder's accumulated flows into this one.
-
-        Device tokens and domain names are the join keys: ``other``'s
-        index tables are remapped onto this builder's, and profiles of
-        devices seen by both are union-merged (:meth:`DeviceProfile.
-        merge_from`). ``other`` is left untouched. After canonical
-        ordering the result finalizes identically to a single builder
-        that ingested both flow streams -- the merge is associative with
-        the empty builder as identity (property-tested in
-        ``tests/property/test_merge_props.py``). Returns ``self``.
-        """
-        if other.day0 != self.day0:
-            raise ValueError(
-                f"cannot merge builders with different day0: "
-                f"{self.day0} != {other.day0}")
-
-        device_remap: List[int] = []
-        for profile in other._devices:
-            index = self._device_index.get(profile.token)
-            if index is None:
-                index = len(self._devices)
-                self._device_index[profile.token] = index
-                self._devices.append(profile.clone(index=index))
-            else:
-                self._devices[index].merge_from(profile)
-            device_remap.append(index)
-        domain_remap = [self.domain_index(name) for name in other._domains]
-
-        if len(other):
-            chunk = other._snapshot()
-            if other._devices:
-                chunk["device"] = np.array(
-                    device_remap, dtype=np.int32)[chunk["device"]]
-            if other._domains:
-                domain = chunk["domain"]
-                remap = np.array(domain_remap, dtype=np.int32)
-                chunk["domain"] = np.where(
-                    domain == NO_DOMAIN, np.int32(NO_DOMAIN),
-                    remap[np.where(domain == NO_DOMAIN, 0, domain)])
-            self._flush_tail()
-            self._chunks.append(chunk)
-            self._chunk_rows += len(other)
-        return self
+        return self._chunk_rows
 
     def finalize(self) -> FlowDataset:
-        """Freeze into numpy arrays."""
-        columns = self._snapshot()
-        return FlowDataset(
-            ts=columns["ts"],
-            duration=columns["duration"],
-            device=columns["device"],
-            resp_h=columns["resp_h"],
-            resp_p=columns["resp_p"],
-            proto=columns["proto"],
-            orig_bytes=columns["orig_bytes"],
-            resp_bytes=columns["resp_bytes"],
-            domain=columns["domain"],
-            day=columns["day"],
-            domains=list(self._domains),
-            devices=list(self._devices),
-            day0=self.day0,
-        )
+        """Freeze into numpy arrays (typed and empty when no flow came)."""
+        parts = self._chunks or [{name: np.empty(0, dtype=dtype)
+                                  for name, dtype in COLUMN_DTYPES.items()}]
+        columns = {name: np.concatenate([part[name] for part in parts])
+                   for name in ARRAY_FIELDS}
+        return FlowDataset(**columns, domains=list(self._domains),
+                           devices=list(self._devices), day0=self.day0)

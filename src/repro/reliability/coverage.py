@@ -120,13 +120,6 @@ class IntervalSet:
         """This set restricted to ``[start, end)``."""
         return self.intersect(IntervalSet.from_spans([(start, end)]))
 
-    @classmethod
-    def union_all(cls, sets: Iterable["IntervalSet"]) -> "IntervalSet":
-        spans: List[Span] = []
-        for item in sets:
-            spans.extend(item.spans)
-        return cls.from_spans(spans)
-
 
 @dataclass(frozen=True)
 class CoverageReport:

@@ -253,11 +253,6 @@ CRASH_ENV = "REPRO_CRASH_AT"
 _crash_hits: Counter = Counter()
 
 
-def reset_crash_hits() -> None:
-    """Forget crash-point hit counts (test isolation)."""
-    _crash_hits.clear()
-
-
 def maybe_crash(point: str) -> None:
     """SIGKILL this process if ``REPRO_CRASH_AT`` arms ``point``.
 

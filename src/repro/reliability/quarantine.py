@@ -15,13 +15,10 @@ where blank/whitespace-only lines count under the ``blank`` category.
 
 from __future__ import annotations
 
-import dataclasses
-import json
 from collections import Counter
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
-from repro.reliability.atomic import write_text
 from repro.reliability.errors import CATEGORY_BLANK, RecordError
 
 #: Raw quarantined lines retained per source for debugging.
@@ -121,29 +118,6 @@ class QuarantineSink:
 
     def __len__(self) -> int:
         return sum(self._counts.values())
-
-    def write_report(self, path: str) -> None:
-        """Persist the sink's exact accounting as JSON.
-
-        Goes through the atomic-write chokepoint
-        (:mod:`repro.reliability.atomic`), so a crash mid-report leaves
-        the previous report (or none), never a torn one.
-        """
-        payload = {
-            "counts": [
-                {"source": src, "category": cat, "count": n}
-                for (src, cat), n in sorted(self._counts.items())
-            ],
-            "overflow": {src: n
-                         for src, n in sorted(self._overflow.items())},
-            "samples": {
-                src: [dataclasses.asdict(record) for record in samples]
-                for src, samples in sorted(self._samples.items())
-            },
-            "total": len(self),
-        }
-        write_text(path, json.dumps(payload, indent=2, sort_keys=True)
-                   + "\n")
 
     def summary(self) -> str:
         """One-line human-readable account, for progress reporting."""

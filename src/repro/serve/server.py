@@ -30,8 +30,8 @@ requests finish under the drain deadline, counters are flushed.
 
 Under overload or failure every request still gets a *structured*
 response -- 2xx/429/500/503/504 with a JSON body -- never a silently
-dropped connection; the overload chaos suite and the
-``BENCH_serve.json`` gate pin that invariant.
+dropped connection; the overload chaos suite
+(``tests/serve/test_overload_chaos.py``) pins that invariant.
 """
 
 from __future__ import annotations

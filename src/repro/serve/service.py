@@ -131,7 +131,6 @@ class StudyService:
             "computes_failed": 0,
         }
         self._lock = threading.Lock()
-        self._studies: Dict[str, Any] = {}
 
     # -- study execution ------------------------------------------------
 
@@ -188,14 +187,13 @@ class StudyService:
         """
         if deadline is not None:
             deadline.check("compute admission")
+        # No in-memory copy of the study outlives this call: the store
+        # is the cache, so a process serving many fingerprints holds
+        # only the studies in flight.
+        artifacts = self._run_study(
+            config, scenario, self._deadline_progress(deadline))
         with self._lock:
-            artifacts = self._studies.get(fingerprint)
-        if artifacts is None:
-            artifacts = self._run_study(
-                config, scenario, self._deadline_progress(deadline))
-            with self._lock:
-                self._studies[fingerprint] = artifacts
-                self.counters["studies_run"] += 1
+            self.counters["studies_run"] += 1
         # Warm every analysis once; per-name serialization below then
         # never triggers a figure computation of its own.
         artifacts.compute_all()

@@ -63,13 +63,6 @@ class Population:
     def remainers(self) -> List[StudentPersona]:
         return [p for p in self.personas.values() if p.remains_on_campus]
 
-    def ground_truth_post_shutdown_devices(self) -> List[SimDevice]:
-        """Devices owned by remainers (simulation-side truth)."""
-        return [
-            device for device in self.devices
-            if self.personas[device.owner_id].remains_on_campus
-        ]
-
     def counts(self) -> Dict[str, int]:
         """Summary counts, handy for logging and tests."""
         remainers = self.remainers

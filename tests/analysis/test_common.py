@@ -14,13 +14,14 @@ from repro.analysis.common import (
 )
 from repro.net.mac import MacAddress
 from repro.pipeline.anonymize import Anonymizer
-from repro.pipeline.dataset import NO_DOMAIN, FlowDatasetBuilder
+from repro.pipeline.dataset import NO_DOMAIN
 from repro.util.timeutil import DAY, utc_ts
+from tests.oracles.dataset import RowFlowDatasetBuilder
 
 
 def _dataset(rows, day0=constants.STUDY_START):
     """rows: (mac_value, ts, total_bytes)."""
-    builder = FlowDatasetBuilder(day0=day0)
+    builder = RowFlowDatasetBuilder(day0=day0)
     anonymizer = Anonymizer("s")
     for mac_value, ts, total_bytes in rows:
         idx = builder.device_index(

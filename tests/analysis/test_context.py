@@ -20,10 +20,12 @@ from repro.analysis.common import (
 )
 from repro.analysis.context import AnalysisContext
 from repro.core.study import StudyArtifacts
+from repro.perf.kernels import domain_str_array
 from tests.oracles.analysis import (
     ReferenceAnalysisContext,
     devices_active_in_months_reference,
     domain_mask_reference,
+    domain_table_reference,
     flow_mask_reference,
     post_shutdown_device_mask_reference,
     stitch_sessions_reference,
@@ -147,6 +149,16 @@ class TestPrimitiveEquivalence:
         assert np.array_equal(
             devices_active_in_months(dataset, months),
             devices_active_in_months_reference(dataset, months))
+
+    def test_signature_domain_tables(self, mini_artifacts):
+        """Every registry signature's vectorized suffix table matches
+        per-domain matching, entry for entry."""
+        domains = mini_artifacts.dataset.domains
+        domain_arr = domain_str_array(domains)
+        for signature in mini_artifacts.signatures:
+            assert np.array_equal(
+                signature.domain_table(domain_arr),
+                domain_table_reference(signature, domains)), signature.name
 
     def test_signature_masks(self, mini_artifacts):
         dataset = mini_artifacts.dataset

@@ -14,15 +14,16 @@ from repro.devices.classifier import ClassificationResult
 from repro.devices.types import DeviceClass
 from repro.net.mac import MacAddress
 from repro.pipeline.anonymize import Anonymizer
-from repro.pipeline.dataset import NO_DOMAIN, FlowDatasetBuilder
+from repro.pipeline.dataset import NO_DOMAIN
 from repro.util.timeutil import DAY, HOUR, utc_ts
+from tests.oracles.dataset import RowFlowDatasetBuilder
 
 START = constants.STUDY_START
 
 
 def _dataset(rows):
     """rows: (mac_value, ts, total_bytes, domain_or_None)."""
-    builder = FlowDatasetBuilder(day0=START)
+    builder = RowFlowDatasetBuilder(day0=START)
     anonymizer = Anonymizer("s")
     for mac_value, ts, total_bytes, domain in rows:
         idx = builder.device_index(

@@ -8,13 +8,13 @@ from repro.devices.classifier import ClassificationResult
 from repro.devices.types import DeviceClass
 from repro.net.mac import MacAddress
 from repro.pipeline.anonymize import Anonymizer
-from repro.pipeline.dataset import FlowDatasetBuilder
 from repro.synth.devices import DeviceKind
+from tests.oracles.dataset import RowFlowDatasetBuilder
 
 
 def _build(device_flows):
     """device_flows: list of lists of (domain, total_bytes)."""
-    builder = FlowDatasetBuilder(day0=0.0)
+    builder = RowFlowDatasetBuilder(day0=0.0)
     anonymizer = Anonymizer("s")
     counter = 0
     for device_slot, flows in enumerate(device_flows):

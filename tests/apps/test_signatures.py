@@ -20,13 +20,14 @@ from repro.apps.zoom import zoom_signature
 from repro.net.ip import Prefix
 from repro.net.mac import MacAddress
 from repro.pipeline.anonymize import Anonymizer
-from repro.pipeline.dataset import NO_DOMAIN, FlowDatasetBuilder
+from repro.pipeline.dataset import NO_DOMAIN
 from repro.world.addressing import PublishedRanges
+from tests.oracles.dataset import RowFlowDatasetBuilder
 
 
 def _dataset(rows):
     """rows: (domain_or_None, resp_h)."""
-    builder = FlowDatasetBuilder(day0=0.0)
+    builder = RowFlowDatasetBuilder(day0=0.0)
     idx = builder.device_index(Anonymizer("s").device(MacAddress(1)))
     for i, (domain, resp_h) in enumerate(rows):
         builder.add_flow(

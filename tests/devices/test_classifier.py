@@ -9,7 +9,8 @@ from repro.devices.types import DeviceClass
 from repro.net.mac import MacAddress
 from repro.net.oui_db import default_oui_database
 from repro.pipeline.anonymize import Anonymizer
-from repro.pipeline.dataset import NO_DOMAIN, FlowDatasetBuilder
+from repro.pipeline.dataset import NO_DOMAIN
+from tests.oracles.dataset import RowFlowDatasetBuilder
 
 OUI_DB = default_oui_database()
 MOBILE_OUI = OUI_DB.vendor_ouis("mobile")[0]
@@ -28,7 +29,7 @@ def _laa_mac(suffix=1):
 
 class _DatasetMaker:
     def __init__(self):
-        self.builder = FlowDatasetBuilder(day0=0.0)
+        self.builder = RowFlowDatasetBuilder(day0=0.0)
         self.anonymizer = Anonymizer("s")
         self._counter = 0
 

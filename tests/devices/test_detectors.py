@@ -7,12 +7,13 @@ from repro.devices.iot import IotDetector, IotSignature, default_iot_signatures
 from repro.devices.switch import SwitchDetector
 from repro.net.mac import MacAddress
 from repro.pipeline.anonymize import Anonymizer
-from repro.pipeline.dataset import NO_DOMAIN, FlowDatasetBuilder
+from repro.pipeline.dataset import NO_DOMAIN
+from tests.oracles.dataset import RowFlowDatasetBuilder
 
 
 def _build(flows):
     """flows: list of (mac_value, domain_or_None, total_bytes)."""
-    builder = FlowDatasetBuilder(day0=0.0)
+    builder = RowFlowDatasetBuilder(day0=0.0)
     anonymizer = Anonymizer("s")
     for index, (mac_value, domain, total_bytes) in enumerate(flows):
         device_idx = builder.device_index(

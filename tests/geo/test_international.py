@@ -11,6 +11,7 @@ from repro.pipeline.anonymize import Anonymizer
 from repro.pipeline.dataset import NO_DOMAIN, FlowDatasetBuilder
 from repro.util.timeutil import utc_ts
 from repro.world.geo import GeoDatabase, GeoLocation
+from tests.oracles.dataset import RowFlowDatasetBuilder
 
 US_IP = ip_to_int("50.0.0.10")
 CN_IP = ip_to_int("50.0.1.10")
@@ -31,7 +32,7 @@ def geo_db():
 
 class _Maker:
     def __init__(self):
-        self.builder = FlowDatasetBuilder(day0=utc_ts(2020, 2, 1))
+        self.builder = RowFlowDatasetBuilder(day0=utc_ts(2020, 2, 1))
         self.anonymizer = Anonymizer("s")
         self._counter = 0
 

@@ -5,9 +5,8 @@ primitive the production analysis layer computes with the vectorized
 kernels of :mod:`repro.perf.kernels`. :class:`ReferenceAnalysisContext`
 overrides the memoized builders of
 :class:`~repro.analysis.context.AnalysisContext` with them, so
-``tests/analysis/test_context.py::TestGoldenFigures`` and
-``benchmarks/bench_analysis_report.py`` can run every figure and the
-summary on both and compare.
+``tests/analysis/test_context.py::TestGoldenFigures`` can run every
+figure and the summary on both and compare.
 """
 
 from typing import Dict, List, Optional, Sequence, Tuple

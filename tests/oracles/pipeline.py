@@ -6,9 +6,10 @@ row-object reference components: the per-burst tap filter
 (:class:`RowTap`), the per-burst flow engine
 (:class:`tests.oracles.flow_engine.FlowEngine`), the per-IP lease and
 DNS resolvers (:mod:`tests.oracles.resolvers`) and a per-flow
-registration loop. The golden gates in
-``tests/pipeline/test_columnar.py`` and ``benchmarks/`` hold the
-production pipeline bit-identical to it: same dataset, same
+registration loop into
+:class:`tests.oracles.dataset.RowFlowDatasetBuilder`. The golden gates
+in ``tests/pipeline/test_columnar.py`` hold the production pipeline
+bit-identical to it: same dataset, same
 :class:`~repro.pipeline.pipeline.PipelineStats`.
 """
 
@@ -24,6 +25,7 @@ from repro.pipeline.tap import Tap
 from repro.reliability.errors import CATEGORY_VALUE, RecordError
 from repro.util.timeutil import DAY
 from repro.zeek.conn import ConnRecord
+from tests.oracles.dataset import RowFlowDatasetBuilder
 from tests.oracles.flow_engine import FlowEngine
 from tests.oracles.resolvers import IpDomainResolver, IpMacResolver
 
@@ -58,6 +60,7 @@ class RowMonitoringPipeline(MonitoringPipeline):
                                               Optional[float]]] = None):
         super().__init__(config, excluded_prefixes, day0, owned_window)
         self.tap = RowTap(excluded_prefixes)
+        self.builder = RowFlowDatasetBuilder(self.builder.day0)
         self.flow_engine = FlowEngine(config.flow_idle_timeout)
         self.ip_mac = IpMacResolver()
         self.ip_domain = IpDomainResolver()

@@ -8,7 +8,9 @@ pipeline performs (Section 3). The columnar indexes
 :class:`repro.columnar.dnsindex.ColumnarDnsIndex`) answer whole query
 batches; :class:`RowLeaseIndex` and :class:`RowDnsIndex` put the
 resolvers' scalar API on them so the equivalence gates can compare
-the two answer for answer.
+the two answer for answer. :class:`RowDnsIndex` also keeps the
+per-record DNS ingest that ``ColumnarDnsIndex.ingest_batch`` is held
+to.
 """
 
 import bisect
@@ -261,7 +263,26 @@ class RowLeaseIndex(ColumnarLeaseIndex):
 
 class RowDnsIndex(ColumnarDnsIndex):
     """:class:`ColumnarDnsIndex` with :class:`IpDomainResolver`'s
-    point-query API."""
+    per-record ingest and point-query API."""
+
+    def ingest(self, record: DnsLogRecord) -> None:
+        """Incorporate one query's answers (time-ordered per IP)."""
+        self._record_count += 1
+        log = self._log
+        for address in record.answers:
+            tail = log.tail.get(address)
+            if tail is not None and record.ts < log.until[tail]:
+                raise RecordError(
+                    f"DNS log out of order for answer {address}: "
+                    f"{record.ts} < {log.until[tail]}",
+                    source="dns", category=CATEGORY_ORDER)
+            nid = self._intern_name(record.qname)
+            if (tail is not None and log.label[tail] == nid
+                    and record.ts - log.until[tail]
+                    <= self.freshness_seconds):
+                log.until[tail] = record.ts  # refresh the open epoch
+            else:
+                log.append(address, record.ts, record.ts, nid)
 
     def domain_at(self, ip: int, ts: float) -> Optional[str]:
         nid = self.domain_ids_at(np.array([ip], dtype=np.int64),

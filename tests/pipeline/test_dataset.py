@@ -5,13 +5,18 @@ import pytest
 
 from repro.net.mac import MacAddress
 from repro.pipeline.anonymize import Anonymizer
-from repro.pipeline.dataset import NO_DOMAIN, FlowDatasetBuilder
+from repro.pipeline.dataset import (
+    COLUMN_DTYPES,
+    NO_DOMAIN,
+    FlowDatasetBuilder,
+)
 from repro.util.timeutil import DAY
+from tests.oracles.dataset import RowFlowDatasetBuilder
 
 
 @pytest.fixture()
 def builder():
-    return FlowDatasetBuilder(day0=0.0)
+    return RowFlowDatasetBuilder(day0=0.0)
 
 
 def _add(builder, device_idx, ts=10.0, duration=5.0, domain_idx=NO_DOMAIN,
@@ -128,10 +133,14 @@ class TestFinalize:
         assert dataset.proto_name(int(dataset.proto[0])) == "tcp"
         assert dataset.proto_name(int(dataset.proto[1])) == "udp"
 
-    def test_empty_dataset(self, builder):
-        dataset = builder.finalize()
+    def test_empty_dataset(self):
+        """The production builder finalizes to typed empty columns."""
+        dataset = FlowDatasetBuilder(day0=0.0).finalize()
         assert len(dataset) == 0
         assert dataset.n_devices == 0
+        for name, dtype in COLUMN_DTYPES.items():
+            column = getattr(dataset, name)
+            assert column.dtype == dtype and column.shape == (0,), name
 
 
 class TestCompact:

@@ -52,6 +52,7 @@ class TestGoldenEquivalence:
         serial_dataset, serial_stats = serial_run
         result = ParallelPipeline(_CONFIG, workers).run()
 
+        assert len(result.shards) == workers
         assert result.dataset.identical(serial_dataset), (
             f"parallel dataset (workers={workers}) diverged from serial")
         # identical() already covers every array and side table; spell

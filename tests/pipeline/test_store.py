@@ -7,13 +7,14 @@ import pytest
 
 from repro.net.mac import MacAddress
 from repro.pipeline.anonymize import Anonymizer
-from repro.pipeline.dataset import NO_DOMAIN, FlowDatasetBuilder
+from repro.pipeline.dataset import NO_DOMAIN
 from repro.pipeline.store import FORMAT_VERSION, load_dataset, save_dataset
+from tests.oracles.dataset import RowFlowDatasetBuilder
 
 
 @pytest.fixture()
 def dataset():
-    builder = FlowDatasetBuilder(day0=1000.0)
+    builder = RowFlowDatasetBuilder(day0=1000.0)
     anonymizer = Anonymizer("s")
     for i in range(20):
         idx = builder.device_index(

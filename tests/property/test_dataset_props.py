@@ -5,8 +5,9 @@ from hypothesis import given, settings, strategies as st
 
 from repro.net.mac import MacAddress
 from repro.pipeline.anonymize import Anonymizer
-from repro.pipeline.dataset import NO_DOMAIN, FlowDatasetBuilder
+from repro.pipeline.dataset import NO_DOMAIN
 from repro.util.timeutil import DAY
+from tests.oracles.dataset import RowFlowDatasetBuilder
 
 _flow = st.tuples(
     st.integers(min_value=0, max_value=5),             # device slot
@@ -21,7 +22,7 @@ _DOMAINS = ["a.com", "b.com", "c.com", "d.com"]
 
 
 def _build(flows):
-    builder = FlowDatasetBuilder(day0=0.0)
+    builder = RowFlowDatasetBuilder(day0=0.0)
     anonymizer = Anonymizer("s")
     for device_slot, ts, duration, orig, resp, domain_slot in flows:
         device_idx = builder.device_index(

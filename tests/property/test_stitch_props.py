@@ -5,9 +5,10 @@ from hypothesis import given, settings, strategies as st
 
 from repro.net.mac import MacAddress
 from repro.pipeline.anonymize import Anonymizer
-from repro.pipeline.dataset import NO_DOMAIN, FlowDatasetBuilder
+from repro.pipeline.dataset import NO_DOMAIN
 from repro.sessions.stitch import stitch_sessions
 from tests.oracles.analysis import stitch_sessions_reference
+from tests.oracles.dataset import RowFlowDatasetBuilder
 
 _flow = st.tuples(
     st.integers(min_value=0, max_value=3),            # device slot
@@ -21,7 +22,7 @@ _masked_flow = st.tuples(_flow, st.booleans(), st.booleans())
 
 
 def _dataset(flows):
-    builder = FlowDatasetBuilder(day0=0.0)
+    builder = RowFlowDatasetBuilder(day0=0.0)
     anonymizer = Anonymizer("s")
     for device_slot, start, duration, total_bytes in flows:
         idx = builder.device_index(

@@ -9,7 +9,9 @@ payloads are tagged with the config seed so any cross-served artifact
 would be caught by content, not just by counters.
 """
 
+import gc
 import threading
+import weakref
 
 import pytest
 
@@ -117,6 +119,26 @@ def test_mixed_fingerprint_storm_never_cross_serves(tmp_path):
     for seed, config in configs.items():
         stored = service.store.get(study_fingerprint(config), "fig1")
         assert stored == {"artifact": "fig1", "seed": seed}
+
+
+def test_service_keeps_no_study_after_materializing(tmp_path):
+    """The store is the cache: no computed study outlives its query,
+    so serving many fingerprints does not grow the process."""
+    service = StubService(ArtifactStore(str(tmp_path)))
+    run_study = service._run_study
+    refs = []
+
+    def tracked_run(config, scenario, progress):
+        artifacts = run_study(config, scenario, progress)
+        refs.append(weakref.ref(artifacts))
+        return artifacts
+
+    service._run_study = tracked_run
+    for seed in (101, 202):
+        service.query(StudyConfig.ci_scale(seed=seed), names=("summary",))
+    gc.collect()
+    assert len(refs) == 2
+    assert [ref() for ref in refs] == [None, None]
 
 
 def test_warm_store_concurrency_is_pure_serving(tmp_path):

@@ -5,11 +5,12 @@ import pytest
 
 from repro.net.mac import MacAddress
 from repro.pipeline.anonymize import Anonymizer
-from repro.pipeline.dataset import NO_DOMAIN, FlowDatasetBuilder
+from repro.pipeline.dataset import NO_DOMAIN
 from repro.sessions.duration import monthly_duration_hours
 from repro.sessions.stitch import StitchedSession, stitch_sessions
 from repro.util.timeutil import utc_ts
 from tests.oracles.analysis import stitch_sessions_reference
+from tests.oracles.dataset import RowFlowDatasetBuilder
 
 FEB = utc_ts(2020, 2, 10)
 MAR = utc_ts(2020, 3, 10)
@@ -23,7 +24,7 @@ IMPLS = [
 
 def _dataset(rows):
     """rows: (mac_value, ts, duration, domain)."""
-    builder = FlowDatasetBuilder(day0=utc_ts(2020, 2, 1))
+    builder = RowFlowDatasetBuilder(day0=utc_ts(2020, 2, 1))
     anonymizer = Anonymizer("s")
     for mac_value, ts, duration, domain in rows:
         idx = builder.device_index(
