@@ -13,6 +13,7 @@ from repro.synth.generator import (
     PRESENCE_STUDY,
     CampusTraceGenerator,
 )
+from repro.synth.timeline import Phase
 from repro.util.timeutil import DAY, utc_ts
 
 _CONFIG = StudyConfig(n_students=8, seed=5)
@@ -111,7 +112,7 @@ class TestPinnedOutput:
     that is meant to alter the simulated campus.
     """
 
-    #: 5916 bursts, 872 DNS records and 49 DHCP records.
+    #: 2020-02-05: 5916 bursts, 872 DNS records and 49 DHCP records.
     DIGEST = "4031821fa7035fbe745c7a568bd758663086584d719ea825c4868e048df2c81a"
 
     _NUMERIC = (("ts", "<f8"), ("client_ip", "<i8"), ("client_port", "<i8"),
@@ -141,6 +142,27 @@ class TestPinnedOutput:
         assert (len(trace.bursts), len(trace.dns_records),
                 len(trace.dhcp_records)) == (5916, 872, 49)
         assert self._digest(trace) == self.DIGEST
+
+    def test_lockdown_day_digest_pinned(self):
+        """A study day after stay-at-home: departures have thinned the
+        campus and four sessions draw with ``TAIL_LOCKDOWN_BOOST``."""
+        trace = CampusTraceGenerator(_CONFIG).generate_day(
+            utc_ts(2020, 4, 15))
+        assert (len(trace.bursts), len(trace.dns_records),
+                len(trace.dhcp_records)) == (1290, 166, 12)
+        assert self._digest(trace) == (
+            "ee7c9ccfeb1480be1afb53f7e35bf1b7d94228cc016f28b0e2957766cbd762a5")
+
+    def test_counterfactual_day_digest_pinned(self):
+        """The same day with no pandemic: pre-phase behaviour, no tail
+        boost and every resident present."""
+        trace = CampusTraceGenerator(
+            _CONFIG, phase_override=Phase.PRE).generate_day(
+                utc_ts(2020, 4, 15), presence=PRESENCE_ALL_RESIDENTS)
+        assert (len(trace.bursts), len(trace.dns_records),
+                len(trace.dhcp_records)) == (6932, 1174, 60)
+        assert self._digest(trace) == (
+            "fda5808f6a5e99db91588fa48954ddfbc65ca58605e6ae479a88a15273f8f0c3")
 
 
 class TestSubRangeReproducibility:
