@@ -17,6 +17,7 @@ from repro.synth.archetypes import AppArchetype
 from repro.synth.behavior import BehaviorModel
 from repro.synth.devices import SimDevice
 from repro.synth.personas import StudentPersona
+from repro.util.rng import weighted_cdf
 from repro.util.timeutil import HOUR, MINUTE
 
 
@@ -67,11 +68,15 @@ def sample_day_sessions(persona: StudentPersona,
         count = int(rng.poisson(expected))
         if count == 0:
             continue
-        weights = behavior.hourly_weights(persona, archetype_name, day_start)
-        hours = rng.choice(24, size=count, p=weights)
+        # The draw of rng.choice(24, size=count, p=hourly weights), made
+        # more cheaply.
+        hour_cdf = weighted_cdf(
+            behavior.hourly_weights(persona, archetype_name, day_start))
+        hours = hour_cdf.searchsorted(rng.random(count), side="right")
         byte_scale = behavior.bytes_scale(persona, archetype_name, day_start)
-        for hour in hours:
-            start = day_start + float(hour) * HOUR + float(rng.uniform(0, HOUR))
+        for hour in hours.tolist():
+            # HOUR * rng.random() is rng.uniform(0, HOUR), made more cheaply.
+            start = day_start + float(hour) * HOUR + HOUR * rng.random()
             if cutoff_ts is not None and start >= cutoff_ts:
                 continue
             minutes = lognormal_with_mean(

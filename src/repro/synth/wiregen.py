@@ -11,7 +11,7 @@ side's IP->domain mapping to be genuinely time-aware.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, NamedTuple, Optional, Tuple
 
 import numpy as np
 
@@ -19,9 +19,10 @@ from repro import constants
 from repro.dns.records import DnsLogRecord
 from repro.dns.resolver import SyntheticResolver
 from repro.net.wire import BurstColumns
-from repro.synth.archetypes import AppArchetype, DomainComponent
+from repro.synth.archetypes import AppArchetype
 from repro.synth.devices import SimDevice
 from repro.synth.sessions import AppSession, lognormal_with_mean
+from repro.util.rng import weighted_cdf
 from repro.util.timeutil import MINUTE
 from repro.world.addressing import AddressPlan
 from repro.world.services import Service
@@ -35,28 +36,102 @@ _MIN_CONNECTION_BYTES = 600.0
 
 
 class BurstColumnLists:
-    """One day's bursts as growing per-field lists, in emission order.
+    """One day's bursts, recorded one row per connection.
 
-    The generator appends plain scalars here -- no per-burst object is
-    ever built -- and :meth:`columns` types and time-orders them once
-    the day is complete.
+    The generator appends one tuple per connection to ``connections``
+    -- ``(start, client_ip, client_port, server_ip, server_port, proto,
+    upload, download, user_agent, http_host, n_bursts)`` -- and the
+    connection's ``n_bursts`` offsets from its start and raw exponential
+    byte masses to the flat ``offsets`` and ``masses``. No per-burst
+    object is ever built: :meth:`columns` expands the rows into burst
+    columns and time-orders them once the day is complete.
     """
 
-    __slots__ = BurstColumns.__slots__
+    __slots__ = ("connections", "offsets", "masses")
 
     def __init__(self) -> None:
-        for name in self.__slots__:
-            setattr(self, name, [])
+        self.connections: List[tuple] = []
+        self.offsets: List[float] = []
+        self.masses: List[float] = []
 
     def columns(self) -> BurstColumns:
         """The day's bursts as columns, ordered by ``ts``.
 
-        A stable argsort keeps equal-``ts`` bursts in emission order,
-        exactly the order a stable sort of the rows by ``ts`` gives.
+        Each connection's bytes split over its bursts in proportion to
+        their masses, and each burst carries ``max(1, int(bytes *
+        split))``. Headers ride the first burst only; the last carries
+        the teardown. A stable argsort keeps equal-``ts`` bursts in
+        emission order, exactly the order a stable sort of the rows by
+        ``ts`` gives. The lists are emptied, so the day's Python rows
+        are released as soon as the columns exist.
         """
-        columns = BurstColumns(**{name: getattr(self, name)
-                                  for name in self.__slots__})
-        return columns.take(np.argsort(columns.ts, kind="stable"))
+        rows = self.connections
+        offsets = np.array(self.offsets, dtype=np.float64)
+        masses = np.array(self.masses, dtype=np.float64)
+        self.connections, self.offsets, self.masses = [], [], []
+        if not rows:
+            return BurstColumns(**{name: [] for name in BurstColumns.__slots__})
+        (start, client_ip, client_port, server_ip, server_port, proto,
+         upload, download, user_agent, http_host, n_bursts) = zip(*rows)
+        del rows
+        counts = np.array(n_bursts, dtype=np.int64)
+        last = np.cumsum(counts) - 1
+        first = last - (counts - 1)
+        split = masses / np.repeat(_segment_sums(masses, first, counts),
+                                   counts)
+
+        def spread(values: tuple, dtype: type) -> np.ndarray:
+            return np.repeat(np.array(values, dtype=dtype), counts)
+
+        headers = {}
+        for name, values in (("user_agent", user_agent),
+                             ("http_host", http_host)):
+            column = np.full(len(masses), None, dtype=object)
+            column[first] = np.array(values, dtype=object)
+            headers[name] = column
+        is_final = np.zeros(len(masses), dtype=np.bool_)
+        is_final[last] = True
+        ts = spread(start, np.float64) + offsets
+        order = np.argsort(ts, kind="stable")
+        columns = dict(
+            ts=ts,
+            client_ip=spread(client_ip, np.int64),
+            client_port=spread(client_port, np.int64),
+            server_ip=spread(server_ip, np.int64),
+            server_port=spread(server_port, np.int64),
+            proto=np.repeat(np.array(proto, dtype=object), counts),
+            orig_bytes=_burst_bytes(spread(upload, np.float64), split),
+            resp_bytes=_burst_bytes(spread(download, np.float64), split),
+            is_final=is_final,
+            **headers)
+        return BurstColumns(**{name: column[order]
+                               for name, column in columns.items()})
+
+
+def _segment_sums(values: np.ndarray, first: np.ndarray,
+                  counts: np.ndarray) -> np.ndarray:
+    """Each segment's sum, bit-identical to ``segment.sum()``.
+
+    ``ndarray.sum`` adds fewer than eight items left to right (numpy's
+    pairwise sum only splits longer runs); ``np.add.reduceat`` does
+    not reproduce that. So the segments are laid out as zero-padded
+    rows and the columns added left to right: adding 0.0 to a positive
+    partial sum changes no bit.
+    """
+    width = int(counts.max())
+    assert width < 8, "pairwise summation would reorder the adds"
+    segment = np.repeat(np.arange(len(counts)), counts)
+    padded = np.zeros((len(counts), width))
+    padded[segment, np.arange(len(values)) - first[segment]] = values
+    total = padded[:, 0].copy()
+    for column in padded.T[1:]:
+        total += column
+    return total
+
+
+def _burst_bytes(conn_bytes: np.ndarray, split: np.ndarray) -> np.ndarray:
+    """``max(1, int(conn_bytes * split))`` per burst."""
+    return np.maximum((conn_bytes * split).astype(np.int64), 1)
 
 
 @dataclass
@@ -82,6 +157,18 @@ class DnsCache:
         self.entries[domain] = (ts, ts + ttl * _CACHE_SLACK, address)
 
 
+class _ComponentTable(NamedTuple):
+    """One archetype's connection draw, resolved once per generator."""
+
+    archetype: AppArchetype
+    #: ``weighted_cdf`` of the normalised component weights.
+    cdf: np.ndarray
+    #: ``(domain, service)`` per component.
+    targets: Tuple[Tuple[str, Service], ...]
+    #: Bytes-to-connections ratio per component.
+    byte_factors: np.ndarray
+
+
 class WireGenerator:
     """Expands sessions into DNS records and segment bursts."""
 
@@ -102,17 +189,18 @@ class WireGenerator:
         #: Disabled for counterfactual (no-pandemic) generation.
         self.lockdown_tail_boost = lockdown_tail_boost
         self.directory = plan.directory
-        self._tail_domains = [
-            service.primary_domain for service in self.directory
-            if service.name.startswith("tail-")
-        ]
-        if self._tail_domains:
-            ranks = np.arange(1, len(self._tail_domains) + 1,
-                              dtype=np.float64)
+        self._tables: Dict[str, _ComponentTable] = {}
+        tail = [service for service in self.directory
+                if service.name.startswith("tail-")]
+        self._tail_targets = tuple(
+            (service.primary_domain,
+             self.directory.find_domain(service.primary_domain))
+            for service in tail)
+        self._tail_cdf = np.empty(0)
+        if tail:
+            ranks = np.arange(1, len(tail) + 1, dtype=np.float64)
             weights = ranks ** -self.TAIL_ZIPF_EXPONENT
-            self._tail_probs = weights / weights.sum()
-        else:
-            self._tail_probs = np.empty(0)
+            self._tail_cdf = weighted_cdf(weights / weights.sum())
 
     def expand_session(self,
                        session: AppSession,
@@ -123,62 +211,84 @@ class WireGenerator:
                        dns_cache: DnsCache,
                        dns_out: List[DnsLogRecord],
                        burst_out: BurstColumnLists) -> int:
-        """Append the session's wire events; returns connections emitted."""
+        """Append the session's wire events; returns connections emitted.
+
+        A connection to a domain that does not resolve is drawn but not
+        emitted, and is not counted.
+        """
         minutes = session.duration / MINUTE
         n_connections = max(1, int(rng.poisson(
             archetype.connections_per_minute * minutes)))
 
-        components = self._pick_components(archetype, rng, n_connections,
-                                           session.start)
-        shares = self._byte_shares(archetype, components, rng)
+        targets, factors = self._pick_components(
+            archetype, rng, n_connections, session.start)
+        shares = self._byte_shares(factors, rng)
         timings = sorted(
             (self._flow_times(session, archetype, rng)
-             for _ in components),
+             for _ in targets),
             key=lambda span: span[0])
         # Connections are emitted in chronological order so a flow can
         # only reuse DNS answers that were already resolved.
-        for component, share, (start, duration) in zip(
-                components, shares, timings):
+        emitted = 0
+        for (domain, service), share, (start, duration) in zip(
+                targets, shares.tolist(), timings):
             conn_bytes = max(_MIN_CONNECTION_BYTES,
                              session.total_bytes * share)
-            self._emit_connection(
-                session, device, archetype, component, client_ip,
+            emitted += self._emit_connection(
+                device, archetype, domain, service, client_ip,
                 conn_bytes, start, duration, rng, dns_cache,
                 dns_out, burst_out)
-        return len(components)
+        return emitted
 
     # -- helpers ---------------------------------------------------------
+
+    def _table(self, archetype: AppArchetype) -> _ComponentTable:
+        table = self._tables.get(archetype.name)
+        if table is None or table.archetype is not archetype:
+            components = archetype.components
+            weights = np.array([c.weight for c in components])
+            table = _ComponentTable(
+                archetype=archetype,
+                cdf=weighted_cdf(weights / weights.sum()),
+                targets=tuple((c.domain, self.directory.get(c.service))
+                              for c in components),
+                byte_factors=np.array([c.byte_share / max(c.weight, 1e-9)
+                                       for c in components]))
+            self._tables[archetype.name] = table
+        return table
 
     def _pick_components(self, archetype: AppArchetype,
                          rng: np.random.Generator,
                          count: int,
-                         session_start: float) -> List[DomainComponent]:
-        weights = np.array([c.weight for c in archetype.components])
-        indices = rng.choice(len(archetype.components), size=count,
-                             p=weights / weights.sum())
-        components = [archetype.components[int(i)] for i in indices]
-        if archetype.longtail_fraction > 0 and self._tail_domains:
+                         session_start: float
+                         ) -> Tuple[List[Tuple[str, Service]], np.ndarray]:
+        """Draw ``count`` connection targets and their byte factors.
+
+        Draws what ``rng.choice`` over the component weights, then over
+        the Zipf tail one slot at a time, would draw.
+        """
+        table = self._table(archetype)
+        indices = table.cdf.searchsorted(rng.random(count), side="right")
+        targets = [table.targets[i] for i in indices.tolist()]
+        factors = table.byte_factors[indices]
+        if archetype.longtail_fraction > 0 and self._tail_targets:
             fraction = archetype.longtail_fraction
             if (self.lockdown_tail_boost
                     and session_start >= constants.STAY_AT_HOME):
                 fraction = min(1.0, fraction * self.TAIL_LOCKDOWN_BOOST)
             to_tail = np.flatnonzero(rng.random(count) < fraction)
-            for slot in to_tail:
-                choice = int(rng.choice(len(self._tail_domains),
-                                        p=self._tail_probs))
-                domain = self._tail_domains[choice]
-                service = self.directory.find_domain(domain)
-                components[slot] = DomainComponent(
-                    service=service.name,
-                    domain=domain,
-                    weight=1.0,
-                    byte_share=self.TAIL_BYTE_FACTOR,
-                )
-        return components
+            if to_tail.size:
+                picks = self._tail_cdf.searchsorted(
+                    rng.random(to_tail.size), side="right")
+                for slot, pick in zip(to_tail.tolist(), picks.tolist()):
+                    targets[slot] = self._tail_targets[pick]
+                # A tail component has weight 1.0: its factor is the
+                # byte factor itself.
+                factors[to_tail] = self.TAIL_BYTE_FACTOR
+        return targets, factors
 
     @staticmethod
-    def _byte_shares(archetype: AppArchetype,
-                     components: List[DomainComponent],
+    def _byte_shares(factors: np.ndarray,
                      rng: np.random.Generator) -> np.ndarray:
         """Split session bytes across connections.
 
@@ -186,31 +296,24 @@ class WireGenerator:
         component's bytes-to-connections ratio, then masses are
         normalized -- heavy CDN components carry more per connection.
         """
-        factors = np.array([
-            component.byte_share / max(component.weight, 1e-9)
-            for component in components
-        ])
-        raw = rng.exponential(1.0, size=len(components)) * factors
+        raw = rng.exponential(1.0, size=len(factors)) * factors
         total = raw.sum()
         if total <= 0:
-            return np.full(len(components), 1.0 / len(components))
+            return np.full(len(factors), 1.0 / len(factors))
         return raw / total
 
-    def _emit_connection(self, session: AppSession, device: SimDevice,
-                         archetype: AppArchetype,
-                         component: DomainComponent, client_ip: int,
+    def _emit_connection(self, device: SimDevice, archetype: AppArchetype,
+                         domain: str, service: Service, client_ip: int,
                          conn_bytes: float, start: float, duration: float,
                          rng: np.random.Generator,
                          dns_cache: DnsCache,
                          dns_out: List[DnsLogRecord],
-                         burst_out: BurstColumnLists) -> None:
-        service = self.directory.get(component.service)
-
+                         burst_out: BurstColumnLists) -> bool:
+        """Record one connection; False when its domain is unresolvable."""
         server_ip = self._server_address(
-            service, component.domain, client_ip, start, rng,
-            dns_cache, dns_out)
+            service, domain, client_ip, start, rng, dns_cache, dns_out)
         if server_ip is None:
-            return  # unresolvable domain: no connection happens
+            return False  # unresolvable domain: no connection happens
 
         port, proto = self._endpoint(service, rng)
         upload = conn_bytes * archetype.upload_fraction
@@ -222,29 +325,35 @@ class WireGenerator:
         if plaintext:
             # The Host header is visible on any plaintext request; the
             # User-Agent only when the client app exposes one.
-            http_host = component.domain
+            http_host = domain
             if rng.random() < device.ua_exposure:
                 user_agent = device.user_agent
 
         client_port = int(rng.integers(10_000, 60_000))
-        self._emit_bursts(
-            start, duration, client_ip, client_port, server_ip, port,
-            proto, int(upload), int(download), user_agent, http_host,
-            rng, burst_out)
+        offsets = self._burst_offsets(duration, rng)
+        burst_out.connections.append((
+            start, client_ip, client_port, server_ip, port, proto,
+            int(upload), int(download), user_agent, http_host,
+            len(offsets)))
+        burst_out.offsets.extend(offsets)
+        burst_out.masses.extend(
+            rng.exponential(1.0, size=len(offsets)).tolist())
+        return True
 
     @staticmethod
     def _flow_times(session: AppSession, archetype: AppArchetype,
                     rng: np.random.Generator) -> Tuple[float, float]:
+        # lo + (hi - lo) * rng.random() is rng.uniform(lo, hi), drawn
+        # more cheaply.
         style = archetype.flow_style
         if style == "mixed":
             style = "long" if rng.random() < 0.5 else "bursty"
         if style == "long":
-            start = session.start + float(
-                rng.uniform(0, 0.2)) * session.duration
+            start = session.start + 0.2 * rng.random() * session.duration
             remaining = session.end - start
-            duration = float(rng.uniform(0.6, 1.0)) * remaining
+            duration = (0.6 + 0.4 * rng.random()) * remaining
         else:
-            start = session.start + float(rng.uniform(0, 0.95)) * session.duration
+            start = session.start + 0.95 * rng.random() * session.duration
             duration = min(lognormal_with_mean(rng, 20.0, 0.8),
                            max(1.0, session.end - start))
         return start, max(1.0, duration)
@@ -283,45 +392,19 @@ class WireGenerator:
         return chosen.port, chosen.proto
 
     @staticmethod
-    def _emit_bursts(start: float, duration: float, client_ip: int,
-                     client_port: int, server_ip: int, server_port: int,
-                     proto: str, upload: int, download: int,
-                     user_agent: Optional[str], http_host: Optional[str],
-                     rng: np.random.Generator,
-                     burst_out: BurstColumnLists) -> None:
-        """Split one connection into bursts along its lifetime.
+    def _burst_offsets(duration: float,
+                       rng: np.random.Generator) -> Tuple[float, ...]:
+        """Burst offsets from a connection's start, along its lifetime.
 
         The first burst sits at the flow start and the last at the flow
         end (carrying the teardown), so the flow engine can recover the
         connection's true span; longer flows get extra mid-life bursts.
         """
         if duration < 5.0:
-            offsets = [0.0]
-        elif duration < 60.0:
-            offsets = [0.0, duration]
-        else:
-            extra = sorted(
-                float(x) for x in rng.uniform(0, duration,
-                                              size=int(rng.integers(1, 3))))
-            offsets = [0.0, *extra, duration]
-        n_bursts = len(offsets)
-        raw = rng.exponential(1.0, size=n_bursts)
-        splits = (raw / raw.sum()).tolist()
-        burst_out.ts.extend([start + offset for offset in offsets])
-        burst_out.client_ip.extend([client_ip] * n_bursts)
-        burst_out.client_port.extend([client_port] * n_bursts)
-        burst_out.server_ip.extend([server_ip] * n_bursts)
-        burst_out.server_port.extend([server_port] * n_bursts)
-        burst_out.proto.extend([proto] * n_bursts)
-        burst_out.orig_bytes.extend(
-            [max(1, int(upload * split)) for split in splits])
-        burst_out.resp_bytes.extend(
-            [max(1, int(download * split)) for split in splits])
-        # Headers ride the first burst only; the last carries teardown.
-        later = n_bursts - 1
-        burst_out.user_agent.append(user_agent)
-        burst_out.user_agent.extend([None] * later)
-        burst_out.http_host.append(http_host)
-        burst_out.http_host.extend([None] * later)
-        burst_out.is_final.extend([False] * later)
-        burst_out.is_final.append(True)
+            return (0.0,)
+        if duration < 60.0:
+            return (0.0, duration)
+        # duration * rng.random(k) is rng.uniform(0, duration, size=k).
+        extra = duration * rng.random(int(rng.integers(1, 3)))
+        extra.sort()
+        return (0.0, *extra.tolist(), duration)

@@ -4,7 +4,11 @@ import numpy as np
 import pytest
 
 from repro.net.oui_db import default_oui_database
-from repro.synth.archetypes import default_archetypes
+from repro.synth.archetypes import (
+    AppArchetype,
+    DomainComponent,
+    default_archetypes,
+)
 from repro.synth.devices import DeviceKind, make_device
 from repro.synth.sessions import AppSession
 from repro.synth.wiregen import BurstColumnLists, DnsCache, WireGenerator
@@ -134,6 +138,53 @@ class TestExpansion:
             _, _, bursts = _expand(env, "web_browse", seed=seed,
                                    device=silent)
             assert all(b.user_agent is None for b in bursts)
+
+
+class TestUnresolvableDomain:
+    """A component whose domain no service registers draws its
+    connections but never emits them: no bursts, no DNS record, and no
+    count toward the connections emitted."""
+
+    @staticmethod
+    def _archetype(components):
+        return AppArchetype(
+            "ghost", components=components, mean_session_minutes=12,
+            session_minutes_sigma=0.7, connections_per_minute=1.2,
+            mean_session_bytes=22e6, bytes_sigma=0.8, flow_style="bursty")
+
+    @staticmethod
+    def _expand_archetype(env, archetype, seed):
+        plan, generator, _ = env
+        dns_out, bursts = [], BurstColumnLists()
+        count = generator.expand_session(
+            AppSession(device_id=3, archetype_name=archetype.name,
+                       start=SESSION_START, duration=20 * 60,
+                       total_bytes=50e6),
+            _device(), archetype, client_ip=0x64400101,
+            rng=np.random.default_rng(seed), dns_cache=DnsCache(),
+            dns_out=dns_out, burst_out=bursts)
+        return count, dns_out, bursts.columns()
+
+    def test_unresolvable_connections_not_counted(self, env):
+        plan = env[0]
+        # facebook is never reached straight by IP, so an unresolvable
+        # domain of its can yield no connection at all.
+        assert plan.directory.get("facebook").dnsless_fraction == 0.0
+        assert plan.directory.find_domain("ghost.invalid") is None
+        archetype = self._archetype(
+            (DomainComponent("facebook", "ghost.invalid", 1.0, 1.0),))
+        count, dns_out, bursts = self._expand_archetype(env, archetype, 0)
+        assert (count, dns_out, len(bursts)) == (0, [], 0)
+
+    def test_count_is_connections_emitted(self, env):
+        archetype = self._archetype((
+            DomainComponent("facebook", "ghost.invalid", 0.5, 0.5),
+            DomainComponent("facebook", "facebook.com", 0.5, 0.5),
+        ))
+        count, _, bursts = self._expand_archetype(env, archetype, 1)
+        assert count > 0
+        assert count == int(bursts.is_final.sum())
+        assert set(bursts.http_host.tolist()) <= {None, "facebook.com"}
 
 
 class TestLongtail:
