@@ -104,13 +104,17 @@ class TestCoverageMerge:
     def test_merge_is_permutation_invariant(self, reports, rng):
         shuffled = list(reports)
         rng.shuffle(shuffled)
+        before = [report.to_json() for report in reports]
         assert CoverageReport.merged(shuffled) == \
             CoverageReport.merged(reports)
+        assert [report.to_json() for report in reports] == before
 
     @given(shard_reports(), shard_reports())
     @settings(max_examples=100)
     def test_merge_never_shrinks_observation(self, a, b):
+        before = (a.to_json(), b.to_json())
         merged = a.merge(b)
+        assert (a.to_json(), b.to_json()) == before
         for source in SOURCES:
             assert a.observed_for(source).subtract(
                 merged.observed_for(source)).is_empty
@@ -118,7 +122,9 @@ class TestCoverageMerge:
     @given(shard_reports())
     @settings(max_examples=100)
     def test_merge_with_self_is_identity(self, report):
+        before = report.to_json()
         assert report.merge(report) == report
+        assert report.to_json() == before
 
     @given(shard_reports())
     @settings(max_examples=100)

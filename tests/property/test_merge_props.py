@@ -6,13 +6,18 @@ their concatenated flow streams, the empty shard must be an identity,
 grouping must not matter (associativity), and shard order must wash out
 after canonical ordering. Device profiles must merge as field-wise
 unions. Hypothesis drives all of it with small random flow streams.
+Per-shard ``PipelineStats`` must merge into the field-wise sum.
 """
+
+import dataclasses
+import functools
 
 from hypothesis import given, settings, strategies as st
 
 from repro.net.mac import MacAddress
 from repro.pipeline.anonymize import Anonymizer
 from repro.pipeline.dataset import NO_DOMAIN, FlowDataset
+from repro.pipeline.pipeline import PipelineStats
 from tests.oracles.dataset import RowFlowDatasetBuilder
 
 _DOMAINS = ["a.com", "b.com", "c.com", "d.com"]
@@ -141,3 +146,28 @@ class TestDeviceProfileUnion:
             assert profile.total_bytes == sum(p.total_bytes for p in parts)
             assert profile.first_ts == min(p.first_ts for p in parts)
             assert profile.last_ts == max(p.last_ts for p in parts)
+
+
+_stats = st.builds(PipelineStats, **{
+    spec.name: st.integers(min_value=0, max_value=10**6)
+    for spec in dataclasses.fields(PipelineStats)})
+
+
+class TestPipelineStatsMerge:
+    @given(st.lists(_stats, max_size=4), st.randoms(use_true_random=False))
+    @settings(max_examples=100)
+    def test_merge_is_pure_field_wise_sum(self, shards, rng):
+        before = [dataclasses.asdict(item) for item in shards]
+        expected = {spec.name: sum(getattr(item, spec.name)
+                                   for item in shards)
+                    for spec in dataclasses.fields(PipelineStats)}
+        shuffled = list(shards)
+        rng.shuffle(shuffled)
+        # Folding without a fresh accumulator makes a caller-held
+        # operand the ``self`` of the first merge.
+        folded = (functools.reduce(PipelineStats.merge, shuffled)
+                  if shuffled else PipelineStats())
+        assert dataclasses.asdict(PipelineStats.merged(shards)) == expected
+        assert dataclasses.asdict(PipelineStats.merged(shuffled)) == expected
+        assert dataclasses.asdict(folded) == expected
+        assert [dataclasses.asdict(item) for item in shards] == before
