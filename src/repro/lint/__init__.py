@@ -8,7 +8,7 @@ lock-guarded memoization.  This package checks them on every line of
 
 * :mod:`repro.lint.engine` -- parsing, project indexing, pragma
   waivers, fingerprinting;
-* :mod:`repro.lint.rules` -- the rule registry (RL001..RL006);
+* :mod:`repro.lint.rules` -- the rule registry (RL001..RL009, RL012);
 * :mod:`repro.lint.baseline` -- committed grandfathered findings;
 * :mod:`repro.lint.cli` -- ``python -m repro.lint``.
 

@@ -20,12 +20,10 @@ from repro.lint.rules.exceptions import ExceptionDisciplineRule
 from repro.lint.rules.fingerprint_drift import FingerprintDriftRule
 from repro.lint.rules.kernel_twins import KernelTwinsRule
 from repro.lint.rules.locks import LockDisciplineRule
-from repro.lint.rules.merge_purity import MergePurityRule
 from repro.lint.rules.rowloops import RowLoopRule
-from repro.lint.rules.taintflow import InterproceduralTaintRule
 from repro.lint.rules.typed_core import TypedCoreRule
 
-#: Every registered rule, in rule-id order.
+#: Every registered rule, in rule-id order (retired ids stay unused).
 ALL_RULES: Sequence[Rule] = (
     DeterminismRule(),
     AnonymizationTaintRule(),
@@ -36,8 +34,6 @@ ALL_RULES: Sequence[Rule] = (
     RowLoopRule(),
     FingerprintDriftRule(),
     BitIdentityRule(),
-    InterproceduralTaintRule(),
-    MergePurityRule(),
     AtomicChokepointRule(),
 )
 

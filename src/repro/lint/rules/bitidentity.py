@@ -1,15 +1,16 @@
-"""RL009: no order/entropy nondeterminism in bit-identity-gated code.
+"""RL009: no order nondeterminism in bit-identity-gated code.
 
 The chaos and resume harnesses assert byte-identical artifacts across
 reruns, worker counts, and crash/resume schedules; the golden tests pin
-exact bytes per seed.  Three stdlib habits silently break that gate:
+exact bytes per seed.  Two stdlib habits silently break that gate:
 
 * iterating a ``set``/``frozenset`` (iteration order varies with the
   per-process hash seed),
 * enumerating a directory without sorting (``os.listdir``, ``glob``,
-  ``Path.iterdir`` return OS order),
-* reading clocks or unseeded RNGs (also policed tree-wide by RL001;
-  repeated here so the bit-identity gate is self-contained).
+  ``Path.iterdir`` return OS order).
+
+Clocks and unseeded RNGs are RL001's: it scans every module this rule
+gates, so it is not repeated here.
 
 The rule works on the lowered facts IR: set-typedness is inferred per
 function (literals, constructors, ``.union()`` results, set-annotated
@@ -25,11 +26,6 @@ from typing import Iterator, Set
 
 from repro.lint.engine import Finding
 from repro.lint.rules.base import Rule
-from repro.lint.rules.determinism import (
-    BANNED_CALLS,
-    BANNED_PREFIXES,
-    SEEDABLE_CONSTRUCTORS,
-)
 from repro.lint.semantics.facts import FunctionFacts, ModuleFacts
 from repro.lint.semantics.model import SemanticModel
 
@@ -81,8 +77,9 @@ def _set_typed_names(fn: FunctionFacts,
 
 class BitIdentityRule(Rule):
     rule_id = "RL009"
-    title = ("no set-order iteration, unsorted directory listings, or "
-             "ambient entropy in bit-identity-gated code")
+    title = ("no set-order iteration or unsorted directory listings in "
+             "bit-identity-gated code")
+    cache_version = "2"
     needs_semantics = True
 
     def check_semantics(self,
@@ -125,20 +122,3 @@ class BitIdentityRule(Rule):
                     f"{fn.qualname} enumerates a directory via {name}() "
                     f"without sorted(); filesystem order is not "
                     f"deterministic across hosts")
-            elif callee in BANNED_CALLS:
-                yield self.finding_at(
-                    facts.relpath, call.line, call.col,
-                    f"{fn.qualname} calls {callee}() inside "
-                    f"bit-identity-gated code; derive values from the "
-                    f"study seed instead")
-            elif callee in SEEDABLE_CONSTRUCTORS:
-                if not call.args:
-                    yield self.finding_at(
-                        facts.relpath, call.line, call.col,
-                        f"{fn.qualname} constructs {callee}() without an "
-                        f"explicit seed inside bit-identity-gated code")
-            elif callee.startswith(BANNED_PREFIXES):
-                yield self.finding_at(
-                    facts.relpath, call.line, call.col,
-                    f"{fn.qualname} calls {callee}() which uses a global "
-                    f"RNG stream inside bit-identity-gated code")

@@ -2,10 +2,10 @@
 
 Every function body is lowered into a flat tuple of :class:`Instr`
 records over :class:`Atom` value references.  The lowering keeps just
-enough structure for the dataflow clients -- which names flow into
-which, where calls/renders/iterations/mutations happen, and what each
-call resolved to through the module's imports -- while dropping the
-AST itself, so a module's facts pickle compactly and cache on disk
+enough structure for the semantic rules -- which names flow into
+which, where calls/renders/iterations happen, and what each call
+resolved to through the module's imports -- while dropping the AST
+itself, so a module's facts pickle compactly and cache on disk
 keyed by the file's content hash (bump :data:`FACTS_VERSION` whenever
 the lowering changes shape or meaning).
 
@@ -16,13 +16,12 @@ Atoms name the possible *origins* of a value:
   e.g. ``"self.config"``; ``getattr(x, "lit")`` lowers here too);
 * ``call``  -- the result of the call whose id is in ``root``;
 * ``set``   -- a syntactically set-typed constructor (set/frozenset
-  literals, set comprehensions, ``set(...)`` calls, ``.union(...)``);
-* ``const`` -- a literal (kept only where a client needs it).
+  literals, set comprehensions, ``set(...)`` calls, ``.union(...)``).
 
 The lowering is a *may* abstraction: compound expressions union the
 atoms of their operands, tuple targets all receive the full right-hand
-side, and loops/branches impose no kill information.  Clients that
-propagate labels over the IR therefore over-approximate, never miss.
+side, and loops/branches impose no kill information.  Rules that
+propagate names over the IR therefore over-approximate, never miss.
 """
 
 from __future__ import annotations
@@ -34,7 +33,7 @@ from typing import Dict, Iterator, List, Optional, Tuple
 from repro.lint.engine import ModuleInfo
 
 #: Cache schema version for pickled :class:`ModuleFacts`.
-FACTS_VERSION = 1
+FACTS_VERSION = 2
 
 #: Call targets whose only effect is ordering/shaping their argument;
 #: descending into their arguments keeps `sorted(...)` wrappers visible
@@ -54,7 +53,7 @@ _SET_CONSTRUCTORS = frozenset({"set", "frozenset"})
 class Atom:
     """One possible origin of a value inside an expression."""
 
-    kind: str            # "var" | "attr" | "call" | "set" | "const"
+    kind: str            # "var" | "attr" | "call" | "set"
     root: str = ""       # var name, attr base path, or call id
     attr: str = ""       # attribute name for kind == "attr"
     line: int = 0
@@ -102,9 +101,8 @@ class Instr:
 
     ``op`` is one of ``assign`` (targets get the atoms), ``return``,
     ``call`` (see :attr:`call`), ``render`` (an f-string/format
-    interpolation of the atoms), ``iterate`` (a for-loop or
-    comprehension walking the atoms), and ``mutate`` (an in-place
-    store/del/augassign through the path in ``targets[0]``).
+    interpolation of the atoms), and ``iterate`` (a for-loop or
+    comprehension walking the atoms).
     """
 
     op: str
@@ -113,8 +111,7 @@ class Instr:
     call: Optional[CallFact] = None
     line: int = 0
     col: int = 0
-    #: mutation kind (store-attr | store-item | del | aug) or, on an
-    #: assign, "iter-bind" when the target is a loop variable.
+    #: On an assign, "iter-bind" when the target is a loop variable.
     how: str = ""
     #: For ``iterate``: the iterable is already wrapped in sorted(...).
     sorted_wrapped: bool = False
@@ -130,11 +127,7 @@ class FunctionFacts:
     class_name: str                     # "" at module level
     params: Tuple[str, ...]
     param_annotations: Tuple[str, ...]  # import-resolved dotted, or ""
-    decorators: Tuple[str, ...]
-    docstring: str
     instrs: Tuple[Instr, ...]
-    line: int
-    col: int
 
     def param_index(self, name: str) -> Optional[int]:
         """Position of a parameter (also resolving keyword args)."""
@@ -160,7 +153,6 @@ class ModuleFacts:
 
     module: str
     relpath: str
-    sha256: str
     functions: Tuple[FunctionFacts, ...]
     classes: Dict[str, ClassFacts] = field(default_factory=dict)
     #: Module-level ``NAME = frozenset({"a", ...})`` string-set
@@ -361,25 +353,17 @@ class _FunctionLowering:
             self._bind_target(target.value, atoms, how)
         elif isinstance(target, ast.Attribute):
             path = _path_of(target)
-            base = _path_of(target.value)
             if path is not None:
                 self.instrs.append(Instr(
                     "assign", targets=(path,), atoms=atoms,
-                    line=target.lineno, col=target.col_offset))
-            if base is not None:
-                self.instrs.append(Instr(
-                    "mutate", targets=(base,), how="store-attr",
                     line=target.lineno, col=target.col_offset))
         elif isinstance(target, ast.Subscript):
             self.atoms(target.slice)
             base = _path_of(target.value)
             if base is not None:
-                # Storing into x[k] both mutates x and taints it.
+                # Storing into x[k] flows the value into x.
                 self.instrs.append(Instr(
                     "assign", targets=(base,), atoms=atoms,
-                    line=target.lineno, col=target.col_offset))
-                self.instrs.append(Instr(
-                    "mutate", targets=(base,), how="store-item",
                     line=target.lineno, col=target.col_offset))
             else:
                 self.atoms(target.value)
@@ -397,13 +381,7 @@ class _FunctionLowering:
             if node.value is not None:
                 self._bind_target(node.target, self.atoms(node.value))
         elif isinstance(node, ast.AugAssign):
-            atoms = self.atoms(node.value)
-            self._bind_target(node.target, atoms)
-            base = _path_of(node.target)
-            if base is not None and not isinstance(node.target, ast.Name):
-                self.instrs.append(Instr(
-                    "mutate", targets=(base,), how="aug",
-                    line=node.lineno, col=node.col_offset))
+            self._bind_target(node.target, self.atoms(node.value))
         elif isinstance(node, ast.Return):
             self.instrs.append(Instr(
                 "return", atoms=self.atoms(node.value),
@@ -435,17 +413,6 @@ class _FunctionLowering:
                 self.lower_body(handler.body)
             self.lower_body(node.orelse)
             self.lower_body(node.finalbody)
-        elif isinstance(node, ast.Delete):
-            for target in node.targets:
-                base = None
-                if isinstance(target, (ast.Attribute, ast.Subscript)):
-                    base = _path_of(target.value
-                                    if isinstance(target, ast.Subscript)
-                                    else target.value)
-                if base is not None:
-                    self.instrs.append(Instr(
-                        "mutate", targets=(base,), how="del",
-                        line=node.lineno, col=node.col_offset))
         elif isinstance(node, ast.Raise):
             if node.exc is not None:
                 self.atoms(node.exc)
@@ -456,7 +423,8 @@ class _FunctionLowering:
         elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
             self._extractor.lower_function(
                 node, class_name="", parent=None)
-        # Import/Global/Nonlocal/Pass/Break/Continue/ClassDef: no facts.
+        # Import/Global/Nonlocal/Pass/Break/Continue/ClassDef/Delete:
+        # no facts.
 
 
 class _ModuleExtractor:
@@ -530,8 +498,6 @@ class _ModuleExtractor:
             self.resolve_name(arg.annotation)
             if arg.annotation is not None else ""
             for arg in ordered)
-        decorators = tuple(
-            self.resolve_name(dec) for dec in node.decorator_list)
         lowering = _FunctionLowering(self)
         lowering.lower_body(node.body)
         self.functions.append(FunctionFacts(
@@ -541,11 +507,7 @@ class _ModuleExtractor:
             class_name=class_name,
             params=params,
             param_annotations=annotations,
-            decorators=decorators,
-            docstring=ast.get_docstring(node) or "",
             instrs=tuple(lowering.instrs),
-            line=node.lineno,
-            col=node.col_offset,
         ))
         for child in node.body:
             if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
@@ -592,7 +554,6 @@ class _ModuleExtractor:
         return ModuleFacts(
             module=self._info.module,
             relpath=self._info.relpath,
-            sha256=getattr(self._info, "sha256", ""),
             functions=tuple(self.functions),
             classes=self.classes,
             string_sets=self.string_sets,

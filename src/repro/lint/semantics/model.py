@@ -150,10 +150,6 @@ class SemanticModel:
             return "dynamic", call.method
         return "unknown", ""
 
-    def function_in(self, module: str,
-                    name: str) -> Optional[FunctionFacts]:
-        return self.functions.get(f"{module}.{name}")
-
 
 _MODEL_CACHE: List[Tuple[int, ProjectIndex, SemanticModel]] = []
 _MODEL_CACHE_MAX = 4

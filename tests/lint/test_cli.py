@@ -7,11 +7,13 @@ because fingerprints hash source text, not line numbers.
 """
 
 import json
+import re
 import subprocess
 import sys
 from pathlib import Path
 
 from repro.lint.cli import main
+from repro.lint.rules import RULES_BY_ID
 
 REPO_ROOT = Path(__file__).resolve().parents[2]
 
@@ -48,11 +50,10 @@ def test_seeded_violation_exits_nonzero(mini_repo, capsys):
     out = capsys.readouterr().out
     assert code == 1
     assert "RL001" in out
-    # The same wall-clock read also trips the bit-identity rule: the
-    # module sits under a gated prefix, and RL009 is the semantic
-    # (reachability-aware) complement of RL001's lexical ban.
-    assert "RL009" in out
-    assert "2 new finding(s)" in out
+    # The module sits under a bit-identity-gated prefix, but the clock
+    # read is RL001's alone: RL009 does not report it a second time.
+    assert "RL009" not in out
+    assert "1 new finding(s)" in out
 
 
 def test_rule_filter_limits_to_selected_rule(mini_repo, capsys):
@@ -93,7 +94,7 @@ def test_update_baseline_then_clean_run(mini_repo, capsys):
     assert main(["--root", str(mini_repo.root), "--update-baseline"]) == 0
     assert main(["--root", str(mini_repo.root)]) == 0
     out = capsys.readouterr().out
-    assert "2 baselined" in out
+    assert "1 baselined" in out
 
 
 def test_baseline_survives_line_drift(mini_repo, capsys):
@@ -110,7 +111,7 @@ def test_baseline_survives_line_drift(mini_repo, capsys):
         "import time", "import time\n\nPADDING = 1\nMORE_PADDING = 2")
     path.write_text(drifted)
     assert main(["--root", str(mini_repo.root)]) == 0
-    assert "2 baselined" in capsys.readouterr().out
+    assert "1 baselined" in capsys.readouterr().out
 
 
 def test_fixed_finding_is_reported_stale(mini_repo, capsys):
@@ -140,19 +141,22 @@ def test_json_format_is_machine_readable(mini_repo, capsys):
     assert payload["new"][0]["fingerprint"]
 
 
-def test_list_rules_names_all_twelve(capsys):
+def test_list_rules_and_docs_match_the_registry(capsys):
     assert main(["--list-rules"]) == 0
-    out = capsys.readouterr().out
-    for number in range(1, 13):
-        assert f"RL{number:03d}" in out
+    listed = [line.split()[0]
+              for line in capsys.readouterr().out.splitlines() if line]
+    assert listed == list(RULES_BY_ID)
+    table = (REPO_ROOT / "docs" / "LINTING.md").read_text()
+    documented = re.findall(r"^\| (RL\d{3}) \|", table, re.MULTILINE)
+    assert documented == list(RULES_BY_ID)
 
 
 def test_comma_separated_rule_filter(mini_repo, capsys):
     mini_repo.write("analysis/bad", """\
         import time
 
-        def stamp():
-            return time.time()
+        def stamp(rows):
+            return time.time(), [row for row in {r.kind for r in rows}]
         """)
     code = main(["--root", str(mini_repo.root), "--rule", "RL001,RL009"])
     out = capsys.readouterr().out

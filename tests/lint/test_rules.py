@@ -47,6 +47,18 @@ def test_rl001_flags_global_rng_stream(mini_repo):
     assert "global RNG stream" in findings[0].message
 
 
+def test_rl001_flags_unseeded_rng_in_gated_code(mini_repo):
+    mini_repo.write("stats/noise", """\
+        import random
+
+        def jitter():
+            return random.Random().random()
+        """)
+    findings = mini_repo.run_rule("RL001")
+    assert len(findings) == 1
+    assert "explicit seed" in findings[0].message
+
+
 def test_rl001_allows_seeded_rng_and_allowlisted_modules(mini_repo):
     mini_repo.write("synth/noise", """\
         import numpy as np
@@ -682,128 +694,6 @@ def test_rl009_sorted_listdir_and_ungated_modules_comply(mini_repo):
             return os.listdir(directory)
         """)
     assert mini_repo.run_rule("RL009") == []
-
-
-def test_rl009_flags_unseeded_rng_in_gated_code(mini_repo):
-    mini_repo.write("stats/noise", """\
-        import random
-
-        def jitter():
-            return random.Random().random()
-        """)
-    findings = mini_repo.run_rule("RL009")
-    assert len(findings) == 1
-    assert "explicit seed" in findings[0].message
-
-
-# --- RL010: interprocedural anonymization taint -----------------------------
-
-def test_rl010_catches_renamed_mac_where_rl002_misses(mini_repo):
-    # The differential case from the issue: a raw MAC flows through a
-    # helper, loses its telltale name, and only then reaches a sink.
-    # RL002's name heuristic sees nothing; the dataflow summary does.
-    mini_repo.write("analysis/export", """\
-        import json
-
-        def describe(mac):
-            label = mac.upper()
-            return label
-
-        def export(record):
-            label = describe(record.mac)
-            return json.dumps({"device": label})
-        """)
-    assert mini_repo.run_rule("RL002") == []
-    findings = mini_repo.run_rule("RL010")
-    assert len(findings) == 1
-    assert "json.dumps" in findings[0].message
-    assert "anonymization boundary" in findings[0].message
-
-
-def test_rl010_anonymizer_boundary_sanitizes(mini_repo):
-    mini_repo.write("analysis/export", """\
-        import json
-
-        def export(record, anonymizer):
-            token = anonymizer.device(record.mac)
-            return json.dumps({"device": token})
-        """)
-    assert mini_repo.run_rule("RL010") == []
-
-
-def test_rl010_hashing_sanitizes(mini_repo):
-    mini_repo.write("analysis/export", """\
-        import hashlib
-
-        def export(record):
-            digest = hashlib.sha256(record.mac.encode()).hexdigest()
-            return print(digest)
-        """)
-    assert mini_repo.run_rule("RL010") == []
-
-
-def test_rl010_exempt_raw_layers_do_not_report(mini_repo):
-    mini_repo.write("synth/emit", """\
-        import json
-
-        def dump(record):
-            return json.dumps({"mac": record.mac})
-        """)
-    assert mini_repo.run_rule("RL010") == []
-
-
-# --- RL011: merge purity ----------------------------------------------------
-
-def test_rl011_flags_mutation_of_non_self_operand(mini_repo):
-    mini_repo.write("pipeline/fold", """\
-        class Builder:
-            def merge(self, other):
-                other.rows.clear()
-                return self
-        """)
-    findings = mini_repo.run_rule("RL011")
-    assert len(findings) == 1
-    assert "mutates its input 'other'" in findings[0].message
-
-
-def test_rl011_flags_mutation_through_a_callee(mini_repo):
-    mini_repo.write("pipeline/fold", """\
-        def drain(chunk):
-            chunk.rows.clear()
-
-        def merge(left, right):
-            drain(right)
-            return left
-        """)
-    findings = mini_repo.run_rule("RL011")
-    assert len(findings) == 1
-    assert "'right'" in findings[0].message
-    assert "drain" in findings[0].message
-
-
-def test_rl011_flags_io_in_merge(mini_repo):
-    mini_repo.write("pipeline/fold", """\
-        def merge(left, right):
-            with open("/tmp/debug.log", "a") as fileobj:
-                fileobj.write("merging")
-            return left
-        """)
-    findings = mini_repo.run_rule("RL011")
-    assert findings
-    assert any("I/O" in f.message for f in findings)
-
-
-def test_rl011_self_fold_and_pure_merge_comply(mini_repo):
-    mini_repo.write("pipeline/fold", """\
-        class Builder:
-            def merge(self, other):
-                self.rows.extend(other.rows)
-                return self
-
-        def merged(left, right):
-            return left + right
-        """)
-    assert mini_repo.run_rule("RL011") == []
 
 
 # --- RL012: atomic write chokepoint -----------------------------------------

@@ -1,9 +1,9 @@
 """Unit tests for the semantic-analysis layer as an API of its own.
 
 These exercise :mod:`repro.lint.semantics` directly -- facts lowering,
-symbol/export resolution, call-graph reachability, and the dataflow
-engine's summaries -- independent of any lint rule, because the layer
-is a documented API other tooling may build on.
+symbol/export resolution and call-graph reachability -- independent of
+any lint rule, because the layer is a documented API other tooling may
+build on.
 """
 
 import pickle
@@ -12,8 +12,6 @@ from textwrap import dedent
 from repro.lint.engine import build_index
 from repro.lint.semantics import (
     CallGraph,
-    DataflowEngine,
-    TaintSpec,
     extract_module_facts,
     iter_atoms,
     model_for,
@@ -70,7 +68,7 @@ def test_facts_mark_sorted_wrappers_and_iter_binds(mini_repo):
 def test_facts_keep_unresolvable_call_bases_as_extra_atoms(mini_repo):
     # `text.strip().lower()`: the outer call's base is itself a call,
     # so it has no dotted path -- its atoms must survive in `extra` or
-    # label chains break mid-expression.
+    # name tracking (RL012's staged paths) breaks mid-expression.
     facts = _module_facts(mini_repo, "util/demo", """\
         def norm(text):
             return text.strip().lower()
@@ -80,8 +78,8 @@ def test_facts_keep_unresolvable_call_bases_as_extra_atoms(mini_repo):
                  if i.op == "call" and i.call.method == "lower")
     assert outer.extra
     # The extra atom references the inner strip() call, whose receiver
-    # is the parameter -- so the label chain param -> strip -> lower
-    # stays connected.
+    # is the parameter -- so the chain param -> strip -> lower stays
+    # connected.
     inner = next(i.call for i in fn.instrs
                  if i.op == "call" and i.call.method == "strip")
     assert inner.receiver == "text"
@@ -155,120 +153,3 @@ def test_callgraph_reachability_crosses_modules(mini_repo):
     assert "repro.b.leaf.helper" in reached
     assert "repro.b.leaf.lonely" in reached
     assert "repro.b.leaf.unreachable" not in reached
-
-
-# --- dataflow summaries -----------------------------------------------------
-
-TAINT_SPEC = TaintSpec(
-    name="test",
-    source_attr=lambda attr: attr == "secret",
-    sink_call=lambda call, resolved: (
-        resolved if resolved == "json.dumps" else None),
-    sanitizer=lambda call, resolved: resolved == "hash",
-)
-
-
-def test_taint_flows_through_helper_returns(mini_repo):
-    mini_repo.write("flow/leak", """\
-        import json
-
-        def relabel(value):
-            renamed = value
-            return renamed
-
-        def emit(record):
-            return json.dumps(relabel(record.secret))
-        """)
-    model = _model(mini_repo)
-    hits = list(DataflowEngine(model, TAINT_SPEC).taint_hits())
-    assert len(hits) == 1
-    assert hits[0].qualname == "repro.flow.leak.emit"
-    assert hits[0].sink == "json.dumps"
-
-
-def test_sanitizer_stops_taint(mini_repo):
-    mini_repo.write("flow/clean", """\
-        import json
-
-        def emit(record):
-            token = hash(record.secret)
-            return json.dumps(token)
-        """)
-    model = _model(mini_repo)
-    assert list(DataflowEngine(model, TAINT_SPEC).taint_hits()) == []
-
-
-def test_summary_reports_mutated_params(mini_repo):
-    mini_repo.write("flow/mut", """\
-        def fill(bucket, value):
-            bucket.append(value)
-        """)
-    model = _model(mini_repo)
-    summary = DataflowEngine(model).summary("repro.flow.mut.fill")
-    assert summary.mutated_params == frozenset({0})
-    assert summary.mutations_for(0)
-
-
-def test_mutation_propagates_through_call_summaries(mini_repo):
-    mini_repo.write("flow/mut", """\
-        def drain(chunk):
-            chunk.clear()
-
-        def merge(left, right):
-            drain(right)
-            return left
-        """)
-    model = _model(mini_repo)
-    summary = DataflowEngine(model).summary("repro.flow.mut.merge")
-    assert 1 in summary.mutated_params
-    assert 0 not in summary.mutated_params
-
-
-def test_value_derivation_is_not_object_identity(mini_repo):
-    # Reading a value out of `other` and storing it into `self` taints
-    # the *value* space only: mutating self's container afterwards must
-    # not report `other` as mutated.  This is the two-label-space
-    # property the engine's precision rests on.
-    mini_repo.write("flow/ident", """\
-        class Builder:
-            def merge(self, other):
-                for key in other.keys:
-                    self.index[key] = other.lookup(key)
-                self.rows.append(1)
-                return self
-        """)
-    model = _model(mini_repo)
-    summary = DataflowEngine(model).summary(
-        "repro.flow.ident.Builder.merge")
-    assert summary.mutated_params == frozenset({0})
-    assert summary.return_ident  # `return self` aliases P0
-
-
-def test_fresh_containers_have_no_param_identity(mini_repo):
-    mini_repo.write("flow/fresh", """\
-        def snapshot(source):
-            return dict(rows=source.rows)
-
-        def merge(left, right):
-            copy = snapshot(right)
-            copy["extra"] = 1
-            return left
-        """)
-    model = _model(mini_repo)
-    summary = DataflowEngine(model).summary("repro.flow.fresh.merge")
-    # The mutated dict is a fresh object built *from* right, not right
-    # itself: no input parameter may be reported mutated.
-    assert summary.mutated_params == frozenset()
-
-
-def test_io_sites_are_collected(mini_repo):
-    mini_repo.write("flow/io", """\
-        def merge(left, right):
-            with open("/tmp/log", "a") as fileobj:
-                fileobj.write("x")
-            return left
-        """)
-    model = _model(mini_repo)
-    summary = DataflowEngine(model).summary("repro.flow.io.merge")
-    assert summary.io_sites
-    assert any(site.sink == "open" for site in summary.io_sites)
