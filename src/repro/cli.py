@@ -33,6 +33,7 @@ from repro.analysis.expectations import (
     render_outcomes,
 )
 from repro.core.report import render_full_report
+from repro.pipeline.parallel import check_shard_deadline
 from repro.pipeline.store import load_dataset, save_dataset
 from repro.reliability.atomic import write_text
 
@@ -155,6 +156,12 @@ def _cmd_run(args: argparse.Namespace) -> int:
         return _cmd_run_journaled(args)
     if args.resume_run or args.run_id:
         raise SystemExit("--run-id/--resume-run require --journal-dir")
+    try:
+        # Checked before the study starts, so a bad value costs no
+        # simulation.
+        check_shard_deadline(args.workers, args.shard_deadline)
+    except ValueError as exc:
+        raise SystemExit(f"--shard-deadline: {exc}") from exc
     config = _run_config(args)
     study = LockdownStudy(config)
     started = time.time()
@@ -458,9 +465,10 @@ def build_parser() -> argparse.ArgumentParser:
                           "to attribute flows inside a DHCP telemetry gap "
                           "(0 disables degraded attribution)")
     run.add_argument("--shard-deadline", type=float, default=None,
-                     help="watchdog deadline in seconds: a shard that "
-                          "makes no heartbeat progress for this long is "
-                          "killed and retried as a transient failure")
+                     help="watchdog deadline in seconds (needs --workers "
+                          "> 1): a shard that makes no heartbeat progress "
+                          "for this long is killed and retried as a "
+                          "transient failure, charged to --max-retries")
     run.add_argument("--strict-coverage", action="store_true",
                      help="refuse to analyze a run with telemetry gaps "
                           "instead of degrading (guarantees bit-identical "

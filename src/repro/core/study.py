@@ -217,8 +217,9 @@ class LockdownStudy:
         ``strict_coverage=True`` makes the run fail (with
         :class:`~repro.reliability.errors.CoverageError`) if any
         telemetry source had gaps; ``shard_deadline`` enables the shard
-        watchdog (seconds without worker progress before a kill+retry;
-        parallel runs only).
+        watchdog (seconds without worker progress before a kill+retry).
+        It needs ``workers > 1``: with one worker it raises
+        ``ValueError``.
         """
         report = progress or _silent
         config = self.config
@@ -353,11 +354,12 @@ def _ingest(config: StudyConfig,
     abort any arm mid-ingest. ``generator`` drives the serial walk;
     ``None`` builds a fresh one for the arm's phase.
     """
+    from repro.pipeline.parallel import ParallelPipeline, check_shard_deadline
+
     if workers < 1:
         raise ValueError("workers must be at least 1")
+    check_shard_deadline(workers, shard_deadline)
     if workers > 1:
-        from repro.pipeline.parallel import ParallelPipeline
-
         result = ParallelPipeline(
             config, workers, presence=presence,
             phase_override=phase_override, window=window, day0=day0,

@@ -33,7 +33,7 @@ from typing import Dict, Iterator, List, Optional, Tuple
 from repro.lint.engine import ModuleInfo
 
 #: Cache schema version for pickled :class:`ModuleFacts`.
-FACTS_VERSION = 2
+FACTS_VERSION = 3
 
 #: Call targets whose only effect is ordering/shaping their argument;
 #: descending into their arguments keeps `sorted(...)` wrappers visible
@@ -101,8 +101,10 @@ class Instr:
 
     ``op`` is one of ``assign`` (targets get the atoms), ``return``,
     ``call`` (see :attr:`call`), ``render`` (an f-string/format
-    interpolation of the atoms), and ``iterate`` (a for-loop or
-    comprehension walking the atoms).
+    interpolation of the atoms), ``iterate`` (a for-loop or
+    comprehension walking the atoms), and ``use`` (the atoms are read
+    and the value dropped: a branch or assert test, a comprehension
+    filter, a raised exception or a bare expression statement).
     """
 
     op: str
@@ -283,7 +285,7 @@ class _FunctionLowering:
                 col=gen.iter.col_offset, sorted_wrapped=wrapped))
             self._bind_target(gen.target, iter_atoms, how="iter-bind")
             for cond in gen.ifs:
-                self.atoms(cond)
+                self._use(cond)
         return self._union(elements)
 
     def _is_sorted_call(self, node: ast.expr) -> bool:
@@ -372,6 +374,13 @@ class _FunctionLowering:
         for stmt in body:
             self._stmt(stmt)
 
+    def _use(self, node: Optional[ast.expr]) -> None:
+        """Lower an expression whose value is read, then dropped."""
+        if node is not None:
+            self.instrs.append(Instr(
+                "use", atoms=self.atoms(node),
+                line=node.lineno, col=node.col_offset))
+
     def _stmt(self, node: ast.stmt) -> None:
         if isinstance(node, ast.Assign):
             atoms = self.atoms(node.value)
@@ -387,7 +396,7 @@ class _FunctionLowering:
                 "return", atoms=self.atoms(node.value),
                 line=node.lineno, col=node.col_offset))
         elif isinstance(node, ast.Expr):
-            self.atoms(node.value)
+            self._use(node.value)
         elif isinstance(node, (ast.For, ast.AsyncFor)):
             iter_atoms = self.atoms(node.iter)
             self.instrs.append(Instr(
@@ -398,7 +407,7 @@ class _FunctionLowering:
             self.lower_body(node.body)
             self.lower_body(node.orelse)
         elif isinstance(node, (ast.While, ast.If)):
-            self.atoms(node.test)
+            self._use(node.test)
             self.lower_body(node.body)
             self.lower_body(node.orelse)
         elif isinstance(node, (ast.With, ast.AsyncWith)):
@@ -414,12 +423,10 @@ class _FunctionLowering:
             self.lower_body(node.orelse)
             self.lower_body(node.finalbody)
         elif isinstance(node, ast.Raise):
-            if node.exc is not None:
-                self.atoms(node.exc)
+            self._use(node.exc)
         elif isinstance(node, ast.Assert):
-            self.atoms(node.test)
-            if node.msg is not None:
-                self.atoms(node.msg)
+            self._use(node.test)
+            self._use(node.msg)
         elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
             self._extractor.lower_function(
                 node, class_name="", parent=None)

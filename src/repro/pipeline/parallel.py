@@ -62,13 +62,17 @@ Fault tolerance (see :mod:`repro.reliability` and the chaos suite in
   A checkpoint that reads back corrupt is discarded, counted
   (``PipelineStats.checkpoints_invalid``) and re-ingested instead of
   aborting the resume;
-* with a ``shard_deadline``, a :class:`~repro.reliability.watchdog`
-  supervisor watches per-shard heartbeat files while futures are in
-  flight: a shard that stops making progress is killed (its worker
-  terminated, the pool rebuilt), classified transient
-  (:class:`~repro.reliability.watchdog.WatchdogTimeout`) and re-queued
-  under the same retry policy, while a per-shard circuit breaker fails
-  the run cleanly after ``circuit_limit`` consecutive timeouts.
+* with a ``shard_deadline`` (``workers > 1`` only), a
+  :class:`~repro.reliability.watchdog.ShardWatchdog` watches per-shard
+  heartbeat files while futures are in flight; a shard that stops
+  making progress is killed and charged a transient
+  :class:`~repro.reliability.watchdog.WatchdogTimeout` under the same
+  retry policy, the only budget a shard has.
+
+A single-worker run retries each shard in process through
+:func:`~repro.reliability.retry.run_with_retries`. A pool run has one
+loop and one reclaim path, which charges every in-flight shard after a
+pool death and only the stalled ones after a watchdog kill.
 
 Telemetry gaps (``FaultPlan.log_gaps``) are applied worker-side via
 :meth:`~repro.reliability.faults.FaultPlan.drop_log_span` before each
@@ -100,10 +104,10 @@ from repro.reliability.checkpoint import CheckpointStore
 from repro.reliability.coverage import CoverageReport
 from repro.reliability.errors import CheckpointError, ShardError, is_transient
 from repro.reliability.faults import FaultPlan, LogGap, maybe_crash
-from repro.reliability.retry import RetryPolicy
+from repro.reliability.retry import RetryPolicy, run_with_retries
 from repro.reliability.watchdog import (
+    POLL_SECONDS,
     ShardWatchdog,
-    WatchdogPolicy,
     WatchdogTimeout,
     read_heartbeat,
     write_heartbeat,
@@ -114,7 +118,7 @@ from repro.util.timeutil import DAY, format_day, iter_days
 #: burst falls on its last owned day can close naturally. One day is a
 #: generous bound: sessions end at their day's cutoff, so a flow only
 #: outlives its first day through idle-timeout chaining.
-DEFAULT_TAIL_SECONDS = DAY
+TAIL_SECONDS = DAY
 
 ProgressFn = Callable[[str], None]
 
@@ -187,24 +191,24 @@ def gap_warmup_allowance(config: StudyConfig,
     return math.ceil(extra / DAY) * DAY
 
 
-def plan_shards(config: StudyConfig, n_shards: int,
-                warmup_seconds: Optional[float] = None,
-                tail_seconds: float = DEFAULT_TAIL_SECONDS,
+def plan_shards(config: StudyConfig, n_shards: int, *,
+                gaps: Sequence[LogGap] = (),
                 window: Optional[Tuple[float, float]] = None,
                 ) -> List[ShardSpec]:
     """Split the study window into contiguous, balanced day shards.
 
     Owned ranges partition the window's days exactly; generation ranges
-    extend each shard by the warm-up and tail horizons, clamped to the
-    window. Requests for more shards than days are capped. ``window``
-    overrides the config's ``(start_ts, end_ts)`` -- used by the 2019
-    baseline, which measures the same population over a different
-    calendar range.
+    extend each shard by the warm-up (widened by
+    :func:`gap_warmup_allowance` for the planned telemetry ``gaps``)
+    and tail horizons, clamped to the window. Requests for more shards
+    than days are capped. ``window`` overrides the config's
+    ``(start_ts, end_ts)`` -- used by the 2019 baseline, which measures
+    the same population over a different calendar range.
     """
     if n_shards < 1:
         raise ValueError("n_shards must be at least 1")
-    if warmup_seconds is None:
-        warmup_seconds = default_warmup_seconds(config)
+    warmup_seconds = (default_warmup_seconds(config)
+                      + gap_warmup_allowance(config, gaps))
     window_start, window_end = window or (config.start_ts, config.end_ts)
     day_starts = list(iter_days(window_start, window_end))
     n_days = len(day_starts)
@@ -225,9 +229,26 @@ def plan_shards(config: StudyConfig, n_shards: int,
             owned_start=None if index == 0 else first_day,
             owned_end=None if index == n_shards - 1 else end_ts,
             gen_start=max(window_start, first_day - warmup_seconds),
-            gen_end=min(window_end, end_ts + tail_seconds),
+            gen_end=min(window_end, end_ts + TAIL_SECONDS),
         ))
     return shards
+
+
+def check_shard_deadline(workers: int,
+                         shard_deadline: Optional[float]) -> None:
+    """Refuse a shard deadline the watchdog could not honour.
+
+    Only a pool run (``workers > 1``) has a watchdog, and a deadline
+    that is not a finite number above 0 never fires or fires at once.
+    """
+    if shard_deadline is None:
+        return
+    if workers == 1:
+        raise ValueError("a shard deadline needs workers > 1: an "
+                         "in-process ingest has no watchdog")
+    if not (math.isfinite(shard_deadline) and shard_deadline > 0):
+        raise ValueError(f"a shard deadline must be a finite number of "
+                         f"seconds above 0, got {shard_deadline!r}")
 
 
 @dataclass(frozen=True)
@@ -238,9 +259,7 @@ class _ShardTask:
     spec: ShardSpec
     presence: str
     phase_override: Optional[str]
-    #: Test hook: raise before generating this day (failure injection).
-    fault_day: Optional[float]
-    #: Chaos hook: seeded kill/transient faults (attempt-aware).
+    #: Chaos hook: seeded kill/transient/fatal/hang faults and log gaps.
     faults: Optional[FaultPlan] = None
     #: 0-based attempt number; lets the fault injector fire on chosen
     #: attempts so tests can prove *recovery*, not just failure.
@@ -251,10 +270,6 @@ class _ShardTask:
     #: Heartbeat file this worker touches once per ingested day; set
     #: only when the shard watchdog is enabled.
     heartbeat_path: Optional[str] = None
-
-
-class InjectedShardFault(RuntimeError):
-    """Raised inside a worker by the failure-injection test hook."""
 
 
 def _ingest_shard(
@@ -282,9 +297,6 @@ def _ingest_shard(
     days_done = 0
     for trace in generator.iter_days(spec.gen_start, spec.gen_end,
                                      presence=task.presence):
-        if task.fault_day is not None and trace.day_start >= task.fault_day:
-            raise InjectedShardFault(
-                f"injected fault at {format_day(task.fault_day)}")
         if task.faults is not None:
             # Warm-up days included: gap-shaped resolver state must
             # match what the serial run built for these days.
@@ -302,7 +314,6 @@ class ParallelResult:
 
     dataset: FlowDataset
     stats: PipelineStats
-    shard_stats: List[PipelineStats]
     shards: List[ShardSpec]
     #: Shard indices recalled from the checkpoint store (not executed).
     resumed: List[int] = field(default_factory=list)
@@ -318,54 +329,34 @@ class ParallelPipeline:
     def __init__(self, config: StudyConfig, workers: int = 2, *,
                  presence: str = "study",
                  phase_override: Optional[str] = None,
-                 warmup_seconds: Optional[float] = None,
-                 tail_seconds: float = DEFAULT_TAIL_SECONDS,
-                 fault_day: Optional[float] = None,
                  faults: Optional[FaultPlan] = None,
                  retry_policy: Optional[RetryPolicy] = None,
                  checkpoint_dir: Optional[str] = None,
                  window: Optional[Tuple[float, float]] = None,
                  day0: Optional[float] = None,
-                 shard_deadline: Optional[float] = None,
-                 watchdog_policy: Optional[WatchdogPolicy] = None,
-                 clock: Callable[[], float] = time.monotonic):
+                 shard_deadline: Optional[float] = None):
         if workers < 1:
             raise ValueError("workers must be at least 1")
+        check_shard_deadline(workers, shard_deadline)
         self.config = config
         self.workers = workers
-        if faults is not None and faults.log_gaps:
-            if warmup_seconds is None:
-                warmup_seconds = default_warmup_seconds(config)
-            warmup_seconds += gap_warmup_allowance(config, faults.log_gaps)
-        self.shards = plan_shards(config, workers,
-                                  warmup_seconds=warmup_seconds,
-                                  tail_seconds=tail_seconds,
-                                  window=window)
+        self.shards = plan_shards(
+            config, workers, window=window,
+            gaps=faults.log_gaps if faults is not None else ())
         self.retry_policy = retry_policy or RetryPolicy(
             # reprolint: allow[RL008] -- retry budget is operational; crash matrix proves byte-identical outputs across retry counts
             max_attempts=config.max_shard_retries + 1, seed=config.seed)
         self.checkpoint_dir = checkpoint_dir
-        if watchdog_policy is None:
-            watchdog_policy = WatchdogPolicy(deadline_seconds=shard_deadline)
-        elif shard_deadline is not None:
-            raise ValueError(
-                "pass shard_deadline or watchdog_policy, not both")
-        self.watchdog_policy = watchdog_policy
-        self._clock = clock
+        self.shard_deadline = shard_deadline
         self._timeouts = 0
-        #: Cumulative backoff requested per shard index; what the retry
-        #: policy's ``total_deadline`` is charged against. Tracked as
-        #: the sum of scheduled delays (never a wall clock) so the
-        #: retry schedule stays bit-reproducible.
-        self._retry_elapsed: Dict[int, float] = {}
         #: Accounting for the last pool run (submitted/completed/
         #: cancelled/orphaned futures); lets tests assert that a failed
         #: run leaked nothing. ``None`` until a pool run happens.
         self.last_pool_stats: Optional[Dict[str, int]] = None
         self._tasks = [
             _ShardTask(config=config, spec=spec, presence=presence,
-                       phase_override=phase_override, fault_day=fault_day,
-                       faults=faults, day0=day0)
+                       phase_override=phase_override, faults=faults,
+                       day0=day0)
             for spec in self.shards
         ]
 
@@ -384,7 +375,6 @@ class ParallelPipeline:
                f"{self.workers} worker(s)")
 
         self._timeouts = 0
-        self._retry_elapsed = {}
         store = (None if self.checkpoint_dir is None
                  else CheckpointStore.for_run(self.checkpoint_dir,
                                               self.config, self.shards))
@@ -438,7 +428,6 @@ class ParallelPipeline:
 
         ordered = [outcomes[spec.index] for spec in self.shards]
         datasets = [dataset for dataset, _, _ in ordered]
-        shard_stats = [stats for _, stats, _ in ordered]
         coverage = CoverageReport.merged(cov for _, _, cov in ordered)
         for spec, (dataset, stats, _) in zip(self.shards, ordered):
             report(f"shard {spec.index + 1}/{spec.n_shards} "
@@ -452,7 +441,7 @@ class ParallelPipeline:
                    + ", ".join(
                        f"{source} {coverage.fraction(source):.3f}"
                        for source in ("conn", "dhcp", "dns")))
-        stats = PipelineStats.merged(shard_stats)
+        stats = PipelineStats.merged(shard for _, shard, _ in ordered)
         orphans_swept = store.orphans_swept if store is not None else 0
         if invalid_checkpoints or self._timeouts or orphans_swept:
             # Parent-side supervision counters: never checkpointed per
@@ -464,7 +453,6 @@ class ParallelPipeline:
         return ParallelResult(
             dataset=merged,
             stats=stats,
-            shard_stats=shard_stats,
             shards=list(self.shards),
             resumed=sorted(resumed),
             attempts=attempts,
@@ -473,43 +461,31 @@ class ParallelPipeline:
 
     # -- internals ---------------------------------------------------------
 
-    def _allows_retry(self, index: int, attempt: int) -> bool:
-        """Attempt budget *and* the policy's cumulative-delay deadline."""
-        return self.retry_policy.allows_retry(
-            attempt, self._retry_elapsed.get(index, 0.0))
-
-    def _backoff(self, spec: ShardSpec, attempt: int,
-                 cause: BaseException, report: ProgressFn) -> None:
-        elapsed = self._retry_elapsed.get(spec.index, 0.0)
-        delay = self.retry_policy.delay(spec.index, attempt, elapsed)
-        report(f"shard {spec.index + 1}/{spec.n_shards} attempt "
-               f"{attempt + 1} failed transiently ({cause!r}); "
-               f"retrying in {delay:.2f}s")
-        if delay > 0:
-            time.sleep(delay)
-        self._retry_elapsed[spec.index] = elapsed + delay
-
     def _run_inline(self, tasks, complete, report) -> Dict[int, int]:
+        """Run each shard in process under the retry policy."""
         attempts: Dict[int, int] = {}
         for task in tasks:
+            spec = task.spec
             attempt = 0
-            while True:
-                try:
-                    outcome = _ingest_shard(replace(task, attempt=attempt))
-                # Broad on purpose (RL004-compliant): every failure is
-                # classified by the taxonomy -- transient ones retry,
-                # the rest re-raise wrapped as ShardFailure.
-                except Exception as exc:
-                    if (is_transient(exc)
-                            and self._allows_retry(task.spec.index,
-                                                   attempt)):
-                        self._backoff(task.spec, attempt, exc, report)
-                        attempt += 1
-                        continue
-                    raise ShardFailure(task.spec, exc, attempt + 1) from exc
-                attempts[task.spec.index] = attempt + 1
-                complete(task.spec.index, outcome)
-                break
+
+            def on_retry(failed: int, cause: BaseException,
+                         delay: float) -> None:
+                nonlocal attempt
+                report(_retry_note(spec, failed, cause, delay))
+                attempt = failed + 1
+
+            try:
+                outcome = run_with_retries(
+                    self.retry_policy,
+                    lambda: _ingest_shard(replace(task, attempt=attempt)),
+                    scope_index=spec.index, on_retry=on_retry)
+            # Broad on purpose (RL004-compliant): run_with_retries has
+            # retried whatever the taxonomy calls transient; the failure
+            # left over is wrapped as ShardFailure.
+            except Exception as exc:
+                raise ShardFailure(spec, exc, attempt + 1) from exc
+            attempts[spec.index] = attempt + 1
+            complete(spec.index, outcome)
         return attempts
 
     def _new_pool(self, n_tasks: int) -> ProcessPoolExecutor:
@@ -522,10 +498,13 @@ class ParallelPipeline:
         or cancelled via ``shutdown(cancel_futures=True)`` before this
         method returns -- no orphaned futures, no zombie workers. With a
         watchdog deadline, the ``wait`` below polls so heartbeats are
-        observed while futures are in flight; without one, it blocks
-        exactly as before.
+        observed while futures are in flight; without one, it blocks.
         """
         attempts = {task.spec.index: 0 for task in tasks}
+        #: Cumulative backoff requested per shard; what the policy's
+        #: ``total_deadline`` is charged against. The sum of scheduled
+        #: delays, never a wall clock, so the schedule is reproducible.
+        backoff: Dict[int, float] = {}
         submitted = 0
         completed = 0
         pool = self._new_pool(len(tasks))
@@ -533,10 +512,10 @@ class ParallelPipeline:
         #: Tasks awaiting (re)submission; drained at each loop top so a
         #: pool death during submission is handled in one place.
         pending: List[_ShardTask] = list(tasks)
-        policy = self.watchdog_policy
-        watchdog = ShardWatchdog(policy, clock=self._clock)
+        deadline = self.shard_deadline
+        watchdog = ShardWatchdog(deadline)
         heartbeat_dir: Optional[str] = None
-        if policy.enabled:
+        if deadline is not None:
             heartbeat_dir = tempfile.mkdtemp(prefix="repro-heartbeat-")
 
         def heartbeat_path(index: int) -> Optional[str]:
@@ -544,68 +523,50 @@ class ParallelPipeline:
                 return None
             return os.path.join(heartbeat_dir, f"shard-{index:04d}.beat")
 
-        def reclaim(exc: BaseException) -> None:
-            # The pool is dead: every in-flight future fails with it
-            # too, and the true culprit is unknowable from the parent.
-            # Charge an attempt to every reclaimed shard (all are
-            # suspects), requeue them, and rebuild the pool -- this is
-            # what puts a retried shard on a *fresh* process.
-            nonlocal pool
-            doomed = list(futures.values())
-            futures.clear()
-            pool.shutdown(wait=True)
-            for victim in doomed:
-                attempt = attempts[victim.spec.index]
-                if not self._allows_retry(victim.spec.index, attempt):
-                    raise ShardFailure(victim.spec, exc,
-                                       attempt + 1) from exc
-            report(f"worker pool died ({exc!r}); rebuilding with "
-                   f"{len(doomed) + len(pending)} shard(s) outstanding")
-            for victim in doomed:
-                self._backoff(victim.spec, attempts[victim.spec.index],
-                              exc, report)
-                attempts[victim.spec.index] += 1
-            pending.extend(doomed)
-            pool = self._new_pool(len(pending))
+        def charge(task: _ShardTask, cause: BaseException) -> None:
+            # Spend one attempt of the shard's retry budget on a
+            # transient ``cause`` and requeue it; a spent budget fails
+            # the run.
+            spec = task.spec
+            attempt = attempts[spec.index]
+            spent = backoff.get(spec.index, 0.0)
+            if not self.retry_policy.allows_retry(attempt, spent):
+                raise ShardFailure(spec, cause, attempt + 1) from cause
+            delay = self.retry_policy.delay(spec.index, attempt, spent)
+            report(_retry_note(spec, attempt, cause, delay))
+            if delay > 0:
+                time.sleep(delay)
+            backoff[spec.index] = spent + delay
+            attempts[spec.index] = attempt + 1
+            pending.append(task)
 
-        def reclaim_stalled(stalled: List[_ShardTask]) -> None:
-            # Unlike a pool death, the watchdog *knows* the culprits: the
-            # stalled shards are charged an attempt (and a consecutive
-            # timeout toward their circuit breaker); in-flight siblings
-            # are requeued uncharged. The wedged workers cannot be
-            # cancelled through the futures API -- terminate them and
-            # rebuild the pool.
+        def reclaim(charged: Dict[int, BaseException], what: str) -> None:
+            # Kill the pool and requeue every in-flight shard on a fresh
+            # one. Only the shards in ``charged`` spend an attempt: all
+            # of them after a pool death (the culprit is unknowable from
+            # the parent), only the stalled ones after a watchdog kill.
+            # Wedged workers cannot be cancelled through the futures
+            # API, so terminate them; a dead pool may have dropped its
+            # process table already.
             nonlocal pool
-            stalled_indices = {task.spec.index for task in stalled}
             doomed = list(futures.values())
             futures.clear()
-            for process in list(getattr(pool, "_processes", {}).values()):
+            for process in list((getattr(pool, "_processes", None)
+                                 or {}).values()):
                 process.terminate()
             pool.shutdown(wait=True, cancel_futures=True)
-            for victim in doomed:
-                index = victim.spec.index
-                if index not in stalled_indices:
-                    continue
-                self._timeouts += 1
-                strikes = watchdog.record_timeout(index)
-                cause = WatchdogTimeout(
-                    f"shard {index + 1}/{victim.spec.n_shards} made no "
-                    f"progress for {policy.deadline_seconds}s "
-                    f"(strike {strikes})")
-                if watchdog.tripped(index):
-                    raise ShardFailure(victim.spec, WatchdogTimeout(
-                        f"circuit breaker open: {strikes} consecutive "
-                        f"watchdog timeouts"), attempts[index] + 1)
-                attempt = attempts[index]
-                if not self._allows_retry(index, attempt):
-                    raise ShardFailure(victim.spec, cause, attempt + 1)
-                self._backoff(victim.spec, attempt, cause, report)
-                attempts[index] += 1
-            report(f"watchdog: killed {len(stalled_indices)} stalled "
-                   f"shard(s); rebuilding pool with "
-                   f"{len(doomed) + len(pending)} outstanding")
-            pending.extend(doomed)
+            report(f"{what}; rebuilding pool with "
+                   f"{len(doomed) + len(pending)} shard(s) outstanding")
+            for task in doomed:
+                if task.spec.index in charged:
+                    charge(task, charged[task.spec.index])
+                else:
+                    pending.append(task)
             pool = self._new_pool(len(pending))
+
+        def pool_died(exc: BaseException) -> None:
+            reclaim({task.spec.index: exc for task in futures.values()},
+                    f"worker pool died ({exc!r})")
 
         def submit_pending() -> None:
             nonlocal submitted
@@ -622,7 +583,7 @@ class ParallelPipeline:
                     # this submit (e.g. a sibling worker was killed);
                     # reclaim the in-flight shards and retry on the
                     # rebuilt pool. ``task`` stays queued.
-                    reclaim(exc)
+                    pool_died(exc)
                     continue
                 futures[future] = task
                 watchdog.start(task.spec.index)
@@ -633,18 +594,23 @@ class ParallelPipeline:
             while futures or pending:
                 submit_pending()
                 done, _ = wait(set(futures), return_when=FIRST_COMPLETED,
-                               timeout=(policy.poll_seconds
-                                        if policy.enabled else None))
+                               timeout=(None if deadline is None
+                                        else POLL_SECONDS))
                 if not done:
                     # Poll tick: feed heartbeats, kill anything stalled.
+                    stalled: Dict[int, BaseException] = {}
                     for in_flight in futures.values():
                         index = in_flight.spec.index
                         watchdog.beat(
                             index, read_heartbeat(heartbeat_path(index)))
-                    stalled = [in_flight for in_flight in futures.values()
-                               if watchdog.stalled(in_flight.spec.index)]
+                        if watchdog.stalled(index):
+                            stalled[index] = WatchdogTimeout(
+                                f"shard {index + 1}/{len(self.shards)} "
+                                f"made no progress for {deadline}s")
                     if stalled:
-                        reclaim_stalled(stalled)
+                        self._timeouts += len(stalled)
+                        reclaim(stalled, f"watchdog: killed {len(stalled)} "
+                                         f"stalled shard(s)")
                     continue
                 future = next(iter(done))
                 task = futures.pop(future)
@@ -653,20 +619,17 @@ class ParallelPipeline:
                     outcome = future.result()
                 except BrokenProcessPool as exc:
                     futures[future] = task  # in flight too: reclaim it
-                    reclaim(exc)
+                    pool_died(exc)
                     continue
                 # Broad on purpose (RL004-compliant): classified by the
                 # taxonomy, retried or re-raised as ShardFailure.
                 except Exception as exc:
-                    attempt = attempts[spec.index]
-                    if (is_transient(exc)
-                            and self._allows_retry(spec.index, attempt)):
-                        self._backoff(spec, attempt, exc, report)
-                        attempts[spec.index] += 1
-                        pending.append(task)
-                        continue
-                    raise ShardFailure(spec, exc, attempt + 1) from exc
-                watchdog.record_success(spec.index)
+                    if not is_transient(exc):
+                        raise ShardFailure(spec, exc,
+                                           attempts[spec.index] + 1) from exc
+                    charge(task, exc)
+                    continue
+                watchdog.forget(spec.index)
                 complete(spec.index, outcome)
                 completed += 1
         finally:
@@ -686,3 +649,11 @@ class ParallelPipeline:
                 "orphaned": sum(1 for f in leftover if not f.done()),
             }
         return {index: count + 1 for index, count in attempts.items()}
+
+
+def _retry_note(spec: ShardSpec, attempt: int, cause: BaseException,
+                delay: float) -> str:
+    """The progress line printed before a shard is retried."""
+    return (f"shard {spec.index + 1}/{spec.n_shards} attempt "
+            f"{attempt + 1} failed transiently ({cause!r}); "
+            f"retrying in {delay:.2f}s")

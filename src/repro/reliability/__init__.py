@@ -7,8 +7,9 @@ them:
 
 * :mod:`~repro.reliability.errors` -- structured error taxonomy
   (:class:`RecordError`, :class:`ShardError`, transient vs. fatal);
-* :mod:`~repro.reliability.retry` -- deterministic exponential backoff
-  for retrying failed shard workers;
+* :mod:`~repro.reliability.retry` -- deterministic exponential backoff,
+  the one retry budget for shard workers, journal appends and store
+  writes;
 * :mod:`~repro.reliability.quarantine` -- per-category accounting of
   malformed records in lenient ingest mode;
 * :mod:`~repro.reliability.checkpoint` -- per-shard checkpoint/resume
@@ -19,7 +20,9 @@ them:
   coverage tracking (which seconds of which log source actually
   arrived);
 * :mod:`~repro.reliability.watchdog` -- heartbeat-based supervision
-  of shard workers (deadline, kill-and-retry, circuit breaker);
+  of shard workers (a progress deadline whose kills are retried under
+  the shard's retry budget), plus the closed/open/half-open
+  :class:`CircuitBreaker` the serving layer guards computes with;
 * :mod:`~repro.reliability.atomic` -- the single atomic-write
   chokepoint (stage, fsync, rename) every durable writer goes through,
   plus the disk-fault injection seam;
@@ -86,7 +89,6 @@ from repro.reliability.watchdog import (
     BREAKER_OPEN,
     CircuitBreaker,
     ShardWatchdog,
-    WatchdogPolicy,
     WatchdogTimeout,
 )
 
@@ -137,7 +139,6 @@ __all__ = [
     "ShardWatchdog",
     "TornWriteError",
     "TransientIOError",
-    "WatchdogPolicy",
     "WatchdogTimeout",
     "append_line",
     "corrupt_log_lines",

@@ -7,7 +7,9 @@ test is exactly reproducible:
   (it must stay picklable) and fires process kills or transient I/O
   errors on chosen ``(shard, attempt)`` pairs -- attempt-aware so a
   retried shard deterministically succeeds, which is what lets tests
-  assert *recovery*, not just failure.
+  assert *recovery*, not just failure. ``fatal_shards`` raise a
+  non-transient :class:`InjectedShardFault` on every attempt, so tests
+  can also assert that a fatal error is never retried.
 * :func:`corrupt_log_lines` mangles a clean JSONL log at a seeded
   corruption rate, cycling through the malformation kinds a real log
   collector produces (truncation, garbage bytes, missing fields,
@@ -41,7 +43,7 @@ import signal
 import time
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Optional, Tuple
 
 from repro.net.wire import BurstColumns
 from repro.reliability.errors import DiskFullError, TransientIOError
@@ -98,6 +100,10 @@ class GappedDayTrace:
     log_gaps: Tuple[LogGap, ...]
 
 
+class InjectedShardFault(RuntimeError):
+    """A fatal (non-transient) shard error raised by a :class:`FaultPlan`."""
+
+
 @dataclass(frozen=True)
 class FaultPlan:
     """Which faults fire on which ``(shard, attempt)`` pairs."""
@@ -110,6 +116,9 @@ class FaultPlan:
     transient_shards: Tuple[int, ...] = ()
     #: Attempt numbers on which the transient error fires.
     transient_attempts: Tuple[int, ...] = (0,)
+    #: Shards that raise a fatal :class:`InjectedShardFault` on every
+    #: attempt.
+    fatal_shards: Tuple[int, ...] = ()
     #: Collector outages: spans of DHCP/DNS log deleted from every
     #: attempt (an outage is a property of the input, not the worker,
     #: so it is deliberately *not* attempt-aware).
@@ -145,6 +154,10 @@ class FaultPlan:
         if self.should_raise_transient(shard_index, attempt):
             raise TransientIOError(
                 f"injected transient I/O fault "
+                f"(shard {shard_index}, attempt {attempt})")
+        if shard_index in self.fatal_shards:
+            raise InjectedShardFault(
+                f"injected fatal fault "
                 f"(shard {shard_index}, attempt {attempt})")
         if self.should_hang(shard_index, attempt):
             # A wedged worker: alive (so the pool sees no BrokenProcessPool)

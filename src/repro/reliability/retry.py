@@ -7,9 +7,10 @@ intervals every time and tests can assert exact schedules. Jitter keeps
 simultaneous retries of sibling shards from stampeding at the same
 instant, without sacrificing reproducibility.
 
-One policy serves every retry loop in the system: shard workers
-(:mod:`repro.pipeline.parallel`), journal appends and artifact-store
-writes (:func:`run_with_retries`) -- no ad-hoc sleeps anywhere. The
+One policy serves every retry in the system: shard workers
+(:mod:`repro.pipeline.parallel`, whose pool loop charges it per shard
+and whose in-process runner calls :func:`run_with_retries`), journal
+appends and artifact-store writes -- no ad-hoc sleeps anywhere. The
 ``total_deadline`` cap bounds *cumulative* backoff per scope, so a
 store that keeps returning ``ENOSPC`` surfaces the error after a known
 worst-case delay instead of backing off forever. Elapsed time is
@@ -114,11 +115,11 @@ def run_with_retries(policy: RetryPolicy,
                      stop: Optional[StopFn] = None) -> T:
     """Run ``operation`` under ``policy``, retrying transient failures.
 
-    The single retry loop shared by non-shard call sites (journal
-    appends, artifact-store writes): failures classified transient by
-    ``classify`` are retried on the policy's seeded backoff schedule
-    until the attempt budget or the total deadline runs out, then the
-    last failure propagates unchanged. ``on_retry(attempt, exc, delay)``
+    The single retry loop shared by in-process call sites (shards run
+    with one worker, journal appends, artifact-store writes): failures
+    classified transient by ``classify`` are retried on the policy's
+    seeded backoff schedule until the attempt budget or the total
+    deadline runs out, then the last failure propagates unchanged. ``on_retry(attempt, exc, delay)``
     fires before each sleep so callers can count retries exactly.
 
     ``stop`` is an external veto polled after each failure: when it

@@ -1,28 +1,27 @@
-"""Shard supervision: heartbeats, deadlines, and a circuit breaker.
+"""Shard supervision: heartbeats and a progress deadline.
 
 A worker process can fail in two ways. It can *die* -- the pool raises
-``BrokenProcessPool`` and the existing retry machinery recovers -- or it
-can *wedge*: alive, consuming a pool slot, making no progress. Nothing
-in ``concurrent.futures`` ever times out a running task, so a single
+``BrokenProcessPool`` and the retry machinery recovers -- or it can
+*wedge*: alive, consuming a pool slot, making no progress. Nothing in
+``concurrent.futures`` ever times out a running task, so a single
 wedged worker stalls ``ParallelPipeline.run()`` forever.
 
-The watchdog closes that hole with three cooperating pieces:
+The watchdog closes that hole with two pieces:
 
-* **Heartbeats.** Each worker appends progress to a per-shard heartbeat
-  file (:func:`write_heartbeat`) once per ingested day. The parent
-  never compares wall-clock times across processes -- it fingerprints
-  the file *content* and only asks "has this changed since I last
+* **Heartbeats.** Each worker rewrites a per-shard heartbeat file
+  (:func:`write_heartbeat`) once per ingested day. The parent never
+  compares wall-clock times across processes -- it fingerprints the
+  file *content* and only asks "has this changed since I last
   looked?", which is immune to clock skew between parent and worker.
 * **Deadline.** :class:`ShardWatchdog` (driven by an injectable
   monotonic clock, so tests never sleep) marks a shard *stalled* when
   its fingerprint has not changed for ``deadline_seconds``. The
-  pipeline then terminates the pool's workers, classifies the stall as
-  a :class:`WatchdogTimeout` -- a transient error under the existing
-  taxonomy -- and re-queues the shard under its ``RetryPolicy``.
-* **Circuit breaker.** A shard that times out ``circuit_limit``
-  consecutive times is assumed to be deterministically wedged (not
-  unlucky); the run fails cleanly instead of burning retries forever.
-  Any successful completion resets the count.
+  pipeline then terminates the pool's workers and classifies the stall
+  as a :class:`WatchdogTimeout` -- a transient error under the
+  existing taxonomy -- charged to the shard's ``RetryPolicy``. That
+  policy is the only budget: a shard that wedges on every attempt
+  fails the run once its retries are spent, like any other transient
+  failure.
 """
 
 from __future__ import annotations
@@ -40,6 +39,10 @@ BREAKER_CLOSED = "closed"
 BREAKER_OPEN = "open"
 BREAKER_HALF_OPEN = "half-open"
 
+#: How often the parent polls heartbeats while supervised shards are in
+#: flight.
+POLL_SECONDS = 0.25
+
 
 class WatchdogTimeout(TransientIOError):
     """A shard exceeded its progress deadline and was killed.
@@ -50,32 +53,6 @@ class WatchdogTimeout(TransientIOError):
     """
 
 
-@dataclass(frozen=True)
-class WatchdogPolicy:
-    """Deadline and circuit-breaker settings for shard supervision."""
-
-    #: Max seconds a shard may go without visible progress before it is
-    #: killed. ``None`` disables supervision entirely (the default --
-    #: the clean path takes zero new branches).
-    deadline_seconds: Optional[float] = None
-    #: How often the parent polls heartbeats while futures are pending.
-    poll_seconds: float = 0.25
-    #: Consecutive timeouts of one shard that trip the circuit breaker.
-    circuit_limit: int = 3
-
-    def __post_init__(self) -> None:
-        if self.deadline_seconds is not None and self.deadline_seconds <= 0:
-            raise ValueError("deadline_seconds must be positive")
-        if self.poll_seconds <= 0:
-            raise ValueError("poll_seconds must be positive")
-        if self.circuit_limit < 1:
-            raise ValueError("circuit_limit must be >= 1")
-
-    @property
-    def enabled(self) -> bool:
-        return self.deadline_seconds is not None
-
-
 @dataclass
 class ShardWatchdog:
     """Tracks per-shard progress fingerprints against a deadline.
@@ -84,12 +61,13 @@ class ShardWatchdog:
     owns the side effects (killing workers, re-queuing shards).
     """
 
-    policy: WatchdogPolicy
+    #: Max seconds a shard may go without visible progress before it is
+    #: killed. ``None`` disables supervision: nothing ever stalls.
+    deadline_seconds: Optional[float]
     #: Monotonic time source; injectable so tests advance a fake clock.
     clock: Callable[[], float] = time.monotonic
     _last_progress: Dict[int, float] = field(default_factory=dict)
     _fingerprints: Dict[int, Optional[bytes]] = field(default_factory=dict)
-    _consecutive_timeouts: Dict[int, int] = field(default_factory=dict)
 
     def start(self, index: int) -> None:
         """Arm the deadline for a (re)submitted shard."""
@@ -119,44 +97,26 @@ class ShardWatchdog:
 
     def stalled(self, index: int) -> bool:
         """True when the shard's deadline has expired without progress."""
-        if not self.policy.enabled or index not in self._last_progress:
+        deadline = self.deadline_seconds
+        if deadline is None or index not in self._last_progress:
             return False
-        deadline = self.policy.deadline_seconds
-        assert deadline is not None
         return self.clock() - self._last_progress[index] > deadline
-
-    def record_timeout(self, index: int) -> int:
-        """Count one watchdog kill; returns the consecutive total."""
-        count = self._consecutive_timeouts.get(index, 0) + 1
-        self._consecutive_timeouts[index] = count
-        return count
-
-    def record_success(self, index: int) -> None:
-        """A completion resets the shard's consecutive-timeout count."""
-        self._consecutive_timeouts.pop(index, None)
-        self.forget(index)
-
-    def tripped(self, index: int) -> bool:
-        """True when the shard's circuit breaker is open."""
-        return (self._consecutive_timeouts.get(index, 0)
-                >= self.policy.circuit_limit)
 
 
 class CircuitBreaker:
     """A stateful closed/open/half-open breaker over one failure domain.
 
-    Generalizes the per-shard consecutive-timeout breaker above (PR 5's
-    "``circuit_limit`` consecutive stalls means deterministically
-    wedged, stop burning retries") into a reusable guard for any
-    repeatedly-failing dependency -- the serving layer wraps study
-    computes in one so a storm of failing computes degrades to
-    store-only serving instead of erroring every request.
+    A guard for a repeatedly-failing dependency: the serving layer
+    wraps study computes in one so a storm of failing computes degrades
+    to store-only serving instead of erroring every request. Shard
+    ingest has no breaker; a wedged shard is bounded by its
+    ``RetryPolicy`` alone.
 
     Semantics:
 
     * **closed** -- operations are allowed; ``failure_limit``
       *consecutive* failures open the breaker (any success resets the
-      streak, exactly like :meth:`ShardWatchdog.record_success`).
+      streak).
     * **open** -- operations are refused for ``reset_seconds``.
     * **half-open** -- after the cool-down, exactly one probe operation
       is allowed through; its success closes the breaker, its failure

@@ -54,6 +54,30 @@ class TestParser:
                   str(journal_dir), *flags])
         assert not journal_dir.exists()
 
+    @pytest.mark.parametrize("flags, message", [
+        (["--workers", "1"], "workers > 1"),
+        (["--workers", "2", "--shard-deadline", "nan"], "finite"),
+        (["--workers", "2", "--shard-deadline", "inf"], "finite"),
+        (["--workers", "2", "--shard-deadline", "0"], "finite"),
+        (["--workers", "2", "--shard-deadline", "-1"], "finite"),
+    ], ids=["workers-1", "nan", "inf", "zero", "negative"])
+    def test_run_rejects_an_unusable_shard_deadline(self, flags, message,
+                                                    tmp_path, monkeypatch):
+        """An in-process ingest would silently drop the deadline, and one
+        that is not finite and above 0 is unusable; both are refused
+        before any work."""
+        import repro.cli as cli
+
+        def no_study(config):
+            raise AssertionError("the study must not start")
+
+        monkeypatch.setattr(cli, "LockdownStudy", no_study)
+        out = tmp_path / "out"
+        with pytest.raises(SystemExit, match=message):
+            main(["run", "--preset", "chaos", "--shard-deadline", "5",
+                  "--out", str(out), *flags])
+        assert not out.exists()
+
     def test_checklist_flags(self):
         args = build_parser().parse_args(
             ["checklist", "--students", "12", "--baseline"])

@@ -210,6 +210,12 @@ class TestSharedIngest:
         with pytest.raises(ValueError, match="workers"):
             call()
 
+    def test_shard_deadline_rejected_on_the_serial_walk(self):
+        """The serial walk has no watchdog; a deadline is refused, not
+        silently dropped."""
+        with pytest.raises(ValueError, match="workers > 1"):
+            LockdownStudy(self._config).run(workers=1, shard_deadline=5.0)
+
     def test_counterfactual_reports_weekly_progress(self):
         """A serial counterfactual reports once per simulated week, so
         a raising progress hook (the serve deadline) can stop it

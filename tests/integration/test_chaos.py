@@ -151,7 +151,7 @@ class TestRetryExhaustion:
         """InjectedShardFault is a plain RuntimeError: fatal, so the
         shard is charged exactly one attempt."""
         runner = ParallelPipeline(_CONFIG, workers=2,
-                                  fault_day=utc_ts(2020, 2, 2),
+                                  faults=FaultPlan(fatal_shards=(0, 1)),
                                   retry_policy=_no_delay())
         with pytest.raises(ShardFailure) as excinfo:
             runner.run()
@@ -204,12 +204,12 @@ class TestCheckpointResume:
         """End-to-end interrupt-and-resume: a run aborted by a fatal
         fault leaves its finished shards checkpointed; the rerun recalls
         exactly those and completes identically."""
-        # The fault day lands in shard 1 (owns Feb 4..6); shard 0 may or
+        # The fatal fault hits shard 1 (owns Feb 4..6); shard 0 may or
         # may not commit before the failure propagates, so the resume
         # assertions are written against the observed checkpoint state.
         with pytest.raises(ShardFailure):
             ParallelPipeline(_CONFIG, workers=2,
-                             fault_day=utc_ts(2020, 2, 6),
+                             faults=FaultPlan(fatal_shards=(1,)),
                              checkpoint_dir=str(tmp_path)).run()
         store = CheckpointStore.for_run(
             str(tmp_path), _CONFIG, plan_shards(_CONFIG, 2))

@@ -14,6 +14,7 @@ import pytest
 from repro import StudyConfig
 from repro.net.wire import BurstColumns
 from repro.pipeline.pipeline import MonitoringPipeline
+from repro.reliability.faults import FaultPlan
 from repro.synth.generator import CampusTraceGenerator
 from repro.util.timeutil import utc_ts
 
@@ -132,11 +133,11 @@ class TestShardWorkerFault:
         from repro.pipeline.parallel import ParallelPipeline, ShardFailure
 
         runner = ParallelPipeline(self._PARALLEL_CONFIG, workers=2,
-                                  fault_day=utc_ts(2020, 2, 6))
+                                  faults=FaultPlan(fatal_shards=(1,)))
         with pytest.raises(ShardFailure) as excinfo:
             runner.run()
         message = str(excinfo.value)
-        # The fault day lands in the second shard (owns Feb 5..8).
+        # The fault hits the second shard (owns Feb 5..8).
         assert "days 2020-02-05..2020-02-08" in message
         assert "shard 2/2" in message
         assert excinfo.value.spec.owned_start == utc_ts(2020, 2, 5)
@@ -148,7 +149,7 @@ class TestShardWorkerFault:
         from repro.pipeline.parallel import ParallelPipeline, ShardFailure
 
         runner = ParallelPipeline(self._PARALLEL_CONFIG, workers=2,
-                                  fault_day=utc_ts(2020, 2, 2))
+                                  faults=FaultPlan(fatal_shards=(0, 1)))
         with pytest.raises(ShardFailure):
             runner.run()
         # Every submitted future was collected, cancelled, or done by
@@ -167,7 +168,7 @@ class TestShardWorkerFault:
         from repro.pipeline.parallel import ParallelPipeline, ShardFailure
 
         runner = ParallelPipeline(self._PARALLEL_CONFIG, workers=1,
-                                  fault_day=utc_ts(2020, 2, 3))
+                                  faults=FaultPlan(fatal_shards=(0,)))
         with pytest.raises(ShardFailure) as excinfo:
             runner.run()
         assert "shard 1/1" in str(excinfo.value)

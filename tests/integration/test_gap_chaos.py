@@ -12,7 +12,8 @@ The contract under test, end to end:
   mode annotates);
 * a wedged worker is detected by the shard watchdog, killed, retried,
   and the recovered run is byte-identical to the fault-free baseline;
-  a deterministically wedged shard trips the circuit breaker.
+  a deterministically wedged shard fails once its retry budget is
+  spent.
 """
 
 import multiprocessing
@@ -34,7 +35,7 @@ from repro.reliability.checkpoint import CheckpointStore
 from repro.reliability.errors import CoverageError
 from repro.reliability.faults import FaultPlan, LogGap, seeded_log_gaps
 from repro.reliability.retry import RetryPolicy
-from repro.reliability.watchdog import WatchdogPolicy
+from repro.reliability.watchdog import WatchdogTimeout
 from repro.util.timeutil import DAY, utc_ts
 
 _CONFIG = StudyConfig(n_students=4, seed=11,
@@ -291,32 +292,29 @@ class TestHungShard:
         # The stalled shard is charged (and recovered on attempt 2);
         # its sibling is requeued uncharged.
         assert result.attempts[0] == 2
+        assert result.attempts[1] == 1
         assert result.dataset.identical(clean_run.dataset)
         assert result.stats.shard_timeouts == 1
         assert result.stats.flows_closed == clean_run.stats.flows_closed
         assert runner.last_pool_stats["orphaned"] == 0
         _assert_no_zombies()
 
-    def test_circuit_breaker_stops_a_permanently_wedged_shard(self):
+    def test_wedged_shard_exhausts_its_retry_budget(self):
+        """The retry policy is the only budget: a shard hung on every
+        attempt fails once its attempts are spent."""
         runner = ParallelPipeline(
             _CONFIG, workers=2,
-            faults=FaultPlan(hang_shards=(0,),
-                             hang_attempts=(0, 1, 2, 3, 4),
+            faults=FaultPlan(hang_shards=(0,), hang_attempts=(0, 1),
                              hang_seconds=60.0),
-            retry_policy=_no_delay(max_attempts=10),
-            watchdog_policy=WatchdogPolicy(deadline_seconds=1.5,
-                                           circuit_limit=2))
+            retry_policy=_no_delay(max_attempts=2),
+            shard_deadline=1.5)
         with pytest.raises(ShardFailure) as excinfo:
             runner.run()
-        assert "circuit breaker" in str(excinfo.value)
+        assert excinfo.value.attempts == 2
+        assert excinfo.value.spec.index == 0
+        assert isinstance(excinfo.value.__cause__, WatchdogTimeout)
         assert runner.last_pool_stats["orphaned"] == 0
         _assert_no_zombies()
-
-    def test_deadline_and_policy_are_mutually_exclusive(self):
-        with pytest.raises(ValueError):
-            ParallelPipeline(
-                _CONFIG, workers=2, shard_deadline=5.0,
-                watchdog_policy=WatchdogPolicy(deadline_seconds=5.0))
 
     def test_watchdog_enabled_clean_run_stays_identical(self, clean_run):
         """Supervision with no faults must not perturb the result."""

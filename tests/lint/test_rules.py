@@ -595,6 +595,21 @@ def test_rl008_flags_non_semantic_read_in_compute_path(mini_repo):
     assert "excluded from the study fingerprint" in findings[0].message
 
 
+def test_rl008_flags_reads_in_conditions_and_bare_expressions(mini_repo):
+    mini_repo.write("serve/fingerprint", FINGERPRINT_FIXTURE)
+    mini_repo.write("pipeline/run", """\
+        def plan(config, log):
+            if config.workers > 1:
+                log("sharded")
+            while config.max_shard_retries:
+                break
+            assert config.workers, config.max_shard_retries
+            log(config.workers)
+        """)
+    findings = mini_repo.run_rule("RL008")
+    assert [finding.line for finding in findings] == [2, 4, 6, 6, 7]
+
+
 def test_rl008_follows_the_call_graph_out_of_compute_packages(mini_repo):
     mini_repo.write("serve/fingerprint", FINGERPRINT_FIXTURE)
     mini_repo.write("util/knobs", """\

@@ -1,10 +1,12 @@
-"""Watchdog unit tests: deadlines, fingerprints, circuit breaker.
+"""Watchdog unit tests: deadlines, fingerprints, the serve breaker.
 
 All timing runs on a fake clock -- no test here ever sleeps.
 """
 
 import pytest
 
+from repro.config import StudyConfig
+from repro.pipeline.parallel import ParallelPipeline
 from repro.reliability.errors import TransientIOError, is_transient
 from repro.reliability.watchdog import (
     BREAKER_CLOSED,
@@ -12,11 +14,11 @@ from repro.reliability.watchdog import (
     BREAKER_OPEN,
     CircuitBreaker,
     ShardWatchdog,
-    WatchdogPolicy,
     WatchdogTimeout,
     read_heartbeat,
     write_heartbeat,
 )
+from repro.util.timeutil import utc_ts
 
 
 class FakeClock:
@@ -30,28 +32,38 @@ class FakeClock:
         self.now += seconds
 
 
-def _watchdog(deadline=10.0, circuit_limit=3, clock=None):
-    policy = WatchdogPolicy(deadline_seconds=deadline,
-                            circuit_limit=circuit_limit)
-    return ShardWatchdog(policy, clock=clock or FakeClock())
+def _watchdog(deadline=10.0, clock=None):
+    return ShardWatchdog(deadline, clock=clock or FakeClock())
+
+
+_CONFIG = StudyConfig(n_students=4, seed=11,
+                      start_ts=utc_ts(2020, 2, 1),
+                      end_ts=utc_ts(2020, 2, 7))
 
 
 class TestPolicy:
+    """``shard_deadline`` is the one supervision setting; it is checked
+    once, when the pipeline is built."""
+
     def test_disabled_by_default(self):
-        assert not WatchdogPolicy().enabled
+        assert ParallelPipeline(_CONFIG, workers=2).shard_deadline is None
 
     def test_enabled_with_deadline(self):
-        assert WatchdogPolicy(deadline_seconds=5.0).enabled
+        pipeline = ParallelPipeline(_CONFIG, workers=2, shard_deadline=5.0)
+        assert pipeline.shard_deadline == 5.0
 
     @pytest.mark.parametrize("kwargs", [
-        {"deadline_seconds": 0.0},
-        {"deadline_seconds": -1.0},
-        {"poll_seconds": 0.0},
-        {"circuit_limit": 0},
+        {"shard_deadline": float("nan")},
+        {"shard_deadline": float("inf")},
+        {"shard_deadline": 0.0},
+        {"shard_deadline": -1.0},
+        {"shard_deadline": 5.0, "workers": 1},
     ])
     def test_rejects_bad_settings(self, kwargs):
-        with pytest.raises(ValueError):
-            WatchdogPolicy(**kwargs)
+        """A non-finite deadline would never fire and a non-positive one
+        would kill every shard at once; one worker has no watchdog."""
+        with pytest.raises(ValueError, match="shard deadline"):
+            ParallelPipeline(_CONFIG, **{"workers": 2, **kwargs})
 
 
 class TestDeadline:
@@ -109,7 +121,7 @@ class TestDeadline:
 
     def test_disabled_policy_never_stalls(self):
         clock = FakeClock()
-        dog = ShardWatchdog(WatchdogPolicy(), clock=clock)
+        dog = ShardWatchdog(None, clock=clock)
         dog.start(0)
         clock.advance(1e9)
         assert not dog.stalled(0)
@@ -122,29 +134,6 @@ class TestDeadline:
         assert dog.stalled(0)
         dog.start(0)
         assert not dog.stalled(0)
-
-
-class TestCircuitBreaker:
-    def test_trips_after_consecutive_timeouts(self):
-        dog = _watchdog(circuit_limit=2)
-        assert dog.record_timeout(0) == 1
-        assert not dog.tripped(0)
-        assert dog.record_timeout(0) == 2
-        assert dog.tripped(0)
-
-    def test_success_resets_count(self):
-        dog = _watchdog(circuit_limit=2)
-        dog.record_timeout(0)
-        dog.record_success(0)
-        dog.record_timeout(0)
-        assert not dog.tripped(0)
-
-    def test_counts_are_per_shard(self):
-        dog = _watchdog(circuit_limit=2)
-        dog.record_timeout(0)
-        dog.record_timeout(1)
-        assert not dog.tripped(0)
-        assert not dog.tripped(1)
 
 
 class TestTaxonomy:
