@@ -22,22 +22,15 @@ whole batch.
 
 from __future__ import annotations
 
-from itertools import chain, repeat
-from operator import attrgetter
+from itertools import islice, repeat
 from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
 from repro.columnar.entrylog import EntryLog
 from repro.dns.mapping import DEFAULT_FRESHNESS_SECONDS
-from repro.dns.records import DnsLogRecord
+from repro.dns.records import DnsColumns
 from repro.reliability.errors import CATEGORY_ORDER, RecordError
-
-
-#: One fromiter pass per record batch: numeric fields and the object
-#: columns (qname, answers tuple) ride a single structured extraction.
-_DNS_DTYPE = np.dtype([("ts", "<f8"), ("qname", "O"), ("answers", "O")])
-_DNS_GETTER = attrgetter(*_DNS_DTYPE.names)
 
 
 def merge_spans(spans: Sequence[Tuple[float, float]],
@@ -70,17 +63,8 @@ class ColumnarDnsIndex:
 
     # -- ingest ------------------------------------------------------------
 
-    def _intern_name(self, name: str) -> int:
-        nid = self._name_ids.get(name)
-        if nid is None:
-            nid = len(self.name_table)
-            self._name_ids[name] = nid
-            self.name_table.append(name)
-        return nid
-
-    def ingest_batch(self, records: Sequence[DnsLogRecord]) -> None:
-        """Incorporate a sequence of queries' answers (time-ordered
-        per IP).
+    def ingest_batch(self, records: DnsColumns) -> None:
+        """Incorporate a batch of queries' answers (time-ordered per IP).
 
         The per-IP epoch state machine collapses to pairwise tests
         because a processed observation always leaves its epoch's
@@ -93,29 +77,25 @@ class ColumnarDnsIndex:
         answer raises the RecordError that one-at-a-time ingest would
         raise first, before any epoch of the batch is written.
         """
-        if not records:
-            return
         n = len(records)
+        if not n:
+            return
         self._record_count += n
-        rec = np.fromiter(map(_DNS_GETTER, records), _DNS_DTYPE, count=n)
-        answers = rec["answers"]
-        counts = np.fromiter(map(len, answers), np.int64, count=n)
-        # Intern only the distinct qnames, in first-occurrence order so
-        # the name table grows exactly as the per-record loop would.
-        uq, uq_first, inv = np.unique(
-            rec["qname"], return_index=True, return_inverse=True)
-        lut = np.empty(uq.size, dtype=np.int64)
-        for k in np.argsort(uq_first, kind="stable"):
-            lut[k] = self._intern_name(uq[k])
-        nids_r = lut[inv]
-        ts_r = rec["ts"]
-        total = int(counts.sum())
+        # Intern in one dict pass: a new qname takes the next id, in
+        # first-occurrence order, so the name table grows exactly as
+        # the per-record loop would.
+        name_ids = self._name_ids
+        nids_r = np.array([name_ids.setdefault(name, len(name_ids))
+                           for name in records.qname.tolist()],
+                          dtype=np.int64)
+        self.name_table.extend(islice(name_ids, len(self.name_table), None))
+        counts = records.answer_count
+        total = len(records.answers)
         if total == 0:
             return
         log = self._log
-        ips = np.fromiter(chain.from_iterable(answers), np.int64,
-                          count=total)
-        tss = np.repeat(ts_r, counts)
+        ips = records.answers
+        tss = np.repeat(records.ts, counts)
         nids = np.repeat(nids_r, counts)
 
         order = np.argsort(ips, kind="stable")

@@ -23,7 +23,11 @@ from repro.reliability.errors import (
     CATEGORY_VALUE,
     RecordError,
 )
-from repro.reliability.parsing import parse_json_object, read_jsonl_records
+from repro.reliability.parsing import (
+    parse_json_object,
+    read_jsonl_records,
+    require_finite,
+)
 from repro.reliability.quarantine import QuarantineSink
 
 _SOURCE = "dhcp"
@@ -54,7 +58,7 @@ class DhcpLogRecord:
                   line_no: Optional[int] = None) -> "DhcpLogRecord":
         payload = parse_json_object(line, source=_SOURCE, line_no=line_no)
         try:
-            return cls(
+            record = cls(
                 ts=float(payload["ts"]),
                 mac=MacAddress.parse(payload["mac"]),
                 ip=ip_to_int(payload["ip"]),
@@ -68,6 +72,8 @@ class DhcpLogRecord:
             raise RecordError(
                 f"dhcp record has a bad value: {exc}", source=_SOURCE,
                 category=CATEGORY_VALUE, line_no=line_no, line=line) from exc
+        return require_finite(record, ("ts", "lease_end"), source=_SOURCE,
+                              line_no=line_no, line=line)
 
 
 def write_dhcp_log(records: Iterable[DhcpLogRecord], fileobj: IO[str]) -> int:

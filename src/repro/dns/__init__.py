@@ -4,9 +4,10 @@ The paper converts remote server IPs to domain names using
 contemporaneous DNS logs (Section 3). This package provides:
 
 * the *simulation* side -- a resolver over the synthetic internet's
-  address plan that answers queries with rotating host addresses and
-  emits query-log records;
-* the *measurement* side -- the query-log records
+  address plan that answers queries with rotating host addresses (the
+  generator logs each query as one row of the day's
+  :class:`~repro.dns.records.DnsColumns`);
+* the *measurement* side -- the query log
   :class:`~repro.columnar.dnsindex.ColumnarDnsIndex` reconstructs
   "what domain was this server IP serving at this time" from, and the
   annotation freshness window
@@ -16,10 +17,16 @@ contemporaneous DNS logs (Section 3). This package provides:
 """
 
 from repro.dns.domains import site_of
-from repro.dns.records import DnsLogRecord, read_dns_log, write_dns_log
+from repro.dns.records import (
+    DnsColumns,
+    DnsLogRecord,
+    read_dns_log,
+    write_dns_log,
+)
 from repro.dns.resolver import SyntheticResolver
 
 __all__ = [
+    "DnsColumns",
     "DnsLogRecord",
     "SyntheticResolver",
     "read_dns_log",

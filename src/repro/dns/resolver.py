@@ -8,9 +8,8 @@ IP per domain -- it must use the logs, as the paper does.
 
 from __future__ import annotations
 
-from typing import Optional, Tuple
+from typing import Tuple
 
-from repro.dns.records import DnsLogRecord
 from repro.net.ip import Prefix
 from repro.util.rng import RngFactory
 from repro.world.addressing import AddressPlan
@@ -68,20 +67,6 @@ class SyntheticResolver:
                 seen.add(address)
                 unique.append(address)
         return tuple(unique)
-
-    def query(self, client_ip: int, domain: str,
-              ts: float) -> Optional[DnsLogRecord]:
-        """Perform a logged query; returns the record (None on NXDOMAIN)."""
-        answers = self.resolve(domain, ts)
-        if not answers:
-            return None
-        return DnsLogRecord(
-            ts=ts,
-            client_ip=client_ip,
-            qname=domain,
-            answers=answers,
-            ttl=self.default_ttl,
-        )
 
 
 def _host_in(prefix: Prefix, rng) -> int:

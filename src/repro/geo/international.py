@@ -83,15 +83,9 @@ class InternationalClassifier:
         resp_h = dataset.resp_h[usable]
         weights = dataset.total_bytes[usable].astype(np.float64)
 
-        # Geolocate each distinct destination once.
+        # Geolocate each distinct destination once, in one batch.
         unique_ips, inverse = np.unique(resp_h, return_inverse=True)
-        lat_by_ip = np.full(len(unique_ips), np.nan)
-        lon_by_ip = np.full(len(unique_ips), np.nan)
-        for index, address in enumerate(unique_ips):
-            location = self.geo_db.lookup(int(address))
-            if location is not None:
-                lat_by_ip[index] = location.lat
-                lon_by_ip[index] = location.lon
+        lat_by_ip, lon_by_ip = self.geo_db.coordinates(unique_ips)
         flow_lat = lat_by_ip[inverse]
         flow_lon = lon_by_ip[inverse]
         located = ~np.isnan(flow_lat)

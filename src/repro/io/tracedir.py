@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from typing import Any, Dict, Iterable, Iterator, List, Optional
 
 from repro.dhcp.log import DhcpLogRecord
-from repro.dns.records import DnsLogRecord
+from repro.dns.records import DnsColumns, DnsLogRecord
 from repro.net.ip import int_to_ip, ip_to_int
 from repro.net.wire import BurstColumns, SegmentBurst
 from repro.reliability.atomic import replacing, write_text
@@ -31,7 +31,11 @@ from repro.reliability.errors import (
     CATEGORY_VALUE,
     RecordError,
 )
-from repro.reliability.parsing import parse_json_object, read_jsonl_records
+from repro.reliability.parsing import (
+    parse_json_object,
+    read_jsonl_records,
+    require_finite,
+)
 from repro.reliability.quarantine import QuarantineSink
 from repro.util.timeutil import format_day, parse_day
 
@@ -50,7 +54,7 @@ class TraceDayFiles:
 
     day_start: float
     dhcp_records: List[DhcpLogRecord]
-    dns_records: List[DnsLogRecord]
+    dns_records: DnsColumns
     bursts: BurstColumns
 
 
@@ -96,7 +100,7 @@ def _final_flag(payload: Dict[str, Any]) -> bool:
 def burst_from_json(line: str, line_no: Optional[int] = None) -> SegmentBurst:
     payload = parse_json_object(line, source="wire", line_no=line_no)
     try:
-        return SegmentBurst(
+        burst = SegmentBurst(
             ts=float(payload["ts"]),
             client_ip=ip_to_int(payload["ch"]),
             client_port=int(payload["cp"]),
@@ -117,6 +121,8 @@ def burst_from_json(line: str, line_no: Optional[int] = None) -> SegmentBurst:
         raise RecordError(
             f"wire record has a bad value: {exc}", source="wire",
             category=CATEGORY_VALUE, line_no=line_no, line=line) from exc
+    return require_finite(burst, ("ts",), source="wire", line_no=line_no,
+                          line=line)
 
 
 def _write_gz_lines(path: str, lines: Iterable[str]) -> int:
@@ -158,7 +164,8 @@ def export_traces(traces, root: str,
                         (record.to_json()
                          for record in trace.dhcp_records))
         _write_gz_lines(os.path.join(day_dir, DNS_FILE),
-                        (record.to_json() for record in trace.dns_records))
+                        (record.to_json()
+                         for record in trace.dns_records.rows()))
         _write_gz_lines(os.path.join(day_dir, WIRE_FILE),
                         map(burst_to_json, trace.bursts.rows()))
         days.append(label)
@@ -203,9 +210,9 @@ def iter_trace_days(root: str, *, mode: str = "strict",
             dhcp_records=_read_gz_records(
                 os.path.join(day_dir, DHCP_FILE), DhcpLogRecord.from_json,
                 "dhcp", mode, sink),
-            dns_records=_read_gz_records(
+            dns_records=DnsColumns.from_rows(_read_gz_records(
                 os.path.join(day_dir, DNS_FILE), DnsLogRecord.from_json,
-                "dns", mode, sink),
+                "dns", mode, sink)),
             bursts=BurstColumns.from_rows(_read_gz_records(
                 os.path.join(day_dir, WIRE_FILE), burst_from_json,
                 "wire", mode, sink)),

@@ -1,8 +1,9 @@
 """The ``reprolint`` engine: parse, index, run rules, filter pragmas.
 
-The engine walks every ``.py`` file under ``<root>/src/repro``, parses
-it once into an :class:`ast.Module`, and hands each
-:class:`ModuleInfo` to every registered rule.  Rules that need a
+The engine walks every ``.py`` file under ``<root>/src/repro`` and hands
+each :class:`ModuleInfo` to every registered rule. A module is parsed
+into an :class:`ast.Module` once, on first use, so a run whose findings
+all come from the cache parses nothing.  Rules that need a
 whole-repository view (e.g. the kernel/reference-twin pairing of
 RL003) get a :class:`ProjectIndex` instead, which also carries the raw
 source of every file under ``<root>/tests`` so rules can require that
@@ -26,7 +27,7 @@ from __future__ import annotations
 import ast
 import hashlib
 import re
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
@@ -57,21 +58,40 @@ class Finding:
         return f"{self.path}:{self.line}:{self.col + 1}"
 
 
-@dataclass(frozen=True)
 class ModuleInfo:
-    """One parsed source module plus the context rules need."""
+    """One source module plus the context rules need.
 
-    path: Path
-    relpath: str       # repo-relative, POSIX separators
-    module: str        # dotted module name, e.g. ``repro.sessions.stitch``
-    source: str
-    lines: Tuple[str, ...]
-    tree: ast.Module
-    #: Local name -> fully dotted origin for every import binding, e.g.
-    #: ``{"np": "numpy", "default_rng": "numpy.random.default_rng"}``.
-    imports: Dict[str, str] = field(default_factory=dict)
-    #: Content hash of the source text; the cache key component.
-    sha256: str = ""
+    ``tree`` and ``imports`` are built from ``source`` on first use
+    (a syntax error surfaces there) unless given up front.
+    """
+
+    def __init__(self, path: Path, relpath: str, module: str, source: str,
+                 lines: Tuple[str, ...], tree: Optional[ast.Module] = None,
+                 imports: Optional[Dict[str, str]] = None,
+                 sha256: str = "") -> None:
+        self.path = path
+        self.relpath = relpath  # repo-relative, POSIX separators
+        self.module = module    # dotted name, e.g. ``repro.sessions.stitch``
+        self.source = source
+        self.lines = lines
+        self._tree = tree
+        self._imports = imports
+        #: Content hash of the source text; the cache key component.
+        self.sha256 = sha256
+
+    @property
+    def tree(self) -> ast.Module:
+        if self._tree is None:
+            self._tree = ast.parse(self.source, filename=str(self.path))
+        return self._tree
+
+    @property
+    def imports(self) -> Dict[str, str]:
+        """Local name -> fully dotted origin for every import binding,
+        e.g. ``{"np": "numpy", "default_rng": "numpy.random.default_rng"}``."""
+        if self._imports is None:
+            self._imports = _import_bindings(self.tree)
+        return self._imports
 
     def line_text(self, line: int) -> str:
         """The 1-based physical line, or '' when out of range."""
@@ -86,8 +106,6 @@ class ProjectIndex:
 
     root: Path
     modules: Tuple[ModuleInfo, ...]
-    #: Top-level function names per dotted module.
-    functions: Dict[str, Tuple[str, ...]]
     #: Raw source of every ``tests/**/*.py`` file, keyed by its
     #: repo-relative POSIX path, in path order.
     test_sources: Dict[str, str]
@@ -97,12 +115,6 @@ class ProjectIndex:
             if info.module == dotted:
                 return info
         return None
-
-    def all_function_names(self) -> frozenset:
-        names: set = set()
-        for per_module in self.functions.values():
-            names.update(per_module)
-        return frozenset(names)
 
 
 def _import_bindings(tree: ast.Module) -> Dict[str, str]:
@@ -165,17 +177,14 @@ def module_name_for(path: Path, src_root: Path) -> str:
 
 
 def load_module(path: Path, root: Path, src_root: Path) -> ModuleInfo:
-    """Parse one file into a :class:`ModuleInfo` (raises on bad syntax)."""
+    """Read one file into a :class:`ModuleInfo` (parsed on first use)."""
     source = path.read_text(encoding="utf-8")
-    tree = ast.parse(source, filename=str(path))
     return ModuleInfo(
         path=path,
         relpath=path.relative_to(root).as_posix(),
         module=module_name_for(path, src_root),
         source=source,
         lines=tuple(source.splitlines()),
-        tree=tree,
-        imports=_import_bindings(tree),
         sha256=hashlib.sha256(source.encode("utf-8")).hexdigest(),
     )
 
@@ -191,7 +200,7 @@ def _read_test_sources(root: Path) -> Dict[str, str]:
 
 def build_index(root: Path,
                 package_dir: str = "src/repro") -> ProjectIndex:
-    """Parse the whole package and index it for the rules."""
+    """Read the whole package and index it for the rules."""
     src_root = root / "src"
     package_root = root / package_dir
     if not package_root.is_dir():
@@ -201,16 +210,9 @@ def build_index(root: Path,
     modules = tuple(
         load_module(path, root, src_root)
         for path in sorted(package_root.rglob("*.py")))
-    functions = {
-        info.module: tuple(
-            node.name for node in info.tree.body
-            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)))
-        for info in modules
-    }
     return ProjectIndex(
         root=root,
         modules=modules,
-        functions=functions,
         test_sources=_read_test_sources(root),
     )
 

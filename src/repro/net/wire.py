@@ -88,11 +88,11 @@ class BurstColumns:
         self.client_port = np.asarray(client_port, dtype=np.int64)
         self.server_ip = np.asarray(server_ip, dtype=np.int64)
         self.server_port = np.asarray(server_port, dtype=np.int64)
-        self.proto = _object_column(proto)
+        self.proto = object_column(proto)
         self.orig_bytes = np.asarray(orig_bytes, dtype=np.int64)
         self.resp_bytes = np.asarray(resp_bytes, dtype=np.int64)
-        self.user_agent = _object_column(user_agent)
-        self.http_host = _object_column(http_host)
+        self.user_agent = object_column(user_agent)
+        self.http_host = object_column(http_host)
         self.is_final = np.asarray(is_final, dtype=np.bool_)
         if len({len(getattr(self, name)) for name in self.__slots__}) > 1:
             raise ValueError("burst columns differ in length")
@@ -123,7 +123,7 @@ class BurstColumns:
                                for name in self.__slots__})
 
 
-def _object_column(values: Sequence[Optional[str]]) -> np.ndarray:
+def object_column(values: Sequence[Optional[str]]) -> np.ndarray:
     """A 1-d object array of ``values`` (np.asarray could go 2-d)."""
     if isinstance(values, np.ndarray) and values.dtype == object:
         return values

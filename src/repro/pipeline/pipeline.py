@@ -1,8 +1,9 @@
 """The end-to-end monitoring pipeline.
 
 Consumes :class:`~repro.synth.generator.DayTrace` objects (or, more
-precisely, anything exposing ``dhcp_records``, ``dns_records`` and
-``bursts`` as :class:`~repro.net.wire.BurstColumns`) and produces the
+precisely, anything exposing ``dhcp_records``, ``dns_records`` as
+:class:`~repro.dns.records.DnsColumns` and ``bursts`` as
+:class:`~repro.net.wire.BurstColumns`) and produces the
 annotated, anonymized :class:`~repro.pipeline.dataset.FlowDataset`.
 Raw identifiers never leave this module: flows whose client IP cannot
 be attributed through the DHCP logs are counted and dropped, and

@@ -43,11 +43,16 @@ import signal
 import time
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Any, Dict, List, Optional, Tuple
+
+import numpy as np
 
 from repro.net.wire import BurstColumns
 from repro.reliability.errors import DiskFullError, TransientIOError
 from repro.util.rng import substream
+
+if TYPE_CHECKING:  # import-time cycle: repro.dns imports repro.reliability
+    from repro.dns.records import DnsColumns
 
 #: Exit code used by the injected worker kill (distinguishable from a
 #: Python traceback's exit 1 in CI logs).
@@ -92,7 +97,7 @@ class GappedDayTrace:
     """
 
     day_start: float
-    dns_records: Tuple[Any, ...]
+    dns_records: DnsColumns
     bursts: BurstColumns
     dhcp_records: Tuple[Any, ...]
     session_count: int
@@ -189,12 +194,14 @@ class FaultPlan:
         dhcp_records = tuple(
             record for record in trace.dhcp_records
             if not any(gap.contains(record.ts) for gap in dhcp_gaps))
-        dns_records = tuple(
-            record for record in trace.dns_records
-            if not any(gap.contains(record.ts) for gap in dns_gaps))
+        dns_records = trace.dns_records
+        silenced = np.zeros(len(dns_records), dtype=bool)
+        for gap in dns_gaps:
+            silenced |= ((dns_records.ts >= gap.start)
+                         & (dns_records.ts < gap.end))
         return GappedDayTrace(
             day_start=day_start,
-            dns_records=dns_records,
+            dns_records=dns_records.take(~silenced),
             bursts=trace.bursts,
             dhcp_records=dhcp_records,
             session_count=getattr(trace, "session_count", 0),

@@ -10,9 +10,10 @@ loop, written once.
 from __future__ import annotations
 
 import json
-from typing import Callable, Iterable, Iterator, Optional, TypeVar
+import math
+from typing import Callable, Iterable, Iterator, Optional, Sequence, TypeVar
 
-from repro.reliability.errors import CATEGORY_JSON, RecordError
+from repro.reliability.errors import CATEGORY_JSON, CATEGORY_VALUE, RecordError
 from repro.reliability.quarantine import QuarantineSink
 
 #: The two parse modes accepted by every reader.
@@ -38,6 +39,30 @@ def parse_json_object(line: str, *, source: str,
             f"({type(payload).__name__})", source=source,
             category=CATEGORY_JSON, line_no=line_no, line=line)
     return payload
+
+
+def require_finite(record: RecordT, fields: Sequence[str], *,
+                   source: str, line_no: Optional[int] = None,
+                   line: Optional[str] = None,
+                   nonnegative: Sequence[str] = ()) -> RecordT:
+    """Return ``record``, or raise when a numeric field is not finite.
+
+    ``json`` reads ``NaN`` and ``Infinity`` and ``float`` reads
+    ``"nan"`` and ``"inf"``, so a parsed time can be NaN. A NaN time
+    compares false against every order guard downstream and would
+    switch it off, so each parser refuses one here as a
+    :class:`RecordError` of category ``value``. Fields listed in
+    ``nonnegative`` must also be at least 0.
+    """
+    for name in fields:
+        value = getattr(record, name)
+        if not math.isfinite(value) or (name in nonnegative and value < 0):
+            raise RecordError(
+                f"{source} record field {name!r} is not a finite"
+                f"{' non-negative' if name in nonnegative else ''} "
+                f"number: {value!r}", source=source,
+                category=CATEGORY_VALUE, line_no=line_no, line=line)
+    return record
 
 
 def read_jsonl_records(lines: Iterable[str],

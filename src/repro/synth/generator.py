@@ -15,7 +15,7 @@ from typing import Dict, Iterator, List, Optional, Tuple
 from repro.config import StudyConfig
 from repro.dhcp.log import DhcpLogRecord
 from repro.dhcp.server import DhcpServer
-from repro.dns.records import DnsLogRecord
+from repro.dns.records import DnsColumns
 from repro.dns.resolver import SyntheticResolver
 from repro.net.oui_db import OuiDatabase, default_oui_database
 from repro.net.wire import BurstColumns
@@ -24,7 +24,12 @@ from repro.synth.behavior import BehaviorModel
 from repro.synth.devices import SimDevice
 from repro.synth.population import Population, build_population
 from repro.synth.sessions import AppSession, sample_day_sessions
-from repro.synth.wiregen import BurstColumnLists, DnsCache, WireGenerator
+from repro.synth.wiregen import (
+    BurstColumnLists,
+    DnsCache,
+    DnsColumnLists,
+    WireGenerator,
+)
 from repro.util.rng import RngFactory
 from repro.util.timeutil import DAY, format_day, iter_days
 from repro.world.addressing import AddressPlan, build_address_plan
@@ -40,7 +45,8 @@ class DayTrace:
     """Everything the monitoring infrastructure captures in one day."""
 
     day_start: float
-    dns_records: List[DnsLogRecord]
+    #: The DNS query log, in time order.
+    dns_records: DnsColumns
     #: The tap's input, in time order.
     bursts: BurstColumns
     dhcp_records: List[DhcpLogRecord]
@@ -132,7 +138,7 @@ class CampusTraceGenerator:
 
         sessions.sort(key=lambda pair: pair[0].start)
 
-        dns_records: List[DnsLogRecord] = []
+        dns_rows = DnsColumnLists()
         bursts = BurstColumnLists()
         caches: Dict[int, DnsCache] = {}
         connection_count = 0
@@ -144,13 +150,11 @@ class CampusTraceGenerator:
                 "wire", day_label, device.device_id, int(session.start))
             connection_count += self.wiregen.expand_session(
                 session, device, self.archetypes[session.archetype_name],
-                lease.ip, rng, cache, dns_records, bursts)
-
-        dns_records.sort(key=lambda record: record.ts)
+                lease.ip, rng, cache, dns_rows, bursts)
 
         return DayTrace(
             day_start=day_start,
-            dns_records=dns_records,
+            dns_records=dns_rows.columns(),
             bursts=bursts.columns(),
             dhcp_records=self.dhcp.drain_log(),
             session_count=len(sessions),

@@ -16,7 +16,7 @@ from typing import Dict, List, NamedTuple, Optional, Tuple
 import numpy as np
 
 from repro import constants
-from repro.dns.records import DnsLogRecord
+from repro.dns.records import DnsColumns
 from repro.dns.resolver import SyntheticResolver
 from repro.net.wire import BurstColumns
 from repro.synth.archetypes import AppArchetype
@@ -108,6 +108,33 @@ class BurstColumnLists:
                                for name, column in columns.items()})
 
 
+class DnsColumnLists:
+    """One day's DNS log, recorded one row per query.
+
+    The generator appends one ``(ts, client_ip, qname, answers, ttl)``
+    tuple per logged query to ``rows``; no :class:`DnsLogRecord` is
+    built. :meth:`columns` turns the day's rows into
+    :class:`~repro.dns.records.DnsColumns` once the day is complete.
+    """
+
+    __slots__ = ("rows",)
+
+    def __init__(self) -> None:
+        self.rows: List[tuple] = []
+
+    def columns(self) -> DnsColumns:
+        """The day's DNS log as columns, ordered by ``ts``.
+
+        A stable argsort keeps equal-``ts`` queries in emission order,
+        the order a stable sort of the rows gives. The row list is
+        emptied, so the day's Python rows are released as soon as the
+        columns exist.
+        """
+        columns = DnsColumns.from_tuples(self.rows)
+        self.rows = []
+        return columns.take(np.argsort(columns.ts, kind="stable"))
+
+
 def _segment_sums(values: np.ndarray, first: np.ndarray,
                   counts: np.ndarray) -> np.ndarray:
     """Each segment's sum, bit-identical to ``segment.sum()``.
@@ -170,7 +197,7 @@ class _ComponentTable(NamedTuple):
 
 
 class WireGenerator:
-    """Expands sessions into DNS records and segment bursts."""
+    """Expands sessions into DNS log rows and segment bursts."""
 
     #: Zipf exponent for long-tail site popularity.
     TAIL_ZIPF_EXPONENT = 0.9
@@ -209,7 +236,7 @@ class WireGenerator:
                        client_ip: int,
                        rng: np.random.Generator,
                        dns_cache: DnsCache,
-                       dns_out: List[DnsLogRecord],
+                       dns_out: DnsColumnLists,
                        burst_out: BurstColumnLists) -> int:
         """Append the session's wire events; returns connections emitted.
 
@@ -307,7 +334,7 @@ class WireGenerator:
                          conn_bytes: float, start: float, duration: float,
                          rng: np.random.Generator,
                          dns_cache: DnsCache,
-                         dns_out: List[DnsLogRecord],
+                         dns_out: DnsColumnLists,
                          burst_out: BurstColumnLists) -> bool:
         """Record one connection; False when its domain is unresolvable."""
         server_ip = self._server_address(
@@ -361,7 +388,7 @@ class WireGenerator:
     def _server_address(self, service: Service, domain: str, client_ip: int,
                         ts: float, rng: np.random.Generator,
                         dns_cache: DnsCache,
-                        dns_out: List[DnsLogRecord]) -> Optional[int]:
+                        dns_out: DnsColumnLists) -> Optional[int]:
         if rng.random() < service.dnsless_fraction:
             # Direct-to-IP (media servers, P2P introductions): pick a
             # host from the service's blocks with no query at all.
@@ -374,12 +401,16 @@ class WireGenerator:
         if cached is not None:
             return cached
 
-        record = self.resolver.query(client_ip, domain, ts - 0.05)
-        if record is None:
-            return None
-        dns_out.append(record)
-        address = record.answers[int(rng.integers(0, len(record.answers)))]
-        dns_cache.put(domain, ts, record.ttl, address)
+        # The query goes out just before the connection; its time also
+        # picks the answer epoch.
+        queried = ts - 0.05
+        answers = self.resolver.resolve(domain, queried)
+        if not answers:
+            return None  # NXDOMAIN: nothing is logged
+        ttl = self.resolver.default_ttl
+        dns_out.rows.append((queried, client_ip, domain, answers, ttl))
+        address = answers[int(rng.integers(0, len(answers)))]
+        dns_cache.put(domain, ts, ttl, address)
         return address
 
     @staticmethod

@@ -3,15 +3,16 @@
 The paper geolocates every destination IP with a commercial database;
 we substitute a prefix-indexed table built alongside the address plan.
 The analysis-side classifier (:mod:`repro.geo`) consumes only the
-``lookup(ip) -> GeoLocation`` interface, so swapping in a real GeoIP
-backend would be a one-class change.
+batch ``coordinates(ips) -> (lat, lon)`` interface, so swapping in a
+real GeoIP backend would be a one-class change.
 """
 
 from __future__ import annotations
 
-import bisect
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
+
+import numpy as np
 
 from repro.net.ip import Prefix
 
@@ -59,15 +60,21 @@ LOCATIONS: Dict[str, GeoLocation] = {
 class GeoDatabase:
     """Longest-prefix geolocation over a static prefix table.
 
-    Prefixes are kept sorted by network base; a lookup bisects to the
-    candidate with the greatest base at or below the address and then
-    walks back through enclosing candidates, preferring the longest
-    (most specific) match -- standard GeoIP semantics.
+    The prefixes are flattened, once per set of prefixes, into disjoint
+    intervals: sorted interval starts, each owned by the most specific
+    prefix covering it, or by none. A lookup, scalar or batch, is one
+    binary search over the starts -- standard GeoIP semantics. When one
+    prefix was added twice, the later add wins.
     """
+
+    #: No registered prefix is shorter than this (a GeoIP table holds
+    #: no block wider than a /8).
+    MIN_PREFIX_LENGTH = 8
 
     def __init__(self) -> None:
         self._entries: List[Tuple[Prefix, GeoLocation]] = []
-        self._sorted = True
+        #: The flat table, built on the first lookup after an add.
+        self._table: Optional[_FlatTable] = None
 
     def add(self, prefix: Prefix, location: GeoLocation) -> None:
         """Register a prefix's location."""
@@ -76,37 +83,72 @@ class GeoDatabase:
                 f"prefix {prefix} shorter than /{self.MIN_PREFIX_LENGTH}"
             )
         self._entries.append((prefix, location))
-        self._sorted = False
+        self._table = None
 
-    def _ensure_sorted(self) -> None:
-        if not self._sorted:
-            self._entries.sort(key=lambda item: (item[0].network, item[0].length))
-            self._keys = [entry[0].network for entry in self._entries]
-            self._sorted = True
-
-    #: No registered prefix is shorter than this, which bounds how far a
-    #: lookup must scan left of its bisect point.
-    MIN_PREFIX_LENGTH = 8
+    def _flat(self) -> "_FlatTable":
+        if self._table is None:
+            self._table = _FlatTable.build(self._entries)
+        return self._table
 
     def lookup(self, address: int) -> Optional[GeoLocation]:
         """Return the location of the most specific prefix covering ``address``."""
-        self._ensure_sorted()
-        if not self._entries:
-            return None
-        idx = bisect.bisect_right(self._keys, address) - 1
-        # Any prefix containing `address` starts at or after this floor
-        # (its size is at most 2**(32 - MIN_PREFIX_LENGTH)).
-        floor = address - (1 << (32 - self.MIN_PREFIX_LENGTH)) + 1
-        best: Optional[Tuple[Prefix, GeoLocation]] = None
-        while idx >= 0:
-            prefix, location = self._entries[idx]
-            if prefix.network < floor:
-                break
-            if prefix.contains(address):
-                if best is None or prefix.length > best[0].length:
-                    best = (prefix, location)
-            idx -= 1
-        return best[1] if best else None
+        index = int(self._flat().owners(np.int64(address)))
+        return self._entries[index][1] if index >= 0 else None
+
+    def coordinates(self, addresses: np.ndarray
+                    ) -> Tuple[np.ndarray, np.ndarray]:
+        """``(lat, lon)`` of each address's most specific covering
+        prefix, NaN where no prefix covers it."""
+        table = self._flat()
+        owners = table.owners(np.asarray(addresses, dtype=np.int64))
+        # Owner -1 reads the trailing NaN.
+        return table.lat[owners], table.lon[owners]
 
     def __len__(self) -> int:
         return len(self._entries)
+
+
+class _FlatTable:
+    """A prefix table flattened into disjoint, sorted intervals.
+
+    ``starts[i]`` opens interval ``i``, which runs to ``starts[i + 1]``
+    (the first start is 0, so every address falls in one); ``owner[i]``
+    is the entry index of its most specific covering prefix, -1 for
+    none. ``lat``/``lon`` hold each entry's coordinates plus a trailing
+    NaN, so indexing them with an owner of -1 reads NaN.
+    """
+
+    __slots__ = ("starts", "owner", "lat", "lon")
+
+    def __init__(self, starts: np.ndarray, owner: np.ndarray,
+                 lat: np.ndarray, lon: np.ndarray) -> None:
+        self.starts = starts
+        self.owner = owner
+        self.lat = lat
+        self.lon = lon
+
+    @classmethod
+    def build(cls, entries: List[Tuple[Prefix, GeoLocation]]
+              ) -> "_FlatTable":
+        bounds = {0}
+        for prefix, _ in entries:
+            bounds.update((prefix.first, prefix.last + 1))
+        starts = np.array(sorted(bounds), dtype=np.int64)
+        owner = np.full(len(starts), -1, dtype=np.int64)
+        # CIDR prefixes nest or are disjoint, so painting the wider ones
+        # first leaves each interval with its most specific owner; the
+        # stable sort paints equal lengths in add order, so the later
+        # add of a duplicate prefix wins.
+        for index in sorted(range(len(entries)),
+                            key=lambda index: entries[index][0].length):
+            prefix = entries[index][0]
+            lo, hi = np.searchsorted(starts, (prefix.first, prefix.last + 1))
+            owner[lo:hi] = index
+        return cls(starts, owner,
+                   np.array([loc.lat for _, loc in entries] + [np.nan]),
+                   np.array([loc.lon for _, loc in entries] + [np.nan]))
+
+    def owners(self, addresses: np.ndarray) -> np.ndarray:
+        """Entry index of each address's owner, -1 where uncovered."""
+        return self.owner[np.searchsorted(self.starts, addresses,
+                                          side="right") - 1]

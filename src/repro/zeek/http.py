@@ -17,6 +17,7 @@ from dataclasses import dataclass
 from typing import IO, Iterable, Iterator, Optional
 
 from repro.net.ip import int_to_ip, ip_to_int
+from repro.reliability.parsing import require_finite
 
 
 @dataclass(frozen=True)
@@ -48,7 +49,7 @@ class HttpRecord:
     @classmethod
     def from_json(cls, line: str) -> "HttpRecord":
         payload = json.loads(line)
-        return cls(
+        return require_finite(cls(
             ts=float(payload["ts"]),
             orig_h=ip_to_int(payload["orig_h"]),
             orig_p=int(payload["orig_p"]),
@@ -56,7 +57,7 @@ class HttpRecord:
             resp_p=int(payload["resp_p"]),
             host=payload.get("host"),
             user_agent=payload.get("user_agent"),
-        )
+        ), ("ts",), source="http", line=line)
 
 
 def write_http_log(records: Iterable[HttpRecord], fileobj: IO[str]) -> int:

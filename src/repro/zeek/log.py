@@ -24,7 +24,11 @@ from repro.reliability.errors import (
     CATEGORY_VALUE,
     RecordError,
 )
-from repro.reliability.parsing import parse_json_object, read_jsonl_records
+from repro.reliability.parsing import (
+    parse_json_object,
+    read_jsonl_records,
+    require_finite,
+)
 from repro.reliability.quarantine import QuarantineSink
 from repro.zeek.conn import ConnRecord
 
@@ -56,7 +60,7 @@ def conn_from_json(line: str, line_no: Optional[int] = None) -> ConnRecord:
     """Parse one connection record; raises :class:`RecordError`."""
     payload = parse_json_object(line, source=_SOURCE, line_no=line_no)
     try:
-        return ConnRecord(
+        record = ConnRecord(
             uid=int(payload["uid"]),
             ts=float(payload["ts"]),
             duration=float(payload["duration"]),
@@ -78,6 +82,8 @@ def conn_from_json(line: str, line_no: Optional[int] = None) -> ConnRecord:
         raise RecordError(
             f"conn record has a bad value: {exc}", source=_SOURCE,
             category=CATEGORY_VALUE, line_no=line_no, line=line) from exc
+    return require_finite(record, ("ts", "duration"), source=_SOURCE,
+                          line_no=line_no, line=line)
 
 
 def write_conn_log(records: Iterable[ConnRecord], fileobj: IO[str]) -> int:

@@ -5,6 +5,11 @@ import io
 from repro.dhcp.lease import Lease
 from repro.dhcp.log import DhcpLogRecord, read_dhcp_log, write_dhcp_log
 from repro.net.mac import MacAddress
+from tests.reliability.nonfinite import (
+    NON_FINITE,
+    assert_refused_once,
+    with_raw_value,
+)
 
 import pytest
 
@@ -72,3 +77,13 @@ class TestParseModes:
         assert parsed == [good]
         assert sink.malformed("dhcp") == 1
         assert sink.blank("dhcp") == 1
+
+
+class TestNumericValidation:
+    @pytest.mark.parametrize("field", ["ts", "lease_end"])
+    @pytest.mark.parametrize("raw", NON_FINITE)
+    def test_non_finite_refused(self, field, raw):
+        good = DhcpLogRecord(ts=1.0, mac=MacAddress(1), ip=10,
+                             lease_end=100.0).to_json()
+        assert_refused_once(read_dhcp_log, good,
+                            with_raw_value(good, field, raw), "dhcp")

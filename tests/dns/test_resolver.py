@@ -49,18 +49,6 @@ class TestResolve:
 
 
 class TestQuery:
-    def test_logged_record_fields(self, resolver):
-        record = resolver.query(0x64400001, "zoom.us", 50.0)
-        assert record is not None
-        assert record.client_ip == 0x64400001
-        assert record.qname == "zoom.us"
-        assert record.ts == 50.0
-        assert record.ttl == resolver.default_ttl
-        assert record.answers == resolver.resolve("zoom.us", 50.0)
-
-    def test_nxdomain_returns_none(self, resolver):
-        assert resolver.query(1, "nope.example", 0.0) is None
-
     def test_answer_count_validated(self, plan):
         with pytest.raises(ValueError):
             SyntheticResolver(plan, RngFactory(1), answer_count=0)

@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 from repro import StudyConfig
+from repro.dns.records import DnsColumns
 from repro.net.wire import BurstColumns
 from repro.pipeline.pipeline import MonitoringPipeline
 from repro.reliability.faults import FaultPlan
@@ -34,7 +35,8 @@ def _strip(trace, *, dhcp=False, dns=False):
     return dataclasses.replace(
         trace,
         dhcp_records=[] if dhcp else trace.dhcp_records,
-        dns_records=[] if dns else trace.dns_records,
+        dns_records=(DnsColumns.from_rows([]) if dns
+                     else trace.dns_records),
     )
 
 
@@ -109,7 +111,7 @@ class TestEmptyDays:
     def test_empty_trace_is_noop(self, traces):
         days, excluded = traces
         empty = dataclasses.replace(
-            days[0], dhcp_records=[], dns_records=[],
+            days[0], dhcp_records=[], dns_records=DnsColumns.from_rows([]),
             bursts=BurstColumns.from_rows([]))
         pipeline = MonitoringPipeline(_CONFIG, excluded)
         pipeline.ingest_day(empty)

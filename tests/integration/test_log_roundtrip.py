@@ -15,7 +15,7 @@ import pytest
 
 from repro import StudyConfig
 from repro.dhcp.log import read_dhcp_log, write_dhcp_log
-from repro.dns.records import read_dns_log, write_dns_log
+from repro.dns.records import DnsColumns, read_dns_log, write_dns_log
 from repro.pipeline.pipeline import MonitoringPipeline
 from repro.synth.generator import CampusTraceGenerator
 from repro.util.timeutil import utc_ts
@@ -47,10 +47,10 @@ class TestRoundTrip:
         trace, _ = day_trace
         path = tmp_path / "dns.jsonl"
         with open(path, "w") as fileobj:
-            write_dns_log(trace.dns_records, fileobj)
+            write_dns_log(trace.dns_records.rows(), fileobj)
         with open(path) as fileobj:
             parsed = list(read_dns_log(fileobj))
-        assert parsed == trace.dns_records
+        assert parsed == list(trace.dns_records.rows())
 
     def test_conn_log_round_trip(self, day_trace, tmp_path):
         trace, _ = day_trace
@@ -70,13 +70,13 @@ class TestRoundTrip:
         dhcp_buffer = io.StringIO()
         dns_buffer = io.StringIO()
         write_dhcp_log(trace.dhcp_records, dhcp_buffer)
-        write_dns_log(trace.dns_records, dns_buffer)
+        write_dns_log(trace.dns_records.rows(), dns_buffer)
         dhcp_buffer.seek(0)
         dns_buffer.seek(0)
         replayed = dataclasses.replace(
             trace,
             dhcp_records=list(read_dhcp_log(dhcp_buffer)),
-            dns_records=list(read_dns_log(dns_buffer)),
+            dns_records=DnsColumns.from_rows(read_dns_log(dns_buffer)),
         )
 
         def measure(source):

@@ -22,9 +22,15 @@ from repro.io.tracedir import (
 from repro.net.wire import SegmentBurst
 from repro.pipeline.pipeline import MonitoringPipeline
 from repro.reliability.errors import CATEGORY_VALUE, RecordError
+from repro.reliability.parsing import read_jsonl_records
 from repro.reliability.quarantine import QuarantineSink
 from repro.synth.generator import CampusTraceGenerator
 from repro.util.timeutil import utc_ts
+from tests.reliability.nonfinite import (
+    NON_FINITE,
+    assert_refused_once,
+    with_raw_value,
+)
 
 _CONFIG = StudyConfig(n_students=5, seed=31)
 
@@ -90,6 +96,16 @@ class TestBurstParserValidation:
         burst = burst_from_json(line)
         assert burst.user_agent is None and burst.http_host is None
         assert burst.is_final is False
+
+    @pytest.mark.parametrize("raw", NON_FINITE)
+    def test_non_finite_ts_refused(self, raw):
+        good = json.dumps(_GOOD_WIRE)
+
+        def read(fileobj, mode="strict", sink=None):
+            return read_jsonl_records(fileobj, burst_from_json,
+                                      source="wire", mode=mode, sink=sink)
+        assert_refused_once(read, good, with_raw_value(good, "ts", raw),
+                            "wire")
 
 
 class TestMalformedWireReplay:
@@ -160,7 +176,8 @@ class TestExportAndReplay:
         for original, restored in zip(traces, replayed):
             assert restored.day_start == original.day_start
             assert restored.dhcp_records == original.dhcp_records
-            assert restored.dns_records == original.dns_records
+            assert (list(restored.dns_records.rows())
+                    == list(original.dns_records.rows()))
             assert (list(restored.bursts.rows())
                     == list(original.bursts.rows()))
 

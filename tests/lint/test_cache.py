@@ -145,3 +145,28 @@ def test_project_key_covers_tests_text(mini_repo, tmp_path):
     mini_repo.write_test("test_new", "def test_x():\n    pass\n")
     key_after = cache.project_key(build_index(mini_repo.root))
     assert key_before != key_after
+
+
+def test_warm_run_on_the_tree_parses_no_module(tmp_path, monkeypatch):
+    """Raw (pre-waiver) findings on the real tree are identical cold and
+    warm, and the warm run never builds an AST."""
+    import ast
+    from pathlib import Path
+
+    from repro.lint import engine
+    from repro.lint.rules import ALL_RULES
+
+    root = Path(__file__).resolve().parents[2]
+    monkeypatch.setattr(engine, "is_waived", lambda finding, module: False)
+    cold = LintEngine(list(ALL_RULES), cache=_cache(tmp_path)).run(root)
+    parses = []
+    real_parse = ast.parse
+
+    def counting_parse(*args, **kwargs):
+        parses.append(args)
+        return real_parse(*args, **kwargs)
+    monkeypatch.setattr(ast, "parse", counting_parse)
+    warm = LintEngine(list(ALL_RULES), cache=_cache(tmp_path)).run(root)
+    assert cold                        # the waived findings, unfiltered
+    assert warm == cold
+    assert parses == []

@@ -77,7 +77,7 @@ class RowMonitoringPipeline(MonitoringPipeline):
             self.coverage.add_day(trace.day_start, gaps)
         for record in trace.dhcp_records:
             self.ip_mac.ingest(record)
-        for record in trace.dns_records:
+        for record in trace.dns_records.rows():
             self.ip_domain.ingest(record)
 
         kept = self.tap.filter(trace.bursts.rows())

@@ -265,10 +265,21 @@ class RowDnsIndex(ColumnarDnsIndex):
     """:class:`ColumnarDnsIndex` with :class:`IpDomainResolver`'s
     per-record ingest and point-query API."""
 
+    def _intern_name(self, name: str) -> int:
+        nid = self._name_ids.get(name)
+        if nid is None:
+            nid = len(self.name_table)
+            self._name_ids[name] = nid
+            self.name_table.append(name)
+        return nid
+
     def ingest(self, record: DnsLogRecord) -> None:
         """Incorporate one query's answers (time-ordered per IP)."""
         self._record_count += 1
         log = self._log
+        # Every logged qname is interned, answers or not, in
+        # first-occurrence order -- the name table batch ingest builds.
+        nid = self._intern_name(record.qname)
         for address in record.answers:
             tail = log.tail.get(address)
             if tail is not None and record.ts < log.until[tail]:
@@ -276,7 +287,6 @@ class RowDnsIndex(ColumnarDnsIndex):
                     f"DNS log out of order for answer {address}: "
                     f"{record.ts} < {log.until[tail]}",
                     source="dns", category=CATEGORY_ORDER)
-            nid = self._intern_name(record.qname)
             if (tail is not None and log.label[tail] == nid
                     and record.ts - log.until[tail]
                     <= self.freshness_seconds):

@@ -9,7 +9,7 @@ import pytest
 from repro.columnar.batch import BurstBatch
 from repro.config import StudyConfig
 from repro.dhcp.log import DhcpLogRecord
-from repro.dns.records import DnsLogRecord
+from repro.dns.records import DnsColumns, DnsLogRecord
 from repro.net.ip import Prefix
 from repro.net.mac import MacAddress
 from repro.net.wire import BurstColumns, SegmentBurst
@@ -29,7 +29,8 @@ EXCLUDED_SERVER = 0x3C000001
 class FakeTrace:
     day_start: float
     dhcp_records: List[DhcpLogRecord] = field(default_factory=list)
-    dns_records: List[DnsLogRecord] = field(default_factory=list)
+    dns_records: DnsColumns = field(
+        default_factory=lambda: DnsColumns.from_rows([]))
     bursts: BurstColumns = field(
         default_factory=lambda: BurstColumns.from_rows([]))
 
@@ -46,9 +47,10 @@ def _burst(ts, client=CLIENT_A, server=SERVER, port=50000, orig=100,
         user_agent=ua, is_final=final)
 
 
-def _day(day_index=0, bursts=(), **kwargs):
+def _day(day_index=0, bursts=(), dns_records=(), **kwargs):
     start = StudyConfig().start_ts + day_index * DAY
     return FakeTrace(day_start=start, bursts=BurstColumns.from_rows(bursts),
+                     dns_records=DnsColumns.from_rows(dns_records),
                      **kwargs)
 
 

@@ -13,7 +13,7 @@ import numpy as np
 from hypothesis import example, given, settings, strategies as st
 
 from repro.dhcp.log import DhcpLogRecord
-from repro.dns.records import DnsLogRecord
+from repro.dns.records import DnsColumns, DnsLogRecord
 from repro.net.mac import MacAddress
 from repro.net.wire import SegmentBurst
 from tests.oracles.flow_engine import FlowEngine, RowColumnarFlowEngine
@@ -173,7 +173,7 @@ class TestDnsIndexProperties:
         for record in records:
             reference.ingest(record)
         if batch:
-            columnar.ingest_batch(records)
+            columnar.ingest_batch(DnsColumns.from_rows(records))
         else:
             for record in records:
                 columnar.ingest(record)
@@ -238,7 +238,7 @@ class TestDnsIndexProperties:
                 reference.ingest(record)
                 clock = record.ts
             if batch:
-                columnar.ingest_batch(chunk)
+                columnar.ingest_batch(DnsColumns.from_rows(chunk))
             else:
                 for record in chunk:
                     columnar.ingest(record)
@@ -265,6 +265,15 @@ class TestDnsIndexProperties:
         assert scalar.record_count == batched.record_count
         assert len(scalar) == len(batched)
         assert sorted(scalar.observed_ips()) == sorted(batched.observed_ips())
+        # The whole index state, not just its answers: name table,
+        # entry log columns and tail pointers.
+        assert scalar.name_table == batched.name_table
+        for name in ("ip", "start", "until", "label"):
+            size = scalar._log.size
+            assert batched._log.size == size
+            assert (getattr(scalar._log, name)[:size].tolist()
+                    == getattr(batched._log, name)[:size].tolist())
+        assert scalar._log.tail == batched._log.tail
 
 
 # -- Flow engine -----------------------------------------------------------

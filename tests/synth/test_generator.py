@@ -29,7 +29,7 @@ class TestGenerateDay:
         trace = generator.generate_day(utc_ts(2020, 2, 5))
         burst_times = trace.bursts.ts.tolist()
         assert burst_times == sorted(burst_times)
-        dns_times = [r.ts for r in trace.dns_records]
+        dns_times = trace.dns_records.ts.tolist()
         assert dns_times == sorted(dns_times)
 
     def test_dhcp_log_in_time_order(self, generator):
@@ -87,8 +87,8 @@ class TestPresenceModes:
                                        presence=PRESENCE_ALL_RESIDENTS)
         assert trace.session_count > 0
         # Zoom is essentially absent pre-pandemic.
-        zoom_queries = [r for r in trace.dns_records
-                        if r.qname.endswith("zoom.us")]
+        zoom_queries = [name for name in trace.dns_records.qname
+                        if name.endswith("zoom.us")]
         assert len(zoom_queries) < max(1, len(trace.dns_records) // 50)
 
 
@@ -131,7 +131,7 @@ class TestPinnedOutput:
             digest.update(column.tobytes())
         for name in cls._STRINGS:
             digest.update(json.dumps(getattr(bursts, name).tolist()).encode())
-        for record in trace.dns_records:
+        for record in trace.dns_records.rows():
             digest.update(repr(record).encode())
         for record in trace.dhcp_records:
             digest.update(repr(record).encode())
@@ -193,9 +193,10 @@ class TestSubRangeReproducibility:
             assert day_a.connection_count == day_b.connection_count
             assert ([self._burst_key(b) for b in day_a.bursts.rows()]
                     == [self._burst_key(b) for b in day_b.bursts.rows()])
-            assert ([(r.ts, r.qname, r.answers) for r in day_a.dns_records]
+            assert ([(r.ts, r.qname, r.answers)
+                     for r in day_a.dns_records.rows()]
                     == [(r.ts, r.qname, r.answers)
-                        for r in day_b.dns_records])
+                        for r in day_b.dns_records.rows()])
 
     def test_sub_range_matches_full_run_days(self):
         full = CampusTraceGenerator(_CONFIG)

@@ -11,7 +11,12 @@ from repro.synth.archetypes import (
 )
 from repro.synth.devices import DeviceKind, make_device
 from repro.synth.sessions import AppSession
-from repro.synth.wiregen import BurstColumnLists, DnsCache, WireGenerator
+from repro.synth.wiregen import (
+    BurstColumnLists,
+    DnsCache,
+    DnsColumnLists,
+    WireGenerator,
+)
 from repro.dns.resolver import SyntheticResolver
 from repro.util.rng import RngFactory
 from repro.util.timeutil import utc_ts
@@ -45,13 +50,14 @@ def _session(name, minutes=20.0, total_bytes=50e6):
 
 def _expand(env, name, seed=0, device=None, **session_kwargs):
     plan, generator, archetypes = env
-    dns_out, bursts = [], BurstColumnLists()
+    dns_out, bursts = DnsColumnLists(), BurstColumnLists()
     count = generator.expand_session(
         _session(name, **session_kwargs), device or _device(),
         archetypes[name], client_ip=0x64400101,
         rng=np.random.default_rng(seed), dns_cache=DnsCache(),
         dns_out=dns_out, burst_out=bursts)
-    return count, dns_out, list(bursts.columns().rows())
+    return (count, list(dns_out.columns().rows()),
+            list(bursts.columns().rows()))
 
 
 class TestExpansion:
@@ -103,11 +109,28 @@ class TestExpansion:
                     dnsless += 1
         assert dnsless > 0
 
+    def test_logged_row_fields(self, env):
+        """A query is logged 0.05 s before its connection starts, from
+        the client, with the resolver's answers for that time and its
+        default TTL."""
+        _, generator, _ = env
+        _, dns_out, bursts = _expand(env, "instagram", seed=5)
+        assert dns_out
+        resolver = generator.resolver
+        for record in dns_out:
+            assert record.client_ip == 0x64400101
+            assert record.ttl == resolver.default_ttl
+            assert record.answers == resolver.resolve(record.qname,
+                                                      record.ts)
+            assert any(abs(burst.ts - 0.05 - record.ts) < 1e-6
+                       and burst.server_ip in record.answers
+                       for burst in bursts)
+
     def test_dns_cache_reduces_queries(self, env):
         plan, generator, archetypes = env
         device = _device()
         cache = DnsCache()
-        dns_out, bursts = [], BurstColumnLists()
+        dns_out, bursts = DnsColumnLists(), BurstColumnLists()
         rng = np.random.default_rng(0)
         for offset in (0.0, 120.0):
             session = AppSession(
@@ -117,7 +140,7 @@ class TestExpansion:
             generator.expand_session(session, device,
                                      archetypes["facebook"], 0x64400101,
                                      rng, cache, dns_out, bursts)
-        domains_queried = [r.qname for r in dns_out]
+        domains_queried = dns_out.columns().qname.tolist()
         # Cached answers mean strictly fewer queries than connections.
         assert len(domains_queried) < len(
             {b.five_tuple for b in bursts.columns().rows()}) + len(set(domains_queried))
@@ -155,7 +178,7 @@ class TestUnresolvableDomain:
     @staticmethod
     def _expand_archetype(env, archetype, seed):
         plan, generator, _ = env
-        dns_out, bursts = [], BurstColumnLists()
+        dns_out, bursts = DnsColumnLists(), BurstColumnLists()
         count = generator.expand_session(
             AppSession(device_id=3, archetype_name=archetype.name,
                        start=SESSION_START, duration=20 * 60,
@@ -163,7 +186,7 @@ class TestUnresolvableDomain:
             _device(), archetype, client_ip=0x64400101,
             rng=np.random.default_rng(seed), dns_cache=DnsCache(),
             dns_out=dns_out, burst_out=bursts)
-        return count, dns_out, bursts.columns()
+        return count, list(dns_out.columns().rows()), bursts.columns()
 
     def test_unresolvable_connections_not_counted(self, env):
         plan = env[0]

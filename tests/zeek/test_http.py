@@ -5,8 +5,10 @@ import io
 import pytest
 
 from repro.net.wire import BurstColumns, SegmentBurst
+from repro.reliability.errors import CATEGORY_VALUE, RecordError
 from repro.zeek.http import HttpRecord, read_http_log, write_http_log
 from tests.oracles.flow_engine import FlowEngine
+from tests.reliability.nonfinite import NON_FINITE, with_raw_value
 
 
 def _burst(ts, ua=None, host=None, port=55000, final=False):
@@ -107,3 +109,14 @@ class TestPipelineHostFallback:
         assert dataset.domains[dataset.domain[0]] == "weather.com"
         assert pipeline.stats.flows_host_annotated == 1
         assert pipeline.stats.http_records == 1
+
+
+class TestHttpNumericValidation:
+    @pytest.mark.parametrize("raw", NON_FINITE)
+    def test_non_finite_ts_refused(self, raw):
+        good = HttpRecord(ts=1.0, orig_h=1, orig_p=2, resp_h=3, resp_p=80,
+                          host=None, user_agent=None).to_json()
+        with pytest.raises(RecordError) as info:
+            HttpRecord.from_json(with_raw_value(good, "ts", raw))
+        assert (info.value.source, info.value.category) == (
+            "http", CATEGORY_VALUE)

@@ -2,8 +2,15 @@
 
 import io
 
+import pytest
+
 from repro.zeek.conn import ConnRecord
-from repro.zeek.log import read_conn_log, write_conn_log
+from repro.zeek.log import conn_to_json, read_conn_log, write_conn_log
+from tests.reliability.nonfinite import (
+    NON_FINITE,
+    assert_refused_once,
+    with_raw_value,
+)
 
 
 def _conn(uid=1, ua=None):
@@ -73,3 +80,12 @@ class TestParseModes:
 
         with pytest.raises(ValueError):
             list(read_conn_log(io.StringIO(""), mode="relaxed"))
+
+
+class TestNumericValidation:
+    @pytest.mark.parametrize("field", ["ts", "duration"])
+    @pytest.mark.parametrize("raw", NON_FINITE)
+    def test_non_finite_refused(self, field, raw):
+        good = conn_to_json(_conn())
+        assert_refused_once(read_conn_log, good,
+                            with_raw_value(good, field, raw), "conn")
