@@ -5,6 +5,11 @@ natural reviewer question is which of those shifts outrun sampling
 noise. This module wraps the Mann-Whitney U test (the right tool for
 the heavy-tailed, non-normal per-device distributions in Figures 6
 and 7) and applies it across a monthly per-device table.
+
+It lives beside ``subpopulations.py``, its one caller, rather than in
+the ``repro`` package: the pipeline and figures never test
+significance, and scipy is only the optional ``examples`` extra
+(``pip install -e .[examples]``), so ``import repro`` must not need it.
 """
 
 from __future__ import annotations

@@ -74,8 +74,7 @@ def main() -> None:
     from repro.apps.facebook import facebook_platform_signature
     from repro.sessions.duration import monthly_duration_hours
     from repro.sessions.stitch import stitch_sessions
-    from repro.stats.significance import (monthly_shift_tests,
-                                          render_shift_tests)
+    from significance import monthly_shift_tests, render_shift_tests
     dataset = artifacts.dataset
     platform_mask = facebook_platform_signature().domain_mask(dataset)
     hours = monthly_duration_hours(

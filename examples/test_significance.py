@@ -1,11 +1,18 @@
-"""Tests for the Mann-Whitney shift testing."""
+"""Tests for the Mann-Whitney shift testing in ``significance.py``.
+
+scipy is the optional ``examples`` extra; an install without it skips
+this module.
+"""
 
 import math
 
 import numpy as np
 import pytest
 
-from repro.stats.significance import (
+pytest.importorskip("scipy")
+
+from repro import LockdownStudy, StudyConfig  # noqa: E402
+from significance import (  # noqa: E402
     MIN_SAMPLES,
     mann_whitney_shift,
     monthly_shift_tests,
@@ -77,10 +84,15 @@ class TestMonthlyShiftTests:
         assert "significant" in text
 
 
+@pytest.fixture(scope="module")
+def mini_artifacts():
+    """The test suite's mini study (30 students, seed 11)."""
+    return LockdownStudy(StudyConfig(n_students=30, seed=11)).run()
+
+
 class TestOnMiniStudy:
     def test_fig6_shifts_testable(self, mini_artifacts):
         """Wire the significance machinery to real figure-6 samples."""
-        from repro.analysis.fig6_social import compute_fig6
         from repro.apps.facebook import facebook_platform_signature
         from repro.sessions.duration import monthly_duration_hours
         from repro.sessions.stitch import stitch_sessions

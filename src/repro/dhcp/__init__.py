@@ -16,18 +16,10 @@ logs (Section 3). This package provides both halves:
 
 from repro.dhcp.lease import Lease
 from repro.dhcp.log import DhcpLogRecord, read_dhcp_log, write_dhcp_log
-from repro.dhcp.protocol import (
-    DhcpClient,
-    DhcpMessage,
-    DhcpProtocolServer,
-)
 from repro.dhcp.server import DhcpServer, PoolExhaustedError
 
 __all__ = [
-    "DhcpClient",
     "DhcpLogRecord",
-    "DhcpMessage",
-    "DhcpProtocolServer",
     "DhcpServer",
     "Lease",
     "PoolExhaustedError",

@@ -3,19 +3,15 @@
 The mirror port sees layer-3 traffic only, so client devices appear
 exclusively as (dynamic) IP addresses -- recovering the device identity
 is the job of DHCP-log normalization downstream, exactly as in the
-paper. Three record kinds cross the tap:
+paper.
 
-* :class:`SegmentBurst` -- a burst of packets in one direction pair of a
-  TCP/UDP connection. The Zeek flow engine reassembles bursts sharing a
-  five-tuple into connection records.
-  A day trace carries its bursts as one :class:`BurstColumns` -- a
-  typed column per field, in time order -- which the generator builds
-  and the columnar ingest path reads with no per-burst object in
-  between; :meth:`BurstColumns.rows` materializes the rows on request.
-* :class:`WireConnection` -- a fully-formed connection observation, used
-  by components (and tests) that operate at connection granularity.
-* :class:`DnsQueryEvent` -- a resolver transaction (query + answers)
-  observed on the wire, the raw material of the DNS log.
+A :class:`SegmentBurst` is a burst of packets in one direction pair of
+a TCP/UDP connection; the flow engine reassembles bursts sharing a
+five-tuple into connection records. A day trace carries its bursts as
+one :class:`BurstColumns` -- a typed column per field, in time order --
+which the generator builds and the columnar ingest path reads with no
+per-burst object in between; :meth:`BurstColumns.rows` materializes the
+rows on request.
 """
 
 from __future__ import annotations
@@ -130,38 +126,3 @@ def object_column(values: Sequence[Optional[str]]) -> np.ndarray:
     column = np.empty(len(values), dtype=object)
     column[:] = values
     return column
-
-
-@dataclass(frozen=True)
-class WireConnection:
-    """One complete connection as observed at the tap."""
-
-    start: float
-    duration: float
-    client_ip: int
-    client_port: int
-    server_ip: int
-    server_port: int
-    proto: str
-    orig_bytes: int
-    resp_bytes: int
-    user_agent: Optional[str] = None
-
-    @property
-    def end(self) -> float:
-        return self.start + self.duration
-
-    @property
-    def total_bytes(self) -> int:
-        return self.orig_bytes + self.resp_bytes
-
-
-@dataclass(frozen=True)
-class DnsQueryEvent:
-    """A DNS transaction: who asked for what, and what came back."""
-
-    ts: float
-    client_ip: int
-    qname: str
-    answers: Tuple[int, ...]
-    ttl: float = 300.0

@@ -1,23 +1,11 @@
 """Statistics helpers used by the analyses."""
 
 from repro.stats.descriptive import BoxStats, box_stats, safe_median
-from repro.stats.normalize import normalize_by_min
-from repro.stats.significance import (
-    ShiftTest,
-    mann_whitney_shift,
-    monthly_shift_tests,
-    render_shift_tests,
-)
 from repro.stats.smoothing import moving_average
 
 __all__ = [
     "BoxStats",
-    "ShiftTest",
     "box_stats",
-    "mann_whitney_shift",
-    "monthly_shift_tests",
     "moving_average",
-    "normalize_by_min",
-    "render_shift_tests",
     "safe_median",
 ]

@@ -6,19 +6,14 @@ performs the same reduction over segment bursts: it groups by
 five-tuple, accumulates byte counters in both directions and closes
 flows on teardown or idleness. This package holds the record formats
 around it: :class:`~repro.zeek.conn.ConnRecord` with the conn.log
-fields the analyses consume, the http.log record, and their readers
-and writers.
+fields the analyses consume, and its reader and writer.
 """
 
 from repro.zeek.conn import ConnRecord
-from repro.zeek.http import HttpRecord, read_http_log, write_http_log
 from repro.zeek.log import read_conn_log, write_conn_log
 
 __all__ = [
     "ConnRecord",
-    "HttpRecord",
     "read_conn_log",
-    "read_http_log",
     "write_conn_log",
-    "write_http_log",
 ]

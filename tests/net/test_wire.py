@@ -3,8 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.net.wire import (BurstColumns, DnsQueryEvent, SegmentBurst,
-                            WireConnection)
+from repro.net.wire import BurstColumns, SegmentBurst
 
 
 class TestSegmentBurst:
@@ -80,21 +79,3 @@ class TestBurstColumns:
         fields["http_host"] = fields["http_host"][:2]
         with pytest.raises(ValueError):
             BurstColumns(**fields)
-
-
-class TestWireConnection:
-    def test_derived_fields(self):
-        conn = WireConnection(
-            start=10.0, duration=5.0, client_ip=1, client_port=2,
-            server_ip=3, server_port=4, proto="tcp", orig_bytes=100,
-            resp_bytes=200)
-        assert conn.end == 15.0
-        assert conn.total_bytes == 300
-
-
-class TestDnsQueryEvent:
-    def test_fields(self):
-        event = DnsQueryEvent(ts=1.0, client_ip=2, qname="zoom.us",
-                              answers=(3, 4))
-        assert event.ttl == 300.0
-        assert event.answers == (3, 4)

@@ -26,9 +26,21 @@ from repro.columnar.batch import BurstBatch, FlowBatch
 from repro.columnar.engine import ColumnarFlowEngine
 from repro.net.wire import BurstColumns, SegmentBurst
 from repro.zeek.conn import ConnRecord
-from repro.zeek.http import HttpRecord
 
 FiveTuple = Tuple[int, int, int, int, str]
+
+
+@dataclass(frozen=True)
+class HttpRecord:
+    """One plaintext HTTP request's metadata, as in Zeek's http.log."""
+
+    ts: float
+    orig_h: int
+    orig_p: int
+    resp_h: int
+    resp_p: int
+    host: Optional[str]
+    user_agent: Optional[str]
 
 
 @dataclass

@@ -7,7 +7,6 @@ import pytest
 from hypothesis import given, strategies as st
 
 from repro.stats.descriptive import BoxStats, box_stats, safe_median
-from repro.stats.normalize import normalize_by_min
 from repro.stats.smoothing import moving_average
 
 
@@ -80,16 +79,3 @@ class TestMovingAverage:
         out = moving_average(values, window)
         assert out.min() >= min(values) - 1e-9
         assert out.max() <= max(values) + 1e-9
-
-
-class TestNormalizeByMin:
-    def test_scaled_by_smallest_positive(self):
-        out = normalize_by_min([0.0, 2.0, 4.0, 8.0])
-        assert list(out) == [0.0, 1.0, 2.0, 4.0]
-
-    def test_all_zero(self):
-        assert list(normalize_by_min([0.0, 0.0])) == [0.0, 0.0]
-
-    def test_floor(self):
-        out = normalize_by_min([0.5, 2.0, 4.0], floor=1.0)
-        assert out[1] == pytest.approx(1.0)

@@ -1,14 +1,7 @@
 """Tests for HTTP metadata extraction (the http.log path)."""
 
-import io
-
-import pytest
-
 from repro.net.wire import BurstColumns, SegmentBurst
-from repro.reliability.errors import CATEGORY_VALUE, RecordError
-from repro.zeek.http import HttpRecord, read_http_log, write_http_log
 from tests.oracles.flow_engine import FlowEngine
-from tests.reliability.nonfinite import NON_FINITE, with_raw_value
 
 
 def _burst(ts, ua=None, host=None, port=55000, final=False):
@@ -17,30 +10,6 @@ def _burst(ts, ua=None, host=None, port=55000, final=False):
         server_ip=0x32000001, server_port=80, proto="tcp",
         orig_bytes=100, resp_bytes=200, user_agent=ua, http_host=host,
         is_final=final)
-
-
-class TestHttpRecordSerialization:
-    def test_round_trip(self):
-        record = HttpRecord(
-            ts=5.5, orig_h=0x64400001, orig_p=51000, resp_h=0x32000001,
-            resp_p=80, host="weather.com",
-            user_agent="Mozilla/5.0 (iPhone)")
-        assert HttpRecord.from_json(record.to_json()) == record
-
-    def test_optional_fields(self):
-        record = HttpRecord(ts=1.0, orig_h=1, orig_p=2, resp_h=3,
-                            resp_p=80, host=None, user_agent=None)
-        assert HttpRecord.from_json(record.to_json()) == record
-
-    def test_log_io(self):
-        records = [
-            HttpRecord(1.0, 1, 2, 3, 80, "a.com", None),
-            HttpRecord(2.0, 1, 2, 3, 80, None, "UA"),
-        ]
-        buffer = io.StringIO()
-        assert write_http_log(records, buffer) == 2
-        buffer.seek(0)
-        assert list(read_http_log(buffer)) == records
 
 
 class TestEngineHttpEmission:
@@ -109,14 +78,3 @@ class TestPipelineHostFallback:
         assert dataset.domains[dataset.domain[0]] == "weather.com"
         assert pipeline.stats.flows_host_annotated == 1
         assert pipeline.stats.http_records == 1
-
-
-class TestHttpNumericValidation:
-    @pytest.mark.parametrize("raw", NON_FINITE)
-    def test_non_finite_ts_refused(self, raw):
-        good = HttpRecord(ts=1.0, orig_h=1, orig_p=2, resp_h=3, resp_p=80,
-                          host=None, user_agent=None).to_json()
-        with pytest.raises(RecordError) as info:
-            HttpRecord.from_json(with_raw_value(good, "ts", raw))
-        assert (info.value.source, info.value.category) == (
-            "http", CATEGORY_VALUE)
