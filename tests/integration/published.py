@@ -1,0 +1,37 @@
+"""Every output a study publishes, rendered to text.
+
+Shared by the suites that check properties of the published bytes:
+the raw-identifier leak scan and the operational-settings check.
+"""
+
+import glob
+import os
+
+from repro.core.figures import export_figure_csvs
+from repro.core.report import render_full_report
+from repro.pipeline.store import save_dataset
+from repro.serve.fingerprint import canonical_json
+from repro.serve.service import StudyService, artifact_names
+from repro.serve.store import ArtifactStore
+
+
+def published_outputs(artifacts, directory):
+    """Name -> text of the report, each figure CSV, each serve payload
+    and both dataset sidecars. Scratch files go under ``directory``."""
+    outputs = {"report": render_full_report(artifacts)}
+    for path in export_figure_csvs(artifacts, os.path.join(directory,
+                                                           "csv")):
+        with open(path) as fileobj:
+            outputs[os.path.basename(path)] = fileobj.read()
+    service = StudyService(ArtifactStore(os.path.join(directory, "store")))
+    for name in artifact_names():
+        outputs[f"serve:{name}"] = canonical_json(
+            service._compute_payload(artifacts, name))
+    for label, dataset in (("filtered", artifacts.dataset),
+                           ("unfiltered", artifacts.dataset_unfiltered)):
+        base = os.path.join(directory, f"{label}.npz")
+        save_dataset(dataset, base)
+        (sidecar,) = glob.glob(base + "*.json")
+        with open(sidecar) as fileobj:
+            outputs[f"sidecar:{label}"] = fileobj.read()
+    return outputs

@@ -8,17 +8,12 @@ checks none of them is a simulated device's MAC or an address out of
 the campus DHCP pools.
 """
 
-import glob
-import os
 import re
 
-from repro.core.figures import FIGURE_FILES, export_figure_csvs
-from repro.core.report import render_full_report
+from repro.core.figures import FIGURE_FILES
 from repro.net.ip import ip_to_int
-from repro.pipeline.store import save_dataset
-from repro.serve.fingerprint import canonical_json
-from repro.serve.service import StudyService, artifact_names
-from repro.serve.store import ArtifactStore
+from repro.serve.service import artifact_names
+from tests.integration.published import published_outputs
 
 _HEX = "[0-9a-fA-F]"
 #: ``aa:bb:cc:dd:ee:ff``, ``aa-bb-cc-dd-ee-ff`` and bare ``aabbccddeeff``
@@ -49,27 +44,6 @@ def _dotted_quads_in(text):
     return found
 
 
-def _published_outputs(artifacts, directory):
-    """Name -> text of every output the study publishes."""
-    outputs = {"report": render_full_report(artifacts)}
-    for path in export_figure_csvs(artifacts, os.path.join(directory,
-                                                           "csv")):
-        with open(path) as fileobj:
-            outputs[os.path.basename(path)] = fileobj.read()
-    service = StudyService(ArtifactStore(os.path.join(directory, "store")))
-    for name in artifact_names():
-        outputs[f"serve:{name}"] = canonical_json(
-            service._compute_payload(artifacts, name))
-    for label, dataset in (("filtered", artifacts.dataset),
-                           ("unfiltered", artifacts.dataset_unfiltered)):
-        base = os.path.join(directory, f"{label}.npz")
-        save_dataset(dataset, base)
-        (sidecar,) = glob.glob(base + "*.json")
-        with open(sidecar) as fileobj:
-            outputs[f"sidecar:{label}"] = fileobj.read()
-    return outputs
-
-
 def test_published_outputs_carry_no_raw_mac_or_client_ip(mini_artifacts,
                                                          tmp_path):
     """Report, figure CSVs, serve payloads and dataset sidecars.
@@ -89,7 +63,7 @@ def test_published_outputs_carry_no_raw_mac_or_client_ip(mini_artifacts,
         assert _macs_in(f"x {spelling.upper()} y") == {some_mac.value}
     assert _dotted_quads_in(f"[{pools[0]}]") == {pools[0].first}
 
-    outputs = _published_outputs(mini_artifacts, str(tmp_path))
+    outputs = published_outputs(mini_artifacts, str(tmp_path))
     assert len(outputs) == 1 + len(FIGURE_FILES) + len(artifact_names()) + 2
     for name, text in outputs.items():
         assert text, f"{name} is empty"
