@@ -1,9 +1,9 @@
 """Benchmark of reprolint's cold vs warm runs over the real tree.
 
 The on-disk cache exists for one reason: the full rule run (which
-lowers every module to facts and walks the project call graph) should
-be paid once per tree state, and an unchanged tree should re-lint from
-cached JSON.  This benchmark runs the complete rule set
+parses and walks every module, and pairs kernels with their tests)
+should be paid once per tree state, and an unchanged tree should
+re-lint from cached JSON.  This benchmark runs the complete rule set
 twice against a fresh cache directory and writes ``BENCH_lint.json``
 (override the path with ``BENCH_LINT_JSON``) recording both timings,
 throughput in files/sec, and the cache hit counters.

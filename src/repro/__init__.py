@@ -20,7 +20,8 @@ Packages:
 - :mod:`repro.synth`    -- the synthetic campus (simulation side)
 - :mod:`repro.world`    -- the synthetic internet (services, geo, IPs)
 - :mod:`repro.pipeline` -- the passive monitoring pipeline
-- :mod:`repro.dhcp`, :mod:`repro.dns`, :mod:`repro.zeek` -- substrates
+- :mod:`repro.columnar` -- the flow engine and the DHCP/DNS joins
+- :mod:`repro.dhcp`, :mod:`repro.dns` -- substrates
 - :mod:`repro.devices`  -- device classification
 - :mod:`repro.geo`      -- domestic/international midpoint analysis
 - :mod:`repro.apps`     -- application signatures

@@ -9,7 +9,7 @@ which never appear in DNS logs.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence, Tuple
+from typing import Tuple
 
 import numpy as np
 
@@ -81,16 +81,3 @@ class AppSignature:
     def flow_mask(self, dataset: FlowDataset) -> np.ndarray:
         """Flow mask: matched by domain or by IP range."""
         return self.domain_mask(dataset) | self.ip_mask(dataset)
-
-
-def merge_signatures(name: str,
-                     signatures: Sequence[AppSignature]) -> AppSignature:
-    """Union several signatures under one name."""
-    domains: Tuple[str, ...] = ()
-    ranges: Tuple[Prefix, ...] = ()
-    for signature in signatures:
-        domains += signature.domain_suffixes
-        ranges += signature.ip_ranges
-    return AppSignature(name=name,
-                        domain_suffixes=tuple(dict.fromkeys(domains)),
-                        ip_ranges=tuple(dict.fromkeys(ranges)))

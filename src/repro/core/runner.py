@@ -180,7 +180,6 @@ class JournaledRun:
         self.store_root = store_root or os.path.join(self.run_dir,
                                                      DEFAULT_STORE_DIR)
         self.retry_policy = retry_policy or RetryPolicy(
-            # reprolint: allow[RL008] -- retry budget is operational; crash matrix proves byte-identical outputs across retry counts
             max_attempts=config.max_shard_retries + 1, seed=config.seed,
             total_deadline=120.0)
         self._journal = journal

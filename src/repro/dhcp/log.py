@@ -5,7 +5,7 @@ these records, so they carry exactly what a DHCP server's ACK log line
 does: when, which MAC, which IP, and until when the binding holds.
 
 Parsing follows the repo-wide strict/lenient contract (see
-:mod:`repro.zeek.log`): strict raises a structured
+:mod:`repro.reliability.parsing`): strict raises a structured
 :class:`~repro.reliability.errors.RecordError`; lenient quarantines the
 line and continues; blank lines are skipped and counted in both modes.
 """

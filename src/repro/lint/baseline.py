@@ -65,7 +65,8 @@ def save_baseline(path: Path, findings: Sequence[Finding]) -> None:
             for finding in findings
         ],
     }
-    # reprolint: allow[RL012] -- importing the atomic chokepoint drags numpy into the linter; a torn baseline fails loudly on load
+    # Not staged: importing the atomic chokepoint would drag numpy
+    # into the linter, and a torn baseline fails loudly on load.
     path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n",
                     encoding="utf-8")
 

@@ -1,25 +1,22 @@
-"""On-disk parse/summary cache for ``reprolint``, keyed by content hash.
+"""On-disk findings cache for ``reprolint``, keyed by content hash.
 
 Two granularities, one directory:
 
 * **Per-module**: a rule's ``check_module`` findings for one file,
   keyed by ``(relpath, sha256, rule_id, rule.cache_version)`` --
   editing one file invalidates only that file's entries.
-* **Per-project**: a rule's ``check_project`` + ``check_semantics``
-  findings, keyed by a digest over *every* module's ``(relpath,
-  sha256)`` plus the tests text -- any edit anywhere invalidates
-  these, which is exactly the soundness a whole-program analysis
-  needs.  Module facts (:class:`~repro.lint.semantics.facts.
-  ModuleFacts`) are cached per-module the same way, so a warm run
-  after a single-file edit re-lowers one module, not 150.
+* **Per-project**: a rule's ``check_project`` findings, keyed by a
+  digest over *every* module's ``(relpath, sha256)`` plus the tests
+  text -- any edit anywhere invalidates these, which is the soundness
+  RL003 needs, because it pairs kernels with twins across modules and
+  reads the tests.
 
-Entries live under a schema directory named by cache schema, Python
-version, and :data:`~repro.lint.semantics.facts.FACTS_VERSION`; a
-version bump simply starts a fresh directory, so stale formats are
-never misread.  Findings serialize as JSON; facts are pickled (they
-are plain frozen dataclasses, no AST).  All writes stage to a temp
-file and rename, and any unreadable entry is treated as a miss -- the
-cache must never be able to corrupt a lint run.
+Entries live under a schema directory named by cache schema and
+Python version; a version bump simply starts a fresh directory, so
+stale formats are never misread.  Findings serialize as JSON, the
+only format the cache reads.  All writes stage to a temp file and
+rename, and any unreadable entry is treated as a miss -- the cache
+must never be able to corrupt a lint run.
 """
 
 from __future__ import annotations
@@ -27,20 +24,15 @@ from __future__ import annotations
 import hashlib
 import json
 import os
-import pickle
 import sys
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence
 
 from repro.lint.engine import Finding, ModuleInfo, ProjectIndex
-from repro.lint.semantics.facts import (
-    FACTS_VERSION,
-    ModuleFacts,
-    extract_module_facts,
-)
 
-#: Bump when the on-disk entry format changes.
-CACHE_SCHEMA = 1
+#: Bump when the on-disk entry format changes. Schema 1 directories
+#: also held pickled module facts; schema 2 is never read from them.
+CACHE_SCHEMA = 2
 
 #: Default cache directory name (repo-root relative, gitignored).
 DEFAULT_CACHE_DIR = ".reprolint-cache"
@@ -53,11 +45,11 @@ def _digest(*parts: str) -> str:
 
 
 class LintCache:
-    """Content-addressed store for findings and module facts."""
+    """Content-addressed store for rule findings."""
 
     def __init__(self, directory: Path) -> None:
         schema = (f"v{CACHE_SCHEMA}-py{sys.version_info[0]}"
-                  f"{sys.version_info[1]}-f{FACTS_VERSION}")
+                  f"{sys.version_info[1]}")
         self.directory = directory / schema
         self.hits = 0
         self.misses = 0
@@ -92,9 +84,9 @@ class LintCache:
         try:
             self.directory.mkdir(parents=True, exist_ok=True)
             staged = self.directory / f".{name}.tmp"
-            with open(staged, "wb") as fileobj:  # reprolint: allow[RL012] -- scratch cache entry; torn writes read as a miss
+            with open(staged, "wb") as fileobj:
                 fileobj.write(data)
-            os.replace(staged, self.directory / name)  # reprolint: allow[RL012] -- scratch cache entry; torn writes read as a miss
+            os.replace(staged, self.directory / name)
         except OSError:
             return  # a read-only or full disk disables caching, not linting
 
@@ -147,27 +139,6 @@ class LintCache:
                                findings: Sequence[Finding]) -> None:
         name = "p-" + _digest(project_key, rule_id, version) + ".json"
         self._write(name, self._encode_findings(findings))
-
-    # -- module facts --------------------------------------------------------
-
-    def load_facts(self, info: ModuleInfo) -> ModuleFacts:
-        """Cached facts for a module, extracting (and storing) on miss.
-
-        This is the :data:`~repro.lint.semantics.model.FactsLoader`
-        hook: pass ``cache.load_facts`` to ``model_for``.
-        """
-        name = "f-" + _digest(info.relpath, info.sha256) + ".pkl"
-        data = self._read(name)
-        if data is not None:
-            try:
-                facts = pickle.loads(data)
-            except Exception:  # reprolint: allow[RL004] -- corrupt pickle of any shape must read as a cache miss
-                facts = None
-            if isinstance(facts, ModuleFacts):
-                return facts
-        facts = extract_module_facts(info)
-        self._write(name, pickle.dumps(facts, protocol=4))
-        return facts
 
     # -- stats ---------------------------------------------------------------
 

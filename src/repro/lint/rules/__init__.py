@@ -12,18 +12,16 @@ from __future__ import annotations
 from typing import Dict, List, Optional, Sequence
 
 from repro.lint.rules.anonymization import AnonymizationTaintRule
-from repro.lint.rules.atomic_chokepoint import AtomicChokepointRule
 from repro.lint.rules.base import Rule
-from repro.lint.rules.bitidentity import BitIdentityRule
 from repro.lint.rules.determinism import DeterminismRule
 from repro.lint.rules.exceptions import ExceptionDisciplineRule
-from repro.lint.rules.fingerprint_drift import FingerprintDriftRule
 from repro.lint.rules.kernel_twins import KernelTwinsRule
 from repro.lint.rules.locks import LockDisciplineRule
 from repro.lint.rules.rowloops import RowLoopRule
 from repro.lint.rules.typed_core import TypedCoreRule
 
-#: Every registered rule, in rule-id order (retired ids stay unused).
+#: Every registered rule, in rule-id order (retired ids stay unused:
+#: RL008-RL012 are now runtime checks on real runs, see docs/LINTING.md).
 ALL_RULES: Sequence[Rule] = (
     DeterminismRule(),
     AnonymizationTaintRule(),
@@ -32,9 +30,6 @@ ALL_RULES: Sequence[Rule] = (
     LockDisciplineRule(),
     TypedCoreRule(),
     RowLoopRule(),
-    FingerprintDriftRule(),
-    BitIdentityRule(),
-    AtomicChokepointRule(),
 )
 
 RULES_BY_ID: Dict[str, Rule] = {rule.rule_id: rule for rule in ALL_RULES}
@@ -43,8 +38,8 @@ RULES_BY_ID: Dict[str, Rule] = {rule.rule_id: rule for rule in ALL_RULES}
 def select_rules(rule_ids: Optional[Sequence[str]]) -> List[Rule]:
     """The requested rules (all of them for ``None``).
 
-    Each entry may itself be comma-separated (``"RL001,RL009"``), so
-    ``--rule RL001,RL009`` and ``--rule RL001 --rule RL009`` are
+    Each entry may itself be comma-separated (``"RL001,RL004"``), so
+    ``--rule RL001,RL004`` and ``--rule RL001 --rule RL004`` are
     equivalent.  Raises ``KeyError`` naming *every* unknown id at
     once, so a typo-ridden invocation is fixed in one round trip.
     """

@@ -11,17 +11,14 @@ so every rule stays a pure function of the parsed source.
 from __future__ import annotations
 
 import ast
-from typing import TYPE_CHECKING, Iterator
+from typing import Iterator
 
 from repro.lint.engine import Finding, ModuleInfo, ProjectIndex
-
-if TYPE_CHECKING:  # semantics imports engine types; avoid the cycle
-    from repro.lint.semantics.model import SemanticModel
 
 
 class Rule:
     """Base class; subclasses set ``rule_id``/``title`` and override
-    one of the three check hooks."""
+    one of the two check hooks."""
 
     #: Stable identifier, e.g. ``RL001``; used by --rule, pragmas and
     #: the baseline file.
@@ -31,19 +28,11 @@ class Rule:
     #: Bump when the rule's logic changes so cached per-module
     #: findings (see :mod:`repro.lint.cache`) are invalidated.
     cache_version: str = "1"
-    #: Rules that analyze the whole program through the semantic model
-    #: set this and implement :meth:`check_semantics`; the engine then
-    #: builds (and shares) one model per run.
-    needs_semantics: bool = False
 
     def check_module(self, module: ModuleInfo) -> Iterator[Finding]:
         return iter(())
 
     def check_project(self, project: ProjectIndex) -> Iterator[Finding]:
-        return iter(())
-
-    def check_semantics(self,
-                        model: "SemanticModel") -> Iterator[Finding]:
         return iter(())
 
     def finding(self, module: ModuleInfo, node: ast.AST,
@@ -56,9 +45,3 @@ class Rule:
             col=getattr(node, "col_offset", 0),
             message=message,
         )
-
-    def finding_at(self, relpath: str, line: int, col: int,
-                   message: str) -> Finding:
-        """A finding anchored by raw location (facts carry no AST)."""
-        return Finding(rule=self.rule_id, path=relpath, line=line,
-                       col=col, message=message)

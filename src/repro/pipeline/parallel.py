@@ -344,7 +344,6 @@ class ParallelPipeline:
             config, workers, window=window,
             gaps=faults.log_gaps if faults is not None else ())
         self.retry_policy = retry_policy or RetryPolicy(
-            # reprolint: allow[RL008] -- retry budget is operational; crash matrix proves byte-identical outputs across retry counts
             max_attempts=config.max_shard_retries + 1, seed=config.seed)
         self.checkpoint_dir = checkpoint_dir
         self.shard_deadline = shard_deadline

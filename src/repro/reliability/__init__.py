@@ -56,7 +56,6 @@ from repro.reliability.errors import (
     DeadlineExpired,
     DiskFullError,
     JournalError,
-    OverloadShedError,
     RecordError,
     ReliabilityError,
     ShardError,
@@ -72,7 +71,6 @@ from repro.reliability.faults import (
     LogGap,
     corrupt_log_lines,
     maybe_crash,
-    seeded_log_gaps,
 )
 from repro.reliability.journal import (
     JournalRecord,
@@ -127,7 +125,6 @@ __all__ = [
     "JournalError",
     "JournalRecord",
     "LogGap",
-    "OverloadShedError",
     "QuarantineSink",
     "QuarantinedRecord",
     "RecordError",
@@ -151,7 +148,6 @@ __all__ = [
     "resume_plan",
     "run_key",
     "run_with_retries",
-    "seeded_log_gaps",
     "sweep_orphans",
     "write_bytes",
     "write_text",

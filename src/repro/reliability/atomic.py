@@ -186,7 +186,7 @@ def sweep_orphans(directory: str, *, recursive: bool = False) -> int:
         return 0
     removed = 0
     if recursive:
-        # reprolint: allow[RL009] -- orphan sweep: each removal is independent, visit order cannot affect outputs
+        # Visit order is free: each removal is independent.
         for root, _dirs, files in os.walk(directory):
             for name in files:
                 if is_orphan(name):

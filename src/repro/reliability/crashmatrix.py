@@ -114,7 +114,6 @@ def output_digests(run_dir: str) -> Dict[str, str]:
             digests[name] = _sha256_file(path)
     for sub in _OUTPUT_DIRS:
         base = os.path.join(run_dir, sub)
-        # reprolint: allow[RL009] -- digest map is keyed by relpath; comparison and serialization are key-sorted
         for dirpath, _dirnames, filenames in os.walk(base):
             for filename in sorted(filenames):
                 path = os.path.join(dirpath, filename)
@@ -162,9 +161,9 @@ def _run_cli(extra_args: Sequence[str], *, log_path: str,
     if crash_at is not None:
         env[CRASH_ENV] = crash_at
     command = [sys.executable, "-m", "repro", "run", *extra_args]
-    # reprolint: allow[RL012] -- live subprocess log capture; staging would lose crash-time output
+    # Live log capture, not staged: staging would lose crash-time output.
     with open(log_path + ".out", "wb") as out, \
-            open(log_path + ".err", "wb") as err:  # reprolint: allow[RL012] -- live subprocess log capture; staging would lose crash-time output
+            open(log_path + ".err", "wb") as err:
         proc = subprocess.Popen(command, env=env, stdout=out,
                                 stderr=err, start_new_session=True)
         try:

@@ -135,23 +135,6 @@ class DeadlineExpired(ReliabilityError):
         self.deadline_seconds = deadline_seconds
 
 
-class OverloadShedError(ReliabilityError):
-    """A request was refused by admission control (server saturated).
-
-    Transient by definition: the very point of shedding is that the
-    same request is expected to succeed once load subsides, which is
-    what the ``Retry-After`` hint communicates.
-    """
-
-    transient = True
-
-    def __init__(self, message: str, *,
-                 retry_after: float = 1.0) -> None:
-        super().__init__(message)
-        #: Suggested client backoff in seconds (``Retry-After``).
-        self.retry_after = retry_after
-
-
 def is_transient(exc: BaseException) -> bool:
     """Whether retrying the failed operation could plausibly succeed.
 

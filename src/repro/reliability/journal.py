@@ -219,7 +219,9 @@ class RunJournal:
         journal = cls(path, retry_policy=retry_policy, sleep=sleep)
         # Touch the file durably so the run directory is recognizable
         # as journaled even if the process dies before the first record.
-        # reprolint: allow[RL012] -- append-only WAL creation: an empty touched file is the valid initial state; fsync_dir makes it durable
+        # Not staged: an empty file is the valid initial state, and
+        # fsync_dir makes it durable (see WRITE_ALLOW_LIST in
+        # tests/integration/test_runtime_invariants.py).
         with open(path, "ab"):
             pass
         fsync_dir(directory or ".")

@@ -1,6 +1,6 @@
 """Shared strict/lenient JSONL parsing machinery.
 
-Every log reader in the repo (conn, DHCP, DNS, wire) is the same loop:
+Every log reader in the repo (DHCP, DNS, wire) is the same loop:
 strip the line, skip-and-count blanks, parse, and either raise a
 structured :class:`~repro.reliability.errors.RecordError` (strict mode)
 or quarantine the line and continue (lenient mode). This module is that

@@ -203,7 +203,8 @@ def write_heartbeat(path: Union[str, Path], attempt: int,
     The content only has to *change* when progress happens -- the parent
     fingerprints bytes, it never parses or compares timestamps.
     """
-    # reprolint: allow[RL012] -- heartbeat is a change detector; readers tolerate torn bytes by design
+    # Not staged: the heartbeat is a change detector, and its reader
+    # treats torn bytes as "no progress yet".
     Path(path).write_text(f"{attempt}:{progress}\n", encoding="utf-8")
 
 

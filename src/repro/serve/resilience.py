@@ -31,7 +31,7 @@ the PR 5 consecutive-failure semantics.
 Everything here is wall-clock-adjacent by nature, so every clock is an
 *injected* monotonic callable (the :class:`ShardWatchdog` idiom): tests
 drive expiry with a fake clock, and none of it ever feeds measurement
-output (RL001/RL009 -- artifacts stay bit-identical).
+output (RL001 -- artifacts stay bit-identical).
 """
 
 from __future__ import annotations

@@ -13,7 +13,7 @@ from repro.apps.nintendo import (
     nintendo_infrastructure_signature,
 )
 from repro.apps.registry import default_registry
-from repro.apps.signature import AppSignature, merge_signatures
+from repro.apps.signature import AppSignature
 from repro.apps.steam import steam_signature
 from repro.apps.tiktok import tiktok_signature
 from repro.apps.zoom import zoom_signature
@@ -67,13 +67,6 @@ class TestAppSignature:
             ("tiktok.com", 0x01000002),    # miss
         ])
         assert list(signature.flow_mask(dataset)) == [True, True, False]
-
-    def test_merge(self):
-        merged = merge_signatures("both", [
-            AppSignature("a", domain_suffixes=("a.com",)),
-            AppSignature("b", domain_suffixes=("b.com", "a.com")),
-        ])
-        assert merged.domain_suffixes == ("a.com", "b.com")
 
 
 class TestZoom:

@@ -33,10 +33,11 @@ from repro.pipeline.parallel import (
 )
 from repro.reliability.checkpoint import CheckpointStore
 from repro.reliability.errors import CoverageError
-from repro.reliability.faults import FaultPlan, LogGap, seeded_log_gaps
+from repro.reliability.faults import FaultPlan, LogGap
 from repro.reliability.retry import RetryPolicy
 from repro.reliability.watchdog import WatchdogTimeout
 from repro.util.timeutil import DAY, utc_ts
+from tests.integration.log_gaps import seeded_log_gaps
 
 _CONFIG = StudyConfig(n_students=4, seed=11,
                       start_ts=utc_ts(2020, 2, 1),

@@ -1,10 +1,10 @@
 """Log-file round-trip: serialize generated logs, re-ingest from disk.
 
-The paper's pipeline consumes *files* (Zeek conn logs, DHCP logs, DNS
-logs). This test proves the serialization layer is lossless end to
-end: generating a day, writing all three log streams to disk, reading
-them back, and measuring through the pipeline yields a bit-identical
-dataset.
+The paper's pipeline consumes *files*: the DHCP and DNS logs it joins
+flows against. This test proves the serialization layer is lossless
+end to end: generating a day, writing both log streams to disk,
+reading them back, and measuring through the pipeline yields a
+bit-identical dataset.
 """
 
 import dataclasses
@@ -19,8 +19,6 @@ from repro.dns.records import DnsColumns, read_dns_log, write_dns_log
 from repro.pipeline.pipeline import MonitoringPipeline
 from repro.synth.generator import CampusTraceGenerator
 from repro.util.timeutil import utc_ts
-from repro.zeek.log import read_conn_log, write_conn_log
-from tests.oracles.flow_engine import FlowEngine
 
 _CONFIG = StudyConfig(n_students=5, seed=77)
 
@@ -51,17 +49,6 @@ class TestRoundTrip:
         with open(path) as fileobj:
             parsed = list(read_dns_log(fileobj))
         assert parsed == list(trace.dns_records.rows())
-
-    def test_conn_log_round_trip(self, day_trace, tmp_path):
-        trace, _ = day_trace
-        engine = FlowEngine(idle_timeout=600)
-        flows = engine.process(trace.bursts.rows()) + engine.flush(None)
-        path = tmp_path / "conn.jsonl"
-        with open(path, "w") as fileobj:
-            write_conn_log(flows, fileobj)
-        with open(path) as fileobj:
-            parsed = list(read_conn_log(fileobj))
-        assert parsed == flows
 
     def test_pipeline_identical_after_round_trip(self, day_trace,
                                                  tmp_path):

@@ -7,7 +7,7 @@ unreadable means miss, never garbage.
 """
 
 from repro.lint.cache import LintCache
-from repro.lint.engine import LintEngine
+from repro.lint.engine import Finding, LintEngine
 from repro.lint.rules.base import Rule
 
 
@@ -21,18 +21,18 @@ class SpyModuleRule(Rule):
     def check_module(self, module):
         self.calls += 1
         if "time.time()" in module.source:
-            yield self.finding_at(module.relpath, 1, 0, "spy finding")
+            yield Finding(rule=self.rule_id, path=module.relpath, line=1,
+                          col=0, message="spy finding")
 
 
-class SpySemanticRule(Rule):
-    rule_id = "RL009"
-    title = "spy semantic rule"
-    needs_semantics = True
+class SpyProjectRule(Rule):
+    rule_id = "RL003"
+    title = "spy project rule"
 
     def __init__(self):
         self.calls = 0
 
-    def check_semantics(self, model):
+    def check_project(self, project):
         self.calls += 1
         return iter(())
 
@@ -56,13 +56,12 @@ def test_warm_run_serves_module_findings_without_rule_calls(
     assert warm == cold                # fingerprints included
 
 
-def test_warm_run_skips_model_build_and_semantic_rules(
-        mini_repo, tmp_path):
+def test_warm_run_skips_project_rules(mini_repo, tmp_path):
     mini_repo.write("analysis/ok", """\
         def f():
             return 1
         """)
-    rule = SpySemanticRule()
+    rule = SpyProjectRule()
     LintEngine([rule], cache=_cache(tmp_path)).run(mini_repo.root)
     assert rule.calls == 1
     LintEngine([rule], cache=_cache(tmp_path)).run(mini_repo.root)
@@ -84,7 +83,7 @@ def test_editing_one_file_invalidates_only_that_module(
 
 def test_any_edit_invalidates_project_findings(mini_repo, tmp_path):
     mini_repo.write("analysis/ok", "A = 1\n")
-    rule = SpySemanticRule()
+    rule = SpyProjectRule()
     LintEngine([rule], cache=_cache(tmp_path)).run(mini_repo.root)
     mini_repo.write("analysis/other", "B = 2\n")
     LintEngine([rule], cache=_cache(tmp_path)).run(mini_repo.root)
@@ -116,25 +115,10 @@ def test_corrupt_entries_read_as_misses(mini_repo, tmp_path):
     cold = LintEngine([rule], cache=_cache(tmp_path)).run(mini_repo.root)
     cache_dir = _cache(tmp_path).directory
     for entry in cache_dir.iterdir():
-        entry.write_bytes(b"\x00 definitely not json or pickle")
+        entry.write_bytes(b"\x00 definitely not json")
     again = LintEngine([rule],
                        cache=_cache(tmp_path)).run(mini_repo.root)
     assert again == cold
-
-
-def test_facts_cache_round_trips(mini_repo, tmp_path):
-    from repro.lint.engine import build_index
-    mini_repo.write("analysis/mod", """\
-        def f(x):
-            return x + 1
-        """)
-    index = build_index(mini_repo.root)
-    info = index.module_named("repro.analysis.mod")
-    cache = _cache(tmp_path)
-    first = cache.load_facts(info)      # miss: extract + store
-    second = _cache(tmp_path).load_facts(info)   # hit: unpickle
-    assert second.functions[0].qualname == first.functions[0].qualname
-    assert cache.stats()["misses"] >= 1
 
 
 def test_project_key_covers_tests_text(mini_repo, tmp_path):

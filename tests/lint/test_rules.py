@@ -571,196 +571,3 @@ def test_findings_are_sorted_and_fingerprinted(mini_repo):
     fingerprints = {f.fingerprint for f in findings}
     assert len(fingerprints) == 2
     assert all(fp for fp in fingerprints)
-
-
-# --- RL008: fingerprint-semantics drift -------------------------------------
-
-FINGERPRINT_FIXTURE = """\
-    NON_SEMANTIC_FIELDS = frozenset({
-        "workers",
-        "max_shard_retries",
-    })
-    """
-
-
-def test_rl008_flags_non_semantic_read_in_compute_path(mini_repo):
-    mini_repo.write("serve/fingerprint", FINGERPRINT_FIXTURE)
-    mini_repo.write("pipeline/run", """\
-        def shard_count(config):
-            return config.workers * 2
-        """)
-    findings = mini_repo.run_rule("RL008")
-    assert len(findings) == 1
-    assert "workers" in findings[0].message
-    assert "excluded from the study fingerprint" in findings[0].message
-
-
-def test_rl008_flags_reads_in_conditions_and_bare_expressions(mini_repo):
-    mini_repo.write("serve/fingerprint", FINGERPRINT_FIXTURE)
-    mini_repo.write("pipeline/run", """\
-        def plan(config, log):
-            if config.workers > 1:
-                log("sharded")
-            while config.max_shard_retries:
-                break
-            assert config.workers, config.max_shard_retries
-            log(config.workers)
-        """)
-    findings = mini_repo.run_rule("RL008")
-    assert [finding.line for finding in findings] == [2, 4, 6, 6, 7]
-
-
-def test_rl008_follows_the_call_graph_out_of_compute_packages(mini_repo):
-    mini_repo.write("serve/fingerprint", FINGERPRINT_FIXTURE)
-    mini_repo.write("util/knobs", """\
-        def effective_workers(cfg):
-            return cfg.workers
-        """)
-    mini_repo.write("pipeline/run", """\
-        from repro.util.knobs import effective_workers
-
-        def plan(config):
-            return effective_workers(config)
-        """)
-    findings = mini_repo.run_rule("RL008")
-    assert len(findings) == 1
-    assert findings[0].path.endswith("util/knobs.py")
-
-
-def test_rl008_semantic_fields_and_non_config_receivers_comply(mini_repo):
-    mini_repo.write("serve/fingerprint", FINGERPRINT_FIXTURE)
-    mini_repo.write("pipeline/run", """\
-        def seed_of(config):
-            return config.seed
-
-        def row_width(record):
-            return record.workers
-        """)
-    assert mini_repo.run_rule("RL008") == []
-
-
-def test_rl008_orchestration_layers_are_exempt(mini_repo):
-    mini_repo.write("serve/fingerprint", FINGERPRINT_FIXTURE)
-    mini_repo.write("reliability/retry", """\
-        def budget(config):
-            return config.max_shard_retries
-        """)
-    assert mini_repo.run_rule("RL008") == []
-
-
-# --- RL009: bit-identity nondeterminism -------------------------------------
-
-def test_rl009_flags_set_iteration(mini_repo):
-    mini_repo.write("analysis/tally", """\
-        def histogram(rows):
-            buckets = {row.kind for row in rows}
-            return [kind.upper() for kind in buckets]
-        """)
-    findings = mini_repo.run_rule("RL009")
-    assert len(findings) == 1
-    assert "hash seed" in findings[0].message
-
-
-def test_rl009_sorted_set_iteration_complies(mini_repo):
-    mini_repo.write("analysis/tally", """\
-        def histogram(rows):
-            buckets = {row.kind for row in rows}
-            return [kind.upper() for kind in sorted(buckets)]
-        """)
-    assert mini_repo.run_rule("RL009") == []
-
-
-def test_rl009_loop_variable_is_not_set_typed(mini_repo):
-    mini_repo.write("analysis/tally", """\
-        def flatten(groups):
-            seen = set(groups)
-            out = []
-            for group in sorted(seen):
-                for member in group:
-                    out.append(member)
-            return out
-        """)
-    assert mini_repo.run_rule("RL009") == []
-
-
-def test_rl009_flags_unsorted_listdir(mini_repo):
-    mini_repo.write("core/scan", """\
-        import os
-
-        def shards(directory):
-            return [name for name in os.listdir(directory)]
-        """)
-    findings = mini_repo.run_rule("RL009")
-    assert len(findings) == 1
-    assert "os.listdir" in findings[0].message
-
-
-def test_rl009_sorted_listdir_and_ungated_modules_comply(mini_repo):
-    mini_repo.write("core/scan", """\
-        import os
-
-        def shards(directory):
-            return sorted(os.listdir(directory))
-        """)
-    mini_repo.write("util/scan", """\
-        import os
-
-        def names(directory):
-            return os.listdir(directory)
-        """)
-    assert mini_repo.run_rule("RL009") == []
-
-
-# --- RL012: atomic write chokepoint -----------------------------------------
-
-def test_rl012_flags_raw_write_surfaces(mini_repo):
-    mini_repo.write("serve/save", """\
-        import json
-        import os
-        from pathlib import Path
-
-        def save(path, payload):
-            with open(path, "w") as fileobj:
-                json.dump(payload, fileobj)
-
-        def note(path, text):
-            Path(path).write_text(text)
-
-        def promote(src, dst):
-            os.replace(src, dst)
-        """)
-    findings = mini_repo.run_rule("RL012")
-    assert len(findings) == 3
-    messages = "\n".join(f.message for f in findings)
-    assert "opens a file for writing" in messages
-    assert "write_text" in messages
-    assert "os.replace" in messages
-
-
-def test_rl012_staged_writes_are_blessed(mini_repo):
-    mini_repo.write("serve/save", """\
-        import numpy as np
-        from repro.reliability.atomic import replacing
-
-        def save(path, arrays):
-            with replacing(path) as staged:
-                np.savez_compressed(staged, **arrays)
-        """)
-    assert mini_repo.run_rule("RL012") == []
-
-
-def test_rl012_reads_and_the_chokepoint_itself_comply(mini_repo):
-    mini_repo.write("serve/load", """\
-        def load(path):
-            with open(path) as fileobj:
-                return fileobj.read()
-        """)
-    mini_repo.write("reliability/atomic", """\
-        import os
-
-        def write_bytes(path, data):
-            with open(path + ".tmp", "wb") as fileobj:
-                fileobj.write(data)
-            os.replace(path + ".tmp", path)
-        """)
-    assert mini_repo.run_rule("RL012") == []

@@ -25,9 +25,42 @@ import numpy as np
 from repro.columnar.batch import BurstBatch, FlowBatch
 from repro.columnar.engine import ColumnarFlowEngine
 from repro.net.wire import BurstColumns, SegmentBurst
-from repro.zeek.conn import ConnRecord
 
 FiveTuple = Tuple[int, int, int, int, str]
+
+
+@dataclass(frozen=True)
+class ConnRecord:
+    """One completed connection, in Zeek's conn.log schema subset.
+
+    Field names follow Zeek's originator/responder convention:
+    ``orig_h`` is the (campus) client, ``resp_h`` the remote server.
+    ``user_agent`` carries the HTTP User-Agent when one was observed on
+    the connection (Zeek would surface this via http.log; the oracles
+    work with the joined view).
+    """
+
+    uid: int
+    ts: float
+    duration: float
+    orig_h: int
+    orig_p: int
+    resp_h: int
+    resp_p: int
+    proto: str
+    orig_bytes: int
+    resp_bytes: int
+    user_agent: Optional[str] = None
+    #: Host header when the connection carried plaintext HTTP.
+    http_host: Optional[str] = None
+
+    @property
+    def end(self) -> float:
+        return self.ts + self.duration
+
+    @property
+    def total_bytes(self) -> int:
+        return self.orig_bytes + self.resp_bytes
 
 
 @dataclass(frozen=True)

@@ -24,9 +24,8 @@ from repro.pipeline.pipeline import MonitoringPipeline
 from repro.pipeline.tap import Tap
 from repro.reliability.errors import CATEGORY_VALUE, RecordError
 from repro.util.timeutil import DAY
-from repro.zeek.conn import ConnRecord
 from tests.oracles.dataset import RowFlowDatasetBuilder
-from tests.oracles.flow_engine import FlowEngine
+from tests.oracles.flow_engine import ConnRecord, FlowEngine
 from tests.oracles.resolvers import IpDomainResolver, IpMacResolver
 
 

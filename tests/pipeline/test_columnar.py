@@ -17,10 +17,11 @@ from repro.config import StudyConfig
 from repro.net.wire import SegmentBurst
 from repro.pipeline.parallel import ParallelPipeline
 from repro.pipeline.pipeline import MonitoringPipeline
-from repro.reliability.faults import FaultPlan, LogGap, seeded_log_gaps
+from repro.reliability.faults import FaultPlan, LogGap
 from repro.reliability.retry import RetryPolicy
 from repro.synth.generator import CampusTraceGenerator
 from repro.util.timeutil import DAY, utc_ts
+from tests.integration.log_gaps import seeded_log_gaps
 from tests.oracles.flow_engine import FlowEngine, RowColumnarFlowEngine
 from tests.oracles.pipeline import RowMonitoringPipeline
 

@@ -10,7 +10,6 @@ mode (same records, empty sink).
 """
 
 import io
-import json
 
 from hypothesis import given, settings, strategies as st
 
@@ -18,7 +17,6 @@ from repro.dhcp.log import DhcpLogRecord, read_dhcp_log
 from repro.net.mac import MacAddress
 from repro.reliability.faults import corrupt_log_lines
 from repro.reliability.quarantine import QuarantineSink
-from repro.zeek.log import read_conn_log
 
 
 def _dhcp_lines(n):
@@ -26,18 +24,6 @@ def _dhcp_lines(n):
         DhcpLogRecord(ts=float(i), mac=MacAddress(0x9C1A0000 + i),
                       ip=0x0A000001 + i, lease_end=float(i) + 43200.0
                       ).to_json()
-        for i in range(n)
-    ]
-
-
-def _conn_lines(n):
-    return [
-        json.dumps({
-            "uid": i, "ts": float(i), "duration": 1.5,
-            "orig_h": "10.0.0.9", "orig_p": 40000 + i,
-            "resp_h": "93.184.216.34", "resp_p": 443, "proto": "tcp",
-            "orig_bytes": 100 + i, "resp_bytes": 2000 + i,
-        })
         for i in range(n)
     ]
 
@@ -55,18 +41,6 @@ class TestAccountingInvariant:
         assert len(parsed) + sink.malformed("dhcp") == n
         assert sink.malformed("dhcp") == len(touched)
         assert sink.blank("dhcp") == 0  # the injector never blanks lines
-
-    @given(n=st.integers(min_value=0, max_value=60),
-           rate=st.floats(min_value=0.0, max_value=1.0),
-           seed=st.integers(min_value=0, max_value=2**31 - 1))
-    @settings(max_examples=80, deadline=None)
-    def test_every_conn_line_is_parsed_or_quarantined(self, n, rate, seed):
-        lines, touched = corrupt_log_lines(_conn_lines(n), rate, seed)
-        sink = QuarantineSink()
-        parsed = list(read_conn_log(io.StringIO("\n".join(lines)),
-                                    mode="lenient", sink=sink))
-        assert len(parsed) + sink.malformed("conn") == n
-        assert sink.malformed("conn") == len(touched)
 
     @given(n=st.integers(min_value=0, max_value=40),
            blanks=st.lists(st.sampled_from(["", " ", "\t", "   "]),
@@ -95,17 +69,6 @@ class TestCleanLogEquivalence:
         strict = list(read_dhcp_log(io.StringIO(lines)))
         sink = QuarantineSink()
         lenient = list(read_dhcp_log(io.StringIO(lines),
-                                     mode="lenient", sink=sink))
-        assert lenient == strict
-        assert len(sink) == 0
-
-    @given(n=st.integers(min_value=0, max_value=60))
-    @settings(max_examples=60, deadline=None)
-    def test_lenient_equals_strict_on_clean_conn_log(self, n):
-        lines = "\n".join(_conn_lines(n))
-        strict = list(read_conn_log(io.StringIO(lines)))
-        sink = QuarantineSink()
-        lenient = list(read_conn_log(io.StringIO(lines),
                                      mode="lenient", sink=sink))
         assert lenient == strict
         assert len(sink) == 0
