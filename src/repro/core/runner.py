@@ -7,8 +7,9 @@ stages and brackets each with write-ahead records in a
 ========  ==========================================================
 stage     work (inputs -> durable outputs)
 ========  ==========================================================
-ingest    sharded generate-and-measure into per-shard checkpoints
-merge     recall every checkpoint, merge -> ``merged.npz`` (+ stats,
+ingest    sharded generate-and-measure -> ``shards/shard-NNNN.*``
+          (dataset, stats, coverage), one ``shard_end`` record each
+merge     read every shard's files, merge -> ``merged.npz`` (+ stats,
           coverage sidecars)
 annotate  visitor filter -> ``filtered.npz``
 analyze   figures/summary/outcomes -> ``artifacts/*.json`` +
@@ -20,12 +21,16 @@ publish   artifact payloads -> the results store
 Each stage reads only the previous stage's *files* (never in-memory
 state), writes its outputs through the atomic-write chokepoint
 (:mod:`repro.reliability.atomic`), and journals a ``stage_end`` record
-carrying the SHA-256 of every output file. A process killed at any
+carrying the SHA-256 of every output file. Inside the ingest stage
+each finished shard is journaled the same way, so the journal is the
+run's only record of finished work. A process killed at any
 point -- including via the :func:`~repro.reliability.faults.
 maybe_crash` SIGKILL hooks placed at every journal barrier -- leaves a
 run directory from which ``repro run --resume-run <id>`` continues:
 completed stages are *verified* against their journaled digests and
-replayed from disk, and only the in-flight stage re-executes. Because
+replayed from disk, and only the in-flight stage re-executes -- an
+in-flight ingest re-runs only the shards without a ``shard_end`` whose
+files still match its digests. Because
 every stage is a deterministic function of its input files, the
 resumed run's outputs are byte-identical to an uninterrupted run's --
 the contract pinned by ``tests/integration/test_crash_chaos.py``.
@@ -34,7 +39,7 @@ Run directories live under a *journal dir*::
 
     <journal_dir>/<fingerprint[:12]>-NNN/
         journal.jsonl          # write-ahead run journal
-        checkpoints/           # per-shard ingest checkpoints
+        shards/shard-NNNN.*    # ingest stage, one set per shard
         merged.npz[.meta.json] # merge stage
         merged.stats.json      # pipeline counters
         merged.coverage.json   # telemetry coverage
@@ -55,7 +60,7 @@ import json
 import os
 import re
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Any, Callable, Dict, List, Optional, Tuple
 
 from repro.config import StudyConfig
 from repro.pipeline.store import load_dataset, load_stats, save_dataset, save_stats
@@ -79,6 +84,9 @@ from repro.serve.fingerprint import (
     study_fingerprint,
 )
 
+if TYPE_CHECKING:
+    from repro.pipeline.parallel import ShardOutcome
+
 ProgressFn = Callable[[str], None]
 
 #: The stage sequence every journaled run executes, in order.
@@ -86,7 +94,7 @@ STAGES: Tuple[str, ...] = ("ingest", "merge", "annotate", "analyze",
                            "publish")
 
 #: File names inside a run directory.
-CHECKPOINTS_DIR = "checkpoints"
+SHARDS_DIR = "shards"
 MERGED_DATASET = "merged.npz"
 MERGED_STATS = "merged.stats.json"
 MERGED_COVERAGE = "merged.coverage.json"
@@ -98,6 +106,10 @@ DEFAULT_STORE_DIR = "store"
 _RUN_ID_RE = re.compile(r"^[0-9a-f]{12}-(\d{3,})$")
 
 _SIDECAR = ".meta.json"
+
+#: The files one ingest shard owns, as suffixes of ``shard-NNNN``.
+_SHARD_SUFFIXES = (".npz", ".npz" + _SIDECAR, ".stats.json",
+                   ".coverage.json")
 
 
 def _sha256_file(path: str) -> str:
@@ -220,8 +232,8 @@ class JournaledRun:
         """Reattach to a journaled run directory after a crash.
 
         The journal's ``run_begin`` record is the source of truth for
-        the config, worker count (the checkpointed shard plan depends
-        on it) and store root. A journal that exists but holds no
+        the config, worker count (the journaled shard plan depends on
+        it) and store root. A journal that exists but holds no
         intact record -- the process died at the very first barrier --
         falls back to the caller-provided ``config`` and begins fresh
         in the same directory.
@@ -268,8 +280,8 @@ class JournaledRun:
         # be mistaken for stage outputs.
         sweep_orphans(self.run_dir)
         maybe_crash("pre:run_begin")
-        assert self._journal is not None
-        record = self._journal.append("run_begin", {
+        self._records = []
+        self._append("run_begin", {
             "journal_version": JOURNAL_VERSION,
             "run_id": self.run_id,
             "fingerprint": self.fingerprint,
@@ -281,16 +293,16 @@ class JournaledRun:
             "stages": list(self.STAGES),
             "store_root": self.store_root,
         })
-        self._records = [record]
+
+    def _append(self, kind: str, payload: Dict[str, Any]) -> None:
+        """Durably journal one record and keep it for :meth:`plan`."""
+        assert self._journal is not None
+        self._records.append(self._journal.append(kind, payload))
 
     # -- paths ----------------------------------------------------------
 
     def path(self, name: str) -> str:
         return os.path.join(self.run_dir, name)
-
-    @property
-    def checkpoints_dir(self) -> str:
-        return self.path(CHECKPOINTS_DIR)
 
     @property
     def artifacts_dir(self) -> str:
@@ -301,38 +313,8 @@ class JournaledRun:
     def plan(self) -> ResumePlan:
         return resume_plan(self._records)
 
-    def _shards(self) -> List[Any]:
-        from repro.pipeline.parallel import plan_shards
-
-        return plan_shards(self.config, self.workers)
-
-    def _checkpoint_state_digest(self) -> str:
-        from repro.reliability.checkpoint import CheckpointStore
-
-        store = CheckpointStore.for_run(self.checkpoints_dir, self.config,
-                                        self._shards())
-        payload = {"run_key": store.key,
-                   "shards": store.completed_indices()}
-        return hashlib.sha256(
-            canonical_json(payload).encode("utf-8")).hexdigest()
-
-    def _verify_stage(self, stage: str,
-                      outputs: Dict[str, str]) -> bool:
-        """Whether a journaled-complete stage's outputs are still good."""
-        if stage == "ingest":
-            recorded = outputs.get("checkpoints")
-            return (recorded is not None
-                    and recorded == self._checkpoint_state_digest())
-        if stage == "publish":
-            from repro.serve.store import ArtifactStore, StoreIntegrityError
-
-            store = ArtifactStore(self.store_root)
-            for name in outputs:
-                try:
-                    store.get(self.fingerprint, name)
-                except (FileNotFoundError, StoreIntegrityError):
-                    return False
-            return bool(outputs)
+    def _files_match(self, outputs: Dict[str, str]) -> bool:
+        """Whether every journaled file still has its recorded digest."""
         if not outputs:
             return False
         for name, digest in outputs.items():
@@ -343,46 +325,126 @@ class JournaledRun:
                 return False
         return True
 
+    def _verify_stage(self, stage: str,
+                      outputs: Dict[str, str]) -> bool:
+        """Whether a journaled-complete stage's outputs are still good."""
+        if stage == "publish":
+            from repro.serve.store import ArtifactStore, StoreIntegrityError
+
+            store = ArtifactStore(self.store_root)
+            for name in outputs:
+                try:
+                    store.get(self.fingerprint, name)
+                except (FileNotFoundError, StoreIntegrityError):
+                    return False
+            return bool(outputs)
+        return self._files_match(outputs)
+
+    # -- shard files ----------------------------------------------------
+
+    def _shard_files(self, index: int) -> List[str]:
+        base = os.path.join(SHARDS_DIR, f"shard-{index:04d}")
+        return [base + suffix for suffix in _SHARD_SUFFIXES]
+
+    def _save_shard(self, index: int,
+                    outcome: ShardOutcome) -> Dict[str, str]:
+        """Write one finished shard's files; returns their digests."""
+        dataset, stats, coverage = outcome
+        npz, _sidecar, stats_file, coverage_file = self._shard_files(index)
+        # Canonicalized, so the bytes do not depend on how the shard
+        # accumulated its rows.
+        save_dataset(dataset.canonicalize(), self.path(npz))
+        save_stats(stats, self.path(stats_file))
+        write_text(self.path(coverage_file),
+                   json.dumps(coverage.to_json()))
+        return {name: _sha256_file(self.path(name))
+                for name in self._shard_files(index)}
+
+    def _load_shard(self, index: int) -> ShardOutcome:
+        npz, _sidecar, stats_file, coverage_file = self._shard_files(index)
+        with open(self.path(coverage_file)) as fileobj:
+            coverage = CoverageReport.from_json(json.load(fileobj))
+        return (load_dataset(self.path(npz)),
+                load_stats(self.path(stats_file)), coverage)
+
     # -- stages ---------------------------------------------------------
-
-    def _run_parallel(self, progress: ProgressFn) -> Any:
-        from repro.pipeline.parallel import ParallelPipeline
-
-        return ParallelPipeline(
-            self.config, self.workers,
-            checkpoint_dir=self.checkpoints_dir,
-            retry_policy=self.retry_policy).run(progress=progress)
 
     def _stage_ingest(
             self, progress: ProgressFn,
     ) -> Tuple[Dict[str, str], Dict[str, Any]]:
-        result = self._run_parallel(progress)
+        from repro.pipeline.parallel import ParallelPipeline
+
+        pipeline = ParallelPipeline(self.config, self.workers,
+                                    retry_policy=self.retry_policy)
+        os.makedirs(self.path(SHARDS_DIR), exist_ok=True)
+        swept = sweep_orphans(self.path(SHARDS_DIR))
+        journaled = self.plan().shards
+        outputs: Dict[str, str] = {}
+        resumed: List[int] = []
+        discarded: List[int] = []
+        for spec in pipeline.shards:
+            recorded = journaled.get(spec.index)
+            if recorded is None:
+                continue
+            if self._files_match(recorded):
+                outputs.update(recorded)
+                resumed.append(spec.index)
+            else:
+                discarded.append(spec.index)
+        if resumed:
+            progress(f"resume: {len(resumed)} of {len(pipeline.shards)} "
+                     f"shard(s) journaled")
+        if discarded or swept:
+            # Torn shard files are just missing work: re-run them, and
+            # say so in the journal rather than in the data counters.
+            progress(f"ingest: re-running shard(s) {discarded} whose "
+                     f"files fail their digests; {swept} orphan(s) "
+                     f"swept")
+            self._append("note", {"event": "shards_discarded",
+                                  "shards": discarded,
+                                  "orphans_swept": swept})
+
+        def commit(index: int, outcome: ShardOutcome) -> None:
+            digests = self._save_shard(index, outcome)
+            self._append("shard_end", {"shard": index,
+                                       "outputs": digests})
+            # Mid-stage SIGKILL point for the crash-chaos harness: some
+            # shards journaled, the stage's stage_end not yet written.
+            maybe_crash("mid:ingest:shard")
+            outputs.update(digests)
+
+        attempts = pipeline.run_shards(commit, progress, skip=resumed)
         info = {
-            "shards": len(result.shards),
-            "resumed_shards": result.resumed,
-            "attempts": {str(k): v for k, v in result.attempts.items()},
-            "orphans_swept": result.stats.checkpoint_orphans_swept,
+            "shards": len(pipeline.shards),
+            "resumed_shards": resumed,
+            "discarded_shards": discarded,
+            "attempts": {str(k): v for k, v in attempts.items()},
+            "orphans_swept": swept,
         }
-        return {"checkpoints": self._checkpoint_state_digest()}, info
+        return outputs, info
 
     def _stage_merge(
             self, progress: ProgressFn,
     ) -> Tuple[Dict[str, str], Dict[str, Any]]:
-        # Every shard is checkpointed by now, so this recall-and-merge
-        # touches no worker process -- which is exactly why a clean run
-        # and a crash-resumed run write the same merged bytes.
-        result = self._run_parallel(progress)
-        save_dataset(result.dataset, self.path(MERGED_DATASET))
-        save_stats(result.stats, self.path(MERGED_STATS))
+        from repro.pipeline.parallel import merge_shards, plan_shards
+
+        # Every shard is journaled and verified by now, so the merge
+        # reads their files and starts no worker process -- which is
+        # why a clean run and a crash-resumed run write the same bytes.
+        shards = plan_shards(self.config, self.workers)
+        dataset, stats, coverage = merge_shards(
+            shards, {spec.index: self._load_shard(spec.index)
+                     for spec in shards}, progress)
+        save_dataset(dataset, self.path(MERGED_DATASET))
+        save_stats(stats, self.path(MERGED_STATS))
         write_text(self.path(MERGED_COVERAGE),
-                   json.dumps(result.coverage.to_json()) + "\n")
+                   json.dumps(coverage.to_json()) + "\n")
         outputs = {
             name: _sha256_file(self.path(name))
             for name in (MERGED_DATASET, MERGED_DATASET + _SIDECAR,
                          MERGED_STATS, MERGED_COVERAGE)
         }
-        info = {"flows": len(result.dataset),
-                "devices": result.dataset.n_devices}
+        info = {"flows": len(dataset), "devices": dataset.n_devices}
         return outputs, info
 
     def _stage_annotate(
@@ -409,11 +471,9 @@ class JournaledRun:
     def _stage_analyze(
             self, progress: ProgressFn,
     ) -> Tuple[Dict[str, str], Dict[str, Any]]:
-        from repro.analysis.expectations import evaluate_all, outcomes_payload
         from repro.core.report import render_full_report
         from repro.core.study import LockdownStudy
-        from repro.serve.serialize import artifact_payload
-        from repro.serve.service import artifact_names
+        from repro.serve.service import artifact_json, artifact_names
 
         dataset = load_dataset(self.path(FILTERED_DATASET))
         stats = load_stats(self.path(MERGED_STATS))
@@ -427,13 +487,10 @@ class JournaledRun:
         os.makedirs(self.artifacts_dir, exist_ok=True)
         outputs: Dict[str, str] = {}
         for name in artifact_names():
-            if name == "outcomes":
-                payload = outcomes_payload(evaluate_all(artifacts))
-            else:
-                payload = artifact_payload(getattr(artifacts, name)())
             relative = os.path.join(ARTIFACTS_DIR, name + ".json")
             write_text(self.path(relative),
-                       canonical_json(payload) + "\n")
+                       canonical_json(artifact_json(artifacts, name))
+                       + "\n")
             outputs[relative] = _sha256_file(self.path(relative))
         write_text(self.path(REPORT_FILE),
                    render_full_report(artifacts) + "\n")
@@ -445,19 +502,14 @@ class JournaledRun:
     def _stage_publish(
             self, progress: ProgressFn,
     ) -> Tuple[Dict[str, str], Dict[str, Any]]:
-        from repro.serve.service import artifact_names
+        from repro.serve.service import artifact_names, store_meta
         from repro.serve.store import ArtifactStore
 
         store = ArtifactStore(self.store_root,
                               retry_policy=self.retry_policy)
-        store.put_meta(self.fingerprint, {
-            "fingerprint": self.fingerprint,
-            "scenario": self.scenario,
-            "config": self.config.to_payload(),
-            "fingerprinted": fingerprint_payload(self.config,
-                                                 self.scenario),
-            "run_id": self.run_id,
-        })
+        store.put_meta(self.fingerprint,
+                       store_meta(self.config, self.scenario,
+                                  run_id=self.run_id))
         outputs: Dict[str, str] = {}
         for name in artifact_names():
             with open(self.path(
@@ -499,8 +551,8 @@ class JournaledRun:
                 continue
             report(f"stage {stage}: journaled outputs failed "
                    f"verification; re-executing from there")
-            self._journal.append("note", {
-                "event": "stage_outputs_invalid", "stage": stage})
+            self._append("note", {"event": "stage_outputs_invalid",
+                                  "stage": stage})
             break
         replayed = list(plan.stages[:verified])
         to_run = list(plan.stages[verified:])
@@ -511,19 +563,18 @@ class JournaledRun:
 
         for stage in to_run:
             report(f"stage {stage}: starting")
-            self._journal.append("stage_begin", {"stage": stage})
+            self._append("stage_begin", {"stage": stage})
             maybe_crash(f"pre:{stage}")
             runner = self._STAGE_FNS[stage]
             outputs, info = runner(self, report)
             maybe_crash(f"post:{stage}")
-            record = self._journal.append("stage_end", {
+            self._append("stage_end", {
                 "stage": stage, "outputs": outputs, "info": info})
-            self._records.append(record)
             report(f"stage {stage}: complete "
                    f"({len(outputs)} output(s))")
 
         maybe_crash("pre:run_end")
-        self._journal.append("run_end", {
+        self._append("run_end", {
             "run_id": self.run_id,
             "journal_counters": dict(self._journal.counters),
         })

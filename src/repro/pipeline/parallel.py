@@ -51,17 +51,13 @@ Fault tolerance (see :mod:`repro.reliability` and the chaos suite in
   :class:`~repro.reliability.retry.RetryPolicy`; only exhausted retries
   or *fatal* errors abort, and then the pool is shut down with
   ``cancel_futures=True`` so no sibling shard leaks;
-* with a ``checkpoint_dir``, every completed shard's canonicalized
-  dataset, stats and coverage report are persisted through a
-  :class:`~repro.reliability.checkpoint.CheckpointStore` keyed by
-  ``(config, shard plan)``; a rerun loads finished shards instead of
-  re-executing them, so a killed multi-hour run resumes where it died
-  (:class:`~repro.core.runner.JournaledRun`, the one resumable entry
-  point, is the only production caller that passes a
-  ``checkpoint_dir``).
-  A checkpoint that reads back corrupt is discarded, counted
-  (``PipelineStats.checkpoints_invalid``) and re-ingested instead of
-  aborting the resume;
+* :meth:`ParallelPipeline.run_shards` skips shards the caller already
+  holds and hands each finished shard to a callback as it completes, so
+  :class:`~repro.core.runner.JournaledRun` (the one resumable entry
+  point) can persist and journal every shard before the next one lands,
+  and a killed multi-hour run resumes where it died.
+  :func:`merge_shards` is the one merge, shared by :meth:`run` and the
+  journaled merge stage;
 * with a ``shard_deadline`` (``workers > 1`` only), a
   :class:`~repro.reliability.watchdog.ShardWatchdog` watches per-shard
   heartbeat files while futures are in flight; a shard that stops
@@ -94,16 +90,15 @@ import time
 from concurrent.futures import FIRST_COMPLETED, Future, ProcessPoolExecutor, wait
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field, replace
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Collection, Dict, List, Optional, Sequence, Tuple
 
 from repro.config import StudyConfig
 from repro.dns.mapping import DEFAULT_FRESHNESS_SECONDS
 from repro.pipeline.dataset import FlowDataset
 from repro.pipeline.pipeline import MonitoringPipeline, PipelineStats
-from repro.reliability.checkpoint import CheckpointStore
 from repro.reliability.coverage import CoverageReport
-from repro.reliability.errors import CheckpointError, ShardError, is_transient
-from repro.reliability.faults import FaultPlan, LogGap, maybe_crash
+from repro.reliability.errors import ShardError, is_transient
+from repro.reliability.faults import FaultPlan, LogGap
 from repro.reliability.retry import RetryPolicy, run_with_retries
 from repro.reliability.watchdog import (
     POLL_SECONDS,
@@ -121,6 +116,13 @@ from repro.util.timeutil import DAY, format_day, iter_days
 TAIL_SECONDS = DAY
 
 ProgressFn = Callable[[str], None]
+
+#: One finished shard: its dataset, counters and telemetry coverage.
+ShardOutcome = Tuple[FlowDataset, PipelineStats, CoverageReport]
+
+#: Receives each finished shard in the parent process, in completion
+#: order, before the next one is collected.
+ShardDoneFn = Callable[[int, ShardOutcome], None]
 
 
 class ShardFailure(ShardError):
@@ -272,9 +274,7 @@ class _ShardTask:
     heartbeat_path: Optional[str] = None
 
 
-def _ingest_shard(
-        task: _ShardTask,
-) -> Tuple[FlowDataset, PipelineStats, CoverageReport]:
+def _ingest_shard(task: _ShardTask) -> ShardOutcome:
     """Worker entry point: generate and measure one shard's day range."""
     # Imported here so pool workers pay the simulation imports, not the
     # parent at module-import time.
@@ -308,6 +308,34 @@ def _ingest_shard(
     return pipeline.finalize(), pipeline.stats, pipeline.coverage_report()
 
 
+def merge_shards(shards: Sequence[ShardSpec],
+                 outcomes: Dict[int, ShardOutcome],
+                 progress: Optional[ProgressFn] = None,
+                 ) -> Tuple[FlowDataset, PipelineStats, CoverageReport]:
+    """Merge every planned shard's outcome, in plan order.
+
+    The dataset merge canonicalizes, so the result does not depend on
+    the order shards finished in or on whether they were held in
+    memory or read back from disk.
+    """
+    report = progress or (lambda message: None)
+    ordered = [outcomes[spec.index] for spec in shards]
+    for spec, (dataset, stats, _) in zip(shards, ordered):
+        report(f"shard {spec.index + 1}/{spec.n_shards} "
+               f"({spec.describe()}): {len(dataset)} flows, "
+               f"attribution {stats.attribution_rate:.3f}")
+    merged = FlowDataset.merge([dataset for dataset, _, _ in ordered])
+    report(f"merged {len(shards)} shard(s): {len(merged)} flows, "
+           f"{merged.n_devices} devices")
+    coverage = CoverageReport.merged(cov for _, _, cov in ordered)
+    if not coverage.is_complete():
+        report("coverage: telemetry gaps detected -- "
+               + ", ".join(f"{source} {coverage.fraction(source):.3f}"
+                           for source in ("conn", "dhcp", "dns")))
+    stats = PipelineStats.merged(shard for _, shard, _ in ordered)
+    return merged, stats, coverage
+
+
 @dataclass
 class ParallelResult:
     """The merged outcome of a sharded ingest."""
@@ -315,8 +343,6 @@ class ParallelResult:
     dataset: FlowDataset
     stats: PipelineStats
     shards: List[ShardSpec]
-    #: Shard indices recalled from the checkpoint store (not executed).
-    resumed: List[int] = field(default_factory=list)
     #: Attempts consumed per executed shard index (1 = first try worked).
     attempts: Dict[int, int] = field(default_factory=dict)
     #: Merged telemetry coverage across all owned days.
@@ -331,7 +357,6 @@ class ParallelPipeline:
                  phase_override: Optional[str] = None,
                  faults: Optional[FaultPlan] = None,
                  retry_policy: Optional[RetryPolicy] = None,
-                 checkpoint_dir: Optional[str] = None,
                  window: Optional[Tuple[float, float]] = None,
                  day0: Optional[float] = None,
                  shard_deadline: Optional[float] = None):
@@ -345,7 +370,6 @@ class ParallelPipeline:
             gaps=faults.log_gaps if faults is not None else ())
         self.retry_policy = retry_policy or RetryPolicy(
             max_attempts=config.max_shard_retries + 1, seed=config.seed)
-        self.checkpoint_dir = checkpoint_dir
         self.shard_deadline = shard_deadline
         self._timeouts = 0
         #: Accounting for the last pool run (submitted/completed/
@@ -360,103 +384,45 @@ class ParallelPipeline:
         ]
 
     def run(self, progress: Optional[ProgressFn] = None) -> ParallelResult:
-        """Run every shard and merge; raises :class:`ShardFailure`.
+        """Run every shard and merge; raises :class:`ShardFailure`."""
+        outcomes: Dict[int, ShardOutcome] = {}
+        attempts = self.run_shards(outcomes.__setitem__, progress)
+        dataset, stats, coverage = merge_shards(self.shards, outcomes,
+                                                progress)
+        if self._timeouts:
+            # Parent-side supervision counter, folded in after the merge.
+            stats = stats.merge(PipelineStats(
+                shard_timeouts=self._timeouts))
+        return ParallelResult(dataset=dataset, stats=stats,
+                              shards=list(self.shards),
+                              attempts=attempts, coverage=coverage)
 
-        Worker processes are always joined before this method returns,
-        whether it succeeds or raises -- a failed run leaves no zombie
-        workers and no partial state behind. Transient shard failures
-        are retried per ``retry_policy``; with a ``checkpoint_dir``,
-        completed shards are persisted as they finish and recalled on
-        the next run instead of re-executed.
+    def run_shards(self, on_shard: ShardDoneFn,
+                   progress: Optional[ProgressFn] = None, *,
+                   skip: Collection[int] = ()) -> Dict[int, int]:
+        """Run every shard not in ``skip``; returns attempts per shard.
+
+        Each finished shard goes to ``on_shard`` in the parent process
+        as soon as it is collected. Worker processes are always joined
+        before this method returns, whether it succeeds or raises -- a
+        failed run leaves no zombie workers behind, and every shard
+        ``on_shard`` accepted before the failure stays accepted.
+        Transient shard failures are retried per ``retry_policy``.
         """
         report = progress or (lambda message: None)
-        report(f"parallel ingest: {len(self.shards)} shard(s), "
-               f"{self.workers} worker(s)")
-
         self._timeouts = 0
-        store = (None if self.checkpoint_dir is None
-                 else CheckpointStore.for_run(self.checkpoint_dir,
-                                              self.config, self.shards))
-        outcomes: Dict[int, Tuple[FlowDataset, PipelineStats,
-                                  CoverageReport]] = {}
-        resumed: List[int] = []
-        invalid_checkpoints = 0
-        if store is not None:
-            for index in store.completed_indices():
-                if index >= len(self.shards):
-                    continue
-                try:
-                    outcomes[index] = store.load_shard(index)
-                except CheckpointError as exc:
-                    # A torn/corrupt checkpoint is just missing work:
-                    # discard it, count it, re-ingest the shard.
-                    report(f"checkpoint for shard {index + 1} is "
-                           f"corrupt; re-ingesting ({exc})")
-                    store.discard(index)
-                    invalid_checkpoints += 1
-                    continue
-                resumed.append(index)
-            if resumed:
-                report(f"resume: {len(resumed)} of {len(self.shards)} "
-                       f"shard(s) recalled from checkpoints")
-
         todo = [task for task in self._tasks
-                if task.spec.index not in outcomes]
-
-        def complete(index: int,
-                     outcome: Tuple[FlowDataset, PipelineStats,
-                                    CoverageReport]) -> None:
-            if store is not None:
-                # Canonicalize before persisting: the checkpoint must be
-                # byte-stable however the shard accumulated its rows.
-                outcome = (outcome[0].canonicalize(), outcome[1],
-                           outcome[2])
-                store.save_shard(index, *outcome)
-                # Mid-stage SIGKILL point for the crash-chaos harness:
-                # some shards checkpointed, the stage's journal record
-                # not yet written.
-                maybe_crash("mid:ingest:shard")
-            outcomes[index] = outcome
-
+                if task.spec.index not in skip]
+        planned = len(self.shards)
+        running = (f"{len(todo)} of {planned}" if len(todo) < planned
+                   else str(planned))
+        report(f"parallel ingest: {running} shard(s), "
+               f"{self.workers} worker(s)")
         if not todo:
-            attempts: Dict[int, int] = {}
-        elif self.workers == 1:
-            attempts = self._run_inline(todo, complete, report)
-        else:
-            attempts = self._run_pool(todo, complete, report)
-
-        ordered = [outcomes[spec.index] for spec in self.shards]
-        datasets = [dataset for dataset, _, _ in ordered]
-        coverage = CoverageReport.merged(cov for _, _, cov in ordered)
-        for spec, (dataset, stats, _) in zip(self.shards, ordered):
-            report(f"shard {spec.index + 1}/{spec.n_shards} "
-                   f"({spec.describe()}): {len(dataset)} flows, "
-                   f"attribution {stats.attribution_rate:.3f}")
-        merged = FlowDataset.merge(datasets)
-        report(f"merged {len(self.shards)} shard(s): {len(merged)} flows, "
-               f"{merged.n_devices} devices")
-        if not coverage.is_complete():
-            report("coverage: telemetry gaps detected -- "
-                   + ", ".join(
-                       f"{source} {coverage.fraction(source):.3f}"
-                       for source in ("conn", "dhcp", "dns")))
-        stats = PipelineStats.merged(shard for _, shard, _ in ordered)
-        orphans_swept = store.orphans_swept if store is not None else 0
-        if invalid_checkpoints or self._timeouts or orphans_swept:
-            # Parent-side supervision counters: never checkpointed per
-            # shard, folded in after the merge.
-            stats = stats.merge(PipelineStats(
-                checkpoints_invalid=invalid_checkpoints,
-                shard_timeouts=self._timeouts,
-                checkpoint_orphans_swept=orphans_swept))
-        return ParallelResult(
-            dataset=merged,
-            stats=stats,
-            shards=list(self.shards),
-            resumed=sorted(resumed),
-            attempts=attempts,
-            coverage=coverage,
-        )
+            return {}
+        if self.workers == 1:
+            return self._run_inline(todo, on_shard, report)
+        return self._run_pool(todo, on_shard, report)
 
     # -- internals ---------------------------------------------------------
 

@@ -80,14 +80,10 @@ class PipelineStats:
     flows_degraded_dhcp: int = 0
     flows_degraded_dns: int = 0
     flows_unattributed_gap: int = 0
-    #: Supervision accounting (parent-side; never checkpointed per
-    #: shard): corrupt checkpoints discarded on resume, shards killed
-    #: by the watchdog for missing their progress deadline, and
-    #: orphaned staged-write temp files (crash debris) swept when the
-    #: checkpoint store was opened.
-    checkpoints_invalid: int = 0
+    #: Supervision accounting (parent-side, folded in after the merge):
+    #: shards killed by the watchdog for missing their progress
+    #: deadline.
     shard_timeouts: int = 0
-    checkpoint_orphans_swept: int = 0
 
     @property
     def attribution_rate(self) -> float:

@@ -12,8 +12,6 @@ them:
   writes;
 * :mod:`~repro.reliability.quarantine` -- per-category accounting of
   malformed records in lenient ingest mode;
-* :mod:`~repro.reliability.checkpoint` -- per-shard checkpoint/resume
-  for the parallel pipeline;
 * :mod:`~repro.reliability.faults` -- seeded fault injection driving
   the chaos test suite;
 * :mod:`~repro.reliability.coverage` -- interval-set telemetry
@@ -27,7 +25,10 @@ them:
   chokepoint (stage, fsync, rename) every durable writer goes through,
   plus the disk-fault injection seam;
 * :mod:`~repro.reliability.journal` -- the write-ahead run journal
-  behind crash-safe ``repro run --journal-dir`` orchestration.
+  behind crash-safe ``repro run --journal-dir`` orchestration, and the
+  one record of finished work a resume trusts: each ingest shard and
+  each stage is done only once the journal says so and its files still
+  match the journaled digests.
 """
 
 from repro.reliability.atomic import (
@@ -51,7 +52,6 @@ from repro.reliability.errors import (
     CATEGORY_JSON,
     CATEGORY_ORDER,
     CATEGORY_VALUE,
-    CheckpointError,
     CoverageError,
     DeadlineExpired,
     DiskFullError,
@@ -90,16 +90,6 @@ from repro.reliability.watchdog import (
     WatchdogTimeout,
 )
 
-
-def __getattr__(name: str) -> object:
-    # CheckpointStore persists FlowDataset/PipelineStats, whose modules
-    # themselves use this package's error taxonomy; importing it lazily
-    # keeps `repro.reliability` importable from inside that stack.
-    if name in ("CheckpointStore", "run_key"):
-        from repro.reliability import checkpoint
-        return getattr(checkpoint, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
 __all__ = [
     "BREAKER_CLOSED",
     "BREAKER_HALF_OPEN",
@@ -109,8 +99,6 @@ __all__ = [
     "CATEGORY_JSON",
     "CATEGORY_ORDER",
     "CATEGORY_VALUE",
-    "CheckpointError",
-    "CheckpointStore",
     "CircuitBreaker",
     "CoverageError",
     "CoverageReport",
@@ -146,7 +134,6 @@ __all__ = [
     "replacing",
     "replay",
     "resume_plan",
-    "run_key",
     "run_with_retries",
     "sweep_orphans",
     "write_bytes",

@@ -1,6 +1,6 @@
 """Crash-consistent file writes: the single chokepoint for durability.
 
-Every durable artifact in the system -- shard checkpoints, the
+Every durable artifact in the system -- journaled run outputs, the
 quarantine report, artifact-store envelopes, and the run journal --
 goes to disk through this module, so crash consistency is one policy
 enforced in one place instead of a convention scattered across

@@ -20,7 +20,7 @@ explicit coverage ledger:
 * :class:`CoverageReport` -- the frozen result: expected window,
   per-source observed spans, gap queries, per-day covered fractions
   (consumed by :class:`repro.analysis.context.AnalysisContext`), and a
-  JSON round trip so checkpointed shards preserve coverage across a
+  JSON round trip so journaled shards preserve coverage across a
   resume.
 
 Everything here is pure bookkeeping -- no clocks, no RNG -- so a clean
@@ -199,7 +199,7 @@ class CoverageReport:
             total = total.merge(report)
         return total
 
-    # -- serialization (checkpoints) ------------------------------------
+    # -- serialization (journaled shards) ------------------------------
 
     def to_json(self) -> Dict[str, object]:
         return {

@@ -45,8 +45,9 @@ ProgressFn = Callable[[str], None]
 
 #: Every SIGKILL point the journaled runner exposes, in pipeline order:
 #: the moment after the journal file exists but before ``run_begin``,
-#: both sides of every stage's journal barrier, the mid-stage shard
-#: checkpoint commit, and the instant before ``run_end`` seals the run.
+#: both sides of every stage's journal barrier, the moment after an
+#: ingest shard's ``shard_end`` is journaled, and the instant before
+#: ``run_end`` seals the run.
 CRASH_POINTS: Tuple[str, ...] = (
     "pre:run_begin",
     "pre:ingest",
@@ -68,8 +69,8 @@ CRASH_POINTS: Tuple[str, ...] = (
 SIGKILL_RETURNCODE = -int(signal.SIGKILL)
 
 #: Run-directory entries whose bytes define the run's *outputs* (the
-#: journal and checkpoints are mechanism, not product, and legitimately
-#: differ between a clean and a crashed-then-resumed run).
+#: journal and the ingest shard files are mechanism, not product; the
+#: journal legitimately differs between a clean and a resumed run).
 _OUTPUT_FILES = ("merged.npz", "merged.npz.meta.json",
                  "merged.stats.json", "merged.coverage.json",
                  "filtered.npz", "filtered.npz.meta.json", "report.txt")

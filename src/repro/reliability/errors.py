@@ -69,14 +69,6 @@ class TransientIOError(ReliabilityError, OSError):
     transient = True
 
 
-class CheckpointError(ReliabilityError):
-    """A persisted shard checkpoint is truncated or corrupt.
-
-    Fatal for the *checkpoint* but not for the run: the resume path
-    counts it, discards the damaged files, and re-ingests the shard.
-    """
-
-
 class DiskFullError(TransientIOError):
     """The device ran out of space mid-write (``ENOSPC``).
 

@@ -31,8 +31,8 @@ test is exactly reproducible:
 * :class:`DiskFault`/:class:`DiskFaultInjector` inject filesystem
   failures (``ENOSPC``, torn/truncated writes, failing fsync) into the
   single atomic-write chokepoint (:mod:`repro.reliability.atomic`)
-  that the checkpoint store, quarantine sink, artifact store and run
-  journal all write through.
+  that journaled run outputs, the quarantine sink, the artifact store
+  and the run journal all write through.
 """
 
 from __future__ import annotations

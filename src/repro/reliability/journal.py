@@ -1,14 +1,14 @@
 """Write-ahead run journal: durable intent + per-stage completion.
 
 A study run is a pipeline of stages (shard ingest, merge, annotate,
-analyze, publish). Per-shard checkpoints (PR 2) make the *ingest*
-stage resumable, but a SIGKILL between stages -- or a torn write on
-any stage's output -- still lost the whole run's bookkeeping. The
-journal closes that gap: before anything executes, the run's intent
-(config payload, scenario, fingerprint, stage list) is appended as a
-``run_begin`` record; each stage appends ``stage_begin`` before and
-``stage_end`` (with output digests) after its work; ``run_end`` seals
-the run. Every record is:
+analyze, publish). The journal is the run's only record of finished
+work: before anything executes, the run's intent (config payload,
+scenario, fingerprint, stage list) is appended as a ``run_begin``
+record; each stage appends ``stage_begin`` before and ``stage_end``
+(with output digests) after its work; inside the ingest stage each
+finished shard appends a ``shard_end`` with the digests of its files,
+so a kill mid-ingest repeats only the unjournaled shards; ``run_end``
+seals the run. Every record is:
 
 * **append-only** -- the journal file is never rewritten in place;
 * **checksummed** -- each line embeds the SHA-256 of its own canonical
@@ -33,7 +33,8 @@ bit rot or a concurrent writer, and no resume should trust it.
 :func:`resume_plan` turns a replayed record list into the decision the
 CLI acts on: which stages are already complete (replay their outputs
 from disk), which stage was in flight (re-execute it), and whether the
-run already finished.
+run already finished, plus the latest journaled digests of every
+ingest shard.
 """
 
 from __future__ import annotations
@@ -42,7 +43,7 @@ import hashlib
 import json
 import os
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Tuple
 
 from repro.reliability.atomic import append_line, fsync_dir
@@ -51,14 +52,16 @@ from repro.reliability.retry import RetryPolicy, SleepFn, run_with_retries
 
 #: Bump when the record layout changes; recorded in ``run_begin`` so a
 #: resume can refuse a journal written by an incompatible layout.
-JOURNAL_VERSION = 1
+#: v2: ``shard_end`` records replace the separate per-shard checkpoint
+#: store, and the ingest stage's outputs are its shard files.
+JOURNAL_VERSION = 2
 
 #: Canonical journal file name inside a run directory.
 JOURNAL_FILE = "journal.jsonl"
 
 #: The record kinds a journal may contain.
-RECORD_KINDS = ("run_begin", "stage_begin", "stage_end", "note",
-                "run_end")
+RECORD_KINDS = ("run_begin", "stage_begin", "stage_end", "shard_end",
+                "note", "run_end")
 
 
 def _canonical(payload: Any) -> str:
@@ -278,7 +281,7 @@ class ResumePlan:
     scenario: str
     config_payload: Dict[str, Any]
     #: Execution shape recorded at start (non-semantic, but reusing it
-    #: lets the resume recall the exact checkpointed shard plan).
+    #: lets the resume reuse the exact journaled shard plan).
     workers: int
     stages: Tuple[str, ...]
     #: Stage names whose ``stage_end`` was journaled, in order.
@@ -287,6 +290,9 @@ class ResumePlan:
     outputs: Dict[str, Dict[str, str]]
     #: ``True`` once ``run_end`` was journaled.
     complete: bool
+    #: File digests of every journaled ingest shard, by shard index
+    #: (the latest ``shard_end`` wins).
+    shards: Dict[int, Dict[str, str]] = field(default_factory=dict)
 
     @property
     def next_stage(self) -> Optional[str]:
@@ -317,11 +323,18 @@ def resume_plan(records: List[JournalRecord]) -> ResumePlan:
     #: outputs failed verification) but never skip ahead.
     done = 0
     outputs: Dict[str, Dict[str, str]] = {}
+    shards: Dict[int, Dict[str, str]] = {}
     complete = False
     for record in records[1:]:
         if record.kind == "run_begin":
             raise JournalError("journal contains a second run_begin")
-        if record.kind == "stage_end":
+        if record.kind == "shard_end":
+            index = record.payload.get("shard")
+            if not isinstance(index, int) or index < 0:
+                raise JournalError(
+                    f"shard_end names no shard index: {index!r}")
+            shards[index] = _digests(record.payload)
+        elif record.kind == "stage_end":
             stage = str(record.payload.get("stage"))
             if stage not in stages:
                 raise JournalError(
@@ -334,9 +347,7 @@ def resume_plan(records: List[JournalRecord]) -> ResumePlan:
                     f"({done} stage(s) completed so far)")
             done = position + 1
             complete = False
-            recorded = record.payload.get("outputs", {})
-            outputs[stage] = {str(name): str(digest)
-                              for name, digest in dict(recorded).items()}
+            outputs[stage] = _digests(record.payload)
         elif record.kind == "run_end":
             if done < len(stages):
                 raise JournalError(
@@ -354,4 +365,11 @@ def resume_plan(records: List[JournalRecord]) -> ResumePlan:
         completed=tuple(completed),
         outputs=outputs,
         complete=complete,
+        shards=shards,
     )
+
+
+def _digests(payload: Dict[str, Any]) -> Dict[str, str]:
+    """A record's ``outputs`` mapping of file name to digest."""
+    return {str(name): str(digest)
+            for name, digest in dict(payload.get("outputs", {})).items()}

@@ -4,7 +4,7 @@ A study run is fully determined by its :class:`~repro.config.
 StudyConfig` (every simulation and pipeline decision derives from it)
 plus the *scenario* -- which arm of the study ran (the lock-down
 study, the no-pandemic counterfactual, ...). Everything else a caller
-may pass around a run -- worker counts, checkpoint directories,
+may pass around a run -- worker counts, journal directories,
 output paths -- changes how fast or where a run executes, never what
 it computes, and is therefore excluded from the key.
 
@@ -39,7 +39,6 @@ DEFAULT_SCENARIO = "lockdown-2020"
 NON_SEMANTIC_FIELDS = frozenset({
     "max_shard_retries",
     "workers",
-    "checkpoint_dir",
     "resume",
     "shard_deadline",
     "out",

@@ -79,6 +79,31 @@ def artifact_names() -> Tuple[str, ...]:
     return tuple(StudyArtifacts.ANALYSES) + DERIVED_ARTIFACTS
 
 
+def artifact_json(artifacts: Any, name: str) -> Any:
+    """The JSON payload stored for one named artifact of a study.
+
+    Served queries and journaled runs both store exactly this, so a
+    fingerprint's entries are the same bytes whichever path wrote them.
+    """
+    if name == "outcomes":
+        from repro.analysis.expectations import evaluate_all, outcomes_payload
+
+        return outcomes_payload(evaluate_all(artifacts))
+    return artifact_payload(getattr(artifacts, name)())
+
+
+def store_meta(config: StudyConfig, scenario: str,
+               **extra: Any) -> Dict[str, Any]:
+    """The metadata recorded beside a study's stored artifacts."""
+    return {
+        "fingerprint": study_fingerprint(config, scenario),
+        "scenario": scenario,
+        "config": config.to_payload(),
+        "fingerprinted": fingerprint_payload(config, scenario),
+        **extra,
+    }
+
+
 @dataclass(frozen=True)
 class QueryResult:
     """One query's artifacts plus where each came from."""
@@ -166,14 +191,7 @@ class StudyService:
         return report
 
     def _compute_payload(self, artifacts: Any, name: str) -> Any:
-        if name == "outcomes":
-            from repro.analysis.expectations import (
-                evaluate_all,
-                outcomes_payload,
-            )
-
-            return outcomes_payload(evaluate_all(artifacts))
-        return artifact_payload(getattr(artifacts, name)())
+        return artifact_json(artifacts, name)
 
     def _materialize(self, fingerprint: str, config: StudyConfig,
                      scenario: str, deadline: Optional[Deadline],
@@ -197,12 +215,7 @@ class StudyService:
         # Warm every analysis once; per-name serialization below then
         # never triggers a figure computation of its own.
         artifacts.compute_all()
-        self.store.put_meta(fingerprint, {
-            "fingerprint": fingerprint,
-            "scenario": scenario,
-            "config": config.to_payload(),
-            "fingerprinted": fingerprint_payload(config, scenario),
-        })
+        self.store.put_meta(fingerprint, store_meta(config, scenario))
         # The study ran; backfill *every* known artifact (not just the
         # requested ones) so any later query -- even from a fresh
         # process -- is a pure store hit.

@@ -17,8 +17,10 @@ changed digest.
 ``audit`` installs a :func:`sys.addaudithook` hook that logs every
 ``open`` in a write mode and every ``os.rename`` (``os.replace``
 raises the same event) to ``OUT/writes.jsonl``, then runs a journaled
-two-worker study, a served query from its store, and a query that
-finds a corrupt entry, quarantines it and recomputes. Forked pool
+two-worker study, a served query from its store, a query that finds a
+corrupt entry, quarantines it and recomputes, and an in-process
+two-worker study under a shard deadline, whose workers write
+heartbeats. Forked pool
 workers inherit the hook and the log descriptor, so their writes are
 logged too. Each log line names the nearest ``repro`` frame that made
 the call.
@@ -27,6 +29,7 @@ the call.
 import json
 import os
 import sys
+import tempfile
 
 _WRITE_MODE_CHARS = frozenset("wax+")
 _WRITE_FLAGS = os.O_WRONLY | os.O_RDWR | os.O_APPEND | os.O_CREAT | os.O_TRUNC
@@ -133,8 +136,13 @@ def _install_write_log(log_path):
 
 
 def audit(out_dir):
+    # The first temp dir a process asks for makes the standard library
+    # probe that the directory is writable with a throwaway file; do
+    # that here, so the log holds only the program's own writes.
+    tempfile.gettempdir()
     state = _install_write_log(os.path.join(out_dir, "writes.jsonl"))
 
+    from repro.core.study import LockdownStudy
     from repro.serve.service import StudyService
     from repro.serve.store import ArtifactStore
 
@@ -152,6 +160,10 @@ def audit(out_dir):
     healed = service.query(config, names=[name])
     assert healed.computed, healed
     assert service.counters["artifacts_recovered"] == 1, service.counters
+    # A deadline no healthy shard misses: the watchdog only reads the
+    # heartbeats, so the run must finish without a timeout.
+    artifacts = LockdownStudy(config).run(workers=2, shard_deadline=600.0)
+    assert artifacts.pipeline_stats.shard_timeouts == 0
 
 
 def main(argv):

@@ -47,6 +47,10 @@ WRITE_ALLOW_LIST = {
     ("rename", "repro.serve.store:quarantine"):
         "moving a corrupt store entry aside: the entry is already "
         "sealed, and os.replace is atomic on its own",
+    ("open", "repro.reliability.watchdog:write_heartbeat"):
+        "a shard worker's heartbeat: an ephemeral file in a private "
+        "temp dir that the watchdog compares by content only, so a "
+        "torn write reads as no progress",
 }
 
 

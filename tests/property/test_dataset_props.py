@@ -1,11 +1,15 @@
-"""Property-based tests for the flow dataset builder."""
+"""Property-based tests for the flow dataset builder and its store."""
+
+import os
+import tempfile
 
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
 from repro.net.mac import MacAddress
 from repro.pipeline.anonymize import Anonymizer
-from repro.pipeline.dataset import NO_DOMAIN
+from repro.pipeline.dataset import NO_DOMAIN, DeviceProfile, FlowDataset
+from repro.pipeline.store import save_dataset
 from repro.util.timeutil import DAY
 from tests.oracles.dataset import RowFlowDatasetBuilder
 
@@ -76,3 +80,52 @@ class TestBuilderProperties:
         assert subset.total_bytes.sum() == dataset.total_bytes[keep].sum()
         assert subset.n_devices == len(np.unique(dataset.device[keep]))
         assert (subset.device < subset.n_devices).all()
+
+
+#: Devices whose set-valued fields hold several elements: at the chaos
+#: scale the integration tests run, every device has one user agent,
+#: so an unsorted set there would never change a byte.
+_profile_sets = st.tuples(
+    st.lists(st.text(min_size=1, max_size=12), min_size=2, max_size=8,
+             unique=True),
+    st.lists(st.integers(min_value=0, max_value=120), min_size=2,
+             max_size=12, unique=True),
+)
+
+
+def _saved_bytes(directory, name, device_sets):
+    """The bytes ``save_dataset`` writes for a flowless dataset whose
+    profiles' sets were filled in the given element orders."""
+    devices = []
+    for index, (agents, days) in enumerate(device_sets):
+        profile = DeviceProfile(index=index, token=f"dev{index}",
+                                oui=None, is_locally_administered=False)
+        for agent in agents:
+            profile.user_agents.add(agent)
+        for day in days:
+            profile.days_seen.add(day)
+        devices.append(profile)
+    empty = np.zeros(0)
+    dataset = FlowDataset(
+        ts=empty, duration=empty, device=empty.astype(np.int32),
+        resp_h=empty.astype(np.uint32), resp_p=empty.astype(np.uint16),
+        proto=empty.astype(np.uint8), orig_bytes=empty.astype(np.int64),
+        resp_bytes=empty.astype(np.int64), domain=empty.astype(np.int32),
+        day=empty.astype(np.int32), domains=[], devices=devices, day0=0.0)
+    path = os.path.join(directory, name + ".npz")
+    save_dataset(dataset, path)
+    with open(path, "rb") as npz, open(path + ".meta.json", "rb") as meta:
+        return npz.read(), meta.read()
+
+
+class TestStoreProperties:
+    @given(st.lists(_profile_sets, min_size=1, max_size=4), st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_saved_bytes_ignore_set_insertion_order(self, device_sets,
+                                                    data):
+        shuffled = [(data.draw(st.permutations(agents)),
+                     data.draw(st.permutations(days)))
+                    for agents, days in device_sets]
+        with tempfile.TemporaryDirectory() as directory:
+            assert _saved_bytes(directory, "drawn", device_sets) == \
+                _saved_bytes(directory, "shuffled", shuffled)

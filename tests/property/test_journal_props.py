@@ -12,8 +12,14 @@ few examples, so Hypothesis drives it:
 * **corrupt trailing lines** -- truncations, garbage, checksum-broken
   bytes -- are dropped as absent, never surfacing as phantom records;
 * :func:`resume_plan` is **monotone** over clean prefixes: completed
-  stages only ever grow as more of the journal survives.
+  stages only ever grow as more of the journal survives;
+* a plan built from **any prefix agrees with the run**: its completed
+  stages and journaled ``shard_end`` digests are exactly what the run
+  had journaled at that point, and building it leaves the records
+  untouched.
 """
+
+import copy
 
 from hypothesis import given, settings, strategies as st
 
@@ -41,32 +47,53 @@ def _begin_record():
 
 
 @st.composite
-def journals(draw):
-    """A well-formed journal: run_begin + stage barriers (+ run_end).
+def journals_with_history(draw):
+    """A well-formed journal plus what the run knew after each record.
 
-    ``n_done`` stages complete; optionally the next stage has begun
-    (the in-flight state every crash leaves); a fully-done journal may
-    be sealed with ``run_end``.
+    run_begin + stage barriers (+ run_end): ``n_done`` stages complete;
+    optionally the next stage has begun (the in-flight state every
+    crash leaves); a fully-done journal may be sealed with ``run_end``.
+    Inside the ingest stage, finished or in flight, shards journal
+    ``shard_end`` records in any order, a re-run shard re-journaled
+    with new digests. ``history[k]`` is ``(completed stages, shard
+    digests)`` after record ``k``.
     """
     records = [_begin_record()]
+    history = [((), {})]
+    completed = ()
+    shards = {}
+
+    def add(kind, payload):
+        records.append(JournalRecord(seq=len(records), kind=kind,
+                                     payload=payload))
+        history.append((completed, dict(shards)))
+
+    def begin(stage):
+        add("stage_begin", {"stage": stage})
+        if stage != "ingest":
+            return
+        for _ in range(draw(st.integers(min_value=0, max_value=4))):
+            index = draw(st.sampled_from((0, 1)))
+            digest = draw(st.sampled_from(("00" * 32, "11" * 32)))
+            shards[index] = {f"shards/shard-{index:04d}.npz": digest}
+            add("shard_end", {"shard": index, "outputs": shards[index]})
+
     n_done = draw(st.integers(min_value=0, max_value=len(STAGES)))
     for stage in STAGES[:n_done]:
-        records.append(JournalRecord(
-            seq=len(records), kind="stage_begin",
-            payload={"stage": stage}))
-        records.append(JournalRecord(
-            seq=len(records), kind="stage_end",
-            payload={"stage": stage,
-                     "outputs": {f"{stage}.out": "00" * 32},
-                     "info": {}}))
+        begin(stage)
+        completed += (stage,)
+        add("stage_end", {"stage": stage,
+                          "outputs": {f"{stage}.out": "00" * 32},
+                          "info": {}})
     if n_done < len(STAGES) and draw(st.booleans()):
-        records.append(JournalRecord(
-            seq=len(records), kind="stage_begin",
-            payload={"stage": STAGES[n_done]}))
+        begin(STAGES[n_done])
     elif n_done == len(STAGES) and draw(st.booleans()):
-        records.append(JournalRecord(seq=len(records), kind="run_end",
-                                     payload={}))
-    return records
+        add("run_end", {})
+    return records, history
+
+
+def journals():
+    return journals_with_history().map(lambda pair: pair[0])
 
 
 corrupt_tails = st.lists(
@@ -142,6 +169,32 @@ def test_resume_plan_is_monotone_over_prefixes(records, data):
     assert partial.fingerprint == full.fingerprint
     if partial.complete:
         assert full.complete
+
+
+@given(journals_with_history(), st.data())
+@settings(max_examples=60)
+def test_plan_of_any_prefix_agrees_with_the_run(journal, data):
+    """What a crash after record k leaves is what the run had done."""
+    records, history = journal
+    cut = data.draw(st.integers(min_value=1, max_value=len(records)))
+    plan = resume_plan(records[:cut])
+    completed, shards = history[cut - 1]
+    assert plan.completed == completed
+    assert plan.shards == shards
+    assert set(plan.shards) <= set(resume_plan(records).shards)
+
+
+@given(journals())
+@settings(max_examples=60)
+def test_resume_plan_leaves_records_untouched(records):
+    before = copy.deepcopy(records)
+    plan = resume_plan(records)
+    assert records == before
+    # The plan holds its own copies: editing it cannot rewrite history.
+    for digests in plan.shards.values():
+        digests.clear()
+    assert records == before
+    assert resume_plan(records) == resume_plan(before)
 
 
 @given(journals())

@@ -196,6 +196,34 @@ class TestResumePlan:
         with pytest.raises(JournalError, match="version"):
             resume_plan([begin])
 
+    def test_layout_before_shard_records_is_refused(self):
+        """A v1 run directory kept its shards in a separate checkpoint
+        store the journal never saw; resuming it must fail loudly."""
+        assert JOURNAL_VERSION == 2
+        begin = JournalRecord(seq=0, kind="run_begin",
+                              payload=_begin_payload(journal_version=1))
+        with pytest.raises(JournalError, match="version 1"):
+            resume_plan([begin])
+
+    def test_latest_shard_end_wins(self):
+        records = _records(0)
+        for index, digest in ((1, "aa"), (0, "bb"), (1, "cc")):
+            records.append(JournalRecord(
+                seq=len(records), kind="shard_end",
+                payload={"shard": index,
+                         "outputs": {f"shard-{index}.npz": digest}}))
+        assert resume_plan(records).shards == {
+            0: {"shard-0.npz": "bb"}, 1: {"shard-1.npz": "cc"}}
+
+    @pytest.mark.parametrize("index", [None, -1, "0"])
+    def test_shard_end_without_an_index_rejected(self, index):
+        records = _records(0)
+        records.append(JournalRecord(seq=len(records), kind="shard_end",
+                                     payload={"shard": index,
+                                              "outputs": {}}))
+        with pytest.raises(JournalError, match="shard index"):
+            resume_plan(records)
+
     def test_fresh_run_has_no_completed_stages(self):
         plan = resume_plan(_records(0))
         assert plan.completed == ()
