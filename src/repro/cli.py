@@ -178,7 +178,9 @@ def _cmd_run(args: argparse.Namespace) -> int:
     if args.out:
         os.makedirs(args.out, exist_ok=True)
         _save_config(config, args.out)
-        save_dataset(artifacts.dataset,
+        # Canonical order, so the file's bytes do not depend on
+        # --workers (the serial ingest keeps registration order).
+        save_dataset(artifacts.dataset.canonicalize(),
                      os.path.join(args.out, _DATASET_FILE))
         write_text(os.path.join(args.out, _REPORT_FILE), report + "\n")
         _progress(f"dataset and report written to {args.out}/")

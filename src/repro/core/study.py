@@ -13,6 +13,7 @@
 from __future__ import annotations
 
 import threading
+from contextlib import closing
 from dataclasses import dataclass, field
 from typing import Callable, Dict, Optional, Tuple
 
@@ -372,11 +373,15 @@ def _ingest(config: StudyConfig,
     pipeline = MonitoringPipeline(
         config, generator.plan.excluded_blocks(config.excluded_operators),
         day0=day0)
-    for trace in generator.iter_days(start, end, presence=presence):
-        pipeline.ingest_day(trace)
-        if trace.day_start % (7 * 86400.0) < 86400.0:
-            report(f"ingested {format_day(trace.day_start)} "
-                   f"({len(pipeline.builder)} flows so far)")
+    # Closed explicitly, so a progress hook that raises (a deadline)
+    # leaves no generation worker behind.
+    with closing(generator.iter_days(start, end,
+                                     presence=presence)) as traces:
+        for trace in traces:
+            pipeline.ingest_day(trace)
+            if trace.day_start % (7 * 86400.0) < 86400.0:
+                report(f"ingested {format_day(trace.day_start)} "
+                       f"({len(pipeline.builder)} flows so far)")
     return pipeline.finalize(), pipeline.stats, pipeline.coverage_report()
 
 

@@ -89,6 +89,7 @@ import tempfile
 import time
 from concurrent.futures import FIRST_COMPLETED, Future, ProcessPoolExecutor, wait
 from concurrent.futures.process import BrokenProcessPool
+from contextlib import closing
 from dataclasses import dataclass, field, replace
 from typing import Callable, Collection, Dict, List, Optional, Sequence, Tuple
 
@@ -295,16 +296,20 @@ def _ingest_shard(task: _ShardTask) -> ShardOutcome:
         owned_window=(spec.owned_start, spec.owned_end),
         day0=task.day0)
     days_done = 0
-    for trace in generator.iter_days(spec.gen_start, spec.gen_end,
-                                     presence=task.presence):
-        if task.faults is not None:
-            # Warm-up days included: gap-shaped resolver state must
-            # match what the serial run built for these days.
-            trace = task.faults.drop_log_span(trace)
-        pipeline.ingest_day(trace)
-        days_done += 1
-        if task.heartbeat_path is not None:
-            write_heartbeat(task.heartbeat_path, task.attempt, days_done)
+    # A pool worker generates in process (iter_days never nests pools);
+    # the iterator is still closed explicitly on any exit.
+    with closing(generator.iter_days(spec.gen_start, spec.gen_end,
+                                     presence=task.presence)) as traces:
+        for trace in traces:
+            if task.faults is not None:
+                # Warm-up days included: gap-shaped resolver state must
+                # match what the serial run built for these days.
+                trace = task.faults.drop_log_span(trace)
+            pipeline.ingest_day(trace)
+            days_done += 1
+            if task.heartbeat_path is not None:
+                write_heartbeat(task.heartbeat_path, task.attempt,
+                                days_done)
     return pipeline.finalize(), pipeline.stats, pipeline.coverage_report()
 
 

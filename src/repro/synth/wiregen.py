@@ -241,7 +241,10 @@ class WireGenerator:
         """Append the session's wire events; returns connections emitted.
 
         A connection to a domain that does not resolve is drawn but not
-        emitted, and is not counted.
+        emitted, and is not counted. ``client_ip`` is recorded verbatim
+        in every DNS row and connection and drives no draw, so a caller
+        may pass a placeholder (the generator passes the session's
+        slot) and map it to the leased address afterwards.
         """
         minutes = session.duration / MINUTE
         n_connections = max(1, int(rng.poisson(

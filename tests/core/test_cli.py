@@ -130,6 +130,28 @@ class TestRunAndReport:
         assert "Figure 1" in report_output
 
 
+class TestRunOutput:
+    def test_saved_dataset_does_not_depend_on_workers(self, tmp_path,
+                                                      capsys):
+        """The serial ingest keeps flows in registration order and the
+        sharded merge in canonical order; ``--out`` saves the canonical
+        form, so both write the same bytes, and ``report --data`` still
+        prints the run's own report."""
+        saved = {}
+        for workers in (1, 2):
+            out_dir = tmp_path / f"workers-{workers}"
+            assert main(["run", "--preset", "chaos", "--workers",
+                         str(workers), "--out", str(out_dir)]) == 0
+            printed = capsys.readouterr().out
+            assert "Figure 1" in printed
+            assert main(["report", "--data", str(out_dir)]) == 0
+            assert capsys.readouterr().out == printed
+            saved[workers] = {path.name: path.read_bytes()
+                              for path in sorted(out_dir.iterdir())}
+        assert "flows.npz" in saved[1]
+        assert saved[1] == saved[2]
+
+
 class TestJournaledRunCommand:
     def test_run_then_flagless_resume(self, tmp_path, capsys):
         """A resume needs only the journal dir and run id: the config

@@ -20,16 +20,22 @@ raises the same event) to ``OUT/writes.jsonl``, then runs a journaled
 two-worker study, a served query from its store, a query that finds a
 corrupt entry, quarantines it and recomputes, and an in-process
 two-worker study under a shard deadline, whose workers write
-heartbeats. Forked pool
-workers inherit the hook and the log descriptor, so their writes are
-logged too. Each log line names the nearest ``repro`` frame that made
-the call.
+heartbeats, and a one-point crash matrix
+(:func:`repro.reliability.crashmatrix.run_matrix` at
+``mid:ingest:shard``), whose CLI runs capture their output to raw log
+files. Forked pool workers inherit the hook and the log descriptor, so
+their writes are logged too. Each log line names the nearest ``repro``
+frame that made the call. The matrix's CLI runs are separate
+interpreters, so their own writes are not logged; instead the probe
+checks that the process-group kill after each run found the workers a
+SIGKILLed run orphaned, and that none of the matrix's processes is left.
 """
 
 import json
 import os
 import sys
 import tempfile
+import time
 
 _WRITE_MODE_CHARS = frozenset("wax+")
 _WRITE_FLAGS = os.O_WRONLY | os.O_RDWR | os.O_APPEND | os.O_CREAT | os.O_TRUNC
@@ -135,6 +141,54 @@ def _install_write_log(log_path):
     return state
 
 
+def _live_pids(match):
+    """Live (non-zombie) processes for which ``match(stat, cmdline)``."""
+    pids = []
+    for entry in os.listdir("/proc"):
+        if not entry.isdigit():
+            continue
+        try:
+            with open(f"/proc/{entry}/stat", "rb") as fileobj:
+                # Fields after the parenthesised command name: state,
+                # ppid, pgrp, ...
+                stat = fileobj.read().rsplit(b")", 1)[1].split()
+            with open(f"/proc/{entry}/cmdline", "rb") as fileobj:
+                cmdline = fileobj.read()
+        except OSError:
+            continue  # exited meanwhile
+        if stat[0] != b"Z" and match(stat, cmdline):
+            pids.append(int(entry))
+    return pids
+
+
+def _crash_matrix_leaves_no_process(out_dir):
+    """Run a one-point crash matrix; return the processes each
+    ``killpg`` found in its group."""
+    from repro.reliability import crashmatrix
+
+    base_dir = os.path.join(out_dir, "matrix")
+    real_killpg = os.killpg
+    groups = []
+
+    def killpg(pgid, sig):
+        groups.append(_live_pids(lambda stat, _: int(stat[2]) == pgid))
+        real_killpg(pgid, sig)
+
+    os.killpg = killpg
+    try:
+        result = crashmatrix.run_matrix(base_dir,
+                                        points=("mid:ingest:shard",))
+    finally:
+        os.killpg = real_killpg
+    assert result["passed"], result
+    needle = os.fsencode(base_dir)
+    deadline = time.monotonic() + 10.0
+    while _live_pids(lambda _, cmdline: needle in cmdline):
+        assert time.monotonic() < deadline, "matrix processes survived"
+        time.sleep(0.1)
+    return groups
+
+
 def audit(out_dir):
     # The first temp dir a process asks for makes the standard library
     # probe that the directory is writable with a throwaway file; do
@@ -164,6 +218,10 @@ def audit(out_dir):
     # heartbeats, so the run must finish without a timeout.
     artifacts = LockdownStudy(config).run(workers=2, shard_deadline=600.0)
     assert artifacts.pipeline_stats.shard_timeouts == 0
+    # Golden run, killed run, resume: the killed run's group still held
+    # its orphaned pool workers when killpg reaped it.
+    groups = _crash_matrix_leaves_no_process(out_dir)
+    assert len(groups) == 3 and groups[1], groups
 
 
 def main(argv):

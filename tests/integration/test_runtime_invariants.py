@@ -51,6 +51,10 @@ WRITE_ALLOW_LIST = {
         "a shard worker's heartbeat: an ephemeral file in a private "
         "temp dir that the watchdog compares by content only, so a "
         "torn write reads as no progress",
+    ("open", "repro.reliability.crashmatrix:_run_cli"):
+        "the crash matrix's live capture of a CLI run's output: it must "
+        "hold what the run wrote up to the SIGKILL it records, which a "
+        "staged file renamed afterwards would lose",
 }
 
 
