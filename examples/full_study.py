@@ -9,13 +9,11 @@ comparison.
 At the default scale (150 students) the run takes a few minutes; raise
 ``--students`` toward the paper's population for tighter statistics.
 
-With ``--workers N`` the generate-and-measure stage runs as a sharded
-parallel ingest (one process per contiguous day-range shard); the
-merged dataset is equivalent to the serial run's, so every figure
-below is unchanged -- only the wall-clock drops on multi-core hosts.
+On a multi-core host the generator computes upcoming days in worker
+processes (one per usable CPU) while this process ingests them in
+order; every figure is the same as an in-process run's.
 
     python examples/full_study.py [--students N] [--seed S] [--baseline]
-    python examples/full_study.py --workers 4
     python examples/full_study.py --output results.txt
 """
 
@@ -41,9 +39,6 @@ def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--students", type=int, default=150)
     parser.add_argument("--seed", type=int, default=7)
-    parser.add_argument("--workers", type=int, default=1,
-                        help="worker processes for sharded parallel "
-                             "ingest (1 = serial)")
     parser.add_argument("--baseline", action="store_true",
                         help="also synthesize April/May 2019 for the "
                              "vs-2019 comparison (adds ~40%% run time)")
@@ -56,8 +51,7 @@ def main() -> None:
 
     started = time.time()
     artifacts = study.run(progress=lambda m: print(f"  [{m}]",
-                                                   file=sys.stderr),
-                          workers=args.workers)
+                                                   file=sys.stderr))
     if args.baseline:
         print("  [synthesizing 2019 baseline]", file=sys.stderr)
         study.run_baseline_2019(artifacts)

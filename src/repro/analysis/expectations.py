@@ -526,12 +526,6 @@ def evaluate_all(artifacts) -> List[Outcome]:
             for expectation in paper_expectations()]
 
 
-def expectation_ids() -> List[str]:
-    """Every encoded expectation id, in paper order."""
-    return [expectation.expectation_id
-            for expectation in paper_expectations()]
-
-
 def outcomes_payload(outcomes: List[Outcome]) -> dict:
     """Outcomes as a JSON-safe mapping keyed by expectation id.
 

@@ -33,7 +33,6 @@ from repro.analysis.expectations import (
     render_outcomes,
 )
 from repro.core.report import render_full_report
-from repro.pipeline.parallel import check_shard_deadline
 from repro.pipeline.store import load_dataset, save_dataset
 from repro.reliability.atomic import write_text
 
@@ -102,13 +101,11 @@ def _run_config(args: argparse.Namespace) -> StudyConfig:
             **config.to_payload(),
             "seed": (args.seed if args.seed is not None
                      else config.seed),
-            "max_shard_retries": args.max_retries,
             "dhcp_staleness_seconds": args.dhcp_staleness,
         })
     return StudyConfig(
         n_students=args.students if args.students is not None else 100,
         seed=args.seed if args.seed is not None else 7,
-        max_shard_retries=args.max_retries,
         dhcp_staleness_seconds=args.dhcp_staleness)
 
 
@@ -125,11 +122,10 @@ def _cmd_run_journaled(args: argparse.Namespace) -> int:
         run = JournaledRun.resume(
             args.journal_dir, args.resume_run,
             config=_run_config(args) if explicit else None,
-            workers=args.workers, store_root=args.store)
+            store_root=args.store)
     else:
         run = JournaledRun.start(args.journal_dir,
                                  config=_run_config(args),
-                                 workers=args.workers,
                                  run_id=args.run_id,
                                  store_root=args.store)
     started = time.time()
@@ -144,11 +140,10 @@ def _cmd_run_journaled(args: argparse.Namespace) -> int:
 
 def _cmd_run(args: argparse.Namespace) -> int:
     if args.journal_dir:
-        # The journaled runner has no strict-coverage gate, watchdog or
-        # 2019 arm; refuse these rather than silently drop them.
+        # The journaled runner has no strict-coverage gate or 2019 arm;
+        # refuse these rather than silently drop them.
         unsupported = [flag for flag, given in (
             ("--strict-coverage", args.strict_coverage),
-            ("--shard-deadline", args.shard_deadline is not None),
             ("--baseline", args.baseline)) if given]
         if unsupported:
             raise SystemExit(f"{', '.join(unsupported)} cannot be "
@@ -156,18 +151,11 @@ def _cmd_run(args: argparse.Namespace) -> int:
         return _cmd_run_journaled(args)
     if args.resume_run or args.run_id:
         raise SystemExit("--run-id/--resume-run require --journal-dir")
-    try:
-        # Checked before the study starts, so a bad value costs no
-        # simulation.
-        check_shard_deadline(args.workers, args.shard_deadline)
-    except ValueError as exc:
-        raise SystemExit(f"--shard-deadline: {exc}") from exc
     config = _run_config(args)
     study = LockdownStudy(config)
     started = time.time()
-    artifacts = study.run(progress=_progress, workers=args.workers,
-                          strict_coverage=args.strict_coverage,
-                          shard_deadline=args.shard_deadline)
+    artifacts = study.run(progress=_progress,
+                          strict_coverage=args.strict_coverage)
     if args.baseline:
         _progress("synthesizing 2019 baseline")
         study.run_baseline_2019(artifacts)
@@ -178,8 +166,8 @@ def _cmd_run(args: argparse.Namespace) -> int:
     if args.out:
         os.makedirs(args.out, exist_ok=True)
         _save_config(config, args.out)
-        # Canonical order, so the file's bytes do not depend on
-        # --workers (the serial ingest keeps registration order).
+        # Canonical order, so the file's bytes do not depend on the
+        # order the pipeline registered its rows in.
         save_dataset(artifacts.dataset.canonicalize(),
                      os.path.join(args.out, _DATASET_FILE))
         write_text(os.path.join(args.out, _REPORT_FILE), report + "\n")
@@ -198,7 +186,7 @@ def _cmd_report(args: argparse.Namespace) -> int:
 def _cmd_checklist(args: argparse.Namespace) -> int:
     config = StudyConfig(n_students=args.students, seed=args.seed)
     study = LockdownStudy(config)
-    artifacts = study.run(progress=_progress, workers=args.workers)
+    artifacts = study.run(progress=_progress)
     if args.baseline:
         _progress("synthesizing 2019 baseline")
         study.run_baseline_2019(artifacts)
@@ -282,8 +270,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
 
     policy = _serve_policy(args)
     store = ArtifactStore(args.store)
-    service = StudyService(store, workers=args.workers,
-                           progress=_progress, policy=policy)
+    service = StudyService(store, progress=_progress, policy=policy)
     try:
         server = ArtifactServer(store, service=service, host=args.host,
                                 port=args.port, progress=_progress,
@@ -317,8 +304,7 @@ def _cmd_query(args: argparse.Namespace) -> int:
     from repro.serve.store import ArtifactStore
 
     store = ArtifactStore(args.store)
-    service = StudyService(store, workers=args.workers,
-                           progress=_progress)
+    service = StudyService(store, progress=_progress)
     names = tuple(args.artifacts) if args.artifacts else None
     if args.fingerprint:
         result = service.query_fingerprint(args.fingerprint, names=names,
@@ -385,7 +371,7 @@ def _cmd_eval(args: argparse.Namespace) -> int:
     # store -- it exists to prove the gate trips, not to be served.
     if args.store and perturb_day is None:
         service = StudyService(ArtifactStore(args.store),
-                               workers=args.workers, progress=_progress)
+                               progress=_progress)
         result = service.query(config, names=("summary", "outcomes"),
                                scenario=args.scenario)
         _progress(f"store: served {list(result.served)}, "
@@ -403,8 +389,7 @@ def _cmd_eval(args: argparse.Namespace) -> int:
         metrics = {key: result.payloads["summary"].get(key)
                    for key in SummaryStats.METRIC_KEYS}
     else:
-        artifacts = LockdownStudy(config).run(progress=_progress,
-                                              workers=args.workers)
+        artifacts = LockdownStudy(config).run(progress=_progress)
         if perturb_day is not None:
             _progress(f"perturbation: dropping coverage of study day "
                       f"{perturb_day}")
@@ -452,25 +437,14 @@ def build_parser() -> argparse.ArgumentParser:
                      help="named configuration (overrides --students)")
     run.add_argument("--students", type=int, default=None)
     run.add_argument("--seed", type=int, default=None)
-    run.add_argument("--workers", type=int, default=1,
-                     help="worker processes for sharded parallel ingest "
-                          "(1 = serial; results are equivalent)")
     run.add_argument("--baseline", action="store_true",
                      help="also synthesize the 2019 comparison baseline")
     run.add_argument("--out", type=str, default=None,
                      help="directory to persist the dataset and report")
-    run.add_argument("--max-retries", type=int, default=2,
-                     help="retries per ingest shard on transient worker "
-                          "failures (0 = fail fast)")
     run.add_argument("--dhcp-staleness", type=float, default=3600.0,
                      help="seconds an expired DHCP lease may be held over "
                           "to attribute flows inside a DHCP telemetry gap "
                           "(0 disables degraded attribution)")
-    run.add_argument("--shard-deadline", type=float, default=None,
-                     help="watchdog deadline in seconds (needs --workers "
-                          "> 1): a shard that makes no heartbeat progress "
-                          "for this long is killed and retried as a "
-                          "transient failure, charged to --max-retries")
     run.add_argument("--strict-coverage", action="store_true",
                      help="refuse to analyze a run with telemetry gaps "
                           "instead of degrading (guarantees bit-identical "
@@ -480,8 +454,7 @@ def build_parser() -> argparse.ArgumentParser:
                           "each run gets a directory here with a durable "
                           "write-ahead journal, per-stage outputs and an "
                           "artifact store (ignores --out; rejects "
-                          "--strict-coverage, --shard-deadline and "
-                          "--baseline)")
+                          "--strict-coverage and --baseline)")
     run.add_argument("--run-id", type=str, default=None,
                      help="explicit run id for a new journaled run "
                           "(default: derived from the config fingerprint)")
@@ -504,9 +477,6 @@ def build_parser() -> argparse.ArgumentParser:
         "checklist", help="evaluate every encoded paper claim")
     checklist.add_argument("--students", type=int, default=100)
     checklist.add_argument("--seed", type=int, default=7)
-    checklist.add_argument("--workers", type=int, default=1,
-                           help="worker processes for sharded parallel "
-                                "ingest (1 = serial)")
     checklist.add_argument("--baseline", action="store_true")
     checklist.set_defaults(handler=_cmd_checklist)
 
@@ -534,9 +504,6 @@ def build_parser() -> argparse.ArgumentParser:
         sub.add_argument("--seed", type=int, default=None)
         sub.add_argument("--scenario", type=str, default="lockdown-2020",
                          help="study scenario to fingerprint and run")
-        sub.add_argument("--workers", type=int, default=1,
-                         help="worker processes for the sharded ingest "
-                              "of an on-demand compute (1 = serial)")
 
     serve = commands.add_parser(
         "serve", help="HTTP front end over a results store")
@@ -546,9 +513,6 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--port", type=int, default=8742,
                        help="TCP port (0 = bind any free port; the "
                             "bound address is printed on stdout)")
-    serve.add_argument("--workers", type=int, default=1,
-                       help="worker processes for the sharded ingest "
-                            "of an on-demand compute (1 = serial)")
     serve.add_argument("--max-concurrent", type=int, default=8,
                        help="requests served concurrently; beyond this "
                             "they wait in the bounded queue")

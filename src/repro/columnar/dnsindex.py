@@ -4,9 +4,7 @@ Ingest keeps per-IP annotation epochs -- same-qname observations
 within the freshness window refresh the open epoch, anything else
 (different qname, or a stale gap wider than the window) opens a new
 one. Splitting on stale gaps keeps the effective lookback bounded by
-the freshness window, which is what lets sharded ingest rebuild
-identical annotation state from a finite warm-up (see
-:mod:`repro.pipeline.parallel`). Epochs land in one flat
+the freshness window. Epochs land in one flat
 :class:`~repro.columnar.entrylog.EntryLog`. Batch queries locate the
 latest epoch whose first observation is at or before each flow start
 through its point-in-time index, then apply the freshness (or

@@ -3,7 +3,7 @@
 One :meth:`BatchRegistrar.register` call runs a whole
 :class:`~repro.columnar.batch.FlowBatch` through the decision tree a
 scalar loop would walk per flow (the per-flow loop survives as the
-test-side oracle ``tests/oracles/pipeline.py``) -- owned-window filter, DHCP
+test-side oracle ``tests/oracles/pipeline.py``) -- DHCP
 attribution (with the gap-holdover degraded path), tokenization,
 protocol validation, DNS / Host-header annotation (with the
 gap-discount degraded path) -- updating the same
@@ -21,7 +21,7 @@ keys touch the Python-side registries, in order.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, List, Tuple
 
 import numpy as np
 
@@ -43,9 +43,7 @@ class BatchRegistrar:
     def __init__(self, config: StudyConfig, builder: FlowDatasetBuilder,
                  anon_cache: TokenCache, leases: ColumnarLeaseIndex,
                  dns: ColumnarDnsIndex, stats: "PipelineStats",
-                 gap_spans: Dict[str, List[Tuple[float, float]]],
-                 owned_window: Optional[Tuple[Optional[float],
-                                              Optional[float]]] = None
+                 gap_spans: Dict[str, List[Tuple[float, float]]]
                  ) -> None:
         self.config = config
         self.builder = builder
@@ -54,7 +52,6 @@ class BatchRegistrar:
         self.dns = dns
         self.stats = stats
         self._gap_spans = gap_spans
-        self.owned_window = owned_window
         #: mac-table id -> builder device index (lazily grown; the
         #: vectorized twin of the TokenCache + device_index dict hops).
         self._device_of_mac = np.zeros(0, dtype=np.int32)
@@ -65,17 +62,6 @@ class BatchRegistrar:
         self._domain_of_host = np.zeros(0, dtype=np.int32)
 
     # -- helpers -----------------------------------------------------------
-
-    def _owned_mask(self, ts: np.ndarray) -> Optional[np.ndarray]:
-        if self.owned_window is None:
-            return None
-        start, end = self.owned_window
-        owned = np.ones(len(ts), dtype=bool)
-        if start is not None:
-            owned &= ts >= start
-        if end is not None:
-            owned &= ts < end
-        return owned
 
     def _in_gap(self, source: str, ts: np.ndarray) -> np.ndarray:
         out = np.zeros(len(ts), dtype=bool)
@@ -168,12 +154,6 @@ class BatchRegistrar:
         """Attribute, anonymize, annotate and materialize one batch."""
         if flows.n == 0:
             return
-        owned = self._owned_mask(flows.ts)
-        if owned is not None and not owned.all():
-            # Warm-up / tail flows belong to a neighbouring shard.
-            flows = flows.compress(owned)
-            if flows.n == 0:
-                return
         stats = self.stats
         stats.flows_closed += flows.n
 

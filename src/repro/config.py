@@ -85,12 +85,6 @@ class StudyConfig:
     #: Salt for the anonymization of MAC/IP identifiers.
     anonymization_salt: str = "locked-in-lock-down"
 
-    #: Retries granted to a shard whose worker fails transiently (dead
-    #: process, I/O hiccup) during sharded parallel ingest; backoff is
-    #: deterministic under ``seed`` (see repro.reliability.retry). 0
-    #: restores fail-fast behaviour.
-    max_shard_retries: int = 2
-
     # -- presets ------------------------------------------------------------
 
     @classmethod
@@ -178,7 +172,5 @@ class StudyConfig:
             raise ValueError("study window is empty")
         if self.visitor_min_days < 1:
             raise ValueError("visitor_min_days must be at least 1")
-        if self.max_shard_retries < 0:
-            raise ValueError("max_shard_retries must be non-negative")
         if self.dhcp_staleness_seconds < 0:
             raise ValueError("dhcp_staleness_seconds must be non-negative")

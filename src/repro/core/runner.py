@@ -1,16 +1,14 @@
 """Journaled study runs: crash-safe orchestration of the full pipeline.
 
-:class:`JournaledRun` decomposes ``repro run`` into five durable
+:class:`JournaledRun` decomposes ``repro run`` into four durable
 stages and brackets each with write-ahead records in a
 :class:`~repro.reliability.journal.RunJournal`:
 
 ========  ==========================================================
 stage     work (inputs -> durable outputs)
 ========  ==========================================================
-ingest    sharded generate-and-measure -> ``shards/shard-NNNN.*``
-          (dataset, stats, coverage), one ``shard_end`` record each
-merge     read every shard's files, merge -> ``merged.npz`` (+ stats,
-          coverage sidecars)
+ingest    generate and measure the whole window -> ``merged.npz``
+          (+ stats, coverage sidecars)
 annotate  visitor filter -> ``filtered.npz``
 analyze   figures/summary/outcomes -> ``artifacts/*.json`` +
           ``report.txt``
@@ -18,31 +16,30 @@ publish   artifact payloads -> the results store
           (:class:`~repro.serve.store.ArtifactStore`)
 ========  ==========================================================
 
-Each stage reads only the previous stage's *files* (never in-memory
-state), writes its outputs through the atomic-write chokepoint
-(:mod:`repro.reliability.atomic`), and journals a ``stage_end`` record
-carrying the SHA-256 of every output file. Inside the ingest stage
-each finished shard is journaled the same way, so the journal is the
-run's only record of finished work. A process killed at any
-point -- including via the :func:`~repro.reliability.faults.
-maybe_crash` SIGKILL hooks placed at every journal barrier -- leaves a
-run directory from which ``repro run --resume-run <id>`` continues:
-completed stages are *verified* against their journaled digests and
-replayed from disk, and only the in-flight stage re-executes -- an
-in-flight ingest re-runs only the shards without a ``shard_end`` whose
-files still match its digests. Because
-every stage is a deterministic function of its input files, the
-resumed run's outputs are byte-identical to an uninterrupted run's --
-the contract pinned by ``tests/integration/test_crash_chaos.py``.
+The ingest stage is the study's own in-process ingest
+(:func:`repro.core.study._ingest`); every later stage reads only the
+previous stage's *files* (never in-memory state). Each stage writes
+its outputs through the atomic-write chokepoint
+(:mod:`repro.reliability.atomic`) and journals a ``stage_end`` record
+carrying the SHA-256 of every output file, so the journal is the run's
+only record of finished work. A process killed at any point --
+including via the :func:`~repro.reliability.faults.maybe_crash`
+SIGKILL hooks placed at every journal barrier and inside the ingest's
+day walk -- leaves a run directory from which ``repro run --resume-run
+<id>`` continues: completed stages are *verified* against their
+journaled digests and replayed from disk, and only the in-flight stage
+re-executes; an interrupted ingest re-runs the whole window. Because
+every stage is a deterministic function of its inputs, the resumed
+run's outputs are byte-identical to an uninterrupted run's -- the
+contract pinned by ``tests/integration/test_crash_chaos.py``.
 
 Run directories live under a *journal dir*::
 
     <journal_dir>/<fingerprint[:12]>-NNN/
         journal.jsonl          # write-ahead run journal
-        shards/shard-NNNN.*    # ingest stage, one set per shard
-        merged.npz[.meta.json] # merge stage
-        merged.stats.json      # pipeline counters
-        merged.coverage.json   # telemetry coverage
+        merged.npz[.meta.json] # ingest stage: the measured dataset
+        merged.stats.json      # ingest stage: pipeline counters
+        merged.coverage.json   # ingest stage: telemetry coverage
         filtered.npz[...]      # annotate stage
         artifacts/<name>.json  # analyze stage (canonical JSON)
         report.txt             # analyze stage
@@ -60,9 +57,11 @@ import json
 import os
 import re
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Any, Callable, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.config import StudyConfig
+from repro.pipeline.dataset import FlowDataset
+from repro.pipeline.pipeline import PipelineStats
 from repro.pipeline.store import load_dataset, load_stats, save_dataset, save_stats
 from repro.reliability.atomic import sweep_orphans, write_text
 from repro.reliability.coverage import CoverageReport
@@ -84,17 +83,12 @@ from repro.serve.fingerprint import (
     study_fingerprint,
 )
 
-if TYPE_CHECKING:
-    from repro.pipeline.parallel import ShardOutcome
-
 ProgressFn = Callable[[str], None]
 
 #: The stage sequence every journaled run executes, in order.
-STAGES: Tuple[str, ...] = ("ingest", "merge", "annotate", "analyze",
-                           "publish")
+STAGES: Tuple[str, ...] = ("ingest", "annotate", "analyze", "publish")
 
 #: File names inside a run directory.
-SHARDS_DIR = "shards"
 MERGED_DATASET = "merged.npz"
 MERGED_STATS = "merged.stats.json"
 MERGED_COVERAGE = "merged.coverage.json"
@@ -107,9 +101,9 @@ _RUN_ID_RE = re.compile(r"^[0-9a-f]{12}-(\d{3,})$")
 
 _SIDECAR = ".meta.json"
 
-#: The files one ingest shard owns, as suffixes of ``shard-NNNN``.
-_SHARD_SUFFIXES = (".npz", ".npz" + _SIDECAR, ".stats.json",
-                   ".coverage.json")
+#: The ingest stage's output files.
+INGEST_FILES = (MERGED_DATASET, MERGED_DATASET + _SIDECAR, MERGED_STATS,
+                MERGED_COVERAGE)
 
 
 def _sha256_file(path: str) -> str:
@@ -170,7 +164,6 @@ class JournaledRun:
 
     def __init__(self, journal_dir: str, run_id: str, *,
                  config: StudyConfig,
-                 workers: int = 1,
                  scenario: str = DEFAULT_SCENARIO,
                  store_root: Optional[str] = None,
                  journal: Optional[RunJournal] = None,
@@ -180,20 +173,16 @@ class JournaledRun:
             raise ValueError(
                 f"journaled runs support only the {DEFAULT_SCENARIO!r} "
                 f"scenario, got {scenario!r}")
-        if workers < 1:
-            raise ValueError("workers must be at least 1")
         self.journal_dir = journal_dir
         self.run_id = run_id
         self.run_dir = os.path.join(journal_dir, run_id)
         self.config = config
-        self.workers = workers
         self.scenario = scenario
         self.fingerprint = study_fingerprint(config, scenario)
         self.store_root = store_root or os.path.join(self.run_dir,
                                                      DEFAULT_STORE_DIR)
         self.retry_policy = retry_policy or RetryPolicy(
-            max_attempts=config.max_shard_retries + 1, seed=config.seed,
-            total_deadline=120.0)
+            seed=config.seed, total_deadline=120.0)
         self._journal = journal
         self._records: List[JournalRecord] = list(records or [])
 
@@ -201,7 +190,6 @@ class JournaledRun:
 
     @classmethod
     def start(cls, journal_dir: str, config: StudyConfig, *,
-              workers: int = 1,
               scenario: str = DEFAULT_SCENARIO,
               run_id: Optional[str] = None,
               store_root: Optional[str] = None,
@@ -210,7 +198,7 @@ class JournaledRun:
         fingerprint = study_fingerprint(config, scenario)
         if run_id is None:
             run_id = allocate_run_id(journal_dir, fingerprint)
-        run = cls(journal_dir, run_id, config=config, workers=workers,
+        run = cls(journal_dir, run_id, config=config,
                   scenario=scenario, store_root=store_root,
                   retry_policy=retry_policy)
         journal_path = os.path.join(run.run_dir, JOURNAL_FILE)
@@ -226,14 +214,12 @@ class JournaledRun:
     @classmethod
     def resume(cls, journal_dir: str, run_id: str, *,
                config: Optional[StudyConfig] = None,
-               workers: Optional[int] = None,
                store_root: Optional[str] = None,
                retry_policy: Optional[RetryPolicy] = None) -> "JournaledRun":
         """Reattach to a journaled run directory after a crash.
 
         The journal's ``run_begin`` record is the source of truth for
-        the config, worker count (the journaled shard plan depends on
-        it) and store root. A journal that exists but holds no
+        the config and store root. A journal that exists but holds no
         intact record -- the process died at the very first barrier --
         falls back to the caller-provided ``config`` and begins fresh
         in the same directory.
@@ -247,7 +233,7 @@ class JournaledRun:
                     f"run {run_id}: journal holds no intact records and "
                     f"no config was provided to restart it")
             run = cls(journal_dir, run_id, config=config,
-                      workers=workers or 1, store_root=store_root,
+                      store_root=store_root,
                       retry_policy=retry_policy)
             run._journal = journal
             run._journal.retry_policy = run.retry_policy
@@ -266,7 +252,7 @@ class JournaledRun:
         begin = records[0].payload
         recorded_store = begin.get("store_root")
         run = cls(journal_dir, run_id, config=resumed_config,
-                  workers=plan.workers, scenario=plan.scenario,
+                  scenario=plan.scenario,
                   store_root=(str(recorded_store)
                               if recorded_store else None),
                   journal=journal, records=records,
@@ -289,7 +275,6 @@ class JournaledRun:
             "config": self.config.to_payload(),
             "fingerprinted": fingerprint_payload(self.config,
                                                  self.scenario),
-            "workers": self.workers,
             "stages": list(self.STAGES),
             "store_root": self.store_root,
         })
@@ -340,112 +325,45 @@ class JournaledRun:
             return bool(outputs)
         return self._files_match(outputs)
 
-    # -- shard files ----------------------------------------------------
-
-    def _shard_files(self, index: int) -> List[str]:
-        base = os.path.join(SHARDS_DIR, f"shard-{index:04d}")
-        return [base + suffix for suffix in _SHARD_SUFFIXES]
-
-    def _save_shard(self, index: int,
-                    outcome: ShardOutcome) -> Dict[str, str]:
-        """Write one finished shard's files; returns their digests."""
-        dataset, stats, coverage = outcome
-        npz, _sidecar, stats_file, coverage_file = self._shard_files(index)
-        # Canonicalized, so the bytes do not depend on how the shard
-        # accumulated its rows.
-        save_dataset(dataset.canonicalize(), self.path(npz))
-        save_stats(stats, self.path(stats_file))
-        write_text(self.path(coverage_file),
-                   json.dumps(coverage.to_json()))
-        return {name: _sha256_file(self.path(name))
-                for name in self._shard_files(index)}
-
-    def _load_shard(self, index: int) -> ShardOutcome:
-        npz, _sidecar, stats_file, coverage_file = self._shard_files(index)
-        with open(self.path(coverage_file)) as fileobj:
-            coverage = CoverageReport.from_json(json.load(fileobj))
-        return (load_dataset(self.path(npz)),
-                load_stats(self.path(stats_file)), coverage)
-
     # -- stages ---------------------------------------------------------
+
+    def _save_ingest(self, outcome: Tuple[FlowDataset, PipelineStats,
+                                          CoverageReport]
+                     ) -> Dict[str, str]:
+        """Write the ingest stage's files; returns their digests."""
+        dataset, stats, coverage = outcome
+        # Canonicalized, so the bytes do not depend on the order the
+        # pipeline registered its rows in.
+        save_dataset(dataset.canonicalize(), self.path(MERGED_DATASET))
+        save_stats(stats, self.path(MERGED_STATS))
+        write_text(self.path(MERGED_COVERAGE),
+                   json.dumps(coverage.to_json()) + "\n")
+        return {name: _sha256_file(self.path(name))
+                for name in INGEST_FILES}
 
     def _stage_ingest(
             self, progress: ProgressFn,
     ) -> Tuple[Dict[str, str], Dict[str, Any]]:
-        from repro.pipeline.parallel import ParallelPipeline
+        from repro.core.study import _ingest
+        from repro.synth.generator import CampusTraceGenerator
 
-        pipeline = ParallelPipeline(self.config, self.workers,
-                                    retry_policy=self.retry_policy)
-        os.makedirs(self.path(SHARDS_DIR), exist_ok=True)
-        swept = sweep_orphans(self.path(SHARDS_DIR))
-        journaled = self.plan().shards
-        outputs: Dict[str, str] = {}
-        resumed: List[int] = []
-        discarded: List[int] = []
-        for spec in pipeline.shards:
-            recorded = journaled.get(spec.index)
-            if recorded is None:
-                continue
-            if self._files_match(recorded):
-                outputs.update(recorded)
-                resumed.append(spec.index)
-            else:
-                discarded.append(spec.index)
-        if resumed:
-            progress(f"resume: {len(resumed)} of {len(pipeline.shards)} "
-                     f"shard(s) journaled")
-        if discarded or swept:
-            # Torn shard files are just missing work: re-run them, and
-            # say so in the journal rather than in the data counters.
-            progress(f"ingest: re-running shard(s) {discarded} whose "
-                     f"files fail their digests; {swept} orphan(s) "
-                     f"swept")
-            self._append("note", {"event": "shards_discarded",
-                                  "shards": discarded,
-                                  "orphans_swept": swept})
+        def report(message: str) -> None:
+            progress(message)
+            # Mid-stage SIGKILL point for the crash-chaos harness:
+            # inside the day walk (the ingest reports once per simulated
+            # week), while the generator's day-pool workers are alive.
+            maybe_crash("mid:ingest")
 
-        def commit(index: int, outcome: ShardOutcome) -> None:
-            digests = self._save_shard(index, outcome)
-            self._append("shard_end", {"shard": index,
-                                       "outputs": digests})
-            # Mid-stage SIGKILL point for the crash-chaos harness: some
-            # shards journaled, the stage's stage_end not yet written.
-            maybe_crash("mid:ingest:shard")
-            outputs.update(digests)
-
-        attempts = pipeline.run_shards(commit, progress, skip=resumed)
-        info = {
-            "shards": len(pipeline.shards),
-            "resumed_shards": resumed,
-            "discarded_shards": discarded,
-            "attempts": {str(k): v for k, v in attempts.items()},
-            "orphans_swept": swept,
-        }
-        return outputs, info
-
-    def _stage_merge(
-            self, progress: ProgressFn,
-    ) -> Tuple[Dict[str, str], Dict[str, Any]]:
-        from repro.pipeline.parallel import merge_shards, plan_shards
-
-        # Every shard is journaled and verified by now, so the merge
-        # reads their files and starts no worker process -- which is
-        # why a clean run and a crash-resumed run write the same bytes.
-        shards = plan_shards(self.config, self.workers)
-        dataset, stats, coverage = merge_shards(
-            shards, {spec.index: self._load_shard(spec.index)
-                     for spec in shards}, progress)
-        save_dataset(dataset, self.path(MERGED_DATASET))
-        save_stats(stats, self.path(MERGED_STATS))
-        write_text(self.path(MERGED_COVERAGE),
-                   json.dumps(coverage.to_json()) + "\n")
-        outputs = {
-            name: _sha256_file(self.path(name))
-            for name in (MERGED_DATASET, MERGED_DATASET + _SIDECAR,
-                         MERGED_STATS, MERGED_COVERAGE)
-        }
-        info = {"flows": len(dataset), "devices": dataset.n_devices}
-        return outputs, info
+        # Debris of an ingest a crash cut short mid-write.
+        swept = sweep_orphans(self.run_dir)
+        outcome = _ingest(self.config, CampusTraceGenerator(self.config),
+                          report)
+        dataset = outcome[0]
+        progress(f"ingest: {len(dataset)} flows, "
+                 f"{dataset.n_devices} devices")
+        info = {"flows": len(dataset), "devices": dataset.n_devices,
+                "orphans_swept": swept}
+        return self._save_ingest(outcome), info
 
     def _stage_annotate(
             self, progress: ProgressFn,
@@ -522,7 +440,6 @@ class JournaledRun:
 
     _STAGE_FNS = {
         "ingest": _stage_ingest,
-        "merge": _stage_merge,
         "annotate": _stage_annotate,
         "analyze": _stage_analyze,
         "publish": _stage_publish,

@@ -192,7 +192,8 @@ class LockdownStudy:
 
     The study and its two comparison arms (the no-pandemic
     counterfactual and the 2019 baseline) share one ingest
-    (:func:`_ingest`) and one artifact assembly (:func:`_assemble`);
+    (:func:`_ingest`, which the journaled runner uses too) and one
+    artifact assembly (:func:`_assemble`);
     they differ only in what they simulate. A run is in-memory and not
     resumable: :class:`~repro.core.runner.JournaledRun` is the
     crash-safe, resumable entry point.
@@ -201,26 +202,13 @@ class LockdownStudy:
     def __init__(self, config: Optional[StudyConfig] = None):
         self.config = config or StudyConfig()
 
-    def run(self, progress: Optional[ProgressFn] = None,
-            workers: int = 1, *,
-            strict_coverage: bool = False,
-            shard_deadline: Optional[float] = None) -> StudyArtifacts:
+    def run(self, progress: Optional[ProgressFn] = None, *,
+            strict_coverage: bool = False) -> StudyArtifacts:
         """Generate, measure, classify; returns the artifacts.
-
-        With ``workers > 1`` the generate-and-measure stage runs as a
-        sharded parallel ingest (:class:`~repro.pipeline.parallel.
-        ParallelPipeline`): the window is split into contiguous
-        day-range shards, one worker process each, and the merged
-        dataset is provably equivalent to the serial run's (identical
-        arrays and side tables after canonical ordering). Transient
-        worker failures are retried per ``config.max_shard_retries``.
 
         ``strict_coverage=True`` makes the run fail (with
         :class:`~repro.reliability.errors.CoverageError`) if any
-        telemetry source had gaps; ``shard_deadline`` enables the shard
-        watchdog (seconds without worker progress before a kill+retry).
-        It needs ``workers > 1``: with one worker it raises
-        ``ValueError``.
+        telemetry source had gaps.
         """
         report = progress or _silent
         config = self.config
@@ -228,8 +216,7 @@ class LockdownStudy:
         generator = CampusTraceGenerator(config)
         report(f"population: {generator.population.counts()}")
         dataset_all, pipeline_stats, coverage = _ingest(
-            config, generator, workers, report,
-            shard_deadline=shard_deadline)
+            config, generator, report)
         report(f"pipeline done: {len(dataset_all)} flows, "
                f"{dataset_all.n_devices} devices")
         return _assemble(config, generator, dataset_all, pipeline_stats,
@@ -264,15 +251,14 @@ class LockdownStudy:
     # -- no-pandemic counterfactual -------------------------------------------
 
     def run_counterfactual(self,
-                           progress: Optional[ProgressFn] = None,
-                           workers: int = 1) -> StudyArtifacts:
+                           progress: Optional[ProgressFn] = None
+                           ) -> StudyArtifacts:
         """Run the control arm of the natural experiment.
 
         Same population, same window, but the pandemic never happens:
         behaviour is pinned to the pre-pandemic phase and nobody leaves
         campus. Comparing this run's figures against the real study
         isolates the lock-down's effect from seasonal/term structure.
-        ``workers`` behaves as in :meth:`run`.
         """
         from repro.synth.timeline import Phase
 
@@ -283,8 +269,7 @@ class LockdownStudy:
                                          phase_override=Phase.PRE)
         report("counterfactual: pandemic disabled, nobody departs")
         dataset_all, pipeline_stats, coverage = _ingest(
-            config, generator, workers, report,
-            presence=PRESENCE_ALL_RESIDENTS, phase_override=Phase.PRE)
+            config, generator, report, presence=PRESENCE_ALL_RESIDENTS)
         report(f"counterfactual pipeline done: {len(dataset_all)} flows")
         return _assemble(config, generator, dataset_all, pipeline_stats,
                          coverage, report)
@@ -292,8 +277,7 @@ class LockdownStudy:
     # -- prior-year baseline ------------------------------------------------
 
     def run_baseline_2019(self, artifacts: StudyArtifacts,
-                          progress: Optional[ProgressFn] = None,
-                          workers: int = 1, *,
+                          progress: Optional[ProgressFn] = None, *,
                           window: Optional[Tuple[float, float]] = None,
                           ) -> float:
         """Attach the +X% vs-2019 statistic; returns the fraction.
@@ -304,15 +288,15 @@ class LockdownStudy:
         cohort's April/May traffic year over year by anonymized device
         token.
 
-        ``workers`` behaves as in :meth:`run`. ``window`` overrides the
-        measured range (tests use a shorter one).
+        ``window`` overrides the measured range (tests use a shorter
+        one).
         """
         report = progress or _silent
         config = self.config
         start, end = window or (utc_ts(2019, 4, 1), utc_ts(2019, 6, 1))
 
         baseline, _, _ = _ingest(
-            config, None, workers, report,
+            config, CampusTraceGenerator(config), report,
             presence=PRESENCE_ALL_RESIDENTS, window=(start, end),
             day0=start)
         report(f"2019 baseline: {len(baseline)} flows")
@@ -336,39 +320,22 @@ def _silent(message: str) -> None:
     """The progress sink when the caller passes none."""
 
 
-def _ingest(config: StudyConfig,
-            generator: Optional[CampusTraceGenerator],
-            workers: int, report: ProgressFn, *,
+def _ingest(config: StudyConfig, generator: CampusTraceGenerator,
+            report: ProgressFn, *,
             presence: str = PRESENCE_STUDY,
-            phase_override: Optional[str] = None,
             window: Optional[Tuple[float, float]] = None,
             day0: Optional[float] = None,
-            shard_deadline: Optional[float] = None,
             ) -> Tuple[FlowDataset, PipelineStats, CoverageReport]:
     """Generate and measure one arm; returns (dataset, stats, coverage).
 
-    One :class:`MonitoringPipeline` walks the days in process when
-    ``workers == 1``; otherwise a :class:`~repro.pipeline.parallel.
-    ParallelPipeline` shards the window across ``workers`` processes.
-    The serial walk reports progress once per simulated week, so a
-    progress hook that raises (the serve tier's deadline check) can
-    abort any arm mid-ingest. ``generator`` drives the serial walk;
-    ``None`` builds a fresh one for the arm's phase.
+    The one ingest of every arm and of the journaled runner: one
+    :class:`MonitoringPipeline` walks the window's days in order, in
+    this process, while ``generator`` computes upcoming days in its day
+    pool. Progress is reported once per simulated week, so a progress
+    hook that raises (the serve tier's deadline check) can abort any
+    arm mid-ingest. ``window`` overrides the config's study window and
+    ``day0`` the dataset's day-index origin.
     """
-    from repro.pipeline.parallel import ParallelPipeline, check_shard_deadline
-
-    if workers < 1:
-        raise ValueError("workers must be at least 1")
-    check_shard_deadline(workers, shard_deadline)
-    if workers > 1:
-        result = ParallelPipeline(
-            config, workers, presence=presence,
-            phase_override=phase_override, window=window, day0=day0,
-            shard_deadline=shard_deadline).run(progress=report)
-        return result.dataset, result.stats, result.coverage
-    if generator is None:
-        generator = CampusTraceGenerator(config,
-                                         phase_override=phase_override)
     start, end = window or (None, None)
     pipeline = MonitoringPipeline(
         config, generator.plan.excluded_blocks(config.excluded_operators),

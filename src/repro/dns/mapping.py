@@ -4,8 +4,7 @@ A flow to a server IP is annotated with the most recent domain observed
 for that IP at or before the flow start, within a freshness window --
 mirroring how the paper distinguishes services behind shared or
 rotating addresses. :class:`~repro.columnar.dnsindex.ColumnarDnsIndex`
-implements the lookup; this module fixes the window it and the sharded
-ingest's warm-up share.
+implements the lookup; this module fixes its window.
 """
 
 #: How long an observed answer keeps annotating an address. DNS TTLs

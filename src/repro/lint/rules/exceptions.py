@@ -37,8 +37,7 @@ BROAD_NAMES = frozenset({"Exception", "BaseException"})
 #: The reliability taxonomy roots; raising one of these (or a local
 #: subclass of one) from a broad handler is sanctioned wrapping.
 TAXONOMY_NAMES = frozenset({
-    "ReliabilityError", "RecordError", "ShardError", "ShardFailure",
-    "TransientIOError",
+    "ReliabilityError", "RecordError", "ShardError", "TransientIOError",
 })
 
 #: Call names that classify a failure against the taxonomy.

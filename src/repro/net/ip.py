@@ -82,16 +82,6 @@ class Prefix:
         return f"{int_to_ip(self.network)}/{self.length}"
 
 
-def prefix_contains(prefix: Prefix, address: int) -> bool:
-    """Functional alias for :meth:`Prefix.contains`."""
-    return prefix.contains(address)
-
-
-def ip_in_any(address: int, prefixes: Iterable[Prefix]) -> bool:
-    """Return True when ``address`` falls inside any of the prefixes."""
-    return any(prefix.contains(address) for prefix in prefixes)
-
-
 class PrefixAllocator:
     """Carves disjoint child prefixes out of one parent block.
 

@@ -21,13 +21,6 @@ which every analysis module consumes.
 
 from repro.pipeline.anonymize import Anonymizer, TokenCache
 from repro.pipeline.dataset import DeviceProfile, FlowDataset, FlowDatasetBuilder
-from repro.pipeline.parallel import (
-    ParallelPipeline,
-    ParallelResult,
-    ShardFailure,
-    ShardSpec,
-    plan_shards,
-)
 from repro.pipeline.pipeline import MonitoringPipeline, PipelineStats
 from repro.pipeline.store import load_dataset, save_dataset
 from repro.pipeline.tap import Tap
@@ -39,15 +32,10 @@ __all__ = [
     "FlowDataset",
     "FlowDatasetBuilder",
     "MonitoringPipeline",
-    "ParallelPipeline",
-    "ParallelResult",
     "PipelineStats",
-    "ShardFailure",
-    "ShardSpec",
     "Tap",
     "TokenCache",
     "load_dataset",
-    "plan_shards",
     "save_dataset",
     "visitor_filter_mask",
 ]

@@ -70,8 +70,7 @@ class TokenCache:
     Tokenization is deterministic per (salt, MAC), so caching changes
     nothing observable -- it only skips the keyed hash. The cache
     reports whether each lookup hit so the pipeline can surface
-    hit/miss counters in its stats (shard merges sum them; the ingest
-    benchmarks report cache efficiency).
+    hit/miss counters in its stats.
     """
 
     __slots__ = ("_anonymizer", "_entries")

@@ -64,26 +64,6 @@ class DeviceProfile:
             days_seen=set(self.days_seen),
         )
 
-    def merge_from(self, other: "DeviceProfile") -> None:
-        """Field-wise union with another run's profile of the same device.
-
-        The union is exactly what the builder would have accumulated had
-        it seen both runs' flows: ``days_seen``/``user_agents`` set-union,
-        ``first_ts`` min, ``last_ts`` max, byte/flow sums. Identity
-        fields (token, OUI, LAA bit) are deterministic functions of the
-        underlying MAC, so they must already agree.
-        """
-        if other.token != self.token:
-            raise ValueError(
-                f"cannot merge profiles of different devices: "
-                f"{self.token} != {other.token}")
-        self.user_agents |= other.user_agents
-        self.days_seen |= other.days_seen
-        self.flow_count += other.flow_count
-        self.total_bytes += other.total_bytes
-        self.first_ts = min(self.first_ts, other.first_ts)
-        self.last_ts = max(self.last_ts, other.last_ts)
-
 
 class FlowDataset:
     """Finalized columnar flow data plus device/domain side tables."""
@@ -215,9 +195,8 @@ class FlowDataset:
 
         Domains are sorted lexicographically, devices by token, and the
         flow rows by every column (timestamp first). Two datasets
-        holding the same flows -- however they were accumulated or
-        sharded -- compare byte-identical after canonicalization, which
-        is what the serial-vs-parallel golden tests assert.
+        holding the same flows -- however they were accumulated --
+        compare byte-identical after canonicalization.
         """
         domain_order = sorted(range(len(self.domains)),
                               key=lambda i: self.domains[i])
@@ -260,77 +239,6 @@ class FlowDataset:
             devices=new_devices,
             day0=self.day0,
         )
-
-    @classmethod
-    def merge(cls, datasets: Sequence["FlowDataset"]) -> "FlowDataset":
-        """Merge per-shard datasets into one canonical dataset.
-
-        Device tokens and domain names are the join keys: each shard's
-        index tables are remapped onto the union tables, profiles of the
-        same device are union-merged field-wise, and the result is
-        canonicalized -- so the outcome is independent of shard order
-        and byte-identical to a canonicalized serial run over the same
-        flows. Shards must share ``day0`` (one study timeline).
-        """
-        if not datasets:
-            raise ValueError("merge requires at least one dataset")
-        day0 = datasets[0].day0
-        if any(ds.day0 != day0 for ds in datasets):
-            raise ValueError("cannot merge datasets with different day0")
-
-        domain_table: List[str] = []
-        domain_lookup: Dict[str, int] = {}
-        device_table: List[DeviceProfile] = []
-        device_lookup: Dict[str, int] = {}
-        chunks: Dict[str, List[np.ndarray]] = {name: [] for name in ARRAY_FIELDS}
-
-        for ds in datasets:
-            domain_remap = np.empty(max(len(ds.domains), 1), dtype=np.int32)
-            for old, name in enumerate(ds.domains):
-                index = domain_lookup.get(name)
-                if index is None:
-                    index = len(domain_table)
-                    domain_lookup[name] = index
-                    domain_table.append(name)
-                domain_remap[old] = index
-            device_remap = np.empty(max(len(ds.devices), 1), dtype=np.int32)
-            for old, profile in enumerate(ds.devices):
-                index = device_lookup.get(profile.token)
-                if index is None:
-                    index = len(device_table)
-                    device_lookup[profile.token] = index
-                    device_table.append(profile.clone(index=index))
-                else:
-                    device_table[index].merge_from(profile)
-                device_remap[old] = index
-
-            chunks["domain"].append(
-                np.where(ds.domain == NO_DOMAIN, np.int32(NO_DOMAIN),
-                         domain_remap[np.where(ds.domain == NO_DOMAIN, 0,
-                                               ds.domain)]))
-            chunks["device"].append(device_remap[ds.device]
-                                    if len(ds.devices)
-                                    else ds.device.astype(np.int32))
-            for name in ARRAY_FIELDS:
-                if name not in ("domain", "device"):
-                    chunks[name].append(getattr(ds, name))
-
-        merged = cls(
-            ts=np.concatenate(chunks["ts"]),
-            duration=np.concatenate(chunks["duration"]),
-            device=np.concatenate(chunks["device"]),
-            resp_h=np.concatenate(chunks["resp_h"]),
-            resp_p=np.concatenate(chunks["resp_p"]),
-            proto=np.concatenate(chunks["proto"]),
-            orig_bytes=np.concatenate(chunks["orig_bytes"]),
-            resp_bytes=np.concatenate(chunks["resp_bytes"]),
-            domain=np.concatenate(chunks["domain"]),
-            day=np.concatenate(chunks["day"]),
-            domains=domain_table,
-            devices=device_table,
-            day0=day0,
-        )
-        return merged.canonicalize()
 
     def identical(self, other: "FlowDataset") -> bool:
         """Byte-level equality of every array and side table.

@@ -23,7 +23,6 @@ neither executes on a gap-free run.
 
 from __future__ import annotations
 
-import dataclasses
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
@@ -46,14 +45,7 @@ from repro.util.timeutil import DAY
 
 @dataclass
 class PipelineStats:
-    """Operational counters of one ingest run.
-
-    Every field is an additive counter, which is what makes per-shard
-    stats :meth:`merge`-able into the totals a serial run would have
-    produced (the tokenization-cache counters are the one per-process
-    exception: shards warm their own caches, so their sums exceed a
-    serial run's).
-    """
+    """Operational counters of one ingest run."""
 
     days_ingested: int = 0
     bursts_seen: int = 0
@@ -80,10 +72,6 @@ class PipelineStats:
     flows_degraded_dhcp: int = 0
     flows_degraded_dns: int = 0
     flows_unattributed_gap: int = 0
-    #: Supervision accounting (parent-side, folded in after the merge):
-    #: shards killed by the watchdog for missing their progress
-    #: deadline.
-    shard_timeouts: int = 0
 
     @property
     def attribution_rate(self) -> float:
@@ -105,54 +93,23 @@ class PipelineStats:
         return (self.quarantined_wire + self.quarantined_dhcp
                 + self.quarantined_dns)
 
-    def merge(self, other: "PipelineStats") -> "PipelineStats":
-        """Return a new stats object summing both operands' counters."""
-        merged = PipelineStats()
-        for spec in dataclasses.fields(PipelineStats):
-            setattr(merged, spec.name,
-                    getattr(self, spec.name) + getattr(other, spec.name))
-        return merged
-
-    @classmethod
-    def merged(cls, items: Iterable["PipelineStats"]) -> "PipelineStats":
-        """Sum any number of stats objects (empty input -> zeros)."""
-        total = cls()
-        for item in items:
-            total = total.merge(item)
-        return total
-
 
 class MonitoringPipeline:
-    """Stateful day-by-day ingest into a flow dataset.
-
-    ``owned_window`` supports sharded ingest (see
-    :mod:`repro.pipeline.parallel`): when set to a ``(start_ts,
-    end_ts)`` half-open interval (either bound may be None for
-    unbounded), the pipeline still *processes* every day it is fed --
-    rebuilding flow-engine, DHCP and DNS state from warm-up days -- but
-    registers and counts only flows whose first burst falls inside the
-    window, and only days that start inside it. Flows and records
-    outside the window belong to a neighbouring shard; dropping them
-    here is what makes the shard merge see every flow exactly once.
-    """
+    """Stateful day-by-day ingest into a flow dataset."""
 
     def __init__(self, config: StudyConfig,
                  excluded_prefixes: Sequence[Prefix] = (),
-                 day0: Optional[float] = None,
-                 owned_window: Optional[Tuple[Optional[float],
-                                              Optional[float]]] = None):
+                 day0: Optional[float] = None):
         self.config = config
         self.tap = Tap(excluded_prefixes)
         self.anonymizer = Anonymizer(config.anonymization_salt)
         self.builder = FlowDatasetBuilder(
             config.start_ts if day0 is None else day0)
         self.stats = PipelineStats()
-        self.owned_window = owned_window
         # Tokenization is deterministic per MAC; memoize the hot path.
         self._anon_cache = TokenCache(self.anonymizer)
-        # Telemetry-coverage ledger (owned days only) and the gap spans
-        # seen on *any* ingested day (warm-up gaps still shape resolver
-        # state, so degraded lookups must know about them).
+        # Telemetry-coverage ledger and the gap spans seen so far (the
+        # degraded lookups consult them).
         self.coverage = CoverageTracker()
         self._gap_spans: Dict[str, List[Tuple[float, float]]] = {
             "dhcp": [], "dns": []}
@@ -161,32 +118,20 @@ class MonitoringPipeline:
         self.ip_domain = ColumnarDnsIndex()
         self._registrar = BatchRegistrar(
             config, self.builder, self._anon_cache, self.ip_mac,
-            self.ip_domain, self.stats, self._gap_spans, owned_window)
+            self.ip_domain, self.stats, self._gap_spans)
 
     @property
     def anon_cache_size(self) -> int:
         """Distinct MACs held by the tokenization cache."""
         return len(self._anon_cache)
 
-    def _owns(self, ts: float) -> bool:
-        if self.owned_window is None:
-            return True
-        start, end = self.owned_window
-        if start is not None and ts < start:
-            return False
-        if end is not None and ts >= end:
-            return False
-        return True
-
     def ingest_day(self, trace) -> None:
         """Process one day of wire events and log records."""
-        owned_day = self._owns(trace.day_start)
         gaps = getattr(trace, "log_gaps", ())
         for gap in gaps:
             if gap.source in self._gap_spans:
                 self._gap_spans[gap.source].append((gap.start, gap.end))
-        if owned_day:
-            self.coverage.add_day(trace.day_start, gaps)
+        self.coverage.add_day(trace.day_start, gaps)
         for record in trace.dhcp_records:
             self.ip_mac.ingest(record)
         self.ip_domain.ingest_batch(trace.dns_records)
@@ -197,13 +142,11 @@ class MonitoringPipeline:
         # flows remain open into the next day's processing.
         self._registrar.register(
             self.flow_engine.flush_batch(trace.day_start + DAY))
-        http_drained = self.flow_engine.drain_http_count()
-        if owned_day:
-            self.stats.dhcp_records += len(trace.dhcp_records)
-            self.stats.dns_records += len(trace.dns_records)
-            self.stats.bursts_seen += len(trace.bursts)
-            self.stats.http_records += http_drained
-            self.stats.days_ingested += 1
+        self.stats.dhcp_records += len(trace.dhcp_records)
+        self.stats.dns_records += len(trace.dns_records)
+        self.stats.bursts_seen += len(trace.bursts)
+        self.stats.http_records += self.flow_engine.drain_http_count()
+        self.stats.days_ingested += 1
 
     def ingest(self, traces: Iterable) -> "MonitoringPipeline":
         """Ingest a full trace iterator; returns self for chaining."""
@@ -215,7 +158,7 @@ class MonitoringPipeline:
         """Fold a lenient-mode read's quarantine accounting into stats.
 
         Called by replay paths (:func:`repro.io.tracedir.ingest_trace_dir`)
-        after parsing, so the merged run surfaces exact per-stream
+        after parsing, so the run surfaces exact per-stream
         malformed-record counts alongside the flow counters.
         """
         self.stats.quarantined_wire += sink.malformed("wire")
@@ -233,5 +176,5 @@ class MonitoringPipeline:
         return self.builder.finalize()
 
     def coverage_report(self) -> CoverageReport:
-        """Freeze this pipeline's owned-day telemetry coverage."""
+        """Freeze this pipeline's telemetry coverage."""
         return self.coverage.report()

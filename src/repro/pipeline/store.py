@@ -94,7 +94,7 @@ def load_dataset(path: str) -> FlowDataset:
 
 
 def save_stats(stats: PipelineStats, path: str) -> None:
-    """Write pipeline counters as JSON (journaled shards, run outputs)."""
+    """Write pipeline counters as JSON (journaled run outputs)."""
     payload = {"format_version": FORMAT_VERSION,
                "counters": dataclasses.asdict(stats)}
     write_text(path, json.dumps(payload))

@@ -1,34 +1,30 @@
 """Reliability layer: the ingest stack's answer to real-world failure.
 
-A four-month continuous measurement run meets worker crashes, truncated
-log files and malformed records as a matter of course. This package
-gives the pipeline one vocabulary and three mechanisms for surviving
-them:
+A four-month continuous measurement run meets process kills, full
+disks, truncated log files, malformed records and collector outages as
+a matter of course. This package gives the pipeline one vocabulary and
+the mechanisms for surviving them:
 
 * :mod:`~repro.reliability.errors` -- structured error taxonomy
   (:class:`RecordError`, :class:`ShardError`, transient vs. fatal);
 * :mod:`~repro.reliability.retry` -- deterministic exponential backoff,
-  the one retry budget for shard workers, journal appends and store
-  writes;
+  the one retry budget for journal appends and store writes;
 * :mod:`~repro.reliability.quarantine` -- per-category accounting of
   malformed records in lenient ingest mode;
-* :mod:`~repro.reliability.faults` -- seeded fault injection driving
-  the chaos test suite;
+* :mod:`~repro.reliability.faults` -- deterministic fault injection
+  (log corruption, collector outages, SIGKILL crash points, disk
+  faults) driving the chaos test suite;
 * :mod:`~repro.reliability.coverage` -- interval-set telemetry
   coverage tracking (which seconds of which log source actually
   arrived);
-* :mod:`~repro.reliability.watchdog` -- heartbeat-based supervision
-  of shard workers (a progress deadline whose kills are retried under
-  the shard's retry budget), plus the closed/open/half-open
-  :class:`CircuitBreaker` the serving layer guards computes with;
 * :mod:`~repro.reliability.atomic` -- the single atomic-write
   chokepoint (stage, fsync, rename) every durable writer goes through,
   plus the disk-fault injection seam;
 * :mod:`~repro.reliability.journal` -- the write-ahead run journal
   behind crash-safe ``repro run --journal-dir`` orchestration, and the
-  one record of finished work a resume trusts: each ingest shard and
-  each stage is done only once the journal says so and its files still
-  match the journaled digests.
+  one record of finished work a resume trusts: a stage is done only
+  once the journal says so and its files still match the journaled
+  digests.
 """
 
 from repro.reliability.atomic import (
@@ -81,25 +77,13 @@ from repro.reliability.journal import (
 )
 from repro.reliability.quarantine import QuarantinedRecord, QuarantineSink
 from repro.reliability.retry import RetryPolicy, run_with_retries
-from repro.reliability.watchdog import (
-    BREAKER_CLOSED,
-    BREAKER_HALF_OPEN,
-    BREAKER_OPEN,
-    CircuitBreaker,
-    ShardWatchdog,
-    WatchdogTimeout,
-)
 
 __all__ = [
-    "BREAKER_CLOSED",
-    "BREAKER_HALF_OPEN",
-    "BREAKER_OPEN",
     "CATEGORY_BLANK",
     "CATEGORY_FIELD",
     "CATEGORY_JSON",
     "CATEGORY_ORDER",
     "CATEGORY_VALUE",
-    "CircuitBreaker",
     "CoverageError",
     "CoverageReport",
     "CoverageTracker",
@@ -121,10 +105,8 @@ __all__ = [
     "RetryPolicy",
     "RunJournal",
     "ShardError",
-    "ShardWatchdog",
     "TornWriteError",
     "TransientIOError",
-    "WatchdogTimeout",
     "append_line",
     "corrupt_log_lines",
     "disk_faults",

@@ -35,7 +35,7 @@ from repro.reliability.errors import TornWriteError
 from repro.reliability.faults import DiskFaultInjector
 
 #: Marker embedded in every temp name; :func:`sweep_orphans` removes
-#: files containing it. ``shard-0003.tmp.npz`` keeps numpy's ``.npz``
+#: files containing it. ``merged.tmp.npz`` keeps numpy's ``.npz``
 #: suffix requirement happy while still carrying the marker.
 TMP_MARKER = ".tmp"
 
@@ -114,7 +114,7 @@ def tmp_path_for(path: str) -> str:
 
     The marker goes *before* the final suffix so writers that insist
     on their extension (``np.savez`` appends ``.npz``) still work:
-    ``shard.npz`` stages through ``shard.tmp.npz``.
+    ``merged.npz`` stages through ``merged.tmp.npz``.
     """
     directory, name = os.path.split(path)
     stem, dot, suffix = name.rpartition(".")

@@ -10,18 +10,16 @@ explicit coverage ledger:
 
 * :class:`IntervalSet` -- a canonical union of half-open time spans.
   Normalization (sorted, disjoint, merged-when-touching) makes
-  ``union`` associative, commutative and idempotent, which is exactly
-  what lets per-shard coverage merge into the serial run's report in
-  any order (property-tested in
-  ``tests/property/test_coverage_props.py``).
+  ``union`` associative, commutative and idempotent (property-tested
+  in ``tests/property/test_coverage_props.py``).
 * :class:`CoverageTracker` -- the mutable per-pipeline accumulator:
-  each owned day contributes its expected span and subtracts any
+  each ingested day contributes its expected span and subtracts any
   injected/observed log gaps.
 * :class:`CoverageReport` -- the frozen result: expected window,
   per-source observed spans, gap queries, per-day covered fractions
   (consumed by :class:`repro.analysis.context.AnalysisContext`), and a
-  JSON round trip so journaled shards preserve coverage across a
-  resume.
+  JSON round trip so a journaled run's ingest output preserves
+  coverage across a resume.
 
 Everything here is pure bookkeeping -- no clocks, no RNG -- so a clean
 run (no gaps) produces a complete report and changes nothing else.
@@ -123,13 +121,11 @@ class IntervalSet:
 
 @dataclass(frozen=True)
 class CoverageReport:
-    """Per-source telemetry coverage of one (merged) ingest run.
+    """Per-source telemetry coverage of one ingest run.
 
-    ``expected`` is the union of owned days the run was supposed to
-    measure; ``observed`` maps each source to the spans its log
-    actually covered. Per-shard reports track *owned* days only, so the
-    shard merge is a disjoint union and :meth:`merged` reproduces the
-    serial run's report exactly, in any order.
+    ``expected`` is the union of days the run was supposed to measure;
+    ``observed`` maps each source to the spans its log actually
+    covered.
     """
 
     expected: IntervalSet = field(default_factory=IntervalSet.empty)
@@ -182,24 +178,7 @@ class CoverageReport:
                 for name in sources)
         return fractions
 
-    def merge(self, other: "CoverageReport") -> "CoverageReport":
-        observed = {
-            source: self.observed_for(source).union(
-                other.observed_for(source))
-            for source in SOURCES}
-        return CoverageReport(self.expected.union(other.expected),
-                              observed)
-
-    @classmethod
-    def merged(cls,
-               reports: Iterable["CoverageReport"]) -> "CoverageReport":
-        """Union any number of reports (empty input -> empty report)."""
-        total = cls.empty()
-        for report in reports:
-            total = total.merge(report)
-        return total
-
-    # -- serialization (journaled shards) ------------------------------
+    # -- serialization (journaled ingest output) -----------------------
 
     def to_json(self) -> Dict[str, object]:
         return {
@@ -227,12 +206,10 @@ class CoverageReport:
 
 
 class CoverageTracker:
-    """Mutable per-pipeline coverage accumulator (owned days only).
+    """Mutable per-pipeline coverage accumulator.
 
     :class:`~repro.pipeline.pipeline.MonitoringPipeline` feeds it one
-    call per *owned* day; warm-up and tail days belong to a neighbour
-    shard's ledger, which is what makes per-shard reports merge into
-    exactly the serial run's.
+    call per ingested day.
     """
 
     def __init__(self) -> None:
@@ -242,7 +219,7 @@ class CoverageTracker:
 
     def add_day(self, day_start: float,
                 gaps: Sequence[LogGap] = ()) -> None:
-        """Record one owned day and any log gaps observed within it."""
+        """Record one day and any log gaps observed within it."""
         day_end = day_start + DAY
         self._expected.append((day_start, day_end))
         for gap in gaps:
@@ -252,7 +229,7 @@ class CoverageTracker:
                 self._dropped[gap.source].append((start, end))
 
     def report(self) -> CoverageReport:
-        """Freeze the ledger into a mergeable report."""
+        """Freeze the ledger into a report."""
         expected = IntervalSet.from_spans(self._expected)
         observed = {
             source: expected.subtract(

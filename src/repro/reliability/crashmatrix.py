@@ -13,7 +13,11 @@ module is the harness that proves it with real processes:
    operator would use, and assert the resume exits 0;
 3. byte-compare every canonical output file (merged dataset + sidecars,
    filtered dataset, artifact payloads, report, published store
-   envelopes) of the resumed run against the golden run.
+   envelopes) of the resumed run against the golden run;
+4. after every run, killed or not, kill its whole process group and
+   require that no process of it is left -- a SIGKILL mid-ingest
+   orphans the generator's day-pool workers, and the check covers
+   them.
 
 It doubles as the CI crash-chaos job's entry point::
 
@@ -33,6 +37,7 @@ import os
 import signal
 import subprocess
 import sys
+import time
 from dataclasses import asdict, dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
@@ -45,16 +50,15 @@ ProgressFn = Callable[[str], None]
 
 #: Every SIGKILL point the journaled runner exposes, in pipeline order:
 #: the moment after the journal file exists but before ``run_begin``,
-#: both sides of every stage's journal barrier, the moment after an
-#: ingest shard's ``shard_end`` is journaled, and the instant before
-#: ``run_end`` seals the run.
+#: both sides of every stage's journal barrier, a point inside the
+#: ingest's day walk (after its first weekly progress report, with the
+#: day-pool workers alive), and the instant before ``run_end`` seals
+#: the run.
 CRASH_POINTS: Tuple[str, ...] = (
     "pre:run_begin",
     "pre:ingest",
-    "mid:ingest:shard",
+    "mid:ingest",
     "post:ingest",
-    "pre:merge",
-    "post:merge",
     "pre:annotate",
     "post:annotate",
     "pre:analyze",
@@ -68,9 +72,13 @@ CRASH_POINTS: Tuple[str, ...] = (
 #: reported by ``subprocess``).
 SIGKILL_RETURNCODE = -int(signal.SIGKILL)
 
+#: Seconds to wait, after killing a run's process group, for every
+#: process in it to be gone.
+REAP_SECONDS = 10.0
+
 #: Run-directory entries whose bytes define the run's *outputs* (the
-#: journal and the ingest shard files are mechanism, not product; the
-#: journal legitimately differs between a clean and a resumed run).
+#: journal is mechanism, not product: it legitimately differs between
+#: a clean and a resumed run).
 _OUTPUT_FILES = ("merged.npz", "merged.npz.meta.json",
                  "merged.stats.json", "merged.coverage.json",
                  "filtered.npz", "filtered.npz.meta.json", "report.txt")
@@ -88,6 +96,12 @@ class PointOutcome:
     #: True when the armed SIGKILL actually fired (a point that never
     #: fires would make the matrix vacuous, so it is a failure).
     crashed: bool
+    #: True when a process of the killed run outlived it (the day-pool
+    #: workers of a mid-ingest kill); the harness then reaps them.
+    orphaned: bool = False
+    #: True when a process of the killed or the resumed run was still
+    #: alive after the harness killed its group.
+    leftover: bool = False
     #: Relative paths whose bytes differ from the golden run.
     differences: List[str] = field(default_factory=list)
     resume_stderr_tail: str = ""
@@ -95,7 +109,7 @@ class PointOutcome:
     @property
     def passed(self) -> bool:
         return (self.crashed and self.resume_returncode == 0
-                and not self.differences)
+                and not self.differences and not self.leftover)
 
 
 def _sha256_file(path: str) -> str:
@@ -143,6 +157,36 @@ class CliResult:
 
     returncode: int
     stderr: str
+    #: A process of the run's group outlived the CLI process itself.
+    orphaned: bool = False
+    #: A process of the run's group survived the harness's kill.
+    leftover: bool = False
+
+
+def _group_alive(pgid: int) -> bool:
+    """Whether any process of process group ``pgid`` still exists."""
+    try:
+        os.killpg(pgid, 0)
+    except ProcessLookupError:
+        return False
+    except PermissionError:  # a process exists, but not ours to signal
+        return True
+    return True
+
+
+def _reap_group(pgid: int) -> bool:
+    """SIGKILL process group ``pgid``; True if it outlives the wait."""
+    try:
+        os.killpg(pgid, signal.SIGKILL)
+    except (ProcessLookupError, PermissionError):
+        pass
+    waited = 0.0
+    while _group_alive(pgid) and waited < REAP_SECONDS:
+        # A killed orphan is reparented and reaped by the system, not
+        # by this process, so its disappearance is polled for.
+        time.sleep(0.05)
+        waited += 0.05
+    return _group_alive(pgid)
 
 
 def _run_cli(extra_args: Sequence[str], *, log_path: str,
@@ -151,11 +195,11 @@ def _run_cli(extra_args: Sequence[str], *, log_path: str,
     """Run ``repro run`` in its own session; reap the whole group.
 
     Output goes to ``log_path`` files rather than pipes: when the armed
-    SIGKILL fires, orphaned pool workers inherit the parent's streams,
-    and a pipe-reading wait would block on them until they exit. With
-    file redirection we wait only on the CLI process itself, then
-    SIGKILL its process group so no orphaned worker outlives the
-    matrix step.
+    SIGKILL fires, orphaned day-pool workers inherit the parent's
+    streams, and a pipe-reading wait would block on them until they
+    exit. With file redirection we wait only on the CLI process
+    itself, then SIGKILL its process group and wait until no process
+    of it is left, so no orphaned worker outlives the matrix step.
     """
     env = dict(os.environ)
     env.pop(CRASH_ENV, None)
@@ -167,24 +211,23 @@ def _run_cli(extra_args: Sequence[str], *, log_path: str,
             open(log_path + ".err", "wb") as err:
         proc = subprocess.Popen(command, env=env, stdout=out,
                                 stderr=err, start_new_session=True)
+        orphaned = False
         try:
             returncode = proc.wait(timeout=timeout)
+            orphaned = _group_alive(proc.pid)
         finally:
             # With start_new_session the child's pid is its process
             # group; this reaps pool workers the SIGKILL orphaned.
-            try:
-                os.killpg(proc.pid, signal.SIGKILL)
-            except (ProcessLookupError, PermissionError):
-                pass
+            leftover = _reap_group(proc.pid)
     with open(log_path + ".err", "r", errors="replace") as fileobj:
         stderr = fileobj.read()
-    return CliResult(returncode=returncode, stderr=stderr)
+    return CliResult(returncode=returncode, stderr=stderr,
+                     orphaned=orphaned, leftover=leftover)
 
 
-def _run_args(journal_dir: str, *, preset: str, workers: int,
+def _run_args(journal_dir: str, *, preset: str,
               resume_run: Optional[str] = None) -> List[str]:
-    args = ["--preset", preset, "--workers", str(workers),
-            "--journal-dir", journal_dir]
+    args = ["--preset", preset, "--journal-dir", journal_dir]
     if resume_run is not None:
         args += ["--resume-run", resume_run]
     return args
@@ -200,7 +243,6 @@ def expected_run_id(preset: str) -> str:
 
 def run_matrix(base_dir: str, *,
                preset: str = "chaos",
-               workers: int = 2,
                points: Sequence[str] = CRASH_POINTS,
                progress: Optional[ProgressFn] = None,
                ) -> Dict[str, object]:
@@ -215,13 +257,13 @@ def run_matrix(base_dir: str, *,
     golden_dir = os.path.join(base_dir, "golden")
     os.makedirs(golden_dir, exist_ok=True)
     report(f"golden: clean {preset} run under {golden_dir}")
-    clean = _run_cli(_run_args(golden_dir, preset=preset,
-                               workers=workers),
+    clean = _run_cli(_run_args(golden_dir, preset=preset),
                      log_path=os.path.join(golden_dir, "cli"))
-    if clean.returncode != 0:
+    if clean.returncode != 0 or clean.leftover:
         raise RuntimeError(
-            f"golden run failed with exit {clean.returncode}:\n"
-            f"{clean.stderr[-2000:]}")
+            f"golden run failed with exit {clean.returncode}"
+            f"{' and left a process behind' if clean.leftover else ''}:"
+            f"\n{clean.stderr[-2000:]}")
     golden = output_digests(os.path.join(golden_dir, run_id))
 
     outcomes: List[PointOutcome] = []
@@ -229,12 +271,12 @@ def run_matrix(base_dir: str, *,
         slug = point.replace(":", "_")
         journal_dir = os.path.join(base_dir, f"kill-{slug}")
         os.makedirs(journal_dir, exist_ok=True)
-        killed = _run_cli(_run_args(journal_dir, preset=preset,
-                                    workers=workers), crash_at=point,
+        killed = _run_cli(_run_args(journal_dir, preset=preset),
+                          crash_at=point,
                           log_path=os.path.join(journal_dir, "kill"))
         crashed = killed.returncode == SIGKILL_RETURNCODE
         resumed = _run_cli(_run_args(journal_dir, preset=preset,
-                                     workers=workers, resume_run=run_id),
+                                     resume_run=run_id),
                            log_path=os.path.join(journal_dir, "resume"))
         run_dir = os.path.join(journal_dir, run_id)
         differences = (compare_outputs(golden, output_digests(run_dir))
@@ -244,19 +286,22 @@ def run_matrix(base_dir: str, *,
             point=point, run_dir=run_dir,
             kill_returncode=killed.returncode,
             resume_returncode=resumed.returncode,
-            crashed=crashed, differences=differences,
+            crashed=crashed, orphaned=killed.orphaned,
+            leftover=killed.leftover or resumed.leftover,
+            differences=differences,
             resume_stderr_tail=("" if resumed.returncode == 0
                                 else resumed.stderr[-2000:]))
         outcomes.append(outcome)
         report(f"{point}: kill={killed.returncode} "
                f"resume={resumed.returncode} "
                f"{'OK' if outcome.passed else 'FAIL'}"
+               + (" (orphaned workers)" if outcome.orphaned else "")
+               + (" (process left behind)" if outcome.leftover else "")
                + (f" ({len(outcome.differences)} difference(s))"
                   if outcome.differences else ""))
 
     return {
         "preset": preset,
-        "workers": workers,
         "run_id": run_id,
         "golden_dir": golden_dir,
         "golden_digests": golden,
@@ -275,7 +320,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                              "per-point run directories")
     parser.add_argument("--preset", default="chaos",
                         help="study preset to run (default: chaos)")
-    parser.add_argument("--workers", type=int, default=2)
     parser.add_argument("--points", nargs="*", default=None,
                         help="subset of crash points (default: all)")
     parser.add_argument("--out", default=None,
@@ -288,8 +332,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         parser.error(f"unknown crash point(s): {unknown}; "
                      f"known: {list(CRASH_POINTS)}")
 
-    result = run_matrix(args.base_dir, preset=args.preset,
-                        workers=args.workers, points=points,
+    result = run_matrix(args.base_dir, preset=args.preset, points=points,
                         progress=lambda m: print(f"  [{m}]",
                                                  file=sys.stderr))
     if args.out:

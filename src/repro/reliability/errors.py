@@ -1,19 +1,19 @@
 """Structured error taxonomy for the ingest stack.
 
 Bare ``ValueError``/``KeyError``/``OSError`` tell an operator nothing
-about *what* failed (a log line? a shard? a worker process?) or whether
+about *what* failed (a log line? a disk write? a journal record?) or whether
 retrying could help. Every failure the pipeline can surface is therefore
 classified along two axes:
 
 * **scope** -- :class:`RecordError` (one malformed log record),
   :class:`ShardError` (one shard's ingest), or a plain
   :class:`ReliabilityError` (anything else);
-* **disposition** -- *transient* failures (I/O hiccups, killed worker
-  processes) are worth retrying; *fatal* ones (malformed data in strict
-  mode, logic errors) are not.
+* **disposition** -- *transient* failures (I/O hiccups, a full disk)
+  are worth retrying; *fatal* ones (malformed data in strict mode,
+  logic errors) are not.
 
-:func:`is_transient` is the single classification point used by the
-retrying shard runner in :mod:`repro.pipeline.parallel`.
+:func:`is_transient` is the single classification point used by
+:func:`~repro.reliability.retry.run_with_retries`.
 """
 
 from __future__ import annotations

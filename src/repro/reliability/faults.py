@@ -1,15 +1,8 @@
 """Deterministic fault injection for the chaos test suite.
 
-Two injection surfaces, both pure functions of a seed so every chaos
-test is exactly reproducible:
+Every injection surface is a pure function of its inputs (or of a
+seed), so every chaos test is exactly reproducible:
 
-* :class:`FaultPlan` rides into worker processes inside the shard task
-  (it must stay picklable) and fires process kills or transient I/O
-  errors on chosen ``(shard, attempt)`` pairs -- attempt-aware so a
-  retried shard deterministically succeeds, which is what lets tests
-  assert *recovery*, not just failure. ``fatal_shards`` raise a
-  non-transient :class:`InjectedShardFault` on every attempt, so tests
-  can also assert that a fatal error is never retried.
 * :func:`corrupt_log_lines` mangles a clean JSONL log at a seeded
   corruption rate, cycling through the malformation kinds a real log
   collector produces (truncation, garbage bytes, missing fields,
@@ -20,8 +13,6 @@ test is exactly reproducible:
   deleted from the day trace before ingest sees them, and the trace is
   tagged with the gaps so the pipeline's coverage ledger and degraded
   annotation know exactly what went missing.
-* ``hang_shards`` makes a worker sleep mid-shard -- the wedged-worker
-  failure mode the shard watchdog exists to detect.
 * :func:`maybe_crash` is the SIGKILL chaos hook: named crash points in
   the journaled-run orchestration (:mod:`repro.core.runner`) call it,
   and a subprocess harness arms one point per run via the
@@ -40,7 +31,6 @@ from __future__ import annotations
 import json
 import os
 import signal
-import time
 from collections import Counter
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, Dict, List, Optional, Tuple
@@ -53,10 +43,6 @@ from repro.util.rng import substream
 
 if TYPE_CHECKING:  # import-time cycle: repro.dns imports repro.reliability
     from repro.dns.records import DnsColumns
-
-#: Exit code used by the injected worker kill (distinguishable from a
-#: Python traceback's exit 1 in CI logs).
-KILL_EXIT_CODE = 43
 
 #: Log sources a :class:`LogGap` may silence. The wire tap ("conn") is
 #: the collector itself -- if it is down there is no day trace at all --
@@ -105,69 +91,16 @@ class GappedDayTrace:
     log_gaps: Tuple[LogGap, ...]
 
 
-class InjectedShardFault(RuntimeError):
-    """A fatal (non-transient) shard error raised by a :class:`FaultPlan`."""
-
-
 @dataclass(frozen=True)
 class FaultPlan:
-    """Which faults fire on which ``(shard, attempt)`` pairs."""
+    """Collector outages to cut out of a run's day traces.
 
-    #: Shards whose worker process dies abruptly (``os._exit``).
-    kill_shards: Tuple[int, ...] = ()
-    #: Attempt numbers (0-based) on which the kill fires.
-    kill_attempts: Tuple[int, ...] = (0,)
-    #: Shards that raise a transient I/O error instead of ingesting.
-    transient_shards: Tuple[int, ...] = ()
-    #: Attempt numbers on which the transient error fires.
-    transient_attempts: Tuple[int, ...] = (0,)
-    #: Shards that raise a fatal :class:`InjectedShardFault` on every
-    #: attempt.
-    fatal_shards: Tuple[int, ...] = ()
-    #: Collector outages: spans of DHCP/DNS log deleted from every
-    #: attempt (an outage is a property of the input, not the worker,
-    #: so it is deliberately *not* attempt-aware).
+    An outage is a property of the input, not of the process ingesting
+    it, so every ingest of the same days sees the same gaps.
+    """
+
+    #: Spans of DHCP/DNS log deleted before ingest.
     log_gaps: Tuple[LogGap, ...] = ()
-    #: Shards whose worker wedges (sleeps) instead of making progress.
-    hang_shards: Tuple[int, ...] = ()
-    #: Attempt numbers on which the hang fires.
-    hang_attempts: Tuple[int, ...] = (0,)
-    #: How long a hung worker sleeps. Chaos tests pick a value far above
-    #: the watchdog deadline; the watchdog kills the worker long before
-    #: the sleep finishes.
-    hang_seconds: float = 0.0
-
-    def should_kill(self, shard_index: int, attempt: int) -> bool:
-        return (shard_index in self.kill_shards
-                and attempt in self.kill_attempts)
-
-    def should_raise_transient(self, shard_index: int, attempt: int) -> bool:
-        return (shard_index in self.transient_shards
-                and attempt in self.transient_attempts)
-
-    def should_hang(self, shard_index: int, attempt: int) -> bool:
-        return (self.hang_seconds > 0.0
-                and shard_index in self.hang_shards
-                and attempt in self.hang_attempts)
-
-    def apply(self, shard_index: int, attempt: int) -> None:
-        """Fire any fault planned for this (shard, attempt). Worker-side."""
-        if self.should_kill(shard_index, attempt):
-            # An abrupt death -- no exception, no cleanup -- exactly what
-            # the OOM killer or a node reboot does to a real worker.
-            os._exit(KILL_EXIT_CODE)
-        if self.should_raise_transient(shard_index, attempt):
-            raise TransientIOError(
-                f"injected transient I/O fault "
-                f"(shard {shard_index}, attempt {attempt})")
-        if shard_index in self.fatal_shards:
-            raise InjectedShardFault(
-                f"injected fatal fault "
-                f"(shard {shard_index}, attempt {attempt})")
-        if self.should_hang(shard_index, attempt):
-            # A wedged worker: alive (so the pool sees no BrokenProcessPool)
-            # but making no progress. Only the watchdog can detect this.
-            time.sleep(self.hang_seconds)
 
     def gaps_for_day(self, day_start: float,
                      day_end: float) -> Tuple[LogGap, ...]:

@@ -1,14 +1,12 @@
 """Write-ahead run journal: durable intent + per-stage completion.
 
-A study run is a pipeline of stages (shard ingest, merge, annotate,
-analyze, publish). The journal is the run's only record of finished
-work: before anything executes, the run's intent (config payload,
-scenario, fingerprint, stage list) is appended as a ``run_begin``
-record; each stage appends ``stage_begin`` before and ``stage_end``
-(with output digests) after its work; inside the ingest stage each
-finished shard appends a ``shard_end`` with the digests of its files,
-so a kill mid-ingest repeats only the unjournaled shards; ``run_end``
-seals the run. Every record is:
+A study run is a pipeline of stages (ingest, annotate, analyze,
+publish). The journal is the run's only record of finished work:
+before anything executes, the run's intent (config payload, scenario,
+fingerprint, stage list) is appended as a ``run_begin`` record; each
+stage appends ``stage_begin`` before and ``stage_end`` (with output
+digests) after its work, so a kill mid-stage repeats only that stage;
+``run_end`` seals the run. Every record is:
 
 * **append-only** -- the journal file is never rewritten in place;
 * **checksummed** -- each line embeds the SHA-256 of its own canonical
@@ -33,8 +31,7 @@ bit rot or a concurrent writer, and no resume should trust it.
 :func:`resume_plan` turns a replayed record list into the decision the
 CLI acts on: which stages are already complete (replay their outputs
 from disk), which stage was in flight (re-execute it), and whether the
-run already finished, plus the latest journaled digests of every
-ingest shard.
+run already finished.
 """
 
 from __future__ import annotations
@@ -43,7 +40,7 @@ import hashlib
 import json
 import os
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Tuple
 
 from repro.reliability.atomic import append_line, fsync_dir
@@ -52,16 +49,18 @@ from repro.reliability.retry import RetryPolicy, SleepFn, run_with_retries
 
 #: Bump when the record layout changes; recorded in ``run_begin`` so a
 #: resume can refuse a journal written by an incompatible layout.
-#: v2: ``shard_end`` records replace the separate per-shard checkpoint
-#: store, and the ingest stage's outputs are its shard files.
-JOURNAL_VERSION = 2
+#: v2: per-shard ingest records replace the separate per-shard
+#: checkpoint store, and the ingest stage's outputs are its shard files.
+#: v3: one whole-window ingest stage writes the ``merged.*`` files; the
+#: ``merge`` stage, the per-shard records and ``workers`` are gone.
+JOURNAL_VERSION = 3
 
 #: Canonical journal file name inside a run directory.
 JOURNAL_FILE = "journal.jsonl"
 
 #: The record kinds a journal may contain.
-RECORD_KINDS = ("run_begin", "stage_begin", "stage_end", "shard_end",
-                "note", "run_end")
+RECORD_KINDS = ("run_begin", "stage_begin", "stage_end", "note",
+                "run_end")
 
 
 def _canonical(payload: Any) -> str:
@@ -280,9 +279,6 @@ class ResumePlan:
     fingerprint: str
     scenario: str
     config_payload: Dict[str, Any]
-    #: Execution shape recorded at start (non-semantic, but reusing it
-    #: lets the resume reuse the exact journaled shard plan).
-    workers: int
     stages: Tuple[str, ...]
     #: Stage names whose ``stage_end`` was journaled, in order.
     completed: Tuple[str, ...]
@@ -290,9 +286,6 @@ class ResumePlan:
     outputs: Dict[str, Dict[str, str]]
     #: ``True`` once ``run_end`` was journaled.
     complete: bool
-    #: File digests of every journaled ingest shard, by shard index
-    #: (the latest ``shard_end`` wins).
-    shards: Dict[int, Dict[str, str]] = field(default_factory=dict)
 
     @property
     def next_stage(self) -> Optional[str]:
@@ -323,18 +316,11 @@ def resume_plan(records: List[JournalRecord]) -> ResumePlan:
     #: outputs failed verification) but never skip ahead.
     done = 0
     outputs: Dict[str, Dict[str, str]] = {}
-    shards: Dict[int, Dict[str, str]] = {}
     complete = False
     for record in records[1:]:
         if record.kind == "run_begin":
             raise JournalError("journal contains a second run_begin")
-        if record.kind == "shard_end":
-            index = record.payload.get("shard")
-            if not isinstance(index, int) or index < 0:
-                raise JournalError(
-                    f"shard_end names no shard index: {index!r}")
-            shards[index] = _digests(record.payload)
-        elif record.kind == "stage_end":
+        if record.kind == "stage_end":
             stage = str(record.payload.get("stage"))
             if stage not in stages:
                 raise JournalError(
@@ -360,12 +346,10 @@ def resume_plan(records: List[JournalRecord]) -> ResumePlan:
         fingerprint=str(begin.get("fingerprint", "")),
         scenario=str(begin.get("scenario", "")),
         config_payload=dict(begin.get("config", {})),
-        workers=int(begin.get("workers", 1)),
         stages=stages,
         completed=tuple(completed),
         outputs=outputs,
         complete=complete,
-        shards=shards,
     )
 
 

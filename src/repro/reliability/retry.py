@@ -1,16 +1,15 @@
 """Deterministic retry policy with exponential backoff and jitter.
 
-The backoff schedule is a pure function of ``(seed, shard_index,
+The backoff schedule is a pure function of ``(seed, scope_index,
 attempt)`` -- the same derivation idiom as the simulation's RNG
 substreams (:mod:`repro.util.rng`) -- so a retried run sleeps the same
 intervals every time and tests can assert exact schedules. Jitter keeps
-simultaneous retries of sibling shards from stampeding at the same
+simultaneous retries of sibling scopes from stampeding at the same
 instant, without sacrificing reproducibility.
 
-One policy serves every retry in the system: shard workers
-(:mod:`repro.pipeline.parallel`, whose pool loop charges it per shard
-and whose in-process runner calls :func:`run_with_retries`), journal
-appends and artifact-store writes -- no ad-hoc sleeps anywhere. The
+One policy serves every retry in the system: journal appends and
+artifact-store writes, both through :func:`run_with_retries` -- no
+ad-hoc sleeps anywhere. The
 ``total_deadline`` cap bounds *cumulative* backoff per scope, so a
 store that keeps returning ``ENOSPC`` surfaces the error after a known
 worst-case delay instead of backing off forever. Elapsed time is
@@ -42,8 +41,8 @@ class RetryPolicy:
     ``max_attempts`` counts *total* tries: 1 means no retries. Delays
     follow ``base_delay * 2**retry`` capped at ``max_delay``, scaled by
     a seeded jitter factor in ``[1 - jitter, 1 + jitter]``. With a
-    ``total_deadline``, cumulative backoff within one scope (one shard,
-    one journal, one store) never exceeds it: the last delay is clipped
+    ``total_deadline``, cumulative backoff within one scope (one
+    journal record, one store write) never exceeds it: the last delay is clipped
     to the remaining budget and further retries are refused once the
     budget is spent.
     """
@@ -67,18 +66,18 @@ class RetryPolicy:
         if self.total_deadline is not None and self.total_deadline <= 0:
             raise ValueError("total_deadline must be positive (or None)")
 
-    def delay(self, shard_index: int, attempt: int,
+    def delay(self, scope_index: int, attempt: int,
               elapsed: float = 0.0) -> float:
         """Seconds to sleep before retrying ``attempt`` (0-based) + 1.
 
-        Deterministic: the same ``(seed, shard_index, attempt)`` always
+        Deterministic: the same ``(seed, scope_index, attempt)`` always
         yields the same delay. ``elapsed`` is the backoff already spent
         in this scope; with a ``total_deadline`` the delay is clipped
         so the cumulative schedule never exceeds the budget.
         """
         base = min(self.max_delay, self.base_delay * (2.0 ** attempt))
         if base > 0.0 and self.jitter > 0.0:
-            rng = substream(self.seed, "retry", shard_index, attempt)
+            rng = substream(self.seed, "retry", scope_index, attempt)
             scale = 1.0 + self.jitter * (2.0 * float(rng.random()) - 1.0)
             base = base * scale
         if self.total_deadline is not None:
@@ -115,12 +114,12 @@ def run_with_retries(policy: RetryPolicy,
                      stop: Optional[StopFn] = None) -> T:
     """Run ``operation`` under ``policy``, retrying transient failures.
 
-    The single retry loop shared by in-process call sites (shards run
-    with one worker, journal appends, artifact-store writes): failures
-    classified transient by ``classify`` are retried on the policy's
-    seeded backoff schedule until the attempt budget or the total
-    deadline runs out, then the last failure propagates unchanged. ``on_retry(attempt, exc, delay)``
-    fires before each sleep so callers can count retries exactly.
+    The single retry loop shared by journal appends and artifact-store
+    writes: failures classified transient by ``classify`` are retried
+    on the policy's seeded backoff schedule until the attempt budget or
+    the total deadline runs out, then the last failure propagates
+    unchanged. ``on_retry(attempt, exc, delay)`` fires before each
+    sleep so callers can count retries exactly.
 
     ``stop`` is an external veto polled after each failure: when it
     returns ``True`` (e.g. a serving request's deadline has expired, or

@@ -16,9 +16,9 @@ figures" into a queryable serving system:
   store/service (``repro serve``).
 * :mod:`repro.serve.resilience` -- the overload machinery behind it:
   per-request :class:`Deadline`, bounded :class:`AdmissionGate`
-  (429/503 shedding), :class:`Singleflight` compute coalescing, and
-  the :class:`ResiliencePolicy` knob bundle (the compute circuit
-  breaker reuses :class:`repro.reliability.watchdog.CircuitBreaker`).
+  (429/503 shedding), :class:`Singleflight` compute coalescing, the
+  compute :class:`CircuitBreaker` and the :class:`ResiliencePolicy`
+  knob bundle.
 * :mod:`repro.serve.evaluate` -- the ``repro eval`` regression
   harness: compare expectation outcomes and summary aggregates
   against a committed golden baseline with per-metric tolerances.

@@ -4,8 +4,8 @@ A study run is fully determined by its :class:`~repro.config.
 StudyConfig` (every simulation and pipeline decision derives from it)
 plus the *scenario* -- which arm of the study ran (the lock-down
 study, the no-pandemic counterfactual, ...). Everything else a caller
-may pass around a run -- worker counts, journal directories,
-output paths -- changes how fast or where a run executes, never what
+may pass around a run -- journal directories, output paths,
+progress hooks -- changes how fast or where a run executes, never what
 it computes, and is therefore excluded from the key.
 
 The fingerprint is the SHA-256 of a canonical JSON encoding (sorted
@@ -32,10 +32,11 @@ SCHEMA_VERSION = 1
 DEFAULT_SCENARIO = "lockdown-2020"
 
 #: Config/run knobs that do not change study *results* and are
-#: excluded from the fingerprint: execution shape (worker counts,
-#: retry budgets, watchdog deadlines), filesystem locations, and
-#: progress plumbing. ``max_shard_retries`` is a StudyConfig field but
-#: retries are proven byte-identical, so it is execution shape too.
+#: excluded from the fingerprint: filesystem locations, progress
+#: plumbing, and the execution-shape keys of retired sharded ingest
+#: (``max_shard_retries``, ``workers``, ``shard_deadline``), which
+#: older config payloads and committed baselines still carry and
+#: which must keep fingerprinting as they always did.
 NON_SEMANTIC_FIELDS = frozenset({
     "max_shard_retries",
     "workers",

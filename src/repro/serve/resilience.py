@@ -21,16 +21,14 @@ the Lockdown Effect's 15-20%-in-a-week demand shifts demand:
   thundering herd of cache-misses on one fingerprint, one leader runs
   the study and every follower waits for (and shares) its result, so
   "N concurrent misses" costs exactly one compute.
+* :class:`CircuitBreaker` -- a closed/open/half-open breaker over
+  study computes: consecutive failures open it, and the service then
+  serves degraded from the store.
 * :class:`ResiliencePolicy` -- the knob bundle (concurrency, queue
   depth, deadlines, drain budget, breaker settings) the CLI exposes.
 
-The circuit breaker itself lives in
-:mod:`repro.reliability.watchdog` (:class:`CircuitBreaker`), reusing
-the PR 5 consecutive-failure semantics.
-
 Everything here is wall-clock-adjacent by nature, so every clock is an
-*injected* monotonic callable (the :class:`ShardWatchdog` idiom): tests
-drive expiry with a fake clock, and none of it ever feeds measurement
+*injected* monotonic callable: tests drive expiry with a fake clock, and none of it ever feeds measurement
 output (RL001 -- artifacts stay bit-identical).
 """
 
@@ -50,6 +48,11 @@ MonotonicFn = Callable[[], float]
 ADMITTED = "admitted"
 SHED = "shed"
 DRAINING = "draining"
+
+#: Circuit-breaker states (:class:`CircuitBreaker`).
+BREAKER_CLOSED = "closed"
+BREAKER_OPEN = "open"
+BREAKER_HALF_OPEN = "half-open"
 
 
 class Deadline:
@@ -102,6 +105,97 @@ class Deadline:
                 f"{what} exceeded its deadline"
                 + (f" of {self._budget:g}s" if self._budget else ""),
                 deadline_seconds=self._budget)
+
+
+class CircuitBreaker:
+    """A stateful closed/open/half-open breaker over one failure domain.
+
+    A guard for a repeatedly-failing dependency: the serving layer
+    wraps study computes in one so a storm of failing computes degrades
+    to store-only serving instead of erroring every request.
+
+    Semantics:
+
+    * **closed** -- operations are allowed; ``failure_limit``
+      *consecutive* failures open the breaker (any success resets the
+      streak).
+    * **open** -- operations are refused for ``reset_seconds``.
+    * **half-open** -- after the cool-down, exactly one probe operation
+      is allowed through; its success closes the breaker, its failure
+      re-opens it for another full cool-down.
+
+    Thread-safe; time comes from an injectable monotonic clock so tests
+    drive state transitions without sleeping.
+    """
+
+    def __init__(self, failure_limit: int = 3,
+                 reset_seconds: float = 30.0, *,
+                 clock: Callable[[], float] = time.monotonic) -> None:
+        if failure_limit < 1:
+            raise ValueError("failure_limit must be >= 1")
+        if reset_seconds < 0:
+            raise ValueError("reset_seconds must be non-negative")
+        self.failure_limit = failure_limit
+        self.reset_seconds = reset_seconds
+        self.clock = clock
+        self._lock = threading.Lock()
+        self._consecutive_failures = 0
+        self._opened_at: Optional[float] = None
+        self._probing = False
+        #: Times the breaker transitioned closed/half-open -> open.
+        self.opens = 0
+
+    def _state_locked(self) -> str:
+        if self._opened_at is None:
+            return BREAKER_CLOSED
+        if self.clock() - self._opened_at >= self.reset_seconds:
+            return BREAKER_HALF_OPEN
+        return BREAKER_OPEN
+
+    @property
+    def state(self) -> str:
+        """One of ``closed`` / ``open`` / ``half-open``."""
+        with self._lock:
+            return self._state_locked()
+
+    def allow(self) -> bool:
+        """Whether an operation may proceed right now.
+
+        In the half-open window only the *first* caller gets ``True``
+        (the probe); everyone else keeps being refused until the probe
+        reports success or failure.
+        """
+        with self._lock:
+            state = self._state_locked()
+            if state == BREAKER_CLOSED:
+                return True
+            if state == BREAKER_HALF_OPEN and not self._probing:
+                self._probing = True
+                return True
+            return False
+
+    def record_success(self) -> None:
+        """The guarded operation succeeded: close and reset."""
+        with self._lock:
+            self._consecutive_failures = 0
+            self._opened_at = None
+            self._probing = False
+
+    def record_failure(self) -> None:
+        """The guarded operation failed: count, maybe (re-)open."""
+        with self._lock:
+            state = self._state_locked()
+            if state == BREAKER_HALF_OPEN:
+                # The probe failed: re-open for a fresh cool-down.
+                self._opened_at = self.clock()
+                self._probing = False
+                self.opens += 1
+                return
+            self._consecutive_failures += 1
+            if (state == BREAKER_CLOSED
+                    and self._consecutive_failures >= self.failure_limit):
+                self._opened_at = self.clock()
+                self.opens += 1
 
 
 @dataclass(frozen=True)

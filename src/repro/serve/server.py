@@ -46,9 +46,9 @@ from typing import Any, Callable, Dict, Optional, Tuple
 from urllib.parse import parse_qs, urlparse
 
 from repro.reliability.errors import DeadlineExpired
-from repro.reliability.watchdog import BREAKER_OPEN
 from repro.serve.resilience import (
     ADMITTED,
+    BREAKER_OPEN,
     DRAINING,
     AdmissionGate,
     Deadline,

@@ -21,7 +21,7 @@ Since ISSUE 10 the compute path is *resilient*:
   :class:`~repro.reliability.errors.DeadlineExpired` -- the HTTP
   layer's ``504``.
 * **Circuit breaker + degraded serving.** Consecutive compute failures
-  open a :class:`~repro.reliability.watchdog.CircuitBreaker`; while it
+  open a :class:`~repro.serve.resilience.CircuitBreaker`; while it
   is open the service answers from whatever the store already has and
   flags the result ``degraded=True`` instead of erroring. After the
   cool-down a single half-open probe compute decides whether to close.
@@ -41,13 +41,13 @@ from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.config import StudyConfig
 from repro.reliability.errors import DeadlineExpired
-from repro.reliability.watchdog import CircuitBreaker
 from repro.serve.fingerprint import (
     DEFAULT_SCENARIO,
     fingerprint_payload,
     study_fingerprint,
 )
 from repro.serve.resilience import (
+    CircuitBreaker,
     Deadline,
     MonotonicFn,
     ResiliencePolicy,
@@ -127,12 +127,11 @@ class QueryResult:
 class StudyService:
     """Store-backed study serving with explicit compute accounting."""
 
-    def __init__(self, store: ArtifactStore, *, workers: int = 1,
+    def __init__(self, store: ArtifactStore, *,
                  progress: Optional[ProgressFn] = None,
                  policy: Optional[ResiliencePolicy] = None,
                  clock: MonotonicFn = time.monotonic) -> None:
         self.store = store
-        self.workers = workers
         self.progress = progress or (lambda message: None)
         self.policy = policy or ResiliencePolicy()
         self.clock = clock
@@ -165,10 +164,9 @@ class StudyService:
 
         study = LockdownStudy(config)
         if scenario == DEFAULT_SCENARIO:
-            return study.run(progress=progress, workers=self.workers)
+            return study.run(progress=progress)
         if scenario == "counterfactual":
-            return study.run_counterfactual(progress=progress,
-                                            workers=self.workers)
+            return study.run_counterfactual(progress=progress)
         raise ValueError(f"unknown scenario {scenario!r}; "
                          f"known: {SCENARIOS}")
 
@@ -176,8 +174,8 @@ class StudyService:
                            deadline: Optional[Deadline]) -> ProgressFn:
         """Progress hook that doubles as the in-compute deadline check.
 
-        The study reports progress at every stage boundary (per shard,
-        per analysis), so raising from the hook aborts a compute whose
+        The study reports progress at every stage boundary and once per
+        simulated week of ingest, so raising from the hook aborts a compute whose
         request has already timed out instead of finishing work nobody
         is waiting for.
         """

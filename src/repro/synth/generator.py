@@ -21,7 +21,7 @@ as each day is consumed; the output is byte-identical to calling
 :meth:`~CampusTraceGenerator.generate_day` day by day in process.
 Generation stays in process when only one CPU is usable, the window is
 one day, the platform cannot fork, the caller is itself a pool worker
-(sharded ingest never nests pools) or the caller runs a second thread
+(pools never nest) or the caller runs a second thread
 (forking a multi-threaded process is unsafe).
 """
 
@@ -139,10 +139,8 @@ class CampusTraceGenerator:
         behaviour/wire decision draws from a stream keyed by (day,
         device), never by generation history, so a *fresh* generator
         over ``[a, b)`` emits the same sessions, bursts and DNS answers
-        for those days as any other fresh generator covering them --
-        the property sharded parallel ingest
-        (:mod:`repro.pipeline.parallel`) is built on. The one
-        history-dependent output is DHCP address assignment (pool state
+        for those days as any other fresh generator covering them. The
+        one history-dependent output is DHCP address assignment (pool state
         accumulates), so client IPs may differ between sub-range and
         full runs; each run's DHCP log remains self-consistent with its
         bursts, and client IPs never reach the measured dataset.

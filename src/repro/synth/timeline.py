@@ -64,26 +64,6 @@ def phase_of(ts: float) -> str:
     return Phase.ONLINE_TERM
 
 
-def is_lockdown(ts: float) -> bool:
-    """True once the stay-at-home order is in force."""
-    return ts >= constants.STAY_AT_HOME
-
-
-def is_online_instruction(ts: float) -> bool:
-    """True while classes run in the online modality."""
-    return ts >= constants.BREAK_END
-
-
-def is_instruction_day(ts: float) -> bool:
-    """True when classes (in-person or online) meet on this day.
-
-    Instruction pauses during the academic break; the winter term's
-    final-exam period (remote in 2020) still counts as instruction for
-    scheduling purposes.
-    """
-    return not constants.BREAK_START <= ts < constants.BREAK_END
-
-
 def weeks_into_online_term(ts: float) -> float:
     """Fractional weeks elapsed since online instruction began.
 

@@ -1,16 +1,14 @@
 """Shared utilities: deterministic RNG streams, time math, interval algebra."""
 
-from repro.util.intervals import Interval, merge_intervals, total_covered
+from repro.util.intervals import Interval, merge_intervals
 from repro.util.rng import RngFactory, substream
 from repro.util.timeutil import (
     DAY,
     HOUR,
     MINUTE,
     WEEK,
-    day_bounds,
     day_index,
     day_of_week,
-    days_between,
     format_day,
     hour_of_week,
     is_weekend,
@@ -27,10 +25,8 @@ __all__ = [
     "MINUTE",
     "RngFactory",
     "WEEK",
-    "day_bounds",
     "day_index",
     "day_of_week",
-    "days_between",
     "format_day",
     "hour_of_week",
     "is_weekend",
@@ -39,6 +35,5 @@ __all__ = [
     "month_bounds",
     "month_key",
     "substream",
-    "total_covered",
     "utc_ts",
 ]

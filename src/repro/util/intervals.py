@@ -9,7 +9,7 @@ here once and reused by :mod:`repro.sessions` and :mod:`repro.dhcp`.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, List, Optional, Sequence
+from typing import Iterable, List, Optional
 
 
 @dataclass(frozen=True, order=True)
@@ -75,8 +75,3 @@ def merge_intervals(intervals: Iterable[Interval],
         else:
             merged.append(interval)
     return merged
-
-
-def total_covered(intervals: Sequence[Interval], slack: float = 0.0) -> float:
-    """Return the total seconds covered by the union of the intervals."""
-    return sum(span.duration for span in merge_intervals(intervals, slack=slack))

@@ -41,12 +41,6 @@ def day_index(ts: float, origin: float) -> int:
     return int((ts - origin) // DAY)
 
 
-def day_bounds(ts: float) -> Tuple[float, float]:
-    """Return ``(start, end)`` of the calendar day containing ``ts``."""
-    start = (ts // DAY) * DAY
-    return start, start + DAY
-
-
 def day_of_week(ts: float) -> int:
     """Return the weekday of ``ts``: Monday == 0 ... Sunday == 6."""
     return from_ts(ts).weekday()
@@ -78,13 +72,6 @@ def month_bounds(year: int, month: int) -> Tuple[float, float]:
     start = utc_ts(year, month, 1)
     days_in_month = calendar.monthrange(year, month)[1]
     return start, start + days_in_month * DAY
-
-
-def days_between(start: float, end: float) -> int:
-    """Return the number of whole days in the half-open span [start, end)."""
-    if end <= start:
-        return 0
-    return int((end - start + DAY - 1) // DAY)
 
 
 def iter_days(start: float, end: float) -> Iterator[float]:

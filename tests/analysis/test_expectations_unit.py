@@ -23,7 +23,6 @@ from repro.analysis.expectations import (
     SKIP,
     Expectation,
     evaluate_all,
-    expectation_ids,
     outcomes_payload,
     paper_expectations,
     render_outcomes,
@@ -39,6 +38,13 @@ from repro.analysis.fig8_switch import Fig8Result
 from repro.analysis.summary import SummaryStats
 from repro.stats.descriptive import BoxStats
 from repro.util.timeutil import DAY
+
+
+def _expectation_ids():
+    """Every encoded expectation id, in paper order."""
+    return [expectation.expectation_id
+            for expectation in paper_expectations()]
+
 
 N_DAYS = 121  # Feb 1 .. May 31 2020
 DAY0 = constants.STUDY_START
@@ -424,7 +430,7 @@ def test_fail_branch(expectation_id, mutate):
 
 
 def test_every_expectation_has_a_fail_case():
-    assert [case[0] for case in _FAIL_CASES] == expectation_ids()
+    assert [case[0] for case in _FAIL_CASES] == _expectation_ids()
 
 
 # -- SKIP branches ----------------------------------------------------------
@@ -563,7 +569,7 @@ def test_outcomes_payload_and_render():
     payload = outcomes_payload(outcomes)
     assert payload["schema"] == 1
     assert payload["counts"] == {PASS: 29, FAIL: 0, SKIP: 0}
-    assert sorted(payload["outcomes"]) == sorted(expectation_ids())
+    assert sorted(payload["outcomes"]) == sorted(_expectation_ids())
     entry = payload["outcomes"]["fig1-exodus"]
     assert set(entry) == {"figure", "claim", "paper_value", "measured",
                           "status"}

@@ -42,9 +42,8 @@ class TestParser:
 
     @pytest.mark.parametrize("flags", [
         ["--strict-coverage"],
-        ["--shard-deadline", "5"],
         ["--baseline"],
-    ], ids=["strict-coverage", "shard-deadline", "baseline"])
+    ], ids=["strict-coverage", "baseline"])
     def test_journaled_run_rejects_unsupported_flags(self, flags, tmp_path):
         """The journaled runner would silently ignore these; it refuses
         them before any journal exists."""
@@ -54,29 +53,21 @@ class TestParser:
                   str(journal_dir), *flags])
         assert not journal_dir.exists()
 
-    @pytest.mark.parametrize("flags, message", [
-        (["--workers", "1"], "workers > 1"),
-        (["--workers", "2", "--shard-deadline", "nan"], "finite"),
-        (["--workers", "2", "--shard-deadline", "inf"], "finite"),
-        (["--workers", "2", "--shard-deadline", "0"], "finite"),
-        (["--workers", "2", "--shard-deadline", "-1"], "finite"),
-    ], ids=["workers-1", "nan", "inf", "zero", "negative"])
-    def test_run_rejects_an_unusable_shard_deadline(self, flags, message,
-                                                    tmp_path, monkeypatch):
-        """An in-process ingest would silently drop the deadline, and one
-        that is not finite and above 0 is unusable; both are refused
-        before any work."""
-        import repro.cli as cli
-
-        def no_study(config):
-            raise AssertionError("the study must not start")
-
-        monkeypatch.setattr(cli, "LockdownStudy", no_study)
-        out = tmp_path / "out"
-        with pytest.raises(SystemExit, match=message):
-            main(["run", "--preset", "chaos", "--shard-deadline", "5",
-                  "--out", str(out), *flags])
-        assert not out.exists()
+    @pytest.mark.parametrize("command, flag", [
+        ("run", "--workers"),
+        ("run", "--shard-deadline"),
+        ("run", "--max-retries"),
+        ("checklist", "--workers"),
+        ("serve", "--workers"),
+        ("query", "--workers"),
+        ("eval", "--workers"),
+    ])
+    def test_sharded_ingest_flags_are_gone(self, command, flag, capsys):
+        """Ingest has one in-process path: no command takes a worker
+        count, a shard deadline or a shard retry budget."""
+        with pytest.raises(SystemExit):
+            build_parser().parse_args([command, flag, "2"])
+        assert "unrecognized arguments" in capsys.readouterr().err
 
     def test_checklist_flags(self):
         args = build_parser().parse_args(
@@ -131,25 +122,22 @@ class TestRunAndReport:
 
 
 class TestRunOutput:
-    def test_saved_dataset_does_not_depend_on_workers(self, tmp_path,
-                                                      capsys):
-        """The serial ingest keeps flows in registration order and the
-        sharded merge in canonical order; ``--out`` saves the canonical
-        form, so both write the same bytes, and ``report --data`` still
-        prints the run's own report."""
-        saved = {}
-        for workers in (1, 2):
-            out_dir = tmp_path / f"workers-{workers}"
-            assert main(["run", "--preset", "chaos", "--workers",
-                         str(workers), "--out", str(out_dir)]) == 0
-            printed = capsys.readouterr().out
-            assert "Figure 1" in printed
-            assert main(["report", "--data", str(out_dir)]) == 0
-            assert capsys.readouterr().out == printed
-            saved[workers] = {path.name: path.read_bytes()
-                              for path in sorted(out_dir.iterdir())}
-        assert "flows.npz" in saved[1]
-        assert saved[1] == saved[2]
+    def test_saved_dataset_is_canonical(self, tmp_path, capsys):
+        """The ingest keeps flows in registration order; ``--out`` saves
+        the canonical form, so the file's bytes do not depend on that
+        order, and ``report --data`` still prints the run's own
+        report."""
+        from repro.pipeline.store import load_dataset
+
+        out_dir = tmp_path / "out"
+        assert main(["run", "--preset", "chaos", "--out",
+                     str(out_dir)]) == 0
+        printed = capsys.readouterr().out
+        assert "Figure 1" in printed
+        assert main(["report", "--data", str(out_dir)]) == 0
+        assert capsys.readouterr().out == printed
+        saved = load_dataset(str(out_dir / "flows.npz"))
+        assert saved.identical(saved.canonicalize())
 
 
 class TestJournaledRunCommand:

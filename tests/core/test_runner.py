@@ -35,7 +35,7 @@ def chaos_config():
 def golden(tmp_path_factory, chaos_config):
     """One clean journaled run; the baseline every test diffs against."""
     journal_dir = str(tmp_path_factory.mktemp("golden-journal"))
-    run = JournaledRun.start(journal_dir, chaos_config, workers=1)
+    run = JournaledRun.start(journal_dir, chaos_config)
     result = run.execute()
     return journal_dir, result, output_digests(result.run_dir)
 
@@ -192,7 +192,7 @@ class TestRecovery:
 
         resumed = JournaledRun.resume(clone_dir, result.run_id)
         outcome = resumed.execute()
-        assert outcome.replayed == ("ingest", "merge")
+        assert outcome.replayed == ("ingest",)
         assert outcome.executed == ("annotate", "analyze", "publish")
         assert compare_outputs(digests, output_digests(clone_run)) == []
         records = replay(os.path.join(clone_run, JOURNAL_FILE)).records
@@ -203,19 +203,18 @@ class TestRecovery:
             self, golden, tmp_path, chaos_config):
         _journal_dir, _result, digests = golden
         journal_dir = str(tmp_path / "journal")
-        run = JournaledRun.start(journal_dir, chaos_config, workers=1)
+        run = JournaledRun.start(journal_dir, chaos_config)
         fault = DiskFault(kind="enospc", path_contains="merged.coverage",
                           hits=None)
         with disk_faults(DiskFaultInjector(faults=(fault,))):
             with pytest.raises(DiskFullError):
                 run.execute()
 
-        # No silent loss: merge never journaled completion...
+        # No silent loss: ingest never journaled completion...
         resumed = JournaledRun.resume(journal_dir, run.run_id)
-        assert resumed.plan().completed == ("ingest",)
+        assert resumed.plan().completed == ()
         # ...and a fault-free resume converges to the golden bytes.
         outcome = resumed.execute()
-        assert outcome.executed == ("merge", "annotate", "analyze",
-                                    "publish")
+        assert outcome.executed == STAGES
         assert compare_outputs(digests,
                                output_digests(run.run_dir)) == []

@@ -139,55 +139,6 @@ class TestBaselineCohortMatch:
         assert mask.shape == (dataset.n_devices,) and not mask.any()
 
 
-class TestParallelVariants:
-    """The counterfactual and baseline arms ride the sharded ingest."""
-
-    _config = None
-
-    @classmethod
-    def config(cls):
-        if cls._config is None:
-            cls._config = StudyConfig(
-                n_students=6, seed=9,
-                start_ts=utc_ts(2020, 2, 1), end_ts=utc_ts(2020, 2, 11),
-                visitor_min_days=3)
-        return cls._config
-
-    def test_parallel_counterfactual_identical_to_serial(self):
-        study = LockdownStudy(self.config())
-        serial = study.run_counterfactual()
-        parallel = study.run_counterfactual(workers=2)
-        assert parallel.dataset_unfiltered.identical(
-            serial.dataset_unfiltered.canonicalize())
-        assert np.array_equal(parallel.fig1().total, serial.fig1().total)
-        assert (int(parallel.post_shutdown_mask.sum())
-                == int(serial.post_shutdown_mask.sum()))
-
-    def test_parallel_baseline_matches_serial(self):
-        import math
-
-        study = LockdownStudy(self.config())
-        artifacts = study.run()
-        window = (utc_ts(2019, 2, 1), utc_ts(2019, 2, 11))
-        logs = {"serial": [], "parallel": []}
-        serial_increase = study.run_baseline_2019(
-            artifacts, progress=logs["serial"].append, window=window)
-        parallel_increase = study.run_baseline_2019(
-            artifacts, progress=logs["parallel"].append, workers=2,
-            window=window)
-        # The 10-day February study has no April/May cohort, so the
-        # statistic is NaN on both arms; the equivalence being tested
-        # is that the parallel baseline ingest feeds the same numbers
-        # through the same formula.
-        assert (parallel_increase == serial_increase
-                or (math.isnan(parallel_increase)
-                    and math.isnan(serial_increase)))
-        flows = {key: [msg for msg in messages if "2019 baseline" in msg]
-                 for key, messages in logs.items()}
-        assert flows["serial"] == flows["parallel"]
-        assert flows["serial"] and flows["serial"][0] != "2019 baseline: 0 flows"
-
-
 class TestSharedIngest:
     """Every arm goes through the one ingest helper."""
 
@@ -196,29 +147,9 @@ class TestSharedIngest:
         start_ts=utc_ts(2020, 2, 1), end_ts=utc_ts(2020, 2, 22),
         visitor_min_days=3)
 
-    @pytest.mark.parametrize("arm", ["run", "counterfactual",
-                                     "baseline_2019"])
-    def test_zero_workers_rejected_on_every_arm(self, arm, mini_artifacts):
-        study = LockdownStudy(self._config)
-        call = {
-            "run": lambda: study.run(workers=0),
-            "counterfactual": lambda: study.run_counterfactual(workers=0),
-            "baseline_2019": lambda: study.run_baseline_2019(
-                mini_artifacts, workers=0,
-                window=(utc_ts(2019, 2, 1), utc_ts(2019, 2, 3))),
-        }[arm]
-        with pytest.raises(ValueError, match="workers"):
-            call()
-
-    def test_shard_deadline_rejected_on_the_serial_walk(self):
-        """The serial walk has no watchdog; a deadline is refused, not
-        silently dropped."""
-        with pytest.raises(ValueError, match="workers > 1"):
-            LockdownStudy(self._config).run(workers=1, shard_deadline=5.0)
-
     def test_counterfactual_reports_weekly_progress(self):
-        """A serial counterfactual reports once per simulated week, so
-        a raising progress hook (the serve deadline) can stop it
+        """A counterfactual reports once per simulated week, so a
+        raising progress hook (the serve deadline) can stop it
         mid-ingest."""
         messages = []
         LockdownStudy(self._config).run_counterfactual(

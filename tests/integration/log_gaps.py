@@ -1,8 +1,18 @@
-"""Seeded log-gap schedules for the gap-chaos and columnar tests."""
+"""Collector outages for the gap-chaos and columnar tests.
 
-from typing import List, Tuple
+:func:`seeded_log_gaps` draws outage schedules; :func:`gapped_generation`
+cuts a :class:`~repro.reliability.faults.FaultPlan`'s outages out of
+every day a generator makes, so any ingest -- a study run, a journaled
+run -- sees them without a test-only parameter on the code under test.
+"""
 
-from repro.reliability.faults import LogGap
+from contextlib import contextmanager
+from typing import Iterator, List, Tuple
+
+import pytest
+
+from repro.reliability.faults import FaultPlan, LogGap
+from repro.synth.generator import CampusTraceGenerator
 from repro.util.rng import substream
 
 
@@ -34,3 +44,22 @@ def seeded_log_gaps(seed: int,
         end = min(start + length, window_end)
         gaps.append(LogGap(source=source, start=start, end=end))
     return tuple(sorted(gaps, key=lambda gap: gap.start))
+
+
+@contextmanager
+def gapped_generation(plan: FaultPlan) -> Iterator[None]:
+    """Apply ``plan.drop_log_span`` to every generated day trace.
+
+    Wraps :meth:`CampusTraceGenerator.generate_day`, which runs in the
+    ingesting process for every day -- the day pool computes only the
+    day step -- so pooled and in-process generation both see the gaps.
+    """
+    original = CampusTraceGenerator.generate_day
+
+    def generate_day(self, day_start, *args, **kwargs):
+        return plan.drop_log_span(
+            original(self, day_start, *args, **kwargs))
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(CampusTraceGenerator, "generate_day", generate_day)
+        yield

@@ -1,27 +1,22 @@
-"""Chaos suite: the sharded pipeline under injected faults.
+"""Chaos suite: ingest checkpoints and corrupt-record quarantine.
 
 Every fault here comes from the deterministic injector in
 :mod:`repro.reliability.faults`, so each scenario replays exactly:
 
-* worker kills and transient I/O errors are retried and the merged
-  dataset stays byte-identical (``FlowDataset.identical``) to the
-  fault-free run;
-* exhausted retries and fatal errors surface as ``ShardFailure``
-  without leaking futures or worker processes;
-* a rerun handed the shards an interrupted run finished executes
-  only the others, and the merge still matches the fault-free run;
+* a journaled run checkpoints its whole-window ingest, and a resume
+  handed a run that finished some stages executes only the others,
+  with outputs byte-identical to the uninterrupted run;
 * corrupted log lines in lenient mode are quarantined with exact
   counts, and the surviving records produce the same dataset a
   pre-cleaned log would.
 
-Journaling those shards and resuming from the journal are tested in
-``test_shard_resume.py``.
+Kills at every journal barrier and inside the ingest are tested with
+real processes in ``test_crash_chaos.py``; torn ingest files in
+``test_ingest_resume.py``.
 """
 
 import gzip
-import multiprocessing
 import os
-import time
 
 import pytest
 
@@ -33,15 +28,9 @@ from repro.io.tracedir import (
     export_traces,
     ingest_trace_dir,
 )
-from repro.pipeline.parallel import (
-    ParallelPipeline,
-    ShardFailure,
-    merge_shards,
-)
 from repro.pipeline.pipeline import MonitoringPipeline
 from repro.reliability.errors import RecordError
-from repro.reliability.faults import FaultPlan, corrupt_log_lines
-from repro.reliability.retry import RetryPolicy
+from repro.reliability.faults import corrupt_log_lines
 from repro.synth.generator import CampusTraceGenerator
 from repro.util.timeutil import utc_ts
 
@@ -50,148 +39,72 @@ _CONFIG = StudyConfig(n_students=4, seed=11,
                       end_ts=utc_ts(2020, 2, 7),
                       visitor_min_days=2)
 
-#: Zero-delay policy: chaos tests prove the retry *logic*, the backoff
-#: schedule itself is covered by tests/reliability/test_retry.py.
-def _no_delay(max_attempts=3):
-    return RetryPolicy.no_delay(max_attempts=max_attempts, seed=_CONFIG.seed)
-
-
 @pytest.fixture(scope="module")
-def clean_run():
-    """The fault-free parallel baseline every recovery must reproduce."""
-    return ParallelPipeline(_CONFIG, workers=2).run()
+def clean_run(tmp_path_factory):
+    """One uninterrupted journaled run, plus its output digests."""
+    from repro.core.runner import JournaledRun
+    from repro.reliability.crashmatrix import output_digests
 
-
-def _assert_no_zombies():
-    # The executor joins before run() returns; give the OS a beat to
-    # reap the pool processes before declaring them zombies.
-    for _ in range(50):
-        if not multiprocessing.active_children():
-            return
-        time.sleep(0.1)
-    assert not multiprocessing.active_children()
-
-
-class TestWorkerKillRecovery:
-    def test_killed_worker_is_retried_to_an_identical_result(
-            self, clean_run):
-        runner = ParallelPipeline(_CONFIG, workers=2,
-                                  faults=FaultPlan(kill_shards=(0,)),
-                                  retry_policy=_no_delay())
-        result = runner.run()
-        # The dead pool reclaims *every* in-flight shard (the culprit is
-        # unknowable from the parent), so both shards are charged a
-        # retry and both succeed on attempt 2.
-        assert result.attempts == {0: 2, 1: 2}
-        assert result.dataset.identical(clean_run.dataset)
-        assert result.stats == clean_run.stats
-        assert runner.last_pool_stats["orphaned"] == 0
-        _assert_no_zombies()
-
-    def test_transient_io_error_is_retried_to_an_identical_result(
-            self, clean_run):
-        runner = ParallelPipeline(
-            _CONFIG, workers=2,
-            faults=FaultPlan(transient_shards=(0, 1)),
-            retry_policy=_no_delay())
-        result = runner.run()
-        assert result.attempts == {0: 2, 1: 2}
-        assert result.dataset.identical(clean_run.dataset)
-        assert result.stats == clean_run.stats
-
-    def test_kill_plus_transient_combined(self, clean_run):
-        """Both fault families in one run still converge to the
-        baseline; interleaving decides the exact attempt counts."""
-        runner = ParallelPipeline(
-            _CONFIG, workers=2,
-            faults=FaultPlan(kill_shards=(0,), transient_shards=(1,),
-                             transient_attempts=(0, 1)),
-            retry_policy=_no_delay(max_attempts=5))
-        result = runner.run()
-        assert all(2 <= count <= 5 for count in result.attempts.values())
-        assert result.dataset.identical(clean_run.dataset)
-        assert result.stats == clean_run.stats
-
-    def test_inline_path_retries_transient_faults(self, clean_run):
-        """workers=1 takes the in-process path; same retry contract."""
-        result = ParallelPipeline(
-            _CONFIG, workers=1,
-            faults=FaultPlan(transient_shards=(0,)),
-            retry_policy=_no_delay()).run()
-        assert result.attempts == {0: 2}
-        # One shard vs. two: same canonical dataset either way.
-        assert result.dataset.identical(clean_run.dataset)
-
-
-class TestRetryExhaustion:
-    def test_exhausted_retries_surface_with_attempt_count(self):
-        runner = ParallelPipeline(
-            _CONFIG, workers=2,
-            faults=FaultPlan(transient_shards=(0,),
-                             transient_attempts=(0, 1)),
-            retry_policy=_no_delay(max_attempts=2))
-        with pytest.raises(ShardFailure) as excinfo:
-            runner.run()
-        assert excinfo.value.attempts == 2
-        assert excinfo.value.spec.index == 0
-        assert "after 2 attempt(s)" in str(excinfo.value)
-        assert runner.last_pool_stats["orphaned"] == 0
-        _assert_no_zombies()
-
-    def test_persistent_kill_exhausts_the_budget(self):
-        runner = ParallelPipeline(
-            _CONFIG, workers=2,
-            faults=FaultPlan(kill_shards=(0,), kill_attempts=(0, 1)),
-            retry_policy=_no_delay(max_attempts=2))
-        with pytest.raises(ShardFailure) as excinfo:
-            runner.run()
-        assert excinfo.value.attempts == 2
-        assert runner.last_pool_stats["orphaned"] == 0
-        _assert_no_zombies()
-
-    def test_fatal_errors_are_never_retried(self):
-        """InjectedShardFault is a plain RuntimeError: fatal, so the
-        shard is charged exactly one attempt."""
-        runner = ParallelPipeline(_CONFIG, workers=2,
-                                  faults=FaultPlan(fatal_shards=(0, 1)),
-                                  retry_policy=_no_delay())
-        with pytest.raises(ShardFailure) as excinfo:
-            runner.run()
-        assert excinfo.value.attempts == 1
+    journal_dir = str(tmp_path_factory.mktemp("chaos-journal"))
+    result = JournaledRun.start(journal_dir, _CONFIG).execute()
+    return result, output_digests(result.run_dir)
 
 
 class TestCheckpointResume:
-    """The hooks a journaled resume is built on: ``run_shards`` hands
-    each finished shard to a callback and skips the shards a resume
-    already holds, and ``merge_shards`` joins the two sets."""
+    """The journal is the checkpoint: the ingest stage writes the whole
+    window's measurement to journaled files, and a resume replays every
+    stage whose record and files are intact."""
 
     def test_first_run_checkpoints_every_shard(self, clean_run):
-        runner = ParallelPipeline(_CONFIG, workers=2)
-        outcomes = {}
-        attempts = runner.run_shards(outcomes.__setitem__)
-        assert sorted(outcomes) == [0, 1]
-        assert attempts == {0: 1, 1: 1}
-        dataset, stats, coverage = merge_shards(runner.shards, outcomes)
-        assert dataset.identical(clean_run.dataset)
-        assert stats == clean_run.stats
-        assert coverage == clean_run.coverage
+        """The ingest checkpoint holds exactly what an in-memory ingest
+        of the window measures: dataset, counters and coverage."""
+        import json
 
-    def test_resume_reexecutes_only_missing_shards(self, clean_run):
-        """Interrupted after k of n shards: the rerun is handed the k
-        checkpoints and executes exactly the n - k others."""
-        first = {}
-        ParallelPipeline(_CONFIG, workers=2).run_shards(first.__setitem__)
-        kept = {0: first[0]}
+        from repro.core.study import _ingest
+        from repro.pipeline.store import load_dataset, load_stats
+        from repro.reliability.coverage import CoverageReport
 
-        runner = ParallelPipeline(_CONFIG, workers=2)
-        rerun = {}
-        attempts = runner.run_shards(rerun.__setitem__, skip=kept)
-        assert set(attempts) == {1}
-        assert sorted(rerun) == [1]
-        dataset, stats, _ = merge_shards(runner.shards, {**kept, **rerun})
-        assert dataset.identical(clean_run.dataset)
-        assert stats == clean_run.stats
-        _assert_no_zombies()
+        result, _digests = clean_run
+        dataset, stats, coverage = _ingest(
+            _CONFIG, CampusTraceGenerator(_CONFIG), lambda message: None)
+        saved = os.path.join(result.run_dir, "merged")
+        assert load_dataset(saved + ".npz").identical(
+            dataset.canonicalize())
+        assert load_stats(saved + ".stats.json") == stats
+        with open(saved + ".coverage.json") as fileobj:
+            assert CoverageReport.from_json(json.load(fileobj)) == coverage
+
+    def test_resume_reexecutes_only_missing_shards(self, clean_run,
+                                                   tmp_path):
+        """Interrupted after k of n stages: the resume replays the k
+        journaled ones and executes exactly the n - k others."""
+        import shutil
+
+        from repro.core.runner import JournaledRun
+        from repro.reliability.crashmatrix import (
+            compare_outputs,
+            output_digests,
+        )
+        from repro.reliability.journal import JOURNAL_FILE, replay
+
+        result, digests = clean_run
+        journal_dir = str(tmp_path / "journal")
+        run_dir = os.path.join(journal_dir, result.run_id)
+        shutil.copytree(result.run_dir, run_dir)
+        path = os.path.join(run_dir, JOURNAL_FILE)
+        with open(path) as fileobj:
+            lines = fileobj.read().splitlines()
+        annotated = next(
+            index for index, record in enumerate(replay(path).records)
+            if record.kind == "stage_end"
+            and record.payload["stage"] == "annotate")
+        with open(path, "w") as fileobj:
+            fileobj.write("\n".join(lines[:annotated + 1]) + "\n")
+
+        outcome = JournaledRun.resume(journal_dir, result.run_id).execute()
+        assert outcome.replayed == ("ingest", "annotate")
+        assert outcome.executed == ("analyze", "publish")
+        assert compare_outputs(digests, output_digests(run_dir)) == []
 
 
 # ---------------------------------------------------------------------------

@@ -1,10 +1,11 @@
 """Crash chaos: SIGKILL at every barrier, disk faults, no silent loss.
 
-This is the PR's acceptance test, run against real processes via the
+Run against real processes via the
 :mod:`repro.reliability.crashmatrix` harness: a ``repro run`` SIGKILLed
 at every journal barrier and mid-ingest must resume to outputs
-byte-identical to an uninterrupted run, and an injected disk fault must
-surface as a nonzero exit -- never as silently missing data.
+byte-identical to an uninterrupted run and leave no process behind,
+and an injected disk fault must surface as a nonzero exit -- never as
+silently missing data.
 """
 
 import json
@@ -30,8 +31,14 @@ from repro.reliability.faults import DISK_FAULT_ENV
 def matrix_report(tmp_path_factory):
     """Run the full kill-resume-diff matrix once; tests assert on it."""
     base_dir = str(tmp_path_factory.mktemp("crash-matrix"))
-    return run_matrix(base_dir, preset="chaos", workers=2,
-                      points=CRASH_POINTS)
+    return run_matrix(base_dir, preset="chaos", points=CRASH_POINTS)
+
+
+def _pooled_generation():
+    """Whether a chaos-preset run generates its days in a pool."""
+    from repro.synth.generator import _pool_workers
+
+    return _pool_workers(7) > 0
 
 
 class TestSigkillMatrix:
@@ -57,11 +64,24 @@ class TestSigkillMatrix:
         points = [outcome["point"]
                   for outcome in matrix_report["points"]]
         assert points == list(CRASH_POINTS)
-        for stage in ("ingest", "merge", "annotate", "analyze",
-                      "publish"):
+        for stage in ("ingest", "annotate", "analyze", "publish"):
             assert f"pre:{stage}" in points
             assert f"post:{stage}" in points
-        assert "mid:ingest:shard" in points
+        assert "mid:ingest" in points
+
+    def test_no_process_outlives_a_kill(self, matrix_report):
+        """Every kill and resume left its process group empty once the
+        harness reaped it -- including the day-pool workers a
+        mid-ingest kill orphans."""
+        left = [outcome["point"] for outcome in matrix_report["points"]
+                if outcome["leftover"]]
+        assert left == []
+        orphaned = {outcome["point"] for outcome in matrix_report["points"]
+                    if outcome["orphaned"]}
+        if _pooled_generation():
+            assert "mid:ingest" in orphaned
+        # Only the kill inside the day walk has day-pool workers alive.
+        assert orphaned <= {"mid:ingest"}
 
     def test_golden_outputs_are_nonempty(self, matrix_report):
         digests = matrix_report["golden_digests"]
@@ -80,8 +100,7 @@ class TestDiskFaultEndToEnd:
         if faults is not None:
             env[DISK_FAULT_ENV] = json.dumps(faults)
         command = [sys.executable, "-m", "repro", "run",
-                   "--preset", "chaos", "--workers", "1",
-                   "--journal-dir", journal_dir]
+                   "--preset", "chaos", "--journal-dir", journal_dir]
         if resume is not None:
             command += ["--resume-run", resume]
         return subprocess.run(command, env=env, capture_output=True,
@@ -96,7 +115,7 @@ class TestDiskFaultEndToEnd:
         assert clean.returncode == 0, clean.stderr[-2000:]
         golden = output_digests(os.path.join(golden_dir, run_id))
 
-        # Persistent ENOSPC on the merge coverage sidecar: the run must
+        # Persistent ENOSPC on the ingest coverage sidecar: the run must
         # exit nonzero with the disk fault named -- not exit 0 with the
         # sidecar quietly absent.
         faulty = self._run(faulty_dir, faults=[

@@ -11,13 +11,12 @@ import dataclasses
 import numpy as np
 import pytest
 
-from repro import StudyConfig
+from repro import LockdownStudy, StudyConfig
 from repro.dns.records import DnsColumns
 from repro.net.wire import BurstColumns
 from repro.pipeline.pipeline import MonitoringPipeline
-from repro.reliability.faults import FaultPlan
 from repro.synth.generator import CampusTraceGenerator
-from repro.util.timeutil import utc_ts
+from repro.util.timeutil import format_day, utc_ts
 
 _CONFIG = StudyConfig(n_students=6, seed=42)
 
@@ -120,57 +119,56 @@ class TestEmptyDays:
         assert pipeline.stats.days_ingested == 1
 
 
-class TestShardWorkerFault:
-    """A worker dying mid-shard must surface, name the shard's day
-    range, and leave no worker processes behind."""
+class _InjectedFault(RuntimeError):
+    """A generation fault raised mid-ingest by the tests below."""
 
-    _PARALLEL_CONFIG = dataclasses.replace(
+
+class TestShardWorkerFault:
+    """A fault raised mid-ingest must surface unchanged and leave no
+    day-pool worker behind."""
+
+    _POOLED_CONFIG = dataclasses.replace(
         _CONFIG,
         start_ts=utc_ts(2020, 2, 1),
         end_ts=utc_ts(2020, 2, 9),
         visitor_min_days=2,
     )
 
-    def test_fault_surfaces_shard_day_range(self):
-        from repro.pipeline.parallel import ParallelPipeline, ShardFailure
+    @staticmethod
+    def _fail_from(monkeypatch, first_bad_day):
+        """Make day generation raise from ``first_bad_day`` on."""
+        original = CampusTraceGenerator.generate_day
 
-        runner = ParallelPipeline(self._PARALLEL_CONFIG, workers=2,
-                                  faults=FaultPlan(fatal_shards=(1,)))
-        with pytest.raises(ShardFailure) as excinfo:
-            runner.run()
-        message = str(excinfo.value)
-        # The fault hits the second shard (owns Feb 5..8).
-        assert "days 2020-02-05..2020-02-08" in message
-        assert "shard 2/2" in message
-        assert excinfo.value.spec.owned_start == utc_ts(2020, 2, 5)
+        def generate_day(self, day_start, *args, **kwargs):
+            if day_start >= first_bad_day:
+                raise _InjectedFault(
+                    f"injected fault on {format_day(day_start)}")
+            return original(self, day_start, *args, **kwargs)
 
-    def test_fault_leaves_no_zombie_workers(self):
+        monkeypatch.setattr(CampusTraceGenerator, "generate_day",
+                            generate_day)
+
+    def test_fault_leaves_no_zombie_workers(self, monkeypatch):
         import multiprocessing
         import time
 
-        from repro.pipeline.parallel import ParallelPipeline, ShardFailure
-
-        runner = ParallelPipeline(self._PARALLEL_CONFIG, workers=2,
-                                  faults=FaultPlan(fatal_shards=(0, 1)))
-        with pytest.raises(ShardFailure):
-            runner.run()
-        # Every submitted future was collected, cancelled, or done by
-        # the time shutdown(cancel_futures=True) joined the pool.
-        assert runner.last_pool_stats is not None
-        assert runner.last_pool_stats["orphaned"] == 0
-        # The executor is shut down before the failure propagates; give
-        # the OS a beat to reap the pool processes.
+        self._fail_from(monkeypatch, utc_ts(2020, 2, 5))
+        with pytest.raises(_InjectedFault, match="2020-02-05"):
+            LockdownStudy(self._POOLED_CONFIG).run()
+        # The day pool is shut down before the failure propagates; give
+        # the OS a beat to reap its processes.
         for _ in range(50):
             if not multiprocessing.active_children():
                 break
             time.sleep(0.1)
         assert not multiprocessing.active_children()
 
-    def test_inline_single_worker_fault_also_surfaces(self):
-        from repro.pipeline.parallel import ParallelPipeline, ShardFailure
+    def test_inline_single_worker_fault_also_surfaces(self, monkeypatch):
+        """With one usable CPU the day step stays in process; the
+        fault surfaces the same way."""
+        from repro.synth import generator
 
-        runner = ParallelPipeline(self._PARALLEL_CONFIG, workers=1,
-                                  faults=FaultPlan(fatal_shards=(0,)))
-        with pytest.raises(ShardFailure) as excinfo:
-            runner.run()
-        assert "shard 1/1" in str(excinfo.value)
+        monkeypatch.setattr(generator, "_usable_cpus", lambda: 1)
+        self._fail_from(monkeypatch, utc_ts(2020, 2, 5))
+        with pytest.raises(_InjectedFault, match="2020-02-05"):
+            LockdownStudy(self._POOLED_CONFIG).run()

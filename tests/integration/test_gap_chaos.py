@@ -1,39 +1,42 @@
-"""Gap-chaos suite: telemetry outages, degraded annotation, watchdog.
+"""Gap-chaos suite: telemetry outages and degraded annotation.
 
 The contract under test, end to end:
 
 * a DHCP/DNS collector outage never silently drops a flow -- every
   closed flow is either annotated (possibly *degraded*), or counted
   ``flows_unattributed``;
-* serial and parallel ingest remain byte-identical under any injected
-  gap plan, coverage reports included;
-* the merged coverage report says exactly which spans of which source
-  went missing, and analysis consumes it (strict mode refuses, lenient
-  mode annotates);
-* a wedged worker is detected by the shard watchdog, killed, retried,
-  and the recovered run is byte-identical to the fault-free baseline;
-  a deterministically wedged shard fails once its retry budget is
-  spent.
+* the study's ingest under any injected gap plan is byte-identical to
+  a plain day-by-day walk of the same gapped traces, coverage included;
+* the coverage report says exactly which spans of which source went
+  missing, and analysis consumes it (strict mode refuses, lenient mode
+  annotates);
+* a journaled run keeps that coverage through its ingest files and
+  through a resume.
+
+Outages are cut out of the generated day traces by
+:func:`tests.integration.log_gaps.gapped_generation`.
 """
 
+import dataclasses
 import json
-import multiprocessing
 import os
-import time
+from typing import NamedTuple
 
 import pytest
 
 from repro.analysis.context import AnalysisContext
 from repro.analysis.fig1_active_devices import compute_fig1
 from repro.config import StudyConfig
+from repro.core.study import _ingest
 from repro.devices.classifier import DeviceClassifier
-from repro.pipeline.parallel import ParallelPipeline, ShardFailure
+from repro.pipeline.dataset import FlowDataset
+from repro.pipeline.pipeline import MonitoringPipeline, PipelineStats
+from repro.reliability.coverage import CoverageReport
 from repro.reliability.errors import CoverageError
 from repro.reliability.faults import FaultPlan, LogGap
-from repro.reliability.retry import RetryPolicy
-from repro.reliability.watchdog import WatchdogTimeout
-from repro.util.timeutil import DAY, utc_ts
-from tests.integration.log_gaps import seeded_log_gaps
+from repro.synth.generator import CampusTraceGenerator
+from repro.util.timeutil import DAY, iter_days, utc_ts
+from tests.integration.log_gaps import gapped_generation, seeded_log_gaps
 
 _CONFIG = StudyConfig(n_students=4, seed=11,
                       start_ts=utc_ts(2020, 2, 1),
@@ -43,19 +46,20 @@ _CONFIG = StudyConfig(n_students=4, seed=11,
 _N_DAYS = 6
 
 
-def _no_delay(max_attempts=3):
-    return RetryPolicy.no_delay(max_attempts=max_attempts, seed=_CONFIG.seed)
+class Ingest(NamedTuple):
+    """One measured window: what the study's ingest returns."""
+
+    dataset: FlowDataset
+    stats: PipelineStats
+    coverage: CoverageReport
 
 
-def _owned_flow_counts(stats):
-    """The per-flow counters that must be shard-count invariant.
-
-    (Work counters like ``anon_cache_hits`` legitimately differ between
-    serial and parallel runs -- shards re-process warm-up days.)
-    """
-    return (stats.flows_closed, stats.flows_unattributed,
-            stats.flows_unattributed_gap, stats.flows_degraded_dhcp,
-            stats.flows_degraded_dns)
+def _measure(plan: FaultPlan = FaultPlan(),
+             config: StudyConfig = _CONFIG) -> Ingest:
+    """The study's ingest of ``config`` with ``plan``'s outages."""
+    with gapped_generation(plan):
+        return Ingest(*_ingest(config, CampusTraceGenerator(config),
+                               lambda message: None))
 
 
 def _dhcp_gaps():
@@ -72,30 +76,18 @@ def _dns_gap():
 
 @pytest.fixture(scope="module")
 def clean_run():
-    """The gap-free parallel baseline."""
-    return ParallelPipeline(_CONFIG, workers=2).run()
+    """The gap-free baseline."""
+    return _measure()
 
 
 @pytest.fixture(scope="module")
 def dhcp_gap_run():
-    return ParallelPipeline(
-        _CONFIG, workers=2,
-        faults=FaultPlan(log_gaps=_dhcp_gaps())).run()
+    return _measure(FaultPlan(log_gaps=_dhcp_gaps()))
 
 
 @pytest.fixture(scope="module")
 def dns_gap_run():
-    return ParallelPipeline(
-        _CONFIG, workers=2,
-        faults=FaultPlan(log_gaps=_dns_gap())).run()
-
-
-def _assert_no_zombies():
-    for _ in range(50):
-        if not multiprocessing.active_children():
-            return
-        time.sleep(0.1)
-    assert not multiprocessing.active_children()
+    return _measure(FaultPlan(log_gaps=_dns_gap()))
 
 
 class TestCleanRunCoverage:
@@ -109,7 +101,6 @@ class TestCleanRunCoverage:
         assert stats.flows_degraded_dhcp == 0
         assert stats.flows_degraded_dns == 0
         assert stats.flows_unattributed_gap == 0
-        assert stats.shard_timeouts == 0
 
     def test_clean_analysis_has_no_coverage_annotations(self, clean_run):
         ctx = AnalysisContext(clean_run.dataset,
@@ -125,15 +116,6 @@ class TestCleanRunCoverage:
 
 
 class TestDhcpGap:
-    def test_serial_equals_parallel_under_gaps(self, dhcp_gap_run):
-        serial = ParallelPipeline(
-            _CONFIG, workers=1,
-            faults=FaultPlan(log_gaps=_dhcp_gaps())).run()
-        assert serial.dataset.identical(dhcp_gap_run.dataset)
-        assert _owned_flow_counts(serial.stats) == \
-            _owned_flow_counts(dhcp_gap_run.stats)
-        assert serial.coverage == dhcp_gap_run.coverage
-
     def test_no_flow_is_silently_dropped(self, clean_run, dhcp_gap_run):
         stats = dhcp_gap_run.stats
         # The wire tap saw the same traffic: gaps silence side-channel
@@ -153,11 +135,8 @@ class TestDhcpGap:
         assert dhcp_gap_run.stats.flows_unattributed_gap > 0
 
     def test_zero_staleness_disables_holdover(self, clean_run):
-        import dataclasses
         config = dataclasses.replace(_CONFIG, dhcp_staleness_seconds=0.0)
-        result = ParallelPipeline(
-            config, workers=2,
-            faults=FaultPlan(log_gaps=_dhcp_gaps())).run()
+        result = _measure(FaultPlan(log_gaps=_dhcp_gaps()), config)
         assert result.stats.flows_degraded_dhcp == 0
         assert result.stats.flows_unattributed > \
             clean_run.stats.flows_unattributed
@@ -198,15 +177,6 @@ class TestDhcpGap:
 
 
 class TestDnsGap:
-    def test_serial_equals_parallel_under_gaps(self, dns_gap_run):
-        serial = ParallelPipeline(
-            _CONFIG, workers=1,
-            faults=FaultPlan(log_gaps=_dns_gap())).run()
-        assert serial.dataset.identical(dns_gap_run.dataset)
-        assert _owned_flow_counts(serial.stats) == \
-            _owned_flow_counts(dns_gap_run.stats)
-        assert serial.coverage == dns_gap_run.coverage
-
     def test_dns_gap_never_drops_flows(self, clean_run, dns_gap_run):
         """DNS is annotation-only: attribution -- and therefore the
         dataset row count -- is untouched by a DNS outage."""
@@ -228,15 +198,22 @@ class TestDnsGap:
 
 class TestCombinedGaps:
     def test_both_sources_gapped_still_byte_identical(self):
+        """The study's ingest (days computed ahead in the day pool)
+        equals a plain walk that gaps each in-process day itself."""
         plan = FaultPlan(log_gaps=_dhcp_gaps() + _dns_gap())
-        serial = ParallelPipeline(_CONFIG, workers=1, faults=plan).run()
-        parallel = ParallelPipeline(_CONFIG, workers=3, faults=plan).run()
-        assert serial.dataset.identical(parallel.dataset)
-        assert _owned_flow_counts(serial.stats) == \
-            _owned_flow_counts(parallel.stats)
-        assert serial.coverage == parallel.coverage
-        assert parallel.stats.flows_degraded_dhcp > 0
-        assert parallel.stats.flows_degraded_dns > 0
+        measured = _measure(plan)
+
+        generator = CampusTraceGenerator(_CONFIG)
+        walk = MonitoringPipeline(_CONFIG, generator.plan.excluded_blocks(
+            _CONFIG.excluded_operators))
+        for day_start in iter_days(_CONFIG.start_ts, _CONFIG.end_ts):
+            walk.ingest_day(plan.drop_log_span(
+                generator.generate_day(day_start)))
+        assert measured.dataset.identical(walk.finalize())
+        assert measured.stats == walk.stats
+        assert measured.coverage == walk.coverage_report()
+        assert measured.stats.flows_degraded_dhcp > 0
+        assert measured.stats.flows_degraded_dns > 0
 
 
 @pytest.fixture(scope="module")
@@ -247,24 +224,9 @@ def dhcp_gap_journaled(tmp_path_factory):
     from repro.reliability.crashmatrix import output_digests
 
     journal_dir = str(tmp_path_factory.mktemp("gap-journal"))
-    with pytest.MonkeyPatch.context() as patch:
-        _gap_every_pipeline(patch)
-        result = JournaledRun.start(journal_dir, _CONFIG,
-                                    workers=2).execute()
+    with gapped_generation(FaultPlan(log_gaps=_dhcp_gaps())):
+        result = JournaledRun.start(journal_dir, _CONFIG).execute()
     return result, output_digests(result.run_dir)
-
-
-def _gap_every_pipeline(patch):
-    """Make every pipeline a journaled run builds see the DHCP outage."""
-    from repro.pipeline import parallel
-
-    plan = FaultPlan(log_gaps=_dhcp_gaps())
-
-    class Gapped(ParallelPipeline):
-        def __init__(self, config, workers, **kwargs):
-            super().__init__(config, workers, faults=plan, **kwargs)
-
-    patch.setattr(parallel, "ParallelPipeline", Gapped)
 
 
 def _copy_run(result, tmp_path, keep_records=None):
@@ -286,24 +248,19 @@ def _copy_run(result, tmp_path, keep_records=None):
     return journal_dir, run_dir
 
 
-def _ingest_info(run_dir):
+def _records(run_dir):
     from repro.reliability.journal import JOURNAL_FILE, replay
 
-    ends = [record.payload for record
-            in replay(os.path.join(run_dir, JOURNAL_FILE)).records
-            if record.kind == "stage_end"
-            and record.payload["stage"] == "ingest"]
-    return ends[-1]["info"]
+    return replay(os.path.join(run_dir, JOURNAL_FILE)).records
 
 
 class TestGapCheckpointResume:
     def test_coverage_survives_the_shard_round_trip(
             self, dhcp_gap_journaled, dhcp_gap_run):
-        """A journaled run under a DHCP outage: the merge reads every
-        shard's coverage back from its journaled file, and the merged
-        report still names exactly the gaps the in-memory run saw."""
+        """A journaled run under a DHCP outage: the coverage its ingest
+        stage wrote reads back as exactly the gaps the in-memory run
+        saw, next to the same dataset."""
         from repro.pipeline.store import load_dataset
-        from repro.reliability.coverage import CoverageReport
 
         result, _digests = dhcp_gap_journaled
         with open(os.path.join(result.run_dir,
@@ -312,39 +269,39 @@ class TestGapCheckpointResume:
         assert not coverage.is_complete()
         assert coverage == dhcp_gap_run.coverage
         merged = load_dataset(os.path.join(result.run_dir, "merged.npz"))
-        assert merged.identical(dhcp_gap_run.dataset)
+        assert merged.identical(dhcp_gap_run.dataset.canonicalize())
 
     def test_coverage_survives_checkpoint_resume(self, tmp_path,
                                                  dhcp_gap_journaled):
-        """Killed after the last ``shard_end``: the resume re-runs no
-        shard, and the gapped coverage it merges from the journaled
-        files is the coverage the uninterrupted run published."""
+        """Killed right after the ingest's ``stage_end``: the resume
+        replays the ingest, and the gapped coverage the later stages
+        read from its files is the coverage the uninterrupted run
+        published."""
         from repro.core.runner import JournaledRun
         from repro.reliability.crashmatrix import (
             compare_outputs,
             output_digests,
         )
-        from repro.reliability.journal import JOURNAL_FILE, replay
 
         result, digests = dhcp_gap_journaled
-        records = replay(os.path.join(result.run_dir, JOURNAL_FILE)).records
-        last_shard = max(index for index, record in enumerate(records)
-                         if record.kind == "shard_end")
+        ingest_end = next(
+            index for index, record in enumerate(_records(result.run_dir))
+            if record.kind == "stage_end"
+            and record.payload["stage"] == "ingest")
         journal_dir, run_dir = _copy_run(result, tmp_path,
-                                         keep_records=last_shard + 1)
+                                         keep_records=ingest_end + 1)
 
-        # No pipeline is patched: a shard re-run here would lose the
-        # outage and change the merged coverage.
-        JournaledRun.resume(journal_dir, result.run_id).execute()
-        info = _ingest_info(run_dir)
-        assert info["resumed_shards"] == [0, 1]
-        assert info["attempts"] == {}
+        # Generation is not gapped here: re-running the ingest would
+        # lose the outage and change the coverage.
+        resumed = JournaledRun.resume(journal_dir, result.run_id).execute()
+        assert resumed.replayed == ("ingest",)
+        assert resumed.executed == JournaledRun.STAGES[1:]
         assert compare_outputs(digests, output_digests(run_dir)) == []
 
     def test_corrupt_checkpoint_is_discarded_and_reingested(
-            self, tmp_path, monkeypatch, dhcp_gap_journaled):
-        """Bit rot in a finished run's shard: the resume re-ingests that
-        shard alone, and a further resume finds nothing to do."""
+            self, tmp_path, dhcp_gap_journaled):
+        """Bit rot in a finished run's ingest output: the resume
+        re-ingests, and a further resume finds nothing to do."""
         from repro.core.runner import JournaledRun
         from repro.reliability.crashmatrix import (
             compare_outputs,
@@ -353,64 +310,19 @@ class TestGapCheckpointResume:
 
         result, digests = dhcp_gap_journaled
         journal_dir, run_dir = _copy_run(result, tmp_path)
-        with open(os.path.join(run_dir, "shards", "shard-0000.npz"),
-                  "wb") as fileobj:
+        with open(os.path.join(run_dir, "merged.npz"), "wb") as fileobj:
             fileobj.write(b"bit rot")
 
-        _gap_every_pipeline(monkeypatch)
-        repaired = JournaledRun.resume(journal_dir, result.run_id).execute()
+        with gapped_generation(FaultPlan(log_gaps=_dhcp_gaps())):
+            repaired = JournaledRun.resume(journal_dir,
+                                           result.run_id).execute()
         assert repaired.executed == JournaledRun.STAGES
-        info = _ingest_info(run_dir)
-        assert info["discarded_shards"] == [0]
-        assert info["resumed_shards"] == [1]
-        assert set(info["attempts"]) == {"0"}
-        # The re-ingested shard overwrote the rotten file.
+        notes = [record.payload for record in _records(run_dir)
+                 if record.kind == "note"]
+        assert notes == [{"event": "stage_outputs_invalid",
+                          "stage": "ingest"}]
+        # The re-run ingest overwrote the rotten file.
         assert compare_outputs(digests, output_digests(run_dir)) == []
 
         fresh = JournaledRun.resume(journal_dir, result.run_id).execute()
         assert fresh.executed == ()
-
-
-class TestHungShard:
-    def test_watchdog_kills_and_retries_to_identical_result(
-            self, clean_run):
-        runner = ParallelPipeline(
-            _CONFIG, workers=2,
-            faults=FaultPlan(hang_shards=(0,), hang_seconds=60.0),
-            retry_policy=_no_delay(),
-            shard_deadline=2.0)
-        result = runner.run()
-        # The stalled shard is charged (and recovered on attempt 2);
-        # its sibling is requeued uncharged.
-        assert result.attempts[0] == 2
-        assert result.attempts[1] == 1
-        assert result.dataset.identical(clean_run.dataset)
-        assert result.stats.shard_timeouts == 1
-        assert result.stats.flows_closed == clean_run.stats.flows_closed
-        assert runner.last_pool_stats["orphaned"] == 0
-        _assert_no_zombies()
-
-    def test_wedged_shard_exhausts_its_retry_budget(self):
-        """The retry policy is the only budget: a shard hung on every
-        attempt fails once its attempts are spent."""
-        runner = ParallelPipeline(
-            _CONFIG, workers=2,
-            faults=FaultPlan(hang_shards=(0,), hang_attempts=(0, 1),
-                             hang_seconds=60.0),
-            retry_policy=_no_delay(max_attempts=2),
-            shard_deadline=1.5)
-        with pytest.raises(ShardFailure) as excinfo:
-            runner.run()
-        assert excinfo.value.attempts == 2
-        assert excinfo.value.spec.index == 0
-        assert isinstance(excinfo.value.__cause__, WatchdogTimeout)
-        assert runner.last_pool_stats["orphaned"] == 0
-        _assert_no_zombies()
-
-    def test_watchdog_enabled_clean_run_stays_identical(self, clean_run):
-        """Supervision with no faults must not perturb the result."""
-        result = ParallelPipeline(_CONFIG, workers=2,
-                                  shard_deadline=120.0).run()
-        assert result.dataset.identical(clean_run.dataset)
-        assert result.stats == clean_run.stats
-        assert result.stats.shard_timeouts == 0

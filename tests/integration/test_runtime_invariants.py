@@ -1,9 +1,11 @@
 """Three guarantees the published results rest on, checked on real runs.
 
-* **Operational settings never change outputs.** The store keys every
-  artifact by a fingerprint that leaves out the settings in
-  ``NON_SEMANTIC_FIELDS``, so a setting that changed the bytes would
-  serve one run's results under another run's key.
+* **How a study is run never changes its outputs.** The store keys
+  every artifact by a fingerprint that leaves out the settings in
+  ``NON_SEMANTIC_FIELDS``, so a setting -- or an entry point -- that
+  changed the bytes would serve one run's results under another run's
+  key. A plain study run and a journaled run of one config must
+  therefore publish the same bytes under the same key.
 * **Outputs do not depend on hash or directory order.** A seeded run
   gives the same bytes under any ``PYTHONHASHSEED`` and any order the
   filesystem lists entries in.
@@ -26,16 +28,28 @@ import sys
 from pathlib import Path
 
 from repro import LockdownStudy, StudyConfig
+from repro.core.report import render_full_report
+from repro.core.runner import JournaledRun
+from repro.pipeline.store import load_dataset, load_stats, save_dataset
 from repro.reliability.atomic import TMP_MARKER, tmp_path_for
+from repro.reliability.coverage import CoverageReport
 from repro.reliability.journal import JOURNAL_FILE
-from repro.serve.fingerprint import NON_SEMANTIC_FIELDS, study_fingerprint
+from repro.serve.fingerprint import (
+    NON_SEMANTIC_FIELDS,
+    canonical_json,
+    study_fingerprint,
+)
+from repro.serve.service import artifact_json, artifact_names
+from repro.serve.store import ArtifactStore
 from tests.integration.published import published_outputs
 
 REPO_ROOT = Path(__file__).resolve().parents[2]
 PROBE = Path(__file__).resolve().with_name("runtime_probe.py")
 
-#: Two values for each ``StudyConfig`` field the fingerprint leaves out.
-_OPERATIONAL_VALUES = {"max_shard_retries": (0, 3)}
+#: Keys of retired sharded ingest that older config payloads and
+#: committed baselines still carry; they must fingerprint as if absent.
+_RETIRED_KEYS = {"max_shard_retries": 3, "workers": 2,
+                 "shard_deadline": 60.0}
 
 #: Writes that are neither staged nor journal appends, keyed by
 #: ``(op, "module:function")`` of the ``repro`` frame that made them.
@@ -47,10 +61,6 @@ WRITE_ALLOW_LIST = {
     ("rename", "repro.serve.store:quarantine"):
         "moving a corrupt store entry aside: the entry is already "
         "sealed, and os.replace is atomic on its own",
-    ("open", "repro.reliability.watchdog:write_heartbeat"):
-        "a shard worker's heartbeat: an ephemeral file in a private "
-        "temp dir that the watchdog compares by content only, so a "
-        "torn write reads as no progress",
     ("open", "repro.reliability.crashmatrix:_run_cli"):
         "the crash matrix's live capture of a CLI run's output: it must "
         "hold what the run wrote up to the SIGKILL it records, which a "
@@ -74,28 +84,65 @@ def _probe(mode, out_dir, *args, hash_seed="0"):
     return result.stdout
 
 
+def _file_bytes(path):
+    with open(path, "rb") as fileobj:
+        return fileobj.read()
+
+
 def test_operational_settings_do_not_change_outputs(tmp_path):
+    # No StudyConfig field is operational: a new one must get a check
+    # here that its values publish the same bytes.
     config_fields = {spec.name for spec in dataclasses.fields(StudyConfig)}
-    assert set(_OPERATIONAL_VALUES) == config_fields & NON_SEMANTIC_FIELDS
-    # ``workers`` is not a config field; tests/pipeline/test_parallel.py
-    # pins serial == parallel for it.
-    base = StudyConfig.chaos_scale()
-    for field, values in _OPERATIONAL_VALUES.items():
-        runs = {}
-        for value in values:
-            config = dataclasses.replace(base, **{field: value})
-            # Two workers, so the sharded path that reads the retry
-            # budget actually runs.
-            artifacts = LockdownStudy(config).run(workers=2)
-            runs[value] = (study_fingerprint(config), published_outputs(
-                artifacts, str(tmp_path / f"{field}-{value}")))
-        (key, outputs), (other_key, other_outputs) = runs.values()
-        assert key == other_key
-        assert "Figure 1" in outputs["report"]
-        differing = sorted(name for name in outputs
-                           if outputs[name] != other_outputs.get(name))
-        assert set(outputs) == set(other_outputs)
-        assert differing == [], f"{field} changes {differing}"
+    assert not config_fields & NON_SEMANTIC_FIELDS
+    config = StudyConfig.chaos_scale()
+    legacy = {**config.to_payload(), **_RETIRED_KEYS}
+    assert study_fingerprint(legacy) == study_fingerprint(config)
+    assert StudyConfig.from_payload(legacy) == config
+
+    plain = LockdownStudy(config).run()
+    journaled = JournaledRun.start(str(tmp_path / "journal"),
+                                   config).execute()
+    assert journaled.fingerprint == study_fingerprint(config)
+
+    # What the journaled run published: report, artifact files, store.
+    assert journaled.report_text == render_full_report(plain) + "\n"
+    store = ArtifactStore(journaled.store_root)
+    for name in artifact_names():
+        payload = canonical_json(artifact_json(plain, name))
+        path = os.path.join(journaled.run_dir, "artifacts", name + ".json")
+        assert _file_bytes(path).decode("utf-8") == payload + "\n", name
+        assert canonical_json(store.get(journaled.fingerprint, name)) \
+            == payload, name
+
+    # Its datasets are the plain run's, saved in canonical order.
+    for label, dataset in (("merged", plain.dataset_unfiltered),
+                           ("filtered", plain.dataset)):
+        expected = str(tmp_path / f"plain-{label}.npz")
+        save_dataset(dataset.canonicalize(), expected)
+        saved = os.path.join(journaled.run_dir, f"{label}.npz")
+        for suffix in ("", ".meta.json"):
+            assert _file_bytes(saved + suffix) == \
+                _file_bytes(expected + suffix), label + suffix
+
+    # Rebuilt from those files, it publishes every other output too.
+    with open(os.path.join(journaled.run_dir,
+                           "merged.coverage.json")) as fileobj:
+        coverage = CoverageReport.from_json(json.load(fileobj))
+    rebuilt = LockdownStudy.artifacts_from_dataset(
+        config, load_dataset(os.path.join(journaled.run_dir,
+                                          "filtered.npz")),
+        coverage=coverage, pipeline_stats=load_stats(
+            os.path.join(journaled.run_dir, "merged.stats.json")))
+    outputs = published_outputs(plain, str(tmp_path / "plain"))
+    other_outputs = published_outputs(rebuilt, str(tmp_path / "rebuilt"))
+    assert "Figure 1" in outputs["report"]
+    assert set(outputs) == set(other_outputs)
+    # The dataset sidecars list devices in dataset order, which is
+    # canonical only on the journaled side; the files compared above.
+    differing = sorted(name for name in outputs
+                       if not name.startswith("sidecar:")
+                       and outputs[name] != other_outputs[name])
+    assert differing == []
 
 
 def test_outputs_ignore_hash_seed_and_listing_order(tmp_path):

@@ -7,7 +7,6 @@ from repro.net.ip import (
     Prefix,
     PrefixAllocator,
     int_to_ip,
-    ip_in_any,
     ip_to_int,
 )
 
@@ -62,11 +61,6 @@ class TestPrefix:
     def test_host_count(self):
         assert Prefix.parse("10.0.0.0/30").size == 4
         assert len(list(Prefix.parse("10.0.0.0/30").addresses())) == 4
-
-    def test_ip_in_any(self):
-        prefixes = [Prefix.parse("10.0.0.0/24"), Prefix.parse("10.0.2.0/24")]
-        assert ip_in_any(ip_to_int("10.0.2.7"), prefixes)
-        assert not ip_in_any(ip_to_int("10.0.1.7"), prefixes)
 
 
 class TestPrefixAllocator:

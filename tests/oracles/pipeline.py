@@ -14,7 +14,7 @@ bit-identical to it: same dataset, same
 """
 
 import bisect
-from typing import Iterable, List, Optional, Sequence, Tuple
+from typing import Iterable, List, Optional, Sequence
 
 from repro.config import StudyConfig
 from repro.net.ip import Prefix
@@ -54,10 +54,8 @@ class RowMonitoringPipeline(MonitoringPipeline):
 
     def __init__(self, config: StudyConfig,
                  excluded_prefixes: Sequence[Prefix] = (),
-                 day0: Optional[float] = None,
-                 owned_window: Optional[Tuple[Optional[float],
-                                              Optional[float]]] = None):
-        super().__init__(config, excluded_prefixes, day0, owned_window)
+                 day0: Optional[float] = None):
+        super().__init__(config, excluded_prefixes, day0)
         self.tap = RowTap(excluded_prefixes)
         self.builder = RowFlowDatasetBuilder(self.builder.day0)
         self.flow_engine = FlowEngine(config.flow_idle_timeout)
@@ -67,13 +65,11 @@ class RowMonitoringPipeline(MonitoringPipeline):
 
     def ingest_day(self, trace) -> None:
         """Process one day of wire events and log records."""
-        owned_day = self._owns(trace.day_start)
         gaps = getattr(trace, "log_gaps", ())
         for gap in gaps:
             if gap.source in self._gap_spans:
                 self._gap_spans[gap.source].append((gap.start, gap.end))
-        if owned_day:
-            self.coverage.add_day(trace.day_start, gaps)
+        self.coverage.add_day(trace.day_start, gaps)
         for record in trace.dhcp_records:
             self.ip_mac.ingest(record)
         for record in trace.dns_records.rows():
@@ -84,13 +80,11 @@ class RowMonitoringPipeline(MonitoringPipeline):
             self._register(conn)
         for conn in self.flow_engine.flush(trace.day_start + DAY):
             self._register(conn)
-        http_drained = len(self.flow_engine.drain_http())
-        if owned_day:
-            self.stats.dhcp_records += len(trace.dhcp_records)
-            self.stats.dns_records += len(trace.dns_records)
-            self.stats.bursts_seen += len(trace.bursts)
-            self.stats.http_records += http_drained
-            self.stats.days_ingested += 1
+        self.stats.dhcp_records += len(trace.dhcp_records)
+        self.stats.dns_records += len(trace.dns_records)
+        self.stats.bursts_seen += len(trace.bursts)
+        self.stats.http_records += len(self.flow_engine.drain_http())
+        self.stats.days_ingested += 1
 
     def finalize(self) -> FlowDataset:
         """Close remaining flows and freeze the dataset."""
@@ -104,10 +98,6 @@ class RowMonitoringPipeline(MonitoringPipeline):
                    for start, end in self._gap_spans[source])
 
     def _register(self, conn: ConnRecord) -> None:
-        if not self._owns(conn.ts):
-            # A warm-up or tail flow: the shard owning the day of its
-            # first burst registers (and counts) it instead.
-            return
         self.stats.flows_closed += 1
         mac = self.ip_mac.mac_at(conn.orig_h, conn.ts)
         if mac is None and self._gap_spans["dhcp"] \

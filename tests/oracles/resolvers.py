@@ -136,9 +136,7 @@ class IpDomainResolver:
         # wider than the freshness window): the epoch's first
         # observation (bisection key), its latest observation (freshness
         # anchor), and the qname. Splitting on stale gaps keeps the
-        # resolver's effective lookback bounded by the freshness window,
-        # which is what lets sharded ingest rebuild identical annotation
-        # state from a finite warm-up (see repro.pipeline.parallel).
+        # resolver's effective lookback bounded by the freshness window.
         self._times: Dict[int, List[float]] = defaultdict(list)
         self._last_seen: Dict[int, List[float]] = defaultdict(list)
         self._names: Dict[int, List[str]] = defaultdict(list)

@@ -5,9 +5,8 @@ The contract: the batch-vectorized :class:`MonitoringPipeline` must be
 (:class:`tests.oracles.pipeline.RowMonitoringPipeline`) --
 same :meth:`FlowDataset.identical` dataset, same ``PipelineStats`` --
 on clean runs, under telemetry-gap chaos (degraded DHCP holdover and
-DNS gap-discount annotation), across multi-day idle-timeout crossings,
-between serial and sharded parallel ingest, and through crash-matrix
-retries. Any divergence is a correctness bug in the columnar engine,
+DNS gap-discount annotation) and across multi-day idle-timeout
+crossings. Any divergence is a correctness bug in the columnar engine,
 never an acceptable approximation.
 """
 
@@ -15,10 +14,8 @@ import pytest
 
 from repro.config import StudyConfig
 from repro.net.wire import SegmentBurst
-from repro.pipeline.parallel import ParallelPipeline
 from repro.pipeline.pipeline import MonitoringPipeline
 from repro.reliability.faults import FaultPlan, LogGap
-from repro.reliability.retry import RetryPolicy
 from repro.synth.generator import CampusTraceGenerator
 from repro.util.timeutil import DAY, utc_ts
 from tests.integration.log_gaps import seeded_log_gaps
@@ -87,26 +84,6 @@ class TestGapChaosIdentity:
         assert stats.flows_degraded_dhcp > 0
         assert stats.flows_degraded_dns > 0
         assert stats.flows_unattributed_gap > 0
-
-
-class TestSerialParallelIdentity:
-    @pytest.fixture(scope="class")
-    def serial(self):
-        _, dataset = _serial_run(_CONFIG)
-        # Shard merging emits canonical ordering; serial must match it
-        # after canonicalization (the established golden contract).
-        return dataset.canonicalize()
-
-    def test_parallel_columnar_matches_serial(self, serial):
-        result = ParallelPipeline(_CONFIG, workers=2).run()
-        assert result.dataset.identical(serial)
-
-    def test_crash_retry_matches_serial(self, serial):
-        result = ParallelPipeline(
-            _CONFIG, workers=2, faults=FaultPlan(kill_shards=(0,)),
-            retry_policy=RetryPolicy.no_delay(max_attempts=3,
-                                              seed=_CONFIG.seed)).run()
-        assert result.dataset.identical(serial)
 
 
 def _burst(ts, cport=40000, final=False, **kw):

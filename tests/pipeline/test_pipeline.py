@@ -250,44 +250,3 @@ class TestTokenCacheStats:
         pipe.finalize()
         assert pipe.anon_cache_size == 0
         assert pipe.stats.anon_cache_hit_rate == 1.0
-
-
-class TestOwnedWindow:
-    def _long_lease(self, ts):
-        return DhcpLogRecord(ts=ts, mac=MAC_A, ip=CLIENT_A,
-                             lease_end=ts + 3 * DAY)
-
-    def test_warmup_day_builds_state_but_is_not_counted(self):
-        start = StudyConfig().start_ts
-        pipe = MonitoringPipeline(_config(),
-                                  owned_window=(start + DAY, None))
-        pipe.ingest_day(_day(0,
-            dhcp_records=[self._long_lease(start)],
-            bursts=[_burst(start + 10, port=1)],
-        ))
-        assert pipe.stats.days_ingested == 0
-        assert pipe.stats.flows_closed == 0
-        assert pipe.stats.dhcp_records == 0
-        # Day 1 is owned: the warm-up lease still attributes its flow.
-        pipe.ingest_day(_day(1, bursts=[_burst(start + DAY + 10, port=2)]))
-        dataset = pipe.finalize()
-        assert pipe.stats.days_ingested == 1
-        assert pipe.stats.flows_closed == 1
-        assert pipe.stats.flows_unattributed == 0
-        assert len(dataset) == 1
-        assert dataset.ts[0] >= start + DAY
-
-    def test_tail_flows_excluded_above_the_window(self):
-        start = StudyConfig().start_ts
-        pipe = MonitoringPipeline(_config(),
-                                  owned_window=(None, start + DAY))
-        pipe.ingest_day(_day(0,
-            dhcp_records=[self._long_lease(start)],
-            bursts=[_burst(start + 10, port=1)],
-        ))
-        pipe.ingest_day(_day(1, bursts=[_burst(start + DAY + 10, port=2)]))
-        dataset = pipe.finalize()
-        assert pipe.stats.days_ingested == 1
-        assert pipe.stats.flows_closed == 1
-        assert len(dataset) == 1
-        assert dataset.ts[0] < start + DAY

@@ -1,10 +1,9 @@
-"""Property-based tests for interval-set algebra and coverage merging.
+"""Property-based tests for interval-set algebra and coverage reports.
 
 The load-bearing invariant: on canonical interval sets, ``union`` is
 associative, commutative and idempotent (no float arithmetic -- only
-``min``/``max`` of endpoints), which is exactly what makes the
-per-shard coverage merge order-independent and equal to the serial
-run's report.
+``min``/``max`` of endpoints). Coverage reports round-trip through
+JSON and keep every per-day fraction in ``[0, 1]``.
 """
 
 from hypothesis import given, settings, strategies as st
@@ -78,8 +77,8 @@ class TestIntervalSetAlgebra:
 
 
 @st.composite
-def shard_reports(draw):
-    """A per-shard report over a few owned days with random gaps."""
+def coverage_reports(draw):
+    """A report over a few ingested days with random gaps."""
     day0 = 0.0
     days = draw(st.lists(st.integers(min_value=0, max_value=5),
                          min_size=1, max_size=4, unique=True))
@@ -98,40 +97,12 @@ def shard_reports(draw):
 
 
 class TestCoverageMerge:
-    @given(st.lists(shard_reports(), min_size=1, max_size=4),
-           st.randoms(use_true_random=False))
-    @settings(max_examples=100)
-    def test_merge_is_permutation_invariant(self, reports, rng):
-        shuffled = list(reports)
-        rng.shuffle(shuffled)
-        before = [report.to_json() for report in reports]
-        assert CoverageReport.merged(shuffled) == \
-            CoverageReport.merged(reports)
-        assert [report.to_json() for report in reports] == before
-
-    @given(shard_reports(), shard_reports())
-    @settings(max_examples=100)
-    def test_merge_never_shrinks_observation(self, a, b):
-        before = (a.to_json(), b.to_json())
-        merged = a.merge(b)
-        assert (a.to_json(), b.to_json()) == before
-        for source in SOURCES:
-            assert a.observed_for(source).subtract(
-                merged.observed_for(source)).is_empty
-
-    @given(shard_reports())
-    @settings(max_examples=100)
-    def test_merge_with_self_is_identity(self, report):
-        before = report.to_json()
-        assert report.merge(report) == report
-        assert report.to_json() == before
-
-    @given(shard_reports())
+    @given(coverage_reports())
     @settings(max_examples=100)
     def test_json_round_trip(self, report):
         assert CoverageReport.from_json(report.to_json()) == report
 
-    @given(shard_reports())
+    @given(coverage_reports())
     @settings(max_examples=100)
     def test_day_fractions_bounded(self, report):
         for source in (None,) + SOURCES:

@@ -14,7 +14,7 @@ few examples, so Hypothesis drives it:
 * :func:`resume_plan` is **monotone** over clean prefixes: completed
   stages only ever grow as more of the journal survives;
 * a plan built from **any prefix agrees with the run**: its completed
-  stages and journaled ``shard_end`` digests are exactly what the run
+  stages and their journaled output digests are exactly what the run
   had journaled at that point, and building it leaves the records
   untouched.
 """
@@ -31,7 +31,7 @@ from repro.reliability.journal import (
     resume_plan,
 )
 
-STAGES = ("ingest", "merge", "annotate", "analyze", "publish")
+STAGES = ("ingest", "annotate", "analyze", "publish")
 
 
 def _begin_record():
@@ -41,7 +41,6 @@ def _begin_record():
         "fingerprint": "ab" * 32,
         "scenario": "lockdown-2020",
         "config": {"n_students": 4, "seed": 11},
-        "workers": 2,
         "stages": list(STAGES),
     })
 
@@ -53,40 +52,29 @@ def journals_with_history(draw):
     run_begin + stage barriers (+ run_end): ``n_done`` stages complete;
     optionally the next stage has begun (the in-flight state every
     crash leaves); a fully-done journal may be sealed with ``run_end``.
-    Inside the ingest stage, finished or in flight, shards journal
-    ``shard_end`` records in any order, a re-run shard re-journaled
-    with new digests. ``history[k]`` is ``(completed stages, shard
-    digests)`` after record ``k``.
+    Each stage journals its own output digests. ``history[k]`` is
+    ``(completed stages, output digests per stage)`` after record ``k``.
     """
     records = [_begin_record()]
     history = [((), {})]
     completed = ()
-    shards = {}
+    outputs = {}
 
     def add(kind, payload):
         records.append(JournalRecord(seq=len(records), kind=kind,
                                      payload=payload))
-        history.append((completed, dict(shards)))
-
-    def begin(stage):
-        add("stage_begin", {"stage": stage})
-        if stage != "ingest":
-            return
-        for _ in range(draw(st.integers(min_value=0, max_value=4))):
-            index = draw(st.sampled_from((0, 1)))
-            digest = draw(st.sampled_from(("00" * 32, "11" * 32)))
-            shards[index] = {f"shards/shard-{index:04d}.npz": digest}
-            add("shard_end", {"shard": index, "outputs": shards[index]})
+        history.append((completed, dict(outputs)))
 
     n_done = draw(st.integers(min_value=0, max_value=len(STAGES)))
     for stage in STAGES[:n_done]:
-        begin(stage)
+        add("stage_begin", {"stage": stage})
+        digest = draw(st.sampled_from(("00" * 32, "11" * 32)))
         completed += (stage,)
-        add("stage_end", {"stage": stage,
-                          "outputs": {f"{stage}.out": "00" * 32},
+        outputs[stage] = {f"{stage}.out": digest}
+        add("stage_end", {"stage": stage, "outputs": outputs[stage],
                           "info": {}})
     if n_done < len(STAGES) and draw(st.booleans()):
-        begin(STAGES[n_done])
+        add("stage_begin", {"stage": STAGES[n_done]})
     elif n_done == len(STAGES) and draw(st.booleans()):
         add("run_end", {})
     return records, history
@@ -178,10 +166,10 @@ def test_plan_of_any_prefix_agrees_with_the_run(journal, data):
     records, history = journal
     cut = data.draw(st.integers(min_value=1, max_value=len(records)))
     plan = resume_plan(records[:cut])
-    completed, shards = history[cut - 1]
+    completed, outputs = history[cut - 1]
     assert plan.completed == completed
-    assert plan.shards == shards
-    assert set(plan.shards) <= set(resume_plan(records).shards)
+    assert plan.outputs == outputs
+    assert set(plan.outputs) <= set(resume_plan(records).outputs)
 
 
 @given(journals())
@@ -191,7 +179,7 @@ def test_resume_plan_leaves_records_untouched(records):
     plan = resume_plan(records)
     assert records == before
     # The plan holds its own copies: editing it cannot rewrite history.
-    for digests in plan.shards.values():
+    for digests in plan.outputs.values():
         digests.clear()
     assert records == before
     assert resume_plan(records) == resume_plan(before)

@@ -96,26 +96,6 @@ class TestCoverageReport:
         # Days the run never observed carry no expectation -> 1.0.
         assert report.day_fractions(DAY0, 4) == [1.0, 1.0, 1.0, 1.0]
 
-    def test_merge_of_disjoint_day_ranges(self):
-        left = CoverageTracker()
-        left.add_day(DAY0, (LogGap("dns", DAY0 + 10.0, DAY0 + 20.0),))
-        right = CoverageTracker()
-        right.add_day(DAY0 + DAY, ())
-        merged = CoverageReport.merged(
-            [left.report(), right.report()])
-        assert merged.expected.covered_seconds() == 2 * DAY
-        assert merged.gaps("dns").covered_seconds() == 10.0
-
-    def test_merge_overlapping_days_unions_observations(self):
-        # Two shards that both ingested the same (warm-up) day: one saw
-        # a gap, the other did not -> merged observation is complete.
-        gapped = CoverageTracker()
-        gapped.add_day(DAY0, (LogGap("dhcp", DAY0, DAY0 + DAY),))
-        clean = CoverageTracker()
-        clean.add_day(DAY0, ())
-        merged = CoverageReport.merged([gapped.report(), clean.report()])
-        assert merged.is_complete()
-
     def test_json_round_trip(self):
         gap = LogGap("dns", DAY0 + 5.0, DAY0 + 55.0)
         report = self._report([gap])

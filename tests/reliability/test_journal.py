@@ -28,7 +28,6 @@ def _begin_payload(**overrides):
         "fingerprint": "ab" * 32,
         "scenario": "lockdown-2020",
         "config": {"n_students": 4, "seed": 11},
-        "workers": 2,
         "stages": list(STAGES),
     }
     payload.update(overrides)
@@ -198,38 +197,21 @@ class TestResumePlan:
 
     def test_layout_before_shard_records_is_refused(self):
         """A v1 run directory kept its shards in a separate checkpoint
-        store the journal never saw; resuming it must fail loudly."""
-        assert JOURNAL_VERSION == 2
-        begin = JournalRecord(seq=0, kind="run_begin",
-                              payload=_begin_payload(journal_version=1))
-        with pytest.raises(JournalError, match="version 1"):
-            resume_plan([begin])
-
-    def test_latest_shard_end_wins(self):
-        records = _records(0)
-        for index, digest in ((1, "aa"), (0, "bb"), (1, "cc")):
-            records.append(JournalRecord(
-                seq=len(records), kind="shard_end",
-                payload={"shard": index,
-                         "outputs": {f"shard-{index}.npz": digest}}))
-        assert resume_plan(records).shards == {
-            0: {"shard-0.npz": "bb"}, 1: {"shard-1.npz": "cc"}}
-
-    @pytest.mark.parametrize("index", [None, -1, "0"])
-    def test_shard_end_without_an_index_rejected(self, index):
-        records = _records(0)
-        records.append(JournalRecord(seq=len(records), kind="shard_end",
-                                     payload={"shard": index,
-                                              "outputs": {}}))
-        with pytest.raises(JournalError, match="shard index"):
-            resume_plan(records)
+        store the journal never saw, and a v2 one journaled per-shard
+        ingest and a merge stage; resuming either must fail loudly."""
+        assert JOURNAL_VERSION == 3
+        for version in (1, 2):
+            begin = JournalRecord(
+                seq=0, kind="run_begin",
+                payload=_begin_payload(journal_version=version))
+            with pytest.raises(JournalError, match=f"version {version}"):
+                resume_plan([begin])
 
     def test_fresh_run_has_no_completed_stages(self):
         plan = resume_plan(_records(0))
         assert plan.completed == ()
         assert plan.next_stage == "ingest"
         assert not plan.complete
-        assert plan.workers == 2
         assert plan.config_payload["n_students"] == 4
 
     @pytest.mark.parametrize("done", [1, 2, 3, 4])

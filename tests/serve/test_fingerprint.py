@@ -4,8 +4,9 @@
    key order (canonical JSON sorts keys).
 2. Semantic sensitivity: changing any semantic config field changes
    the fingerprint, and so does changing the scenario.
-3. Non-semantic indifference: execution-shape knobs (workers,
-   checkpoint dirs, retry budgets, output paths) never move the hash.
+3. Non-semantic indifference: run knobs (journal dirs, output paths,
+   progress hooks) and the retired sharded-ingest keys (worker counts,
+   shard retry budgets, shard deadlines) never move the hash.
 """
 
 import dataclasses
@@ -101,12 +102,6 @@ def test_fingerprint_ignores_non_semantic_knobs(config, data):
     """Execution-shape keys move neither the payload nor the hash."""
     baseline = study_fingerprint(config)
 
-    # A non-semantic StudyConfig field (retry budget) is excluded.
-    retries = data.draw(st.integers(min_value=0, max_value=10),
-                        label="max_shard_retries")
-    changed = dataclasses.replace(config, max_shard_retries=retries)
-    assert study_fingerprint(changed) == baseline
-
     # Non-semantic *run* knobs riding along in a payload mapping are
     # dropped before hashing.
     knob = data.draw(st.sampled_from(sorted(NON_SEMANTIC_FIELDS)),
@@ -145,9 +140,11 @@ def test_non_semantic_fields_are_not_semantic_config_fields():
             assert spec.name not in payload
         else:
             assert spec.name in payload
-    assert sorted(_NON_SEMANTIC_CONFIG_FIELDS) == ["max_shard_retries"]
+    assert _NON_SEMANTIC_CONFIG_FIELDS == []
     # A payload written while the removed ``use_columnar`` ingest
-    # selector was a config field still rebuilds the same study.
-    legacy = {**StudyConfig.eval_scale().to_payload(), "use_columnar": False}
+    # selector and ``max_shard_retries`` retry budget were config
+    # fields still rebuilds the same study.
+    legacy = {**StudyConfig.eval_scale().to_payload(),
+              "use_columnar": False, "max_shard_retries": 0}
     committed = json.loads(_EVAL_BASELINE.read_text())["fingerprint"]
     assert study_fingerprint(StudyConfig.from_payload(legacy)) == committed

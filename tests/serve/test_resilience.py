@@ -1,8 +1,8 @@
 """Unit tests for the serving-resilience primitives.
 
-Deadlines run on a fake clock (no sleeping); gate and singleflight
-concurrency uses real threads synchronized with barriers/events so the
-tests are deterministic, not timing-lucky.
+Deadlines and the circuit breaker run on a fake clock (no sleeping);
+gate and singleflight concurrency uses real threads synchronized with
+barriers/events so the tests are deterministic, not timing-lucky.
 """
 
 import threading
@@ -12,9 +12,13 @@ import pytest
 from repro.reliability.errors import DeadlineExpired
 from repro.serve.resilience import (
     ADMITTED,
+    BREAKER_CLOSED,
+    BREAKER_HALF_OPEN,
+    BREAKER_OPEN,
     DRAINING,
     SHED,
     AdmissionGate,
+    CircuitBreaker,
     Deadline,
     ResiliencePolicy,
     Singleflight,
@@ -66,6 +70,86 @@ class TestDeadline:
         for seconds in (0, -1.5):
             with pytest.raises(ValueError, match="positive"):
                 Deadline.after(seconds, clock=FakeClock())
+
+
+class TestStatefulCircuitBreaker:
+    """The closed/open/half-open breaker guarding study computes."""
+
+    def _breaker(self, limit=2, reset=10.0):
+        clock = FakeClock()
+        return CircuitBreaker(limit, reset, clock=clock), clock
+
+    def test_starts_closed_and_allows(self):
+        breaker, _ = self._breaker()
+        assert breaker.state == BREAKER_CLOSED
+        assert breaker.allow()
+
+    def test_consecutive_failures_open(self):
+        breaker, _ = self._breaker(limit=2)
+        breaker.record_failure()
+        assert breaker.state == BREAKER_CLOSED
+        breaker.record_failure()
+        assert breaker.state == BREAKER_OPEN
+        assert not breaker.allow()
+        assert breaker.opens == 1
+
+    def test_success_resets_the_streak(self):
+        breaker, _ = self._breaker(limit=2)
+        breaker.record_failure()
+        breaker.record_success()
+        breaker.record_failure()
+        assert breaker.state == BREAKER_CLOSED
+
+    def test_half_open_allows_exactly_one_probe(self):
+        breaker, clock = self._breaker(limit=1, reset=10.0)
+        breaker.record_failure()
+        assert not breaker.allow()
+        clock.advance(10.0)
+        assert breaker.state == BREAKER_HALF_OPEN
+        assert breaker.allow()       # the probe
+        assert not breaker.allow()   # everyone else keeps waiting
+        assert breaker.state == BREAKER_HALF_OPEN
+
+    def test_probe_success_closes(self):
+        breaker, clock = self._breaker(limit=1, reset=5.0)
+        breaker.record_failure()
+        clock.advance(5.0)
+        assert breaker.allow()
+        breaker.record_success()
+        assert breaker.state == BREAKER_CLOSED
+        assert breaker.allow()
+
+    def test_probe_failure_reopens_for_a_full_cooldown(self):
+        breaker, clock = self._breaker(limit=1, reset=5.0)
+        breaker.record_failure()
+        clock.advance(5.0)
+        assert breaker.allow()
+        breaker.record_failure()
+        assert breaker.state == BREAKER_OPEN
+        assert breaker.opens == 2
+        clock.advance(4.9)
+        assert not breaker.allow()
+        clock.advance(0.2)
+        assert breaker.allow()
+
+    def test_validation(self):
+        with pytest.raises(ValueError):
+            CircuitBreaker(0)
+        with pytest.raises(ValueError):
+            CircuitBreaker(1, -1.0)
+
+    def test_thread_safety_smoke(self):
+        import threading
+
+        breaker, _ = self._breaker(limit=1000000)
+        threads = [threading.Thread(target=lambda: [
+            breaker.record_failure() for _ in range(1000)])
+            for _ in range(4)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join()
+        assert breaker._consecutive_failures == 4000
 
 
 class TestResiliencePolicy:

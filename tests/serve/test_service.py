@@ -164,13 +164,53 @@ def test_query_fingerprint_never_raises_on_corrupt_entries(tmp_path):
 
 
 def test_outcomes_payload_shape(populated_store, ci_config):
-    from repro.analysis.expectations import expectation_ids
+    from repro.analysis.expectations import paper_expectations
 
     service = StudyService(populated_store)
     outcomes = service.query(ci_config, names=("outcomes",)).payloads["outcomes"]
     assert outcomes["schema"] == 1
-    assert sorted(outcomes["outcomes"]) == sorted(expectation_ids())
+    assert sorted(outcomes["outcomes"]) == sorted(
+        expectation.expectation_id for expectation in paper_expectations())
     statuses = {entry["status"] for entry in outcomes["outcomes"].values()}
     assert statuses <= {"PASS", "FAIL", "SKIP"}
     assert (sum(outcomes["counts"].values())
             == len(outcomes["outcomes"]))
+
+
+def test_compute_on_a_request_thread_never_forks(tmp_path, monkeypatch):
+    """``repro serve`` computes on a request thread while its other
+    threads run; forking there could hand a child a lock another thread
+    holds. The day pool refuses, so the compute forks no process. From
+    the main thread alone the same compute does use the pool, so the
+    check is not vacuous."""
+    import threading
+
+    from repro.synth import generator
+
+    forks = []
+    real_fork = os.fork
+
+    def fork():
+        forks.append(threading.active_count())
+        return real_fork()
+
+    monkeypatch.setattr(os, "fork", fork)
+    # A pool would be used on any multi-CPU host.
+    monkeypatch.setattr(generator, "_usable_cpus", lambda: 2)
+    service = StudyService(ArtifactStore(str(tmp_path)))
+    config = StudyConfig.chaos_scale()
+    results = []
+    request = threading.Thread(
+        target=lambda: results.append(service.query(config)))
+    request.start()
+    request.join(timeout=600)
+    assert not request.is_alive()
+    assert results and results[0].computed
+    assert forks == []
+
+    salted = StudyConfig.from_payload(
+        {**config.to_payload(), "anonymization_salt": "main-thread"})
+    alone = threading.active_count() == 1
+    assert service.query(salted).computed
+    if alone:  # a thread another test left running would also refuse
+        assert forks and set(forks) == {1}

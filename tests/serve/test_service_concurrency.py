@@ -17,12 +17,13 @@ import pytest
 
 from repro.config import StudyConfig
 from repro.reliability.errors import DeadlineExpired
-from repro.reliability.watchdog import (
+from repro.serve.fingerprint import study_fingerprint
+from repro.serve.resilience import (
     BREAKER_CLOSED,
     BREAKER_OPEN,
+    Deadline,
+    ResiliencePolicy,
 )
-from repro.serve.fingerprint import study_fingerprint
-from repro.serve.resilience import Deadline, ResiliencePolicy
 from repro.serve.service import artifact_names
 from repro.serve.store import ArtifactStore
 from tests.serve._stub import FakeClock, StubService

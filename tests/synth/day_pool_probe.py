@@ -74,7 +74,7 @@ def raise_mid_ingest(config):
             raise _Stop(message)
 
     try:
-        study._ingest(config, CampusTraceGenerator(config), 1, report)
+        study._ingest(config, CampusTraceGenerator(config), report)
     except _Stop as exc:
         # Held, as a caller that reports the error later would: its
         # traceback keeps the ingest frame, and so the iterator, alive.

@@ -8,17 +8,18 @@ a two-CPU host throughout, so these checks hold on one-CPU runners too.
 """
 
 import json
+import multiprocessing
 import os
 import subprocess
 import sys
 import threading
+from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
 import pytest
 
 from repro import constants
 from repro.config import StudyConfig
-from repro.pipeline.parallel import ParallelPipeline
 from repro.synth import generator as generator_module
 from repro.synth.generator import (
     PRESENCE_ALL_RESIDENTS,
@@ -183,7 +184,11 @@ class TestNoPool:
         assert pools == [2]
 
     def test_inside_a_parallel_pipeline_worker(self, pools):
+        """A process-pool worker -- a day-pool worker included -- never
+        starts a pool of its own."""
         assert generator_module._pool_workers(10) == 2
-        with ParallelPipeline(_CONFIG, 2)._new_pool(1) as pool:
+        with ProcessPoolExecutor(
+                max_workers=1,
+                mp_context=multiprocessing.get_context("fork")) as pool:
             in_worker = pool.submit(generator_module._pool_workers, 10)
             assert in_worker.result(timeout=120) == 0

@@ -3,9 +3,6 @@
 from repro import constants
 from repro.synth.timeline import (
     Phase,
-    is_instruction_day,
-    is_lockdown,
-    is_online_instruction,
     phase_of,
     weeks_into_online_term,
 )
@@ -31,19 +28,6 @@ class TestPhaseOf:
 
 
 class TestPredicates:
-    def test_is_lockdown(self):
-        assert not is_lockdown(constants.WHO_PANDEMIC)
-        assert is_lockdown(constants.STAY_AT_HOME)
-
-    def test_is_online_instruction(self):
-        assert not is_online_instruction(constants.BREAK_START)
-        assert is_online_instruction(constants.BREAK_END)
-
-    def test_instruction_pauses_during_break(self):
-        assert is_instruction_day(utc_ts(2020, 2, 10))
-        assert not is_instruction_day(utc_ts(2020, 3, 25))
-        assert is_instruction_day(utc_ts(2020, 4, 10))
-
     def test_weeks_into_online_term(self):
         assert weeks_into_online_term(constants.BREAK_END) == 0.0
         assert weeks_into_online_term(

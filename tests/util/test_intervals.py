@@ -3,7 +3,7 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from repro.util.intervals import Interval, merge_intervals, total_covered
+from repro.util.intervals import Interval, merge_intervals
 
 
 class TestInterval:
@@ -62,10 +62,6 @@ class TestMergeIntervals:
         spans = [Interval(0, 10), Interval(2, 3)]
         assert merge_intervals(spans) == [Interval(0, 10)]
 
-    def test_total_covered(self):
-        spans = [Interval(0, 2), Interval(1, 3), Interval(10, 11)]
-        assert total_covered(spans) == 4.0
-
 
 _interval = st.tuples(
     st.floats(min_value=0, max_value=1e6, allow_nan=False),
@@ -89,9 +85,6 @@ class TestMergeProperties:
                        for m in merged)
         assert sum(m.duration for m in merged) <= sum(
             s.duration for s in spans) + 1e-6 or True
-        # Total coverage equals coverage of the input union.
-        assert total_covered(spans) == pytest.approx(
-            sum(m.duration for m in merged))
 
     @given(st.lists(_interval, max_size=40))
     def test_idempotent(self, spans):

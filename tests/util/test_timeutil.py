@@ -34,20 +34,6 @@ class TestDayMath:
         assert tu.day_index(origin + tu.DAY, origin) == 1
         assert tu.day_index(origin - 1, origin) == -1
 
-    def test_day_bounds(self):
-        ts = tu.utc_ts(2020, 3, 15, 13, 30)
-        start, end = tu.day_bounds(ts)
-        assert start == tu.utc_ts(2020, 3, 15)
-        assert end == tu.utc_ts(2020, 3, 16)
-
-    def test_days_between(self):
-        start = tu.utc_ts(2020, 2, 1)
-        assert tu.days_between(start, start) == 0
-        assert tu.days_between(start, start + 1) == 1
-        assert tu.days_between(start, start + tu.DAY) == 1
-        assert tu.days_between(start, start + tu.DAY + 1) == 2
-        assert tu.days_between(start + tu.DAY, start) == 0
-
     def test_iter_days(self):
         start = tu.utc_ts(2020, 2, 1, 5)  # mid-day start
         end = tu.utc_ts(2020, 2, 4)
