@@ -18,13 +18,15 @@ import sys
 
 from repro import LockdownStudy, StudyConfig
 from repro import constants
-from repro.analysis.extensions import (
+from repro.core.report import sparkline
+from repro.util.timeutil import format_day
+
+from extensions import (
     compute_application_mix,
     compute_departure_waves,
     compute_diurnal_convergence,
 )
-from repro.core.report import sparkline
-from repro.util.timeutil import format_day
+from unclassified import attribute_unclassified
 
 
 def main() -> None:
@@ -64,7 +66,6 @@ def main() -> None:
           "weekday/weekend rhythm, unlike Feldmann et al.'s ISP view)")
 
     print("\n== What are the unclassified devices? (footnote 2) ==")
-    from repro.analysis.unclassified import attribute_unclassified
     attribution = attribute_unclassified(dataset, artifacts.classification)
     if attribution.attributions:
         print(f"unclassified devices with traffic mixes: "

@@ -13,7 +13,8 @@ import argparse
 import sys
 
 from repro import StudyConfig
-from repro.analysis.sensitivity import render_sweep, run_seed_sweep
+
+from sensitivity import render_sweep, run_seed_sweep
 
 
 def main() -> None:

@@ -11,7 +11,6 @@ import pytest
 
 pytest.importorskip("scipy")
 
-from repro import LockdownStudy, StudyConfig  # noqa: E402
 from significance import (  # noqa: E402
     MIN_SAMPLES,
     mann_whitney_shift,
@@ -82,12 +81,6 @@ class TestMonthlyShiftTests:
         text = render_shift_tests(monthly_shift_tests(table))
         assert "February -> March" in text
         assert "significant" in text
-
-
-@pytest.fixture(scope="module")
-def mini_artifacts():
-    """The test suite's mini study (30 students, seed 11)."""
-    return LockdownStudy(StudyConfig(n_students=30, seed=11)).run()
 
 
 class TestOnMiniStudy:

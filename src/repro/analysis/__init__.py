@@ -20,7 +20,6 @@ stats     Section 4/5 headline numbers                        summary
 
 from repro.analysis.common import (
     device_day_bitmap,
-    devices_active_in_months,
     month_day_mask,
     per_device_day_bytes,
     post_shutdown_device_mask,
@@ -42,6 +41,6 @@ __all__ = [
     "Fig6Result", "Fig7Result", "Fig8Result", "SummaryStats",
     "compute_fig1", "compute_fig2", "compute_fig3", "compute_fig4",
     "compute_fig5", "compute_fig6", "compute_fig7", "compute_fig8",
-    "compute_summary", "device_day_bitmap", "devices_active_in_months",
-    "month_day_mask", "per_device_day_bytes", "post_shutdown_device_mask",
+    "compute_summary", "device_day_bitmap", "month_day_mask",
+    "per_device_day_bytes", "post_shutdown_device_mask",
 ]

@@ -62,7 +62,8 @@ def device_day_bitmap(dataset: FlowDataset) -> DayBitmap:
 
     One pass over the per-device ``days_seen`` sets; every activity
     question afterwards (:func:`post_shutdown_device_mask`,
-    :func:`devices_active_in_months`, the Figure 8 census) is a bitmap
+    :meth:`~repro.analysis.context.AnalysisContext.active_in_months`,
+    the Figure 8 census) is a bitmap
     slice. :class:`~repro.analysis.context.AnalysisContext` caches one
     bitmap per dataset so a study run builds it at most once.
     """
@@ -92,20 +93,3 @@ def month_day_range(dataset: FlowDataset, year: int, month: int,
     start, end = month_bounds(year, month)
     return (int((start - dataset.day0) // DAY),
             int((end - dataset.day0) // DAY))
-
-
-def devices_active_in_months(dataset: FlowDataset,
-                             months: Tuple[Tuple[int, int], ...],
-                             bitmap: Optional[DayBitmap] = None,
-                             ) -> np.ndarray:
-    """Devices with at least one active day in *every* listed month."""
-    if not months:
-        raise ValueError("at least one month is required")
-    if bitmap is None:
-        bitmap = device_day_bitmap(dataset)
-    result = None
-    for year, month in months:
-        start_day, end_day = month_day_range(dataset, year, month)
-        mask = bitmap.any_in_range(start_day, end_day)
-        result = mask if result is None else (result & mask)
-    return result

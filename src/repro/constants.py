@@ -40,16 +40,6 @@ BREAK_START = utc_ts(2020, 3, 22)
 #: Academic break ends; classes resume in online modality.
 BREAK_END = utc_ts(2020, 3, 30)
 
-#: The event markers drawn as vertical lines in the paper's figures,
-#: in chronological order, as ``(epoch_seconds, label)`` pairs.
-EVENT_MARKERS = (
-    (STATE_OF_EMERGENCY, "State of Emergency"),
-    (WHO_PANDEMIC, "WHO Declared Pandemic"),
-    (STAY_AT_HOME, "Stay at Home Order"),
-    (BREAK_START, "Academic Break"),
-    (BREAK_END, "Classes Resume Online"),
-)
-
 #: The four months covered by the study, as (year, month) pairs.
 STUDY_MONTHS = ((2020, 2), (2020, 3), (2020, 4), (2020, 5))
 
@@ -69,12 +59,3 @@ FIGURE3_WEEKS = (
 #: days to be retained by the visitor filter (Section 3).
 VISITOR_MIN_DAYS = 14
 
-#: Saidi et al. IoT detection score threshold used by the paper.
-IOT_SCORE_THRESHOLD = 0.5
-
-#: A device is labelled a Nintendo Switch when at least this fraction of
-#: its traffic goes to known Nintendo servers (Section 5.3.2).
-SWITCH_TRAFFIC_THRESHOLD = 0.5
-
-#: Box-and-whisker percentile bounds used in Figures 6 and 7.
-WHISKER_PERCENTILES = (1.0, 95.0)

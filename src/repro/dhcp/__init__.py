@@ -15,7 +15,7 @@ logs (Section 3). This package provides both halves:
 """
 
 from repro.dhcp.lease import Lease
-from repro.dhcp.log import DhcpLogRecord, read_dhcp_log, write_dhcp_log
+from repro.dhcp.log import DhcpLogRecord
 from repro.dhcp.server import DhcpServer, PoolExhaustedError
 
 __all__ = [
@@ -23,6 +23,4 @@ __all__ = [
     "DhcpServer",
     "Lease",
     "PoolExhaustedError",
-    "read_dhcp_log",
-    "write_dhcp_log",
 ]

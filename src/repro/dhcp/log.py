@@ -4,8 +4,10 @@ The measurement pipeline reconstructs IP->MAC history exclusively from
 these records, so they carry exactly what a DHCP server's ACK log line
 does: when, which MAC, which IP, and until when the binding holds.
 
-Parsing follows the repo-wide strict/lenient contract (see
-:mod:`repro.reliability.parsing`): strict raises a structured
+``to_json``/``from_json`` is the log's one codec: :mod:`repro.io.tracedir`
+reads a log file by passing ``from_json`` to
+:func:`~repro.reliability.parsing.read_jsonl_records`. Parsing follows
+the repo-wide strict/lenient contract: strict raises a structured
 :class:`~repro.reliability.errors.RecordError`; lenient quarantines the
 line and continues; blank lines are skipped and counted in both modes.
 """
@@ -14,7 +16,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import IO, Iterable, Iterator, Optional
+from typing import Optional
 
 from repro.net.ip import int_to_ip, ip_to_int
 from repro.net.mac import MacAddress
@@ -23,12 +25,7 @@ from repro.reliability.errors import (
     CATEGORY_VALUE,
     RecordError,
 )
-from repro.reliability.parsing import (
-    parse_json_object,
-    read_jsonl_records,
-    require_finite,
-)
-from repro.reliability.quarantine import QuarantineSink
+from repro.reliability.parsing import parse_json_object, require_finite
 
 _SOURCE = "dhcp"
 
@@ -74,22 +71,3 @@ class DhcpLogRecord:
                 category=CATEGORY_VALUE, line_no=line_no, line=line) from exc
         return require_finite(record, ("ts", "lease_end"), source=_SOURCE,
                               line_no=line_no, line=line)
-
-
-def write_dhcp_log(records: Iterable[DhcpLogRecord], fileobj: IO[str]) -> int:
-    """Serialize records as JSONL; returns the number written."""
-    count = 0
-    for record in records:
-        fileobj.write(record.to_json())
-        fileobj.write("\n")
-        count += 1
-    return count
-
-
-def read_dhcp_log(fileobj: IO[str], *, mode: str = "strict",
-                  sink: Optional[QuarantineSink] = None,
-                  ) -> Iterator[DhcpLogRecord]:
-    """Parse a JSONL DHCP log (strict/lenient; blank lines counted)."""
-    yield from read_jsonl_records(
-        fileobj, DhcpLogRecord.from_json, source=_SOURCE,
-        mode=mode, sink=sink)

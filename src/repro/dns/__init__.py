@@ -17,19 +17,12 @@ contemporaneous DNS logs (Section 3). This package provides:
 """
 
 from repro.dns.domains import site_of
-from repro.dns.records import (
-    DnsColumns,
-    DnsLogRecord,
-    read_dns_log,
-    write_dns_log,
-)
+from repro.dns.records import DnsColumns, DnsLogRecord
 from repro.dns.resolver import SyntheticResolver
 
 __all__ = [
     "DnsColumns",
     "DnsLogRecord",
     "SyntheticResolver",
-    "read_dns_log",
     "site_of",
-    "write_dns_log",
 ]

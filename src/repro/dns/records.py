@@ -6,8 +6,10 @@ generator builds it from one plain row per query, and
 with no per-record object in between. :class:`DnsLogRecord` is the row
 form, for trace files and row-at-a-time consumers.
 
-Parsing follows the repo-wide strict/lenient contract (see
-:mod:`repro.reliability.parsing`): strict raises a structured
+``to_json``/``from_json`` is the log's one codec: :mod:`repro.io.tracedir`
+reads a log file by passing ``from_json`` to
+:func:`~repro.reliability.parsing.read_jsonl_records`. Parsing follows
+the repo-wide strict/lenient contract: strict raises a structured
 :class:`~repro.reliability.errors.RecordError`; lenient quarantines the
 line and continues; blank lines are skipped and counted in both modes.
 """
@@ -18,7 +20,7 @@ import json
 from dataclasses import dataclass
 from itertools import chain, starmap
 from operator import attrgetter
-from typing import IO, Iterable, Iterator, Optional, Sequence, Tuple
+from typing import Iterable, Iterator, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -29,12 +31,7 @@ from repro.reliability.errors import (
     CATEGORY_VALUE,
     RecordError,
 )
-from repro.reliability.parsing import (
-    parse_json_object,
-    read_jsonl_records,
-    require_finite,
-)
-from repro.reliability.quarantine import QuarantineSink
+from repro.reliability.parsing import parse_json_object, require_finite
 
 _SOURCE = "dns"
 
@@ -163,22 +160,3 @@ class DnsColumns:
         return DnsColumns(ts=self.ts[index], client_ip=self.client_ip[index],
                           qname=self.qname[index], answer_count=counts,
                           answers=self.answers[flat], ttl=self.ttl[index])
-
-
-def write_dns_log(records: Iterable[DnsLogRecord], fileobj: IO[str]) -> int:
-    """Serialize records as JSONL; returns the number written."""
-    count = 0
-    for record in records:
-        fileobj.write(record.to_json())
-        fileobj.write("\n")
-        count += 1
-    return count
-
-
-def read_dns_log(fileobj: IO[str], *, mode: str = "strict",
-                 sink: Optional[QuarantineSink] = None,
-                 ) -> Iterator[DnsLogRecord]:
-    """Parse a JSONL DNS log (strict/lenient; blank lines counted)."""
-    yield from read_jsonl_records(
-        fileobj, DnsLogRecord.from_json, source=_SOURCE,
-        mode=mode, sink=sink)

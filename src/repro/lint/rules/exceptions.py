@@ -37,7 +37,7 @@ BROAD_NAMES = frozenset({"Exception", "BaseException"})
 #: The reliability taxonomy roots; raising one of these (or a local
 #: subclass of one) from a broad handler is sanctioned wrapping.
 TAXONOMY_NAMES = frozenset({
-    "ReliabilityError", "RecordError", "ShardError", "TransientIOError",
+    "ReliabilityError", "RecordError", "TransientIOError",
 })
 
 #: Call names that classify a failure against the taxonomy.

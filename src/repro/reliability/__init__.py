@@ -6,7 +6,7 @@ a matter of course. This package gives the pipeline one vocabulary and
 the mechanisms for surviving them:
 
 * :mod:`~repro.reliability.errors` -- structured error taxonomy
-  (:class:`RecordError`, :class:`ShardError`, transient vs. fatal);
+  (:class:`RecordError`, transient vs. fatal);
 * :mod:`~repro.reliability.retry` -- deterministic exponential backoff,
   the one retry budget for journal appends and store writes;
 * :mod:`~repro.reliability.quarantine` -- per-category accounting of
@@ -54,7 +54,6 @@ from repro.reliability.errors import (
     JournalError,
     RecordError,
     ReliabilityError,
-    ShardError,
     TornWriteError,
     TransientIOError,
     is_transient,
@@ -104,7 +103,6 @@ __all__ = [
     "ResumePlan",
     "RetryPolicy",
     "RunJournal",
-    "ShardError",
     "TornWriteError",
     "TransientIOError",
     "append_line",

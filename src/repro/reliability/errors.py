@@ -5,9 +5,8 @@ about *what* failed (a log line? a disk write? a journal record?) or whether
 retrying could help. Every failure the pipeline can surface is therefore
 classified along two axes:
 
-* **scope** -- :class:`RecordError` (one malformed log record),
-  :class:`ShardError` (one shard's ingest), or a plain
-  :class:`ReliabilityError` (anything else);
+* **scope** -- :class:`RecordError` (one malformed log record) or a
+  plain :class:`ReliabilityError` (anything else);
 * **disposition** -- *transient* failures (I/O hiccups, a full disk)
   are worth retrying; *fatal* ones (malformed data in strict mode,
   logic errors) are not.
@@ -57,10 +56,6 @@ class RecordError(ReliabilityError, ValueError):
         self.line_no = line_no
         #: The offending raw line (possibly truncated), when known.
         self.line = line
-
-
-class ShardError(ReliabilityError, RuntimeError):
-    """One shard's ingest failed (after any retries)."""
 
 
 class TransientIOError(ReliabilityError, OSError):

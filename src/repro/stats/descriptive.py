@@ -58,12 +58,3 @@ def box_stats(values: Sequence[float]) -> BoxStats:
         p95=float(p95),
         p99=float(p99),
     )
-
-
-def safe_median(values: Sequence[float]) -> float:
-    """Median that returns NaN for empty input instead of warning."""
-    data = np.asarray(values, dtype=np.float64)
-    data = data[~np.isnan(data)]
-    if data.size == 0:
-        return float("nan")
-    return float(np.median(data))

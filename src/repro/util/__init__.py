@@ -1,6 +1,5 @@
-"""Shared utilities: deterministic RNG streams, time math, interval algebra."""
+"""Shared utilities: deterministic RNG streams and time math."""
 
-from repro.util.intervals import Interval, merge_intervals
 from repro.util.rng import RngFactory, substream
 from repro.util.timeutil import (
     DAY,
@@ -21,7 +20,6 @@ from repro.util.timeutil import (
 __all__ = [
     "DAY",
     "HOUR",
-    "Interval",
     "MINUTE",
     "RngFactory",
     "WEEK",
@@ -31,7 +29,6 @@ __all__ = [
     "hour_of_week",
     "is_weekend",
     "iter_days",
-    "merge_intervals",
     "month_bounds",
     "month_key",
     "substream",

@@ -6,12 +6,12 @@ import pytest
 from repro import constants
 from repro.analysis.common import (
     day_timestamps,
-    devices_active_in_months,
     month_day_mask,
     per_device_day_bytes,
     post_shutdown_device_mask,
     study_day_count,
 )
+from repro.analysis.context import AnalysisContext
 from repro.net.mac import MacAddress
 from repro.pipeline.anonymize import Anonymizer
 from repro.pipeline.dataset import NO_DOMAIN
@@ -98,6 +98,6 @@ class TestMasksAndTimestamps:
             (1, feb, 1), (1, may, 1),   # both months
             (2, feb, 1),                # February only
         ])
-        mask = devices_active_in_months(dataset,
-                                        ((2020, 2), (2020, 5)))
+        mask = AnalysisContext(dataset).active_in_months(
+            ((2020, 2), (2020, 5)))
         assert list(mask) == [True, False]

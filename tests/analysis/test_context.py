@@ -13,11 +13,7 @@ import threading
 import numpy as np
 import pytest
 
-from repro.analysis.common import (
-    devices_active_in_months,
-    post_shutdown_device_mask,
-    study_day_count,
-)
+from repro.analysis.common import post_shutdown_device_mask, study_day_count
 from repro.analysis.context import AnalysisContext
 from repro.core.study import StudyArtifacts
 from repro.perf.kernels import domain_str_array
@@ -147,7 +143,7 @@ class TestPrimitiveEquivalence:
         dataset = mini_artifacts.dataset
         months = ((2020, 2), (2020, 5))
         assert np.array_equal(
-            devices_active_in_months(dataset, months),
+            AnalysisContext(dataset).active_in_months(months),
             devices_active_in_months_reference(dataset, months))
 
     def test_signature_domain_tables(self, mini_artifacts):

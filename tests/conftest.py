@@ -1,35 +1,51 @@
 """Shared fixtures: one small end-to-end study reused across suites.
 
 The mini study (30 students over the full four-month window) takes about
-a minute to synthesize and measure; it is session-scoped and lazily
-built, so unit-test-only runs never pay for it.
+a minute to synthesize and measure. It is built lazily and at most once
+per process: the example modules' tests (``examples/conftest.py``) reach
+the same run through :func:`mini_study`, so a whole-tree run pays for it
+once, and unit-test-only runs never do.
 """
 
 from __future__ import annotations
+
+import functools
 
 import pytest
 
 from repro import LockdownStudy, StudyConfig
 from repro.core.validation import GroundTruthMatcher
 
-
-@pytest.fixture(scope="session")
-def mini_config():
-    return StudyConfig(n_students=30, seed=11)
+MINI_CONFIG = StudyConfig(n_students=30, seed=11)
 
 
-@pytest.fixture(scope="session")
-def mini_artifacts(mini_config):
+@functools.lru_cache(maxsize=None)
+def mini_study():
     """A complete study run at miniature scale."""
-    return LockdownStudy(mini_config).run()
+    return LockdownStudy(MINI_CONFIG).run()
 
 
-@pytest.fixture(scope="session")
-def ground_truth(mini_artifacts):
+@functools.lru_cache(maxsize=None)
+def mini_ground_truth():
     """Map analysis-side device indices back to simulation truth.
 
     Returns (device_index -> SimDevice, device_index -> StudentPersona)
     for every simulated device that survived into the filtered dataset.
     """
-    matcher = GroundTruthMatcher(mini_artifacts)
+    matcher = GroundTruthMatcher(mini_study())
     return matcher._device_of, matcher._persona_of
+
+
+@pytest.fixture(scope="session")
+def mini_config():
+    return MINI_CONFIG
+
+
+@pytest.fixture(scope="session")
+def mini_artifacts():
+    return mini_study()
+
+
+@pytest.fixture(scope="session")
+def ground_truth():
+    return mini_ground_truth()

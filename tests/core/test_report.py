@@ -66,34 +66,3 @@ class TestRenderers:
         text = render_fig6(mini_artifacts.fig6())
         for month in ("February", "March", "April", "May"):
             assert month in text
-
-
-class TestFigureCsvExport:
-    def test_all_files_written(self, mini_artifacts, tmp_path):
-        from repro.core.figures import FIGURE_FILES, export_figure_csvs
-        paths = export_figure_csvs(mini_artifacts, str(tmp_path))
-        import os
-        assert sorted(os.path.basename(p) for p in paths) == sorted(
-            FIGURE_FILES)
-        for path in paths:
-            assert os.path.getsize(path) > 0
-
-    def test_fig1_csv_matches_result(self, mini_artifacts, tmp_path):
-        import csv
-        from repro.core.figures import export_figure_csvs
-        export_figure_csvs(mini_artifacts, str(tmp_path))
-        with open(tmp_path / "fig1_active_devices.csv") as fileobj:
-            rows = list(csv.reader(fileobj))
-        result = mini_artifacts.fig1()
-        assert rows[0][0] == "date"
-        assert len(rows) - 1 == len(result.day_ts)
-        assert int(rows[1][1]) == int(result.total[0])
-
-    def test_summary_csv_parseable(self, mini_artifacts, tmp_path):
-        import csv
-        from repro.core.figures import export_figure_csvs
-        export_figure_csvs(mini_artifacts, str(tmp_path))
-        with open(tmp_path / "summary.csv") as fileobj:
-            rows = {name: value for name, value in csv.reader(fileobj)}
-        assert "post_shutdown_devices" in rows
-        assert float(rows["traffic_increase_feb_to_aprmay"]) != 0.0

@@ -1,10 +1,15 @@
-"""Serialization tests for DHCP log records."""
+"""Serialization tests for DHCP log records.
+
+A DHCP log file is read the way replay reads it: each line through
+``DhcpLogRecord.from_json`` under ``read_jsonl_records``.
+"""
 
 import io
 
 from repro.dhcp.lease import Lease
-from repro.dhcp.log import DhcpLogRecord, read_dhcp_log, write_dhcp_log
+from repro.dhcp.log import DhcpLogRecord
 from repro.net.mac import MacAddress
+from repro.reliability.parsing import read_jsonl_records
 from tests.reliability.nonfinite import (
     NON_FINITE,
     assert_refused_once,
@@ -12,6 +17,12 @@ from tests.reliability.nonfinite import (
 )
 
 import pytest
+
+
+def _read(text, **kwargs):
+    return list(read_jsonl_records(io.StringIO(text),
+                                   DhcpLogRecord.from_json, source="dhcp",
+                                   **kwargs))
 
 
 class TestLease:
@@ -45,25 +56,20 @@ class TestLogSerialization:
             DhcpLogRecord(ts=2.5, mac=MacAddress(0x020000000001),
                           ip=0x0A000002, lease_end=3602.5),
         ]
-        buffer = io.StringIO()
-        assert write_dhcp_log(records, buffer) == 2
-        buffer.seek(0)
-        parsed = list(read_dhcp_log(buffer))
-        assert parsed == records
+        text = "".join(record.to_json() + "\n" for record in records)
+        assert _read(text) == records
 
     def test_blank_lines_skipped(self):
-        buffer = io.StringIO(
-            "\n" + DhcpLogRecord(1.0, MacAddress(5), 9, 2.0).to_json() + "\n\n")
-        assert len(list(read_dhcp_log(buffer))) == 1
+        text = "\n" + DhcpLogRecord(1.0, MacAddress(5), 9, 2.0).to_json()
+        assert len(_read(text + "\n\n")) == 1
 
 
 class TestParseModes:
     def test_strict_raises_structured_record_error(self):
         from repro.reliability.errors import CATEGORY_FIELD, RecordError
 
-        buffer = io.StringIO('{"ts": 1.0}\n')
         with pytest.raises(RecordError) as excinfo:
-            list(read_dhcp_log(buffer))
+            _read('{"ts": 1.0}\n')
         assert excinfo.value.source == "dhcp"
         assert excinfo.value.category == CATEGORY_FIELD
 
@@ -71,9 +77,9 @@ class TestParseModes:
         from repro.reliability.quarantine import QuarantineSink
 
         good = DhcpLogRecord(1.0, MacAddress(5), 9, 2.0)
-        buffer = io.StringIO("garbage\n" + good.to_json() + "\n   \n")
         sink = QuarantineSink()
-        parsed = list(read_dhcp_log(buffer, mode="lenient", sink=sink))
+        parsed = _read("garbage\n" + good.to_json() + "\n   \n",
+                       mode="lenient", sink=sink)
         assert parsed == [good]
         assert sink.malformed("dhcp") == 1
         assert sink.blank("dhcp") == 1
@@ -85,5 +91,5 @@ class TestNumericValidation:
     def test_non_finite_refused(self, field, raw):
         good = DhcpLogRecord(ts=1.0, mac=MacAddress(1), ip=10,
                              lease_end=100.0).to_json()
-        assert_refused_once(read_dhcp_log, good,
+        assert_refused_once(DhcpLogRecord.from_json, good,
                             with_raw_value(good, field, raw), "dhcp")

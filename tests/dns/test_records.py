@@ -1,15 +1,25 @@
-"""Serialization tests for DNS log records."""
+"""Serialization tests for DNS log records.
+
+A DNS log file is read the way replay reads it: each line through
+``DnsLogRecord.from_json`` under ``read_jsonl_records``.
+"""
 
 import io
 
 import pytest
 
-from repro.dns.records import DnsLogRecord, read_dns_log, write_dns_log
+from repro.dns.records import DnsLogRecord
+from repro.reliability.parsing import read_jsonl_records
 from tests.reliability.nonfinite import (
     NON_FINITE,
     assert_refused_once,
     with_raw_value,
 )
+
+
+def _read(text):
+    return list(read_jsonl_records(io.StringIO(text),
+                                   DnsLogRecord.from_json, source="dns"))
 
 
 class TestSerialization:
@@ -21,15 +31,12 @@ class TestSerialization:
                          qname="tiktok.com", answers=(0x32000003,),
                          ttl=60.0),
         ]
-        buffer = io.StringIO()
-        assert write_dns_log(records, buffer) == 2
-        buffer.seek(0)
-        assert list(read_dns_log(buffer)) == records
+        text = "".join(record.to_json() + "\n" for record in records)
+        assert _read(text) == records
 
     def test_blank_lines_skipped(self):
         record = DnsLogRecord(1.0, 1, "a.example.com", (2,), 60.0)
-        buffer = io.StringIO("\n" + record.to_json() + "\n   \n")
-        assert list(read_dns_log(buffer)) == [record]
+        assert _read("\n" + record.to_json() + "\n   \n") == [record]
 
 
 class TestNumericValidation:
@@ -39,5 +46,5 @@ class TestNumericValidation:
     ])
     def test_non_finite_refused(self, field, raw):
         good = DnsLogRecord(1.0, 1, "a.example.com", (2,), 60.0).to_json()
-        assert_refused_once(read_dns_log, good,
+        assert_refused_once(DnsLogRecord.from_json, good,
                             with_raw_value(good, field, raw), "dns")

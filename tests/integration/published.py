@@ -7,7 +7,6 @@ the raw-identifier leak scan and the operational-settings check.
 import glob
 import os
 
-from repro.core.figures import export_figure_csvs
 from repro.core.report import render_full_report
 from repro.pipeline.store import save_dataset
 from repro.serve.fingerprint import canonical_json
@@ -16,13 +15,11 @@ from repro.serve.store import ArtifactStore
 
 
 def published_outputs(artifacts, directory):
-    """Name -> text of the report, each figure CSV, each serve payload
-    and both dataset sidecars. Scratch files go under ``directory``."""
+    """Name -> text of the report, each serve payload (the JSON
+    artifacts ``repro run`` publishes) and both dataset sidecars.
+    Scratch files go under ``directory``, created if missing."""
+    os.makedirs(directory, exist_ok=True)
     outputs = {"report": render_full_report(artifacts)}
-    for path in export_figure_csvs(artifacts, os.path.join(directory,
-                                                           "csv")):
-        with open(path) as fileobj:
-            outputs[os.path.basename(path)] = fileobj.read()
     service = StudyService(ArtifactStore(os.path.join(directory, "store")))
     for name in artifact_names():
         outputs[f"serve:{name}"] = canonical_json(

@@ -217,39 +217,3 @@ class TestCaching:
     def test_figures_cached(self, mini_artifacts):
         assert mini_artifacts.fig1() is mini_artifacts.fig1()
         assert mini_artifacts.summary() is mini_artifacts.summary()
-
-
-class TestExtensions:
-    def test_application_mix_shifts_toward_work(self, mini_artifacts):
-        """Zoom's arrival grows the work share from Feb to April."""
-        from repro.analysis.extensions import compute_application_mix
-        mix = compute_application_mix(
-            mini_artifacts.dataset,
-            device_mask=mini_artifacts.post_shutdown_mask)
-        feb = mix.shares[(2020, 2)]
-        apr = mix.shares[(2020, 4)]
-        assert apr["work"] > feb["work"]
-        assert abs(sum(feb.values()) - 1.0) < 1e-9
-
-    def test_diurnal_similarity_defined_every_month(self, mini_artifacts):
-        import numpy as np
-        from repro.analysis.extensions import compute_diurnal_convergence
-        result = compute_diurnal_convergence(
-            mini_artifacts.dataset,
-            device_mask=mini_artifacts.post_shutdown_mask)
-        series = result.series()
-        assert len(series) == 4
-        assert all(0.0 <= value <= 1.0 for value in series
-                   if not np.isnan(value))
-
-    def test_departure_waves_peak_in_march(self, mini_artifacts):
-        """The inferred exodus concentrates in mid-March weeks."""
-        import numpy as np
-        from repro.analysis.extensions import compute_departure_waves
-        waves = compute_departure_waves(mini_artifacts.dataset)
-        assert waves.remainer_count > 0
-        if waves.weekly_departures.sum() >= 5:
-            peak_week = int(np.argmax(waves.weekly_departures))
-            peak_day = waves.week_starts[peak_week]
-            # Mid-March sits around day 40-55 of the window.
-            assert 33 <= peak_day <= 56

@@ -10,7 +10,6 @@ the campus DHCP pools.
 
 import re
 
-from repro.core.figures import FIGURE_FILES
 from repro.net.ip import ip_to_int
 from repro.serve.service import artifact_names
 from tests.integration.published import published_outputs
@@ -46,7 +45,7 @@ def _dotted_quads_in(text):
 
 def test_published_outputs_carry_no_raw_mac_or_client_ip(mini_artifacts,
                                                          tmp_path):
-    """Report, figure CSVs, serve payloads and dataset sidecars.
+    """Report, serve payloads and dataset sidecars.
 
     The quarantine sink is deliberately out of scope: it keeps raw
     malformed records by design, upstream of the anonymization
@@ -64,7 +63,7 @@ def test_published_outputs_carry_no_raw_mac_or_client_ip(mini_artifacts,
     assert _dotted_quads_in(f"[{pools[0]}]") == {pools[0].first}
 
     outputs = published_outputs(mini_artifacts, str(tmp_path))
-    assert len(outputs) == 1 + len(FIGURE_FILES) + len(artifact_names()) + 2
+    assert len(outputs) == 1 + len(artifact_names()) + 2
     for name, text in outputs.items():
         assert text, f"{name} is empty"
         leaked = sorted(_macs_in(text) & device_macs)

@@ -9,6 +9,8 @@ import pytest
 
 from repro import StudyConfig
 from repro.io.tracedir import (
+    DHCP_FILE,
+    DNS_FILE,
     FORMAT_VERSION,
     MANIFEST_NAME,
     WIRE_FILE,
@@ -22,7 +24,7 @@ from repro.io.tracedir import (
 from repro.net.wire import SegmentBurst
 from repro.pipeline.pipeline import MonitoringPipeline
 from repro.reliability.errors import CATEGORY_VALUE, RecordError
-from repro.reliability.parsing import read_jsonl_records
+from repro.reliability.faults import corrupt_log_lines
 from repro.reliability.quarantine import QuarantineSink
 from repro.synth.generator import CampusTraceGenerator
 from repro.util.timeutil import utc_ts
@@ -100,59 +102,89 @@ class TestBurstParserValidation:
     @pytest.mark.parametrize("raw", NON_FINITE)
     def test_non_finite_ts_refused(self, raw):
         good = json.dumps(_GOOD_WIRE)
+        assert_refused_once(burst_from_json, good,
+                            with_raw_value(good, "ts", raw), "wire")
 
-        def read(fileobj, mode="strict", sink=None):
-            return read_jsonl_records(fileobj, burst_from_json,
-                                      source="wire", mode=mode, sink=sink)
-        assert_refused_once(read, good, with_raw_value(good, "ts", raw),
-                            "wire")
+
+#: Each replay stream's file in a day directory.
+_STREAM_FILES = {"dhcp": DHCP_FILE, "dns": DNS_FILE, "wire": WIRE_FILE}
 
 
 class TestMalformedWireReplay:
-    """A malformed optional field fails strict replay and is quarantined
-    exactly once by lenient replay."""
+    """Malformed lines in any of a day's three trace files fail strict
+    replay, and lenient replay quarantines and counts each exactly once
+    per stream."""
 
     @staticmethod
-    def _mangle(generated, root):
+    def _mangle(generated, root, sources=tuple(_STREAM_FILES)):
+        """Export one day, then corrupt the files of ``sources`` in place.
+
+        Wire lines get the malformed optional fields; DHCP and DNS lines
+        get the fault injector's truncations, garbage, dropped fields
+        and non-objects. Returns source -> (line count, 1-based numbers
+        of the corrupted lines).
+        """
         traces, _ = generated
         export_traces(traces[:1], root)
-        path = os.path.join(root, read_manifest(root)["days"][0], WIRE_FILE)
-        with gzip.open(path, "rt") as fileobj:
-            lines = fileobj.read().splitlines()
-        touched = {}
-        for offset, (key, value) in enumerate(_MALFORMED_OPTIONALS):
-            index = 10 * offset + 5
-            touched[index + 1] = key  # line numbers are 1-based
-            lines[index] = json.dumps({**json.loads(lines[index]),
-                                       key: value})
-        with gzip.open(path, "wt") as fileobj:
-            fileobj.write("\n".join(lines) + "\n")
-        return len(lines), touched
+        day_dir = os.path.join(root, read_manifest(root)["days"][0])
+        mangled = {}
+        for source in sources:
+            path = os.path.join(day_dir, _STREAM_FILES[source])
+            with gzip.open(path, "rt") as fileobj:
+                lines = fileobj.read().splitlines()
+            if source == "wire":
+                touched = [10 * offset + 5
+                           for offset in range(len(_MALFORMED_OPTIONALS))]
+                for index, (key, value) in zip(touched,
+                                               _MALFORMED_OPTIONALS):
+                    lines[index] = json.dumps({**json.loads(lines[index]),
+                                               key: value})
+            else:
+                lines, touched = corrupt_log_lines(lines, 0.1, seed=5)
+            assert touched
+            with gzip.open(path, "wt") as fileobj:
+                fileobj.write("\n".join(lines) + "\n")
+            mangled[source] = (len(lines),
+                               sorted(index + 1 for index in touched))
+        return mangled
 
     def test_strict_replay_raises(self, generated, tmp_path):
-        root = str(tmp_path / "traces")
-        self._mangle(generated, root)
-        pipeline = MonitoringPipeline(_CONFIG, generated[1])
-        with pytest.raises(RecordError) as info:
-            ingest_trace_dir(pipeline, root)
-        assert info.value.source == "wire"
-        assert info.value.category == CATEGORY_VALUE
+        for source in _STREAM_FILES:
+            root = str(tmp_path / source)
+            _, touched = self._mangle(generated, root, (source,))[source]
+            pipeline = MonitoringPipeline(_CONFIG, generated[1])
+            with pytest.raises(RecordError) as info:
+                ingest_trace_dir(pipeline, root)
+            assert info.value.source == source
+            assert info.value.line_no == touched[0]
+            if source == "wire":
+                assert info.value.category == CATEGORY_VALUE
 
     def test_lenient_replay_quarantines_each_once(self, generated,
                                                   tmp_path):
         root = str(tmp_path / "traces")
-        total, touched = self._mangle(generated, root)
-        sink = QuarantineSink(max_samples=100)
+        mangled = self._mangle(generated, root)
+        sink = QuarantineSink(max_samples=1000)
         pipeline = MonitoringPipeline(_CONFIG, generated[1])
         assert ingest_trace_dir(pipeline, root, mode="lenient",
                                 sink=sink) == 1
-        assert sink.counts == {("wire", CATEGORY_VALUE): len(touched)}
-        assert sorted(record.line_no for record in sink.samples("wire")) \
-            == sorted(touched)
-        assert pipeline.stats.quarantined_wire == len(touched)
+        assert sink.malformed() == sum(
+            len(touched) for _, touched in mangled.values())
+        assert sink.blank() == 0
+        for source, (_, touched) in mangled.items():
+            assert sink.malformed(source) == len(touched)
+            assert sorted(record.line_no
+                          for record in sink.samples(source)) == touched
+            assert getattr(pipeline.stats,
+                           f"quarantined_{source}") == len(touched)
+        assert sink.count("wire", CATEGORY_VALUE) == len(mangled["wire"][1])
         day = next(iter_trace_days(root, mode="lenient",
                                    sink=QuarantineSink()))
-        assert len(day.bursts) == total - len(touched)
+        for source, records in (("dhcp", day.dhcp_records),
+                                ("dns", day.dns_records),
+                                ("wire", day.bursts)):
+            total, touched = mangled[source]
+            assert len(records) == total - len(touched)
 
 
 class TestExportAndReplay:

@@ -287,22 +287,22 @@ def test_rl004_bare_reraise_complies(mini_repo):
 
 def test_rl004_taxonomy_wrap_complies(mini_repo):
     mini_repo.write("pipeline/loader", """\
-        from repro.reliability import ShardError
+        from repro.reliability import ReliabilityError
 
         def load(path):
             try:
                 return open(path).read()
             except Exception as exc:
-                raise ShardError(str(exc)) from exc
+                raise ReliabilityError(str(exc)) from exc
         """)
     assert mini_repo.run_rule("RL004") == []
 
 
 def test_rl004_local_taxonomy_subclass_complies(mini_repo):
     mini_repo.write("pipeline/loader", """\
-        from repro.reliability import ShardError
+        from repro.reliability import ReliabilityError
 
-        class LoaderError(ShardError):
+        class LoaderError(ReliabilityError):
             pass
 
         def load(path):

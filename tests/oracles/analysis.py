@@ -126,7 +126,7 @@ def devices_active_in_months_reference(
         dataset: FlowDataset,
         months: Tuple[Tuple[int, int], ...]) -> np.ndarray:
     """Pure-Python reference for
-    :func:`repro.analysis.common.devices_active_in_months`."""
+    :meth:`repro.analysis.context.AnalysisContext.active_in_months`."""
     if not months:
         raise ValueError("at least one month is required")
     masks = []

@@ -11,6 +11,7 @@ import json
 import pytest
 
 from repro.reliability.errors import CATEGORY_VALUE, RecordError
+from repro.reliability.parsing import read_jsonl_records
 from repro.reliability.quarantine import QuarantineSink
 
 #: Raw JSON values that parse to a non-finite float.
@@ -22,16 +23,17 @@ def with_raw_value(line: str, field: str, raw: str) -> str:
     return json.dumps({**json.loads(line), field: "@@"}).replace('"@@"', raw)
 
 
-def assert_refused_once(read, good: str, bad: str, source: str) -> None:
-    """Strict ``read`` raises a ``value`` RecordError naming line 2;
-    lenient ``read`` keeps the good line and quarantines the bad one
-    exactly once."""
+def assert_refused_once(parse, good: str, bad: str, source: str) -> None:
+    """Reading ``good`` then ``bad`` with the line parser ``parse``:
+    strict raises a ``value`` RecordError naming line 2; lenient keeps
+    the good line and quarantines the bad one exactly once."""
     text = f"{good}\n{bad}\n"
     with pytest.raises(RecordError) as info:
-        list(read(io.StringIO(text)))
+        list(read_jsonl_records(io.StringIO(text), parse, source=source))
     assert (info.value.source, info.value.category, info.value.line_no,
             info.value.line) == (source, CATEGORY_VALUE, 2, bad)
     sink = QuarantineSink()
-    kept = list(read(io.StringIO(text), mode="lenient", sink=sink))
+    kept = list(read_jsonl_records(io.StringIO(text), parse, source=source,
+                                   mode="lenient", sink=sink))
     assert len(kept) == 1
     assert sink.counts == {(source, CATEGORY_VALUE): 1}

@@ -8,7 +8,6 @@ from repro.reliability.errors import (
     CATEGORY_JSON,
     RecordError,
     ReliabilityError,
-    ShardError,
     TransientIOError,
     is_transient,
 )
@@ -33,14 +32,6 @@ class TestRecordError:
         """Bad bytes do not improve on retry."""
         assert not is_transient(
             RecordError("bad", source="conn", category=CATEGORY_JSON))
-
-
-class TestShardError:
-    def test_is_a_runtime_error(self):
-        assert isinstance(ShardError("boom"), RuntimeError)
-
-    def test_fatal_by_default(self):
-        assert not is_transient(ShardError("boom"))
 
 
 class TestTransientClassification:

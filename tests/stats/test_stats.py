@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from repro.stats.descriptive import BoxStats, box_stats, safe_median
+from repro.stats.descriptive import BoxStats, box_stats
 from repro.stats.smoothing import moving_average
 
 
@@ -41,10 +41,6 @@ class TestBoxStats:
         assert (stats.p1 <= stats.q1 <= stats.median
                 <= stats.q3 <= stats.p95 <= stats.p99)
         assert min(values) <= stats.median <= max(values)
-
-    def test_safe_median(self):
-        assert safe_median([3.0, 1.0, 2.0]) == 2.0
-        assert math.isnan(safe_median([]))
 
 
 class TestMovingAverage:
