@@ -368,13 +368,12 @@ class JournaledRun:
     def _stage_annotate(
             self, progress: ProgressFn,
     ) -> Tuple[Dict[str, str], Dict[str, Any]]:
-        from repro.pipeline.visitors import visitor_filter_mask
+        from repro.pipeline.visitors import keep_devices, visitor_filter_mask
 
         dataset_all = load_dataset(self.path(MERGED_DATASET))
         retained = visitor_filter_mask(dataset_all,
                                        self.config.visitor_min_days)
-        dataset = dataset_all.select(
-            dataset_all.flows_of_devices(retained)).compact()
+        dataset = keep_devices(dataset_all, retained)
         progress(f"visitor filter: kept {int(retained.sum())} of "
                  f"{dataset_all.n_devices} devices")
         save_dataset(dataset, self.path(FILTERED_DATASET))

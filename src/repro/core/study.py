@@ -45,7 +45,7 @@ from repro.devices.classifier import ClassificationResult, DeviceClassifier
 from repro.geo.international import InternationalClassifier, MidpointReport
 from repro.pipeline.dataset import FlowDataset
 from repro.pipeline.pipeline import MonitoringPipeline, PipelineStats
-from repro.pipeline.visitors import visitor_filter_mask
+from repro.pipeline.visitors import keep_devices, visitor_filter_mask
 from repro.reliability.coverage import CoverageReport
 from repro.synth.generator import (
     PRESENCE_ALL_RESIDENTS,
@@ -63,11 +63,12 @@ class StudyArtifacts:
 
     config: StudyConfig
     generator: CampusTraceGenerator
-    #: Dataset before the visitor filter (kept for filter diagnostics).
-    dataset_unfiltered: FlowDataset
-    #: The analysis dataset: visitor-filtered flows.
+    #: The analysis dataset: visitor-filtered flows. The unfiltered
+    #: table it came from is not kept: the filter consumes it, so one
+    #: copy of the flows is alive from ingest to report.
     dataset: FlowDataset
-    #: Per-device visitor-filter verdicts (on the unfiltered table).
+    #: Per-device visitor-filter verdicts, indexed like the device
+    #: table of the unfiltered dataset.
     retained_devices: np.ndarray
     classification: ClassificationResult
     midpoints: MidpointReport
@@ -360,7 +361,8 @@ def _assemble(config: StudyConfig, generator: CampusTraceGenerator,
     """Visitor filter, classify and annotate a measured dataset.
 
     ``prefiltered`` marks ``dataset_all`` as already visitor-filtered
-    (a saved dataset): every device is then retained as is.
+    (a saved dataset): every device is then retained as is. Otherwise
+    the filter consumes ``dataset_all`` (:func:`keep_devices`).
     """
     if prefiltered:
         retained = np.ones(dataset_all.n_devices, dtype=bool)
@@ -368,8 +370,7 @@ def _assemble(config: StudyConfig, generator: CampusTraceGenerator,
     else:
         retained = visitor_filter_mask(dataset_all,
                                        config.visitor_min_days)
-        dataset = dataset_all.select(
-            dataset_all.flows_of_devices(retained)).compact()
+        dataset = keep_devices(dataset_all, retained)
         report(f"visitor filter: kept {int(retained.sum())} of "
                f"{dataset_all.n_devices} devices")
 
@@ -392,7 +393,6 @@ def _assemble(config: StudyConfig, generator: CampusTraceGenerator,
     return StudyArtifacts(
         config=config,
         generator=generator,
-        dataset_unfiltered=dataset_all,
         dataset=dataset,
         retained_devices=retained,
         classification=classification,

@@ -135,27 +135,23 @@ class FlowDataset:
         return device_mask[self.device]
 
     def select(self, flow_mask: np.ndarray) -> "FlowDataset":
-        """A new dataset restricted to the masked flows.
+        """A new dataset restricted to the masked flows; consumes this one.
+
+        Each column is filtered and then deleted from this dataset
+        before the next one is filtered, so the table is never held
+        twice. Afterwards this dataset keeps only its side tables and
+        ``day0``; reading a column of it raises ``AttributeError``.
 
         Device and domain side tables are shared (indices stay valid);
         call :meth:`compact` afterwards to prune devices that lost all
         their flows.
         """
-        return FlowDataset(
-            ts=self.ts[flow_mask],
-            duration=self.duration[flow_mask],
-            device=self.device[flow_mask],
-            resp_h=self.resp_h[flow_mask],
-            resp_p=self.resp_p[flow_mask],
-            proto=self.proto[flow_mask],
-            orig_bytes=self.orig_bytes[flow_mask],
-            resp_bytes=self.resp_bytes[flow_mask],
-            domain=self.domain[flow_mask],
-            day=self.day[flow_mask],
-            domains=self.domains,
-            devices=self.devices,
-            day0=self.day0,
-        )
+        columns: Dict[str, np.ndarray] = {}
+        for name in ARRAY_FIELDS:
+            columns[name] = getattr(self, name)[flow_mask]
+            delattr(self, name)
+        return FlowDataset(**columns, domains=self.domains,
+                           devices=self.devices, day0=self.day0)
 
     def compact(self) -> "FlowDataset":
         """Drop device profiles with no remaining flows, re-indexing.
@@ -262,16 +258,22 @@ class FlowDataset:
 class FlowDatasetBuilder:
     """Accumulates flows into compact typed arrays.
 
-    :meth:`add_flow_batch` lands each column set as a finished numpy
-    chunk in arrival order, so :meth:`finalize` is one concatenation.
+    Each column lives in one array of its final dtype that grows
+    geometrically, and :meth:`add_flow_batch` copies a batch onto its
+    tail. :meth:`finalize` trims the columns one at a time, releasing
+    each growth buffer before it trims the next, so the flows are never
+    held twice. Per-day chunks concatenated at the end would be: the
+    allocator keeps the chunks' freed memory beside the new full table.
     """
 
     def __init__(self, day0: float):
         self.day0 = day0
-        #: Finished column chunks in arrival order, already in final
-        #: dtypes.
-        self._chunks: List[Dict[str, np.ndarray]] = []
-        self._chunk_rows = 0
+        #: Growth buffers of every column, in final dtypes; the first
+        #: ``_rows`` entries of each are the flows in arrival order.
+        self._columns: Dict[str, np.ndarray] = {
+            name: np.empty(0, dtype=dtype)
+            for name, dtype in COLUMN_DTYPES.items()}
+        self._rows = 0
 
         self._domains: List[str] = []
         self._domain_index: Dict[str, int] = {}
@@ -329,7 +331,7 @@ class FlowDatasetBuilder:
         orig_bytes = np.asarray(orig_bytes, dtype=np.int64)
         resp_bytes = np.asarray(resp_bytes, dtype=np.int64)
         day = ((ts - self.day0) // DAY).astype(np.int64)
-        self._chunks.append({
+        self._append_rows({
             "ts": ts,
             "duration": duration,
             "device": device,
@@ -341,7 +343,6 @@ class FlowDatasetBuilder:
             "domain": np.asarray(domain, dtype=np.int32),
             "day": day.astype(np.int32),
         })
-        self._chunk_rows += n
 
         # Per-device aggregates via sort + reduceat: one pass touches
         # each distinct device once instead of once per flow.
@@ -381,14 +382,35 @@ class FlowDatasetBuilder:
                 self._devices[int(key // width)].user_agents.add(
                     ua_table[int(key % width)])
 
+    def _append_rows(self, columns: Dict[str, np.ndarray]) -> None:
+        """Copy one equal-length set of typed columns onto the tails."""
+        start = self._rows
+        stop = start + len(columns["ts"])
+        capacity = len(self._columns["ts"])
+        if stop > capacity:
+            capacity = max(stop, 2 * capacity)
+            for name in ARRAY_FIELDS:
+                grown = np.empty(capacity, dtype=COLUMN_DTYPES[name])
+                grown[:start] = self._columns[name][:start]
+                self._columns[name] = grown
+        for name in ARRAY_FIELDS:
+            self._columns[name][start:stop] = columns[name]
+        self._rows = stop
+
     def __len__(self) -> int:
-        return self._chunk_rows
+        return self._rows
 
     def finalize(self) -> FlowDataset:
-        """Freeze into numpy arrays (typed and empty when no flow came)."""
-        parts = self._chunks or [{name: np.empty(0, dtype=dtype)
-                                  for name, dtype in COLUMN_DTYPES.items()}]
-        columns = {name: np.concatenate([part[name] for part in parts])
-                   for name in ARRAY_FIELDS}
+        """Freeze into numpy arrays (typed and empty when no flow came).
+
+        The builder hands its flows over: each column is trimmed to
+        length and its growth buffer dropped before the next column is
+        trimmed, and the builder holds no flow afterwards.
+        """
+        columns: Dict[str, np.ndarray] = {}
+        for name in ARRAY_FIELDS:
+            columns[name] = self._columns[name][:self._rows].copy()
+            self._columns[name] = np.empty(0, dtype=COLUMN_DTYPES[name])
+        self._rows = 0
         return FlowDataset(**columns, domains=list(self._domains),
                            devices=list(self._devices), day0=self.day0)

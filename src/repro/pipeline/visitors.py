@@ -22,8 +22,21 @@ def visitor_filter_mask(dataset: FlowDataset, min_days: int = 14) -> np.ndarray:
         dtype=bool)
 
 
+def keep_devices(dataset: FlowDataset, retained: np.ndarray) -> FlowDataset:
+    """Dataset restricted to flows of the ``retained`` devices, compacted.
+
+    Consumes ``dataset``: its columns are released one at a time as the
+    kept flows are copied out (:meth:`FlowDataset.select`), so the
+    unfiltered and the filtered table never both exist whole. Its
+    device table survives, for diagnostics against ``retained``.
+    """
+    return dataset.select(dataset.flows_of_devices(retained)).compact()
+
+
 def apply_visitor_filter(dataset: FlowDataset,
                          min_days: int = 14) -> FlowDataset:
-    """Dataset restricted to flows of retained devices, compacted."""
-    device_mask = visitor_filter_mask(dataset, min_days)
-    return dataset.select(dataset.flows_of_devices(device_mask)).compact()
+    """Dataset restricted to flows of retained devices, compacted.
+
+    Consumes ``dataset``, as :func:`keep_devices` does.
+    """
+    return keep_devices(dataset, visitor_filter_mask(dataset, min_days))

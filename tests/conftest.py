@@ -14,7 +14,9 @@ import functools
 import pytest
 
 from repro import LockdownStudy, StudyConfig
+from repro.core.study import _ingest, _silent
 from repro.core.validation import GroundTruthMatcher
+from repro.synth.generator import CampusTraceGenerator
 
 MINI_CONFIG = StudyConfig(n_students=30, seed=11)
 
@@ -23,6 +25,21 @@ MINI_CONFIG = StudyConfig(n_students=30, seed=11)
 def mini_study():
     """A complete study run at miniature scale."""
     return LockdownStudy(MINI_CONFIG).run()
+
+
+def ingest_unfiltered(config):
+    """A study's dataset before the visitor filter.
+
+    The study's filter consumes that table, so suites that inspect it
+    measure the same window again through the study's own ingest.
+    """
+    return _ingest(config, CampusTraceGenerator(config), _silent)[0]
+
+
+@functools.lru_cache(maxsize=None)
+def mini_ingest():
+    """The mini study's dataset before the visitor filter."""
+    return ingest_unfiltered(MINI_CONFIG)
 
 
 @functools.lru_cache(maxsize=None)
@@ -44,6 +61,11 @@ def mini_config():
 @pytest.fixture(scope="session")
 def mini_artifacts():
     return mini_study()
+
+
+@pytest.fixture(scope="session")
+def mini_unfiltered():
+    return mini_ingest()
 
 
 @pytest.fixture(scope="session")

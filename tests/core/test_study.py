@@ -5,6 +5,7 @@ import pytest
 
 from repro import LockdownStudy, StudyConfig
 from repro.util.timeutil import utc_ts
+from tests.conftest import ingest_unfiltered
 
 
 class TestConfigValidation:
@@ -32,8 +33,7 @@ class TestDeterminism:
             start_ts=utc_ts(2020, 2, 1), end_ts=utc_ts(2020, 2, 15))
 
         def fingerprint():
-            artifacts = LockdownStudy(config).run()
-            dataset = artifacts.dataset_unfiltered
+            dataset = ingest_unfiltered(config)
             return (
                 len(dataset),
                 float(dataset.total_bytes.sum()),
@@ -48,8 +48,7 @@ class TestDeterminism:
             config = StudyConfig(
                 n_students=8, seed=seed,
                 start_ts=utc_ts(2020, 2, 1), end_ts=utc_ts(2020, 2, 8))
-            artifacts = LockdownStudy(config).run()
-            return float(artifacts.dataset_unfiltered.total_bytes.sum())
+            return float(ingest_unfiltered(config).total_bytes.sum())
 
         assert fingerprint(1) != fingerprint(2)
 

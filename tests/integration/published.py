@@ -14,10 +14,12 @@ from repro.serve.service import StudyService, artifact_names
 from repro.serve.store import ArtifactStore
 
 
-def published_outputs(artifacts, directory):
+def published_outputs(artifacts, unfiltered, directory):
     """Name -> text of the report, each serve payload (the JSON
     artifacts ``repro run`` publishes) and both dataset sidecars.
-    Scratch files go under ``directory``, created if missing."""
+    ``unfiltered`` is the run's dataset before the visitor filter,
+    which the artifacts do not keep. Scratch files go under
+    ``directory``, created if missing."""
     os.makedirs(directory, exist_ok=True)
     outputs = {"report": render_full_report(artifacts)}
     service = StudyService(ArtifactStore(os.path.join(directory, "store")))
@@ -25,7 +27,7 @@ def published_outputs(artifacts, directory):
         outputs[f"serve:{name}"] = canonical_json(
             service._compute_payload(artifacts, name))
     for label, dataset in (("filtered", artifacts.dataset),
-                           ("unfiltered", artifacts.dataset_unfiltered)):
+                           ("unfiltered", unfiltered)):
         base = os.path.join(directory, f"{label}.npz")
         save_dataset(dataset, base)
         (sidecar,) = glob.glob(base + "*.json")

@@ -65,12 +65,14 @@ class TestVisitorFilter:
         for persona in persona_of.values():
             assert not persona.is_visitor
 
-    def test_filter_removed_some_devices(self, mini_artifacts):
-        assert (mini_artifacts.dataset_unfiltered.n_devices
+    def test_filter_removed_some_devices(self, mini_artifacts,
+                                         mini_unfiltered):
+        assert (mini_unfiltered.n_devices
                 > int(mini_artifacts.retained_devices.sum()))
 
-    def test_retained_devices_have_min_days(self, mini_artifacts):
-        for profile in mini_artifacts.dataset_unfiltered.devices:
+    def test_retained_devices_have_min_days(self, mini_artifacts,
+                                            mini_unfiltered):
+        for profile in mini_unfiltered.devices:
             if mini_artifacts.retained_devices[profile.index]:
                 assert (profile.active_day_count
                         >= mini_artifacts.config.visitor_min_days)

@@ -44,6 +44,7 @@ def _dotted_quads_in(text):
 
 
 def test_published_outputs_carry_no_raw_mac_or_client_ip(mini_artifacts,
+                                                         mini_unfiltered,
                                                          tmp_path):
     """Report, serve payloads and dataset sidecars.
 
@@ -62,7 +63,8 @@ def test_published_outputs_carry_no_raw_mac_or_client_ip(mini_artifacts,
         assert _macs_in(f"x {spelling.upper()} y") == {some_mac.value}
     assert _dotted_quads_in(f"[{pools[0]}]") == {pools[0].first}
 
-    outputs = published_outputs(mini_artifacts, str(tmp_path))
+    outputs = published_outputs(mini_artifacts, mini_unfiltered,
+                                str(tmp_path))
     assert len(outputs) == 1 + len(artifact_names()) + 2
     for name, text in outputs.items():
         assert text, f"{name} is empty"

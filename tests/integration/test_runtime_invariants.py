@@ -41,6 +41,7 @@ from repro.serve.fingerprint import (
 )
 from repro.serve.service import artifact_json, artifact_names
 from repro.serve.store import ArtifactStore
+from tests.conftest import ingest_unfiltered
 from tests.integration.published import published_outputs
 
 REPO_ROOT = Path(__file__).resolve().parents[2]
@@ -100,6 +101,8 @@ def test_operational_settings_do_not_change_outputs(tmp_path):
     assert StudyConfig.from_payload(legacy) == config
 
     plain = LockdownStudy(config).run()
+    # The plain run's visitor filter consumed its unfiltered table.
+    merged = ingest_unfiltered(config)
     journaled = JournaledRun.start(str(tmp_path / "journal"),
                                    config).execute()
     assert journaled.fingerprint == study_fingerprint(config)
@@ -115,7 +118,7 @@ def test_operational_settings_do_not_change_outputs(tmp_path):
             == payload, name
 
     # Its datasets are the plain run's, saved in canonical order.
-    for label, dataset in (("merged", plain.dataset_unfiltered),
+    for label, dataset in (("merged", merged),
                            ("filtered", plain.dataset)):
         expected = str(tmp_path / f"plain-{label}.npz")
         save_dataset(dataset.canonicalize(), expected)
@@ -133,8 +136,10 @@ def test_operational_settings_do_not_change_outputs(tmp_path):
                                           "filtered.npz")),
         coverage=coverage, pipeline_stats=load_stats(
             os.path.join(journaled.run_dir, "merged.stats.json")))
-    outputs = published_outputs(plain, str(tmp_path / "plain"))
-    other_outputs = published_outputs(rebuilt, str(tmp_path / "rebuilt"))
+    outputs = published_outputs(plain, merged, str(tmp_path / "plain"))
+    other_outputs = published_outputs(
+        rebuilt, load_dataset(os.path.join(journaled.run_dir, "merged.npz")),
+        str(tmp_path / "rebuilt"))
     assert "Figure 1" in outputs["report"]
     assert set(outputs) == set(other_outputs)
     # The dataset sidecars list devices in dataset order, which is

@@ -62,12 +62,10 @@ class RowFlowDatasetBuilder(FlowDatasetBuilder):
         return super().__len__() + len(self._tail["ts"])
 
     def finalize(self) -> FlowDataset:
-        """Land the scalar rows as one chunk, then freeze."""
-        n = len(self._tail["ts"])
-        if n:
-            self._chunks.append({
+        """Land the scalar rows as one batch, then freeze."""
+        if self._tail["ts"]:
+            self._append_rows({
                 name: np.array(values, dtype=COLUMN_DTYPES[name])
                 for name, values in self._tail.items()})
-            self._chunk_rows += n
             self._tail = {name: [] for name in ARRAY_FIELDS}
         return super().finalize()

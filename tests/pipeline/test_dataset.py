@@ -125,6 +125,18 @@ class TestFinalize:
         assert subset.n_devices == 2  # device table shared
         assert subset.domains is dataset.domains
 
+    def test_select_consumes_its_input(self, builder):
+        a = _device_idx(builder, 1)
+        _add(builder, a)
+        _add(builder, a, ts=20.0)
+        dataset = builder.finalize()
+        devices = dataset.devices
+        subset = dataset.select(np.array([False, True]))
+        assert list(subset.ts) == [20.0]
+        for name in COLUMN_DTYPES:
+            assert not hasattr(dataset, name), name
+        assert dataset.devices is devices
+
     def test_proto_codes(self, builder):
         idx = _device_idx(builder)
         _add(builder, idx, proto="tcp")
@@ -141,6 +153,79 @@ class TestFinalize:
         for name, dtype in COLUMN_DTYPES.items():
             column = getattr(dataset, name)
             assert column.dtype == dtype and column.shape == (0,), name
+
+
+def _random_batches(sizes, n_devices=3, seed=5):
+    """Column sets of the given lengths, in the loose dtypes ingest may
+    pass (``proto`` as int64, ``device`` as int64)."""
+    rng = np.random.default_rng(seed)
+    batches = []
+    for n in sizes:
+        batches.append({
+            "ts": rng.uniform(0.0, 5 * DAY, n),
+            "duration": rng.uniform(0.0, 7200.0, n),
+            "device": rng.integers(0, n_devices, n),
+            "resp_h": rng.integers(0, 2 ** 32, n),
+            "resp_p": rng.integers(0, 65536, n),
+            "proto": rng.integers(0, 2, n),
+            "orig_bytes": rng.integers(0, 10 ** 9, n),
+            "resp_bytes": rng.integers(1, 10 ** 9, n),
+            "domain": rng.integers(NO_DOMAIN, 2, n),
+            "user_agent": rng.integers(-1, 2, n),
+        })
+    return batches
+
+
+def _fill(batches, n_devices=3):
+    builder = FlowDatasetBuilder(day0=0.0)
+    for value in range(n_devices):
+        _device_idx(builder, 0x9C1A00000000 + value)
+    builder.domain_index("zoom.us")
+    builder.domain_index("tiktok.com")
+    for batch in batches:
+        builder.add_flow_batch(**batch, ua_table=["UA0", "UA1"])
+    return builder
+
+
+class TestGrowableColumns:
+    """Many small batches finalize exactly as one concatenated batch."""
+
+    @pytest.mark.parametrize("sizes", [
+        [0, 0],
+        [1] * 40,
+        [0, 3, 0, 1, 50, 0, 2, 129, 7],
+    ])
+    def test_small_batches_equal_one_concatenation(self, sizes):
+        batches = _random_batches(sizes)
+        joined = {name: np.concatenate([batch[name] for batch in batches])
+                  for name in batches[0]}
+        expected = {name: joined[name].astype(dtype)
+                    for name, dtype in COLUMN_DTYPES.items()
+                    if name != "day"}
+        expected["day"] = (joined["ts"] // DAY).astype(np.int32)
+
+        many = _fill(batches)
+        assert len(many) == sum(sizes)
+        one = _fill([joined])
+        for dataset in (many.finalize(), one.finalize()):
+            assert len(dataset) == sum(sizes)
+            for name, dtype in COLUMN_DTYPES.items():
+                column = getattr(dataset, name)
+                assert column.dtype == dtype, name
+                assert np.array_equal(column, expected[name]), name
+        assert many._devices == one._devices
+
+    def test_proto_cast_to_int8(self):
+        (batch,) = _random_batches([6])
+        batch["proto"] = np.array([0, 1, 1, 0, 1, 0], dtype=np.int64)
+        dataset = _fill([batch]).finalize()
+        assert dataset.proto.dtype == np.int8
+        assert dataset.proto.tolist() == [0, 1, 1, 0, 1, 0]
+
+    def test_finalize_hands_the_flows_over(self):
+        builder = _fill(_random_batches([4, 9]))
+        assert len(builder.finalize()) == 13
+        assert len(builder) == 0
 
 
 class TestCompact:

@@ -75,10 +75,13 @@ class TestBuilderProperties:
         if len(dataset) == 0:
             return
         keep = np.arange(len(dataset)) % 2 == 0
+        # select consumes the dataset's columns: read them first.
+        kept_bytes = dataset.total_bytes[keep].sum()
+        kept_devices = len(np.unique(dataset.device[keep]))
         subset = dataset.select(keep).compact()
         assert len(subset) == int(keep.sum())
-        assert subset.total_bytes.sum() == dataset.total_bytes[keep].sum()
-        assert subset.n_devices == len(np.unique(dataset.device[keep]))
+        assert subset.total_bytes.sum() == kept_bytes
+        assert subset.n_devices == kept_devices
         assert (subset.device < subset.n_devices).all()
 
 
