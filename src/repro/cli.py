@@ -24,7 +24,7 @@ import json
 import os
 import sys
 import time
-from typing import List, Optional
+from typing import Any, Dict, List, Optional
 
 from repro import LockdownStudy, StudyConfig
 from repro.analysis.expectations import (
@@ -43,10 +43,6 @@ _REPORT_FILE = "report.txt"
 
 def _progress(message: str) -> None:
     print(f"  [{message}]", file=sys.stderr)
-
-
-def _full_report(artifacts) -> str:
-    return render_full_report(artifacts)
 
 
 def _save_config(config: StudyConfig, directory: str) -> None:
@@ -74,39 +70,27 @@ _PRESETS = {
 
 
 def _config_from_args(args: argparse.Namespace) -> StudyConfig:
-    """Resolve --preset/--students/--seed into a StudyConfig."""
+    """Resolve --preset/--students/--seed into a StudyConfig, plus
+    --dhcp-staleness where the subcommand defines it."""
+    overrides: Dict[str, Any] = {}
+    if getattr(args, "seed", None) is not None:
+        overrides["seed"] = args.seed
+    if getattr(args, "dhcp_staleness", None) is not None:
+        overrides["dhcp_staleness_seconds"] = args.dhcp_staleness
     preset = getattr(args, "preset", None)
     if preset:
-        config = _PRESETS[preset]()
-        if getattr(args, "seed", None) is not None:
-            config = StudyConfig.from_payload(
-                {**config.to_payload(), "seed": args.seed})
-        return config
+        return StudyConfig.from_payload(
+            {**_PRESETS[preset]().to_payload(), **overrides})
     students = getattr(args, "students", None)
-    seed = getattr(args, "seed", None)
+    overrides.setdefault("seed", 7)
     return StudyConfig(
         n_students=students if students is not None else 100,
-        seed=seed if seed is not None else 7)
+        **overrides)
 
 
 def _utc_stamp() -> str:
     """Wall-clock stamp for reports/baselines (CLI-only; RL001)."""
     return time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime())
-
-
-def _run_config(args: argparse.Namespace) -> StudyConfig:
-    if getattr(args, "preset", None):
-        config = _PRESETS[args.preset]()
-        return StudyConfig.from_payload({
-            **config.to_payload(),
-            "seed": (args.seed if args.seed is not None
-                     else config.seed),
-            "dhcp_staleness_seconds": args.dhcp_staleness,
-        })
-    return StudyConfig(
-        n_students=args.students if args.students is not None else 100,
-        seed=args.seed if args.seed is not None else 7,
-        dhcp_staleness_seconds=args.dhcp_staleness)
 
 
 def _cmd_run_journaled(args: argparse.Namespace) -> int:
@@ -121,11 +105,11 @@ def _cmd_run_journaled(args: argparse.Namespace) -> int:
                     or args.seed is not None)
         run = JournaledRun.resume(
             args.journal_dir, args.resume_run,
-            config=_run_config(args) if explicit else None,
+            config=_config_from_args(args) if explicit else None,
             store_root=args.store)
     else:
         run = JournaledRun.start(args.journal_dir,
-                                 config=_run_config(args),
+                                 config=_config_from_args(args),
                                  run_id=args.run_id,
                                  store_root=args.store)
     started = time.time()
@@ -151,7 +135,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
         return _cmd_run_journaled(args)
     if args.resume_run or args.run_id:
         raise SystemExit("--run-id/--resume-run require --journal-dir")
-    config = _run_config(args)
+    config = _config_from_args(args)
     study = LockdownStudy(config)
     started = time.time()
     artifacts = study.run(progress=_progress,
@@ -161,14 +145,12 @@ def _cmd_run(args: argparse.Namespace) -> int:
         study.run_baseline_2019(artifacts)
     _progress(f"run completed in {time.time() - started:.0f}s")
 
-    report = _full_report(artifacts)
+    report = render_full_report(artifacts)
     print(report)
     if args.out:
         os.makedirs(args.out, exist_ok=True)
         _save_config(config, args.out)
-        # Canonical order, so the file's bytes do not depend on the
-        # order the pipeline registered its rows in.
-        save_dataset(artifacts.dataset.canonicalize(),
+        save_dataset(artifacts.dataset,
                      os.path.join(args.out, _DATASET_FILE))
         write_text(os.path.join(args.out, _REPORT_FILE), report + "\n")
         _progress(f"dataset and report written to {args.out}/")
@@ -179,7 +161,7 @@ def _cmd_report(args: argparse.Namespace) -> int:
     config = _load_config(args.data)
     dataset = load_dataset(os.path.join(args.data, _DATASET_FILE))
     artifacts = LockdownStudy.artifacts_from_dataset(config, dataset)
-    print(_full_report(artifacts))
+    print(render_full_report(artifacts))
     return 0
 
 
@@ -241,7 +223,7 @@ def _cmd_ingest(args: argparse.Namespace) -> int:
     dataset = apply_visitor_filter(pipeline.finalize(),
                                    config.visitor_min_days)
     artifacts = LockdownStudy.artifacts_from_dataset(config, dataset)
-    print(_full_report(artifacts))
+    print(render_full_report(artifacts))
     return 0
 
 

@@ -13,8 +13,10 @@ amounts and materializing rows into the shared
 
 Index-assignment parity is the subtle part: device profiles and domain
 table entries must be *created* in the scalar loop's first-occurrence
-order or downstream datasets stop comparing identical without
-canonicalization. Both registries are therefore factorized per batch
+order. That registration order is the one order a dataset has from
+the builder to a saved file, so a dataset built another way compares
+identical only if it registers in the same order. Both registries are
+therefore factorized per batch
 (``np.unique`` + first-occurrence argsort) and only the distinct new
 keys touch the Python-side registries, in order.
 """

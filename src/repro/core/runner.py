@@ -1,15 +1,15 @@
 """Journaled study runs: crash-safe orchestration of the full pipeline.
 
-:class:`JournaledRun` decomposes ``repro run`` into four durable
+:class:`JournaledRun` decomposes ``repro run`` into three durable
 stages and brackets each with write-ahead records in a
 :class:`~repro.reliability.journal.RunJournal`:
 
 ========  ==========================================================
 stage     work (inputs -> durable outputs)
 ========  ==========================================================
-ingest    generate and measure the whole window -> ``merged.npz``
-          (+ stats, coverage sidecars)
-annotate  visitor filter -> ``filtered.npz``
+ingest    generate and measure the whole window, then apply the
+          visitor filter -> ``filtered.npz`` (+ stats, coverage
+          sidecars)
 analyze   figures/summary/outcomes -> ``artifacts/*.json`` +
           ``report.txt``
 publish   artifact payloads -> the results store
@@ -17,8 +17,11 @@ publish   artifact payloads -> the results store
 ========  ==========================================================
 
 The ingest stage is the study's own in-process ingest
-(:func:`repro.core.study._ingest`); every later stage reads only the
-previous stage's *files* (never in-memory state). Each stage writes
+(:func:`repro.core.study._ingest`) followed by the study's visitor
+filter, so it saves only the dataset the study analyses, in the order
+the ingest registered its flows: the plain run's dataset, byte for
+byte. Every later stage reads only the previous stage's *files*
+(never in-memory state). Each stage writes
 its outputs through the atomic-write chokepoint
 (:mod:`repro.reliability.atomic`) and journals a ``stage_end`` record
 carrying the SHA-256 of every output file, so the journal is the run's
@@ -36,14 +39,13 @@ contract pinned by ``tests/integration/test_crash_chaos.py``.
 Run directories live under a *journal dir*::
 
     <journal_dir>/<fingerprint[:12]>-NNN/
-        journal.jsonl          # write-ahead run journal
-        merged.npz[.meta.json] # ingest stage: the measured dataset
-        merged.stats.json      # ingest stage: pipeline counters
-        merged.coverage.json   # ingest stage: telemetry coverage
-        filtered.npz[...]      # annotate stage
-        artifacts/<name>.json  # analyze stage (canonical JSON)
-        report.txt             # analyze stage
-        store/                 # publish stage (default store root)
+        journal.jsonl            # write-ahead run journal
+        filtered.npz[.meta.json] # ingest stage: the analysed dataset
+        merged.stats.json        # ingest stage: pipeline counters
+        merged.coverage.json     # ingest stage: telemetry coverage
+        artifacts/<name>.json    # analyze stage (canonical JSON)
+        report.txt               # analyze stage
+        store/                   # publish stage (default store root)
 
 Run ids are deterministic (no clocks, no entropy -- RL001): the config
 fingerprint's first 12 hex digits plus the first free 3-digit ordinal
@@ -86,13 +88,12 @@ from repro.serve.fingerprint import (
 ProgressFn = Callable[[str], None]
 
 #: The stage sequence every journaled run executes, in order.
-STAGES: Tuple[str, ...] = ("ingest", "annotate", "analyze", "publish")
+STAGES: Tuple[str, ...] = ("ingest", "analyze", "publish")
 
 #: File names inside a run directory.
-MERGED_DATASET = "merged.npz"
+FILTERED_DATASET = "filtered.npz"
 MERGED_STATS = "merged.stats.json"
 MERGED_COVERAGE = "merged.coverage.json"
-FILTERED_DATASET = "filtered.npz"
 ARTIFACTS_DIR = "artifacts"
 REPORT_FILE = "report.txt"
 DEFAULT_STORE_DIR = "store"
@@ -102,8 +103,8 @@ _RUN_ID_RE = re.compile(r"^[0-9a-f]{12}-(\d{3,})$")
 _SIDECAR = ".meta.json"
 
 #: The ingest stage's output files.
-INGEST_FILES = (MERGED_DATASET, MERGED_DATASET + _SIDECAR, MERGED_STATS,
-                MERGED_COVERAGE)
+INGEST_FILES = (FILTERED_DATASET, FILTERED_DATASET + _SIDECAR,
+                MERGED_STATS, MERGED_COVERAGE)
 
 
 def _sha256_file(path: str) -> str:
@@ -332,9 +333,7 @@ class JournaledRun:
                      ) -> Dict[str, str]:
         """Write the ingest stage's files; returns their digests."""
         dataset, stats, coverage = outcome
-        # Canonicalized, so the bytes do not depend on the order the
-        # pipeline registered its rows in.
-        save_dataset(dataset.canonicalize(), self.path(MERGED_DATASET))
+        save_dataset(dataset, self.path(FILTERED_DATASET))
         save_stats(stats, self.path(MERGED_STATS))
         write_text(self.path(MERGED_COVERAGE),
                    json.dumps(coverage.to_json()) + "\n")
@@ -345,6 +344,7 @@ class JournaledRun:
             self, progress: ProgressFn,
     ) -> Tuple[Dict[str, str], Dict[str, Any]]:
         from repro.core.study import _ingest
+        from repro.pipeline.visitors import keep_devices, visitor_filter_mask
         from repro.synth.generator import CampusTraceGenerator
 
         def report(message: str) -> None:
@@ -356,34 +356,19 @@ class JournaledRun:
 
         # Debris of an ingest a crash cut short mid-write.
         swept = sweep_orphans(self.run_dir)
-        outcome = _ingest(self.config, CampusTraceGenerator(self.config),
-                          report)
-        dataset = outcome[0]
-        progress(f"ingest: {len(dataset)} flows, "
-                 f"{dataset.n_devices} devices")
-        info = {"flows": len(dataset), "devices": dataset.n_devices,
-                "orphans_swept": swept}
-        return self._save_ingest(outcome), info
-
-    def _stage_annotate(
-            self, progress: ProgressFn,
-    ) -> Tuple[Dict[str, str], Dict[str, Any]]:
-        from repro.pipeline.visitors import keep_devices, visitor_filter_mask
-
-        dataset_all = load_dataset(self.path(MERGED_DATASET))
+        dataset_all, stats, coverage = _ingest(
+            self.config, CampusTraceGenerator(self.config), report)
+        flows, devices = len(dataset_all), dataset_all.n_devices
+        progress(f"ingest: {flows} flows, {devices} devices")
         retained = visitor_filter_mask(dataset_all,
                                        self.config.visitor_min_days)
+        # Consumes the unfiltered table, as the plain run's filter does.
         dataset = keep_devices(dataset_all, retained)
-        progress(f"visitor filter: kept {int(retained.sum())} of "
-                 f"{dataset_all.n_devices} devices")
-        save_dataset(dataset, self.path(FILTERED_DATASET))
-        outputs = {
-            name: _sha256_file(self.path(name))
-            for name in (FILTERED_DATASET, FILTERED_DATASET + _SIDECAR)
-        }
-        info = {"devices_kept": int(retained.sum()),
-                "devices_total": int(dataset_all.n_devices)}
-        return outputs, info
+        kept = int(retained.sum())
+        progress(f"visitor filter: kept {kept} of {devices} devices")
+        info = {"flows": flows, "devices": devices, "devices_kept": kept,
+                "orphans_swept": swept}
+        return self._save_ingest((dataset, stats, coverage)), info
 
     def _stage_analyze(
             self, progress: ProgressFn,
@@ -439,7 +424,6 @@ class JournaledRun:
 
     _STAGE_FNS = {
         "ingest": _stage_ingest,
-        "annotate": _stage_annotate,
         "analyze": _stage_analyze,
         "publish": _stage_publish,
     }

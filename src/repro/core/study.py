@@ -358,7 +358,7 @@ def _assemble(config: StudyConfig, generator: CampusTraceGenerator,
               coverage: Optional[CoverageReport], report: ProgressFn, *,
               prefiltered: bool = False,
               strict_coverage: bool = False) -> StudyArtifacts:
-    """Visitor filter, classify and annotate a measured dataset.
+    """Visitor-filter and classify a measured dataset.
 
     ``prefiltered`` marks ``dataset_all`` as already visitor-filtered
     (a saved dataset): every device is then retained as is. Otherwise

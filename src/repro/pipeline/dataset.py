@@ -55,15 +55,6 @@ class DeviceProfile:
     def active_day_count(self) -> int:
         return len(self.days_seen)
 
-    def clone(self, index: Optional[int] = None) -> "DeviceProfile":
-        """An independent copy (sets are not shared), optionally re-indexed."""
-        return dataclasses.replace(
-            self,
-            index=self.index if index is None else index,
-            user_agents=set(self.user_agents),
-            days_seen=set(self.days_seen),
-        )
-
 
 class FlowDataset:
     """Finalized columnar flow data plus device/domain side tables."""
@@ -184,63 +175,15 @@ class FlowDataset:
             day0=self.day0,
         )
 
-    # -- canonical form and merging ---------------------------------------
-
-    def canonicalize(self) -> "FlowDataset":
-        """The dataset in canonical order: a deterministic total form.
-
-        Domains are sorted lexicographically, devices by token, and the
-        flow rows by every column (timestamp first). Two datasets
-        holding the same flows -- however they were accumulated --
-        compare byte-identical after canonicalization.
-        """
-        domain_order = sorted(range(len(self.domains)),
-                              key=lambda i: self.domains[i])
-        new_domains = [self.domains[i] for i in domain_order]
-        domain_remap = np.empty(max(len(self.domains), 1), dtype=np.int32)
-        for new, old in enumerate(domain_order):
-            domain_remap[old] = new
-        domain = np.where(self.domain == NO_DOMAIN, np.int32(NO_DOMAIN),
-                          domain_remap[np.where(self.domain == NO_DOMAIN, 0,
-                                                self.domain)])
-
-        device_order = sorted(range(len(self.devices)),
-                              key=lambda i: self.devices[i].token)
-        new_devices = [self.devices[old].clone(index=new)
-                       for new, old in enumerate(device_order)]
-        device_remap = np.empty(len(self.devices), dtype=np.int32)
-        for new, old in enumerate(device_order):
-            device_remap[old] = new
-        device = device_remap[self.device] if len(self.devices) \
-            else self.device.astype(np.int32)
-
-        # Total order over rows: ts is primary, every other column breaks
-        # ties, so fully identical rows are the only remaining ambiguity
-        # (and those are interchangeable byte-for-byte).
-        order = np.lexsort((domain, self.resp_bytes, self.orig_bytes,
-                            self.duration, self.proto, self.resp_p,
-                            self.resp_h, device, self.ts))
-        return FlowDataset(
-            ts=self.ts[order],
-            duration=self.duration[order],
-            device=device[order],
-            resp_h=self.resp_h[order],
-            resp_p=self.resp_p[order],
-            proto=self.proto[order],
-            orig_bytes=self.orig_bytes[order],
-            resp_bytes=self.resp_bytes[order],
-            domain=domain[order],
-            day=self.day[order],
-            domains=new_domains,
-            devices=new_devices,
-            day0=self.day0,
-        )
+    # -- comparison -------------------------------------------------------
 
     def identical(self, other: "FlowDataset") -> bool:
         """Byte-level equality of every array and side table.
 
-        Order-sensitive: canonicalize both operands first when comparing
-        datasets that were accumulated in different orders.
+        Order-sensitive. Every dataset keeps its flows in the order the
+        ingest registered them, and one seeded ingest always registers
+        them in the same order, so two datasets of one run compare
+        equal as they are.
         """
         if self is other:
             return True

@@ -114,7 +114,7 @@ def tmp_path_for(path: str) -> str:
 
     The marker goes *before* the final suffix so writers that insist
     on their extension (``np.savez`` appends ``.npz``) still work:
-    ``merged.npz`` stages through ``merged.tmp.npz``.
+    ``filtered.npz`` stages through ``filtered.tmp.npz``.
     """
     directory, name = os.path.split(path)
     stem, dot, suffix = name.rpartition(".")

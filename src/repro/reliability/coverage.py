@@ -114,10 +114,6 @@ class IntervalSet:
                 result.append((cursor, end))
         return IntervalSet.from_spans(result)
 
-    def clip(self, start: float, end: float) -> "IntervalSet":
-        """This set restricted to ``[start, end)``."""
-        return self.intersect(IntervalSet.from_spans([(start, end)]))
-
 
 @dataclass(frozen=True)
 class CoverageReport:

@@ -11,9 +11,9 @@ module is the harness that proves it with real processes:
    with ``REPRO_CRASH_AT=<point>`` armed, assert the process actually
    died by SIGKILL, resume it with the same CLI invocation a human
    operator would use, and assert the resume exits 0;
-3. byte-compare every canonical output file (merged dataset + sidecars,
-   filtered dataset, artifact payloads, report, published store
-   envelopes) of the resumed run against the golden run;
+3. byte-compare every output file (the filtered dataset + sidecars,
+   artifact payloads, report, published store envelopes) of the
+   resumed run against the golden run;
 4. after every run, killed or not, kill its whole process group and
    require that no process of it is left -- a SIGKILL mid-ingest
    orphans the generator's day-pool workers, and the check covers
@@ -42,6 +42,13 @@ from dataclasses import asdict, dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.config import StudyConfig
+from repro.core.runner import (
+    ARTIFACTS_DIR,
+    DEFAULT_STORE_DIR,
+    INGEST_FILES,
+    REPORT_FILE,
+    STAGES,
+)
 from repro.reliability.atomic import write_text
 from repro.reliability.faults import CRASH_ENV
 from repro.serve.fingerprint import DEFAULT_SCENARIO, study_fingerprint
@@ -56,15 +63,10 @@ ProgressFn = Callable[[str], None]
 #: the run.
 CRASH_POINTS: Tuple[str, ...] = (
     "pre:run_begin",
-    "pre:ingest",
-    "mid:ingest",
-    "post:ingest",
-    "pre:annotate",
-    "post:annotate",
-    "pre:analyze",
-    "post:analyze",
-    "pre:publish",
-    "post:publish",
+    *(point for stage in STAGES
+      for point in (f"pre:{stage}",
+                    *(("mid:ingest",) if stage == "ingest" else ()),
+                    f"post:{stage}")),
     "pre:run_end",
 )
 
@@ -79,10 +81,8 @@ REAP_SECONDS = 10.0
 #: Run-directory entries whose bytes define the run's *outputs* (the
 #: journal is mechanism, not product: it legitimately differs between
 #: a clean and a resumed run).
-_OUTPUT_FILES = ("merged.npz", "merged.npz.meta.json",
-                 "merged.stats.json", "merged.coverage.json",
-                 "filtered.npz", "filtered.npz.meta.json", "report.txt")
-_OUTPUT_DIRS = ("artifacts", os.path.join("store", "objects"))
+_OUTPUT_FILES = (*INGEST_FILES, REPORT_FILE)
+_OUTPUT_DIRS = (ARTIFACTS_DIR, os.path.join(DEFAULT_STORE_DIR, "objects"))
 
 
 @dataclass
@@ -121,7 +121,7 @@ def _sha256_file(path: str) -> str:
 
 
 def output_digests(run_dir: str) -> Dict[str, str]:
-    """SHA-256 of every canonical output file under one run directory."""
+    """SHA-256 of every output file under one run directory."""
     digests: Dict[str, str] = {}
     for name in _OUTPUT_FILES:
         path = os.path.join(run_dir, name)

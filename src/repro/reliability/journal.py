@@ -1,7 +1,7 @@
 """Write-ahead run journal: durable intent + per-stage completion.
 
-A study run is a pipeline of stages (ingest, annotate, analyze,
-publish). The journal is the run's only record of finished work:
+A study run is a pipeline of stages (ingest, analyze, publish). The
+journal is the run's only record of finished work:
 before anything executes, the run's intent (config payload, scenario,
 fingerprint, stage list) is appended as a ``run_begin`` record; each
 stage appends ``stage_begin`` before and ``stage_end`` (with output
@@ -53,7 +53,10 @@ from repro.reliability.retry import RetryPolicy, SleepFn, run_with_retries
 #: checkpoint store, and the ingest stage's outputs are its shard files.
 #: v3: one whole-window ingest stage writes the ``merged.*`` files; the
 #: ``merge`` stage, the per-shard records and ``workers`` are gone.
-JOURNAL_VERSION = 3
+#: v4: the ingest stage also applies the visitor filter and saves only
+#: the filtered dataset the study analyses; the unfiltered dataset file
+#: and the separate filter stage are gone.
+JOURNAL_VERSION = 4
 
 #: Canonical journal file name inside a run directory.
 JOURNAL_FILE = "journal.jsonl"

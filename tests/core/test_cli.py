@@ -14,7 +14,7 @@ class TestParser:
             build_parser().parse_args([])
 
     def test_run_defaults(self):
-        from repro.cli import _run_config
+        from repro.cli import _config_from_args
 
         # students/seed default at *config resolution*, not in the
         # parser, so presets (and journaled resumes) keep their own
@@ -23,18 +23,18 @@ class TestParser:
         assert args.students is None
         assert args.seed is None
         assert args.out is None
-        config = _run_config(args)
+        config = _config_from_args(args)
         assert config.n_students == 100
         assert config.seed == 7
 
     def test_run_preset_keeps_its_own_seed(self):
-        from repro.cli import _PRESETS, _run_config
+        from repro.cli import _PRESETS, _config_from_args
 
         args = build_parser().parse_args(["run", "--preset", "chaos"])
-        assert _run_config(args) == _PRESETS["chaos"]()
+        assert _config_from_args(args) == _PRESETS["chaos"]()
         overridden = build_parser().parse_args(
             ["run", "--preset", "chaos", "--seed", "99"])
-        assert _run_config(overridden).seed == 99
+        assert _config_from_args(overridden).seed == 99
 
     def test_journal_flags_require_journal_dir(self):
         with pytest.raises(SystemExit):
@@ -122,12 +122,13 @@ class TestRunAndReport:
 
 
 class TestRunOutput:
-    def test_saved_dataset_is_canonical(self, tmp_path, capsys):
-        """The ingest keeps flows in registration order; ``--out`` saves
-        the canonical form, so the file's bytes do not depend on that
-        order, and ``report --data`` still prints the run's own
-        report."""
-        from repro.pipeline.store import load_dataset
+    def test_saved_dataset_matches_the_journaled_dataset(self, tmp_path,
+                                                         capsys):
+        """``--out`` saves the dataset the run analysed, in the order
+        the ingest registered its flows: the same bytes a journaled run
+        saves as ``filtered.npz``, sidecar included. ``report --data``
+        still prints the run's own report."""
+        from repro.reliability.crashmatrix import expected_run_id
 
         out_dir = tmp_path / "out"
         assert main(["run", "--preset", "chaos", "--out",
@@ -136,8 +137,17 @@ class TestRunOutput:
         assert "Figure 1" in printed
         assert main(["report", "--data", str(out_dir)]) == 0
         assert capsys.readouterr().out == printed
-        saved = load_dataset(str(out_dir / "flows.npz"))
-        assert saved.identical(saved.canonicalize())
+
+        journal_dir = tmp_path / "runs"
+        assert main(["run", "--preset", "chaos", "--journal-dir",
+                     str(journal_dir)]) == 0
+        run_dir = journal_dir / expected_run_id("chaos")
+        for saved, journaled in (("flows.npz", "filtered.npz"),
+                                 ("flows.npz.meta.json",
+                                  "filtered.npz.meta.json"),
+                                 ("report.txt", "report.txt")):
+            assert (out_dir / saved).read_bytes() == \
+                (run_dir / journaled).read_bytes(), saved
 
 
 class TestJournaledRunCommand:

@@ -56,8 +56,8 @@ class TestCleanRun:
 
     def test_outputs_cover_every_layer(self, golden, chaos_config):
         _journal_dir, result, digests = golden
-        assert "merged.npz" in digests
         assert "filtered.npz" in digests
+        assert "merged.stats.json" in digests
         assert "report.txt" in digests
         assert any(name.startswith("artifacts" + os.sep)
                    for name in digests)
@@ -185,19 +185,19 @@ class TestRecovery:
         os.makedirs(clone_dir)
         clone_run = os.path.join(clone_dir, result.run_id)
         shutil.copytree(result.run_dir, clone_run)
-        # Corrupt the annotate stage's output; its journaled digest no
-        # longer matches, so resume must re-execute annotate onward.
-        with open(os.path.join(clone_run, "filtered.npz"), "wb") as fp:
-            fp.write(b"not a dataset")
+        # Corrupt the analyze stage's report; its journaled digest no
+        # longer matches, so resume must re-execute analyze onward.
+        with open(os.path.join(clone_run, "report.txt"), "wb") as fp:
+            fp.write(b"not a report")
 
         resumed = JournaledRun.resume(clone_dir, result.run_id)
         outcome = resumed.execute()
         assert outcome.replayed == ("ingest",)
-        assert outcome.executed == ("annotate", "analyze", "publish")
+        assert outcome.executed == ("analyze", "publish")
         assert compare_outputs(digests, output_digests(clone_run)) == []
         records = replay(os.path.join(clone_run, JOURNAL_FILE)).records
         notes = [r for r in records if r.kind == "note"]
-        assert notes and notes[0].payload["stage"] == "annotate"
+        assert notes and notes[0].payload["stage"] == "analyze"
 
     def test_disk_fault_surfaces_then_clean_resume_converges(
             self, golden, tmp_path, chaos_config):

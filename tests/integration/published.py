@@ -16,10 +16,10 @@ from repro.serve.store import ArtifactStore
 
 def published_outputs(artifacts, unfiltered, directory):
     """Name -> text of the report, each serve payload (the JSON
-    artifacts ``repro run`` publishes) and both dataset sidecars.
+    artifacts ``repro run`` publishes) and the dataset sidecars.
     ``unfiltered`` is the run's dataset before the visitor filter,
-    which the artifacts do not keep. Scratch files go under
-    ``directory``, created if missing."""
+    which the artifacts do not keep, or None to leave its sidecar out.
+    Scratch files go under ``directory``, created if missing."""
     os.makedirs(directory, exist_ok=True)
     outputs = {"report": render_full_report(artifacts)}
     service = StudyService(ArtifactStore(os.path.join(directory, "store")))
@@ -28,6 +28,8 @@ def published_outputs(artifacts, unfiltered, directory):
             service._compute_payload(artifacts, name))
     for label, dataset in (("filtered", artifacts.dataset),
                            ("unfiltered", unfiltered)):
+        if dataset is None:
+            continue
         base = os.path.join(directory, f"{label}.npz")
         save_dataset(dataset, base)
         (sidecar,) = glob.glob(base + "*.json")

@@ -62,14 +62,16 @@ class TestCheckpointResume:
 
         from repro.core.study import _ingest
         from repro.pipeline.store import load_dataset, load_stats
+        from repro.pipeline.visitors import apply_visitor_filter
         from repro.reliability.coverage import CoverageReport
 
         result, _digests = clean_run
         dataset, stats, coverage = _ingest(
             _CONFIG, CampusTraceGenerator(_CONFIG), lambda message: None)
+        assert load_dataset(
+            os.path.join(result.run_dir, "filtered.npz")).identical(
+                apply_visitor_filter(dataset, _CONFIG.visitor_min_days))
         saved = os.path.join(result.run_dir, "merged")
-        assert load_dataset(saved + ".npz").identical(
-            dataset.canonicalize())
         assert load_stats(saved + ".stats.json") == stats
         with open(saved + ".coverage.json") as fileobj:
             assert CoverageReport.from_json(json.load(fileobj)) == coverage
@@ -94,16 +96,16 @@ class TestCheckpointResume:
         path = os.path.join(run_dir, JOURNAL_FILE)
         with open(path) as fileobj:
             lines = fileobj.read().splitlines()
-        annotated = next(
+        analyzed = next(
             index for index, record in enumerate(replay(path).records)
             if record.kind == "stage_end"
-            and record.payload["stage"] == "annotate")
+            and record.payload["stage"] == "analyze")
         with open(path, "w") as fileobj:
-            fileobj.write("\n".join(lines[:annotated + 1]) + "\n")
+            fileobj.write("\n".join(lines[:analyzed + 1]) + "\n")
 
         outcome = JournaledRun.resume(journal_dir, result.run_id).execute()
-        assert outcome.replayed == ("ingest", "annotate")
-        assert outcome.executed == ("analyze", "publish")
+        assert outcome.replayed == ("ingest", "analyze")
+        assert outcome.executed == ("publish",)
         assert compare_outputs(digests, output_digests(run_dir)) == []
 
 
@@ -173,7 +175,7 @@ def _replay(root, mode="strict"):
         _TRACE_CONFIG.excluded_operators)
     pipeline = MonitoringPipeline(_TRACE_CONFIG, excluded)
     ingest_trace_dir(pipeline, root, mode=mode)
-    return pipeline.finalize().canonicalize(), pipeline.stats
+    return pipeline.finalize(), pipeline.stats
 
 
 class TestCorruptReplay:

@@ -16,6 +16,7 @@ import sys
 
 import pytest
 
+from repro.core.runner import STAGES
 from repro.reliability.crashmatrix import (
     CRASH_POINTS,
     SIGKILL_RETURNCODE,
@@ -64,7 +65,10 @@ class TestSigkillMatrix:
         points = [outcome["point"]
                   for outcome in matrix_report["points"]]
         assert points == list(CRASH_POINTS)
-        for stage in ("ingest", "annotate", "analyze", "publish"):
+        # Both sides of each stage, mid-ingest, before run_begin and
+        # before run_end.
+        assert len(points) == 2 * len(STAGES) + 3
+        for stage in STAGES:
             assert f"pre:{stage}" in points
             assert f"post:{stage}" in points
         assert "mid:ingest" in points
@@ -86,7 +90,7 @@ class TestSigkillMatrix:
     def test_golden_outputs_are_nonempty(self, matrix_report):
         digests = matrix_report["golden_digests"]
         assert "report.txt" in digests
-        assert "merged.npz" in digests
+        assert "filtered.npz" in digests
         assert any(name.startswith(os.path.join("store", "objects"))
                    for name in digests)
 

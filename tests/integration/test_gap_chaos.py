@@ -259,8 +259,9 @@ class TestGapCheckpointResume:
             self, dhcp_gap_journaled, dhcp_gap_run):
         """A journaled run under a DHCP outage: the coverage its ingest
         stage wrote reads back as exactly the gaps the in-memory run
-        saw, next to the same dataset."""
+        saw, next to the same dataset, visitor-filtered."""
         from repro.pipeline.store import load_dataset
+        from repro.pipeline.visitors import apply_visitor_filter
 
         result, _digests = dhcp_gap_journaled
         with open(os.path.join(result.run_dir,
@@ -268,8 +269,11 @@ class TestGapCheckpointResume:
             coverage = CoverageReport.from_json(json.load(fileobj))
         assert not coverage.is_complete()
         assert coverage == dhcp_gap_run.coverage
-        merged = load_dataset(os.path.join(result.run_dir, "merged.npz"))
-        assert merged.identical(dhcp_gap_run.dataset.canonicalize())
+        saved = load_dataset(os.path.join(result.run_dir, "filtered.npz"))
+        # The filter consumes its input; the shared fixture stays whole.
+        measured = _measure(FaultPlan(log_gaps=_dhcp_gaps())).dataset
+        assert saved.identical(
+            apply_visitor_filter(measured, _CONFIG.visitor_min_days))
 
     def test_coverage_survives_checkpoint_resume(self, tmp_path,
                                                  dhcp_gap_journaled):
@@ -310,7 +314,7 @@ class TestGapCheckpointResume:
 
         result, digests = dhcp_gap_journaled
         journal_dir, run_dir = _copy_run(result, tmp_path)
-        with open(os.path.join(run_dir, "merged.npz"), "wb") as fileobj:
+        with open(os.path.join(run_dir, "filtered.npz"), "wb") as fileobj:
             fileobj.write(b"bit rot")
 
         with gapped_generation(FaultPlan(log_gaps=_dhcp_gaps())):

@@ -1,12 +1,13 @@
 """Journaled ingest resume: the run journal is the one record of finished work.
 
-The ingest stage measures the whole window in one pass and writes
-``merged.npz`` (+ sidecar), ``merged.stats.json`` and
-``merged.coverage.json``; its ``stage_end`` record carries their
-digests. These tests pin what a resume does with that record:
+The ingest stage measures the whole window in one pass, applies the
+visitor filter and writes ``filtered.npz`` (+ sidecar),
+``merged.stats.json`` and ``merged.coverage.json``; its ``stage_end``
+record carries their digests. These tests pin what a resume does with
+that record:
 
 * a first run journals exactly the four ingest files, and they hold
-  the study's own ingest;
+  the study's own ingest, visitor-filtered;
 * a run killed inside the ingest re-runs it, and a run killed after
   the ingest's ``stage_end`` replays it without measuring anything;
 * a run that failed while writing the ingest files resumes from an
@@ -27,8 +28,9 @@ import pytest
 
 from repro.config import StudyConfig
 from repro.core import study
-from repro.core.runner import INGEST_FILES, JournaledRun
+from repro.core.runner import FILTERED_DATASET, INGEST_FILES, JournaledRun
 from repro.pipeline.store import load_dataset
+from repro.pipeline.visitors import keep_devices, visitor_filter_mask
 from repro.reliability.atomic import disk_faults, tmp_path_for
 from repro.reliability.crashmatrix import compare_outputs, output_digests
 from repro.reliability.errors import DiskFullError
@@ -99,13 +101,16 @@ class TestIngestResume:
         ingest = next(r.payload for r in records
                       if _is_stage("stage_end", "ingest")(r))
         assert sorted(ingest["outputs"]) == sorted(INGEST_FILES)
-        merged = load_dataset(os.path.join(result.run_dir, "merged.npz"))
-        assert ingest["info"] == {"flows": len(merged),
-                                  "devices": merged.n_devices,
-                                  "orphans_swept": 0}
+        saved = load_dataset(os.path.join(result.run_dir,
+                                          FILTERED_DATASET))
         dataset, _stats, _coverage = study._ingest(
             _CONFIG, CampusTraceGenerator(_CONFIG), lambda message: None)
-        assert merged.identical(dataset.canonicalize())
+        retained = visitor_filter_mask(dataset, _CONFIG.visitor_min_days)
+        assert ingest["info"] == {"flows": len(dataset),
+                                  "devices": dataset.n_devices,
+                                  "devices_kept": int(retained.sum()),
+                                  "orphans_swept": 0}
+        assert saved.identical(keep_devices(dataset, retained))
 
     def test_kill_inside_the_ingest_reruns_it(self, clean, tmp_path,
                                               ingests):
@@ -115,7 +120,7 @@ class TestIngestResume:
         journal_dir, run_dir = _cut(clean, tmp_path,
                                     _is_stage("stage_begin", "ingest"))
         debris = os.path.join(run_dir, os.path.basename(
-            tmp_path_for(os.path.join(run_dir, "merged.npz"))))
+            tmp_path_for(os.path.join(run_dir, FILTERED_DATASET))))
         with open(debris, "wb") as fileobj:
             fileobj.write(b"half a dataset")
 
@@ -165,10 +170,10 @@ class TestIngestResume:
                              ids=["npz", "sidecar", "stats", "coverage"])
     def test_torn_ingest_file_reruns_the_ingest(self, clean, tmp_path,
                                                 ingests, name):
-        """Killed at ``pre:annotate``, then one ingest file is torn
+        """Killed at ``pre:analyze``, then one ingest file is torn
         (disk-full and bit rot look exactly like this)."""
         journal_dir, run_dir = _cut(clean, tmp_path,
-                                    _is_stage("stage_begin", "annotate"))
+                                    _is_stage("stage_begin", "analyze"))
         torn = os.path.join(run_dir, name)
         with open(torn, "r+b") as fileobj:
             fileobj.truncate(os.path.getsize(torn) // 2)

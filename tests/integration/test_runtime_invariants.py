@@ -41,7 +41,6 @@ from repro.serve.fingerprint import (
 )
 from repro.serve.service import artifact_json, artifact_names
 from repro.serve.store import ArtifactStore
-from tests.conftest import ingest_unfiltered
 from tests.integration.published import published_outputs
 
 REPO_ROOT = Path(__file__).resolve().parents[2]
@@ -101,8 +100,6 @@ def test_operational_settings_do_not_change_outputs(tmp_path):
     assert StudyConfig.from_payload(legacy) == config
 
     plain = LockdownStudy(config).run()
-    # The plain run's visitor filter consumed its unfiltered table.
-    merged = ingest_unfiltered(config)
     journaled = JournaledRun.start(str(tmp_path / "journal"),
                                    config).execute()
     assert journaled.fingerprint == study_fingerprint(config)
@@ -117,15 +114,13 @@ def test_operational_settings_do_not_change_outputs(tmp_path):
         assert canonical_json(store.get(journaled.fingerprint, name)) \
             == payload, name
 
-    # Its datasets are the plain run's, saved in canonical order.
-    for label, dataset in (("merged", merged),
-                           ("filtered", plain.dataset)):
-        expected = str(tmp_path / f"plain-{label}.npz")
-        save_dataset(dataset.canonicalize(), expected)
-        saved = os.path.join(journaled.run_dir, f"{label}.npz")
-        for suffix in ("", ".meta.json"):
-            assert _file_bytes(saved + suffix) == \
-                _file_bytes(expected + suffix), label + suffix
+    # Its dataset is the plain run's, saved as it is.
+    expected = str(tmp_path / "plain-filtered.npz")
+    save_dataset(plain.dataset, expected)
+    saved = os.path.join(journaled.run_dir, "filtered.npz")
+    for suffix in ("", ".meta.json"):
+        assert _file_bytes(saved + suffix) == \
+            _file_bytes(expected + suffix), suffix
 
     # Rebuilt from those files, it publishes every other output too.
     with open(os.path.join(journaled.run_dir,
@@ -136,17 +131,14 @@ def test_operational_settings_do_not_change_outputs(tmp_path):
                                           "filtered.npz")),
         coverage=coverage, pipeline_stats=load_stats(
             os.path.join(journaled.run_dir, "merged.stats.json")))
-    outputs = published_outputs(plain, merged, str(tmp_path / "plain"))
-    other_outputs = published_outputs(
-        rebuilt, load_dataset(os.path.join(journaled.run_dir, "merged.npz")),
-        str(tmp_path / "rebuilt"))
+    outputs = published_outputs(plain, None, str(tmp_path / "plain"))
+    other_outputs = published_outputs(rebuilt, None,
+                                      str(tmp_path / "rebuilt"))
     assert "Figure 1" in outputs["report"]
+    assert "sidecar:filtered" in outputs
     assert set(outputs) == set(other_outputs)
-    # The dataset sidecars list devices in dataset order, which is
-    # canonical only on the journaled side; the files compared above.
     differing = sorted(name for name in outputs
-                       if not name.startswith("sidecar:")
-                       and outputs[name] != other_outputs[name])
+                       if outputs[name] != other_outputs[name])
     assert differing == []
 
 

@@ -3,24 +3,29 @@
 From the last ingested day to the computed figures the flow columns
 exist once: the builder hands its columns over to the finalized
 dataset, and the visitor filter releases each unfiltered column as it
-copies the kept flows out. numpy reports its buffers to
-``tracemalloc``, so the bound below is deterministic.
+copies the kept flows out. The journaled runner's ingest stage
+filters and saves that same table, again without a second copy.
+numpy reports its buffers to ``tracemalloc``, so the bounds below are
+deterministic.
 """
 
 import tracemalloc
 
 from repro import LockdownStudy, StudyConfig
+from repro.core.runner import JournaledRun
 from repro.pipeline.dataset import ARRAY_FIELDS
 from repro.pipeline.pipeline import MonitoringPipeline
 
-#: How far the peak from finalize through ``compute_all`` may rise
-#: above the ingest-time peak, in units of the finalized dataset's
-#: bytes. A second full copy of the table alive at once reads about 1.
+#: How far the peak after finalize may rise above the ingest-time
+#: peak, in units of the finalized dataset's bytes. A second full copy
+#: of the table alive at once reads about 1.
 SLACK = 0.25
 
 
-def test_post_ingest_peak_within_a_quarter_dataset_of_ingest_peak(
-        monkeypatch):
+def _traced_peak_after_ingest(monkeypatch, work):
+    """Run ``work`` under ``tracemalloc``; returns the peak from
+    finalize onwards relative to the ingest-time peak, in units of the
+    finalized dataset's bytes."""
     seen = {}
     finalize = MonitoringPipeline.finalize
 
@@ -36,13 +41,32 @@ def test_post_ingest_peak_within_a_quarter_dataset_of_ingest_peak(
                         finalize_after_ingest_peak)
     tracemalloc.start()
     try:
-        artifacts = LockdownStudy(StudyConfig.ci_scale()).run()
-        artifacts.compute_all()
+        work()
         post_peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+    return (post_peak - seen["ingest_peak"]) / seen["nbytes"], seen["nbytes"]
 
-    rise = (post_peak - seen["ingest_peak"]) / seen["nbytes"]
+
+def test_post_ingest_peak_within_a_quarter_dataset_of_ingest_peak(
+        monkeypatch):
+    def study():
+        LockdownStudy(StudyConfig.ci_scale()).run().compute_all()
+
+    rise, nbytes = _traced_peak_after_ingest(monkeypatch, study)
     assert rise <= SLACK, (
         f"peak after ingest rose by {rise:+.2f}x the dataset's "
-        f"{seen['nbytes']} bytes over the ingest peak")
+        f"{nbytes} bytes over the ingest peak")
+
+
+def test_journaled_ingest_stage_peak_within_a_quarter_dataset(
+        monkeypatch, tmp_path):
+    """The ingest stage of a journaled run, from finalize to its saved
+    files. Eval scale: at ci scale the ingest-time peak is large next
+    to the table and would hide a second copy of it."""
+    run = JournaledRun.start(str(tmp_path), StudyConfig.eval_scale())
+    rise, nbytes = _traced_peak_after_ingest(
+        monkeypatch, lambda: run._stage_ingest(lambda message: None))
+    assert rise <= SLACK, (
+        f"peak of the journaled ingest stage rose by {rise:+.2f}x the "
+        f"dataset's {nbytes} bytes over the ingest peak")

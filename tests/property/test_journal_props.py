@@ -23,6 +23,7 @@ import copy
 
 from hypothesis import given, settings, strategies as st
 
+from repro.core.runner import STAGES
 from repro.reliability.errors import JournalError
 from repro.reliability.journal import (
     JOURNAL_VERSION,
@@ -30,8 +31,6 @@ from repro.reliability.journal import (
     replay_lines,
     resume_plan,
 )
-
-STAGES = ("ingest", "annotate", "analyze", "publish")
 
 
 def _begin_record():

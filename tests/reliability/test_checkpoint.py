@@ -1,7 +1,7 @@
 """Ingest checkpoints: the journaled files of a run's ingest stage.
 
 A journaled run checkpoints its whole-window ingest as four files
-(``merged.npz``, its sidecar, ``merged.stats.json`` and
+(``filtered.npz``, its sidecar, ``merged.stats.json`` and
 ``merged.coverage.json``) plus a ``stage_end`` record holding their
 SHA-256 digests. These tests pin that unit on its own: the files
 round-trip the ingest exactly, files without a record are not a
@@ -15,9 +15,9 @@ import pytest
 
 from repro.config import StudyConfig
 from repro.core.runner import (
+    FILTERED_DATASET,
     INGEST_FILES,
     MERGED_COVERAGE,
-    MERGED_DATASET,
     MERGED_STATS,
     JournaledRun,
 )
@@ -41,7 +41,7 @@ def shard_outcome():
     pipeline = MonitoringPipeline(_CONFIG, excluded)
     for trace in generator.iter_days():
         pipeline.ingest_day(trace)
-    return (pipeline.finalize().canonicalize(), pipeline.stats,
+    return (pipeline.finalize(), pipeline.stats,
             pipeline.coverage_report())
 
 
@@ -69,7 +69,7 @@ class TestStore:
         digests = run._save_ingest(shard_outcome)
         assert sorted(digests) == sorted(INGEST_FILES)
         assert run._files_match(digests)
-        assert load_dataset(run.path(MERGED_DATASET)).identical(dataset)
+        assert load_dataset(run.path(FILTERED_DATASET)).identical(dataset)
         assert load_stats(run.path(MERGED_STATS)) == stats
         assert _load_coverage(run).to_json() == coverage.to_json()
 
@@ -93,13 +93,13 @@ class TestStore:
         refuse the ingest before anything tries to load it."""
         run = _run(tmp_path)
         digests = run._save_ingest(shard_outcome)
-        with open(run.path(MERGED_DATASET), "wb") as fileobj:
+        with open(run.path(FILTERED_DATASET), "wb") as fileobj:
             fileobj.write(b"not an npz")
         assert not run._files_match(digests)
         # Every other file still matches: the refusal is the npz's.
         assert run._files_match(
             {name: digest for name, digest in digests.items()
-             if name != MERGED_DATASET})
+             if name != FILTERED_DATASET})
 
     def test_coverage_survives_round_trip_with_gaps(self, tmp_path,
                                                     shard_outcome):
@@ -146,7 +146,7 @@ class TestStore:
         run = _run(tmp_path)
         assert not run._files_match({})
         with pytest.raises(FileNotFoundError):
-            load_dataset(run.path(MERGED_DATASET))
+            load_dataset(run.path(FILTERED_DATASET))
 
     def test_distinct_runs_do_not_collide(self, tmp_path, shard_outcome):
         """Two configs checkpoint side by side under one journal root."""

@@ -56,10 +56,6 @@ class TestIntervalSet:
         base = IntervalSet.from_spans([(0.0, 10.0)])
         assert base.subtract(base).is_empty
 
-    def test_clip(self):
-        spans = IntervalSet.from_spans([(0.0, 10.0), (20.0, 30.0)])
-        assert spans.clip(5.0, 25.0).spans == ((5.0, 10.0), (20.0, 25.0))
-
 
 class TestCoverageReport:
     def _report(self, gaps=()):

@@ -4,6 +4,7 @@ import os
 
 import pytest
 
+from repro.core.runner import STAGES
 from repro.reliability.errors import DiskFullError, JournalError
 from repro.reliability.faults import DiskFault, DiskFaultInjector
 from repro.reliability.atomic import disk_faults
@@ -17,9 +18,6 @@ from repro.reliability.journal import (
     resume_plan,
 )
 from repro.reliability.retry import RetryPolicy
-
-STAGES = ["ingest", "merge", "annotate", "analyze", "publish"]
-
 
 def _begin_payload(**overrides):
     payload = {
@@ -197,10 +195,12 @@ class TestResumePlan:
 
     def test_layout_before_shard_records_is_refused(self):
         """A v1 run directory kept its shards in a separate checkpoint
-        store the journal never saw, and a v2 one journaled per-shard
-        ingest and a merge stage; resuming either must fail loudly."""
-        assert JOURNAL_VERSION == 3
-        for version in (1, 2):
+        store the journal never saw, a v2 one journaled per-shard
+        ingest and a merge stage, and a v3 one saved the unfiltered
+        dataset and filtered it in a stage of its own; resuming any of
+        them must fail loudly."""
+        assert JOURNAL_VERSION == 4
+        for version in (1, 2, 3):
             begin = JournalRecord(
                 seq=0, kind="run_begin",
                 payload=_begin_payload(journal_version=version))
@@ -214,7 +214,7 @@ class TestResumePlan:
         assert not plan.complete
         assert plan.config_payload["n_students"] == 4
 
-    @pytest.mark.parametrize("done", [1, 2, 3, 4])
+    @pytest.mark.parametrize("done", range(1, len(STAGES)))
     def test_partial_run_resumes_at_next_stage(self, done):
         plan = resume_plan(_records(done))
         assert plan.completed == tuple(STAGES[:done])
@@ -223,7 +223,7 @@ class TestResumePlan:
             f"{STAGES[done - 1]}.out": "00" * 32}
 
     def test_complete_run(self):
-        plan = resume_plan(_records(5, complete=True))
+        plan = resume_plan(_records(len(STAGES), complete=True))
         assert plan.completed == tuple(STAGES)
         assert plan.next_stage is None
         assert plan.complete
@@ -238,20 +238,20 @@ class TestResumePlan:
     def test_backwards_stage_end_is_re_execution(self):
         # After output invalidation the runner legally re-runs an
         # earlier stage; the pointer moves back, later stages re-run.
-        records = _records(3)
+        records = _records(len(STAGES))
         records.append(JournalRecord(
             seq=len(records), kind="stage_end",
-            payload={"stage": "merge",
-                     "outputs": {"merged.npz": "11" * 32}, "info": {}}))
+            payload={"stage": STAGES[1],
+                     "outputs": {"report.txt": "11" * 32}, "info": {}}))
         plan = resume_plan(records)
-        assert plan.completed == ("ingest", "merge")
-        assert plan.outputs["merge"] == {"merged.npz": "11" * 32}
+        assert plan.completed == tuple(STAGES[:2])
+        assert plan.outputs[STAGES[1]] == {"report.txt": "11" * 32}
 
     def test_skip_ahead_stage_end_rejected(self):
         records = _records(1)
         records.append(JournalRecord(
             seq=len(records), kind="stage_end",
-            payload={"stage": "analyze", "outputs": {}, "info": {}}))
+            payload={"stage": STAGES[2], "outputs": {}, "info": {}}))
         with pytest.raises(JournalError, match="skips ahead"):
             resume_plan(records)
 
@@ -264,17 +264,17 @@ class TestResumePlan:
             resume_plan(records)
 
     def test_premature_run_end_rejected(self):
-        records = _records(3)
+        records = _records(len(STAGES) - 1)
         records.append(JournalRecord(seq=len(records), kind="run_end",
                                      payload={}))
         with pytest.raises(JournalError, match="before every stage"):
             resume_plan(records)
 
     def test_stage_end_after_run_end_reopens_the_run(self):
-        records = _records(5, complete=True)
+        records = _records(len(STAGES), complete=True)
         records.append(JournalRecord(
             seq=len(records), kind="stage_end",
-            payload={"stage": "publish", "outputs": {"summary": "aa"},
+            payload={"stage": STAGES[-1], "outputs": {"summary": "aa"},
                      "info": {}}))
         plan = resume_plan(records)
         assert not plan.complete
@@ -289,7 +289,7 @@ class TestRecordEncoding:
 
     def test_parse_round_trip(self):
         record = JournalRecord(seq=3, kind="stage_end",
-                               payload={"stage": "merge",
+                               payload={"stage": "analyze",
                                         "outputs": {}, "info": {}})
         assert JournalRecord.parse(record.to_line()) == record
 
