@@ -118,7 +118,8 @@ def _cmd_run_journaled(args: argparse.Namespace) -> int:
               f"{time.time() - started:.0f}s "
               f"(executed={list(result.executed)} "
               f"replayed={list(result.replayed)})")
-    print(result.report_text)
+    # report.txt already ends in the newline print would add.
+    print(result.report_text, end="")
     return 0
 
 

@@ -99,7 +99,7 @@ class _Handler(BaseHTTPRequestHandler):
 
     def _reply(self, status: int, payload: Any,
                headers: Optional[Dict[str, str]] = None) -> None:
-        body = json.dumps(payload, indent=2).encode("utf-8")
+        body = json.dumps(payload, separators=(",", ":")).encode("utf-8")
         try:
             self.send_response(status)
             self.send_header("Content-Type", "application/json")
@@ -258,12 +258,19 @@ class _Handler(BaseHTTPRequestHandler):
     def _serve_artifact(self, fingerprint: str, name: str,
                         compute: bool,
                         deadline: Optional[Deadline]) -> None:
-        store = self.server.store
-        if store.has(fingerprint, name):
+        try:
+            payload = self.server.store.get(fingerprint, name)
+        except FileNotFoundError:
+            pass
+        except StoreIntegrityError as error:
+            # Serve it as missing: recomputed with ?compute=1, else 404.
+            self.server.service.quarantine_corrupt(fingerprint, name,
+                                                   error)
+        else:
             self._reply(200, {
                 "fingerprint": fingerprint, "name": name,
                 "source": "store", "degraded": False,
-                "payload": store.get(fingerprint, name),
+                "payload": payload,
             })
             return
         if not compute:

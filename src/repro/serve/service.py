@@ -308,19 +308,14 @@ class StudyService:
         payloads: Dict[str, Any] = {}
         served, missing, corrupt = [], [], []
         for name in requested:
-            if not self.store.has(fingerprint, name):
-                missing.append(name)
-                continue
             try:
                 payloads[name] = self.store.get(fingerprint, name)
                 served.append(name)
+            except FileNotFoundError:
+                missing.append(name)
             except StoreIntegrityError as exc:
-                # A torn or hash-mismatched envelope never reaches the
-                # caller: quarantine it for post-mortem and recompute
-                # as if it had been missing.
-                where = self.store.quarantine(fingerprint, name)
-                self.progress(f"[serve] corrupt artifact {name!r} "
-                              f"quarantined to {where}: {exc}")
+                # Recompute it as if it had been missing.
+                self.quarantine_corrupt(fingerprint, name, exc)
                 missing.append(name)
                 corrupt.append(name)
 
@@ -397,11 +392,8 @@ class StudyService:
                     payloads[name] = self.store.get(fingerprint, name)
                 except StoreIntegrityError as exc:
                     # No meta means no config to recompute from; the
-                    # corrupt entry is quarantined and simply absent
-                    # from the result, never served or raised.
-                    where = self.store.quarantine(fingerprint, name)
-                    self.progress(f"[serve] corrupt artifact {name!r} "
-                                  f"quarantined to {where}: {exc}")
+                    # corrupt entry is simply absent from the result.
+                    self.quarantine_corrupt(fingerprint, name, exc)
             with self._lock:
                 self.counters["artifacts_served"] += len(payloads)
             return QueryResult(fingerprint=fingerprint,
@@ -412,6 +404,22 @@ class StudyService:
         config = StudyConfig.from_payload(meta.get("config", {}))
         return self.query(config, names=names, scenario=scenario,
                           compute=compute, deadline=deadline)
+
+    def quarantine_corrupt(self, fingerprint: str, name: str,
+                           error: StoreIntegrityError) -> None:
+        """Move an entry that failed its integrity check aside.
+
+        A torn, hash-mismatched or foreign envelope never reaches a
+        caller: it is kept in quarantine for post-mortem and its slot
+        freed for a recompute. An entry a concurrent reader already
+        moved aside counts once, for that reader.
+        """
+        try:
+            where = self.store.quarantine(fingerprint, name)
+        except FileNotFoundError:
+            return
+        self.progress(f"[serve] corrupt artifact {name!r} "
+                      f"quarantined to {where}: {error}")
 
     # -- introspection --------------------------------------------------
 

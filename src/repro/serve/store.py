@@ -9,11 +9,20 @@ store with thousands of runs keeps directory listings short)::
                                  outcomes.json
     <root>/quarantine/<fp>-<name>.json       # corrupt entries, moved aside
 
-Every artifact file is an *envelope*: the JSON payload plus the
-SHA-256 of its canonical encoding. :meth:`ArtifactStore.get` re-hashes
-on read and raises :class:`StoreIntegrityError` on mismatch -- and a
-torn or unparseable envelope is the same condition -- so a truncated
-or hand-edited entry can never be served as a result.
+Every artifact file is an *envelope*: one line of compact JSON that
+names its slot and records the SHA-256 of the payload's canonical
+encoding, followed by that encoding itself::
+
+    {"fingerprint":"<fp>","name":"<name>","sha256":"<hex>","payload":<canonical payload>}
+
+The payload is encoded once, on :meth:`ArtifactStore.put`, and the
+digest is taken over exactly the bytes that land on disk.
+:meth:`ArtifactStore.get` checks the header against the slot it reads,
+hashes the stored payload bytes and parses them only when the hash
+matches; any other layout (torn, hand-edited, written for another
+slot, or written by an older store) raises
+:class:`StoreIntegrityError`, so such an entry can never be served as a
+result -- callers quarantine it and recompute.
 
 Durability goes through the atomic-write chokepoint
 (:mod:`repro.reliability.atomic`): envelopes are staged, fsync'd and
@@ -34,7 +43,7 @@ import re
 import time
 from typing import Any, Callable, Dict, List, Optional
 
-from repro.reliability.atomic import sweep_orphans, write_text
+from repro.reliability.atomic import sweep_orphans, write_bytes
 from repro.reliability.retry import RetryPolicy, run_with_retries
 from repro.serve.fingerprint import canonical_json
 
@@ -53,9 +62,32 @@ class StoreIntegrityError(RuntimeError):
     """A stored artifact failed its content-hash check (or is torn)."""
 
 
-def _payload_sha256(payload: Any) -> str:
-    return hashlib.sha256(
-        canonical_json(payload).encode("utf-8")).hexdigest()
+_HEX_DIGEST_RE = re.compile(rb"[0-9a-f]{64}")
+
+#: Bytes between the recorded digest and the payload, and after it.
+_PAYLOAD_KEY = b'","payload":'
+_TRAILER = b"}\n"
+
+
+def _envelope_head(fingerprint: str, name: str) -> bytes:
+    """The envelope bytes before the digest, for one store slot."""
+    return (f'{{"fingerprint":"{fingerprint}","name":"{name}",'
+            f'"sha256":"').encode("ascii")
+
+
+def _refusal(fingerprint: str, name: str,
+             data: bytes) -> StoreIntegrityError:
+    """The error for bytes that are not this slot's envelope; they are
+    parsed only to say how the entry is broken."""
+    where = f"artifact {name!r} of {fingerprint[:12]}"
+    try:
+        envelope = json.loads(data)
+    except ValueError as exc:
+        return StoreIntegrityError(f"{where} is torn: {exc}")
+    if not isinstance(envelope, dict):
+        return StoreIntegrityError(f"{where} is not an envelope")
+    return StoreIntegrityError(
+        f"{where} is corrupt: not this slot's canonical envelope")
 
 
 def _check_name(name: str) -> str:
@@ -103,10 +135,10 @@ class ArtifactStore:
         return os.path.join(self._run_dir(fingerprint),
                             _check_name(name) + ".json")
 
-    def _write(self, path: str, text: str) -> None:
+    def _write(self, path: str, data: bytes) -> None:
         """One envelope write: atomic, retried if a policy is set."""
         if self.retry_policy is None:
-            write_text(path, text)
+            write_bytes(path, data)
             return
 
         def count_retry(attempt: int, exc: BaseException,
@@ -114,7 +146,7 @@ class ArtifactStore:
             self.counters["write_retries"] += 1
 
         run_with_retries(self.retry_policy,
-                         lambda: write_text(path, text),
+                         lambda: write_bytes(path, data),
                          sleep=self._sleep, on_retry=count_retry)
 
     # -- run metadata ---------------------------------------------------
@@ -124,7 +156,8 @@ class ArtifactStore:
         run_dir = self._run_dir(fingerprint)
         os.makedirs(run_dir, exist_ok=True)
         self._write(os.path.join(run_dir, _META_FILE),
-                    json.dumps(meta, indent=2, sort_keys=True) + "\n")
+                    (json.dumps(meta, indent=2, sort_keys=True)
+                     + "\n").encode("utf-8"))
 
     def get_meta(self, fingerprint: str) -> Optional[Dict[str, Any]]:
         path = os.path.join(self._run_dir(fingerprint), _META_FILE)
@@ -141,45 +174,48 @@ class ArtifactStore:
         """Store one artifact payload; returns its content hash."""
         run_dir = self._run_dir(fingerprint)
         os.makedirs(run_dir, exist_ok=True)
-        digest = _payload_sha256(payload)
-        envelope = {
-            "name": _check_name(name),
-            "fingerprint": fingerprint,
-            "sha256": digest,
-            "payload": payload,
-        }
+        encoded = canonical_json(payload).encode("utf-8")
+        digest = hashlib.sha256(encoded).hexdigest()
         self._write(self.entry_path(fingerprint, name),
-                    json.dumps(envelope, indent=2, sort_keys=True) + "\n")
+                    b"".join((_envelope_head(fingerprint, name),
+                              digest.encode("ascii"), _PAYLOAD_KEY,
+                              encoded, _TRAILER)))
         return digest
 
     def get(self, fingerprint: str, name: str) -> Any:
         """Load one artifact payload, verifying its content hash.
 
         Raises :class:`StoreIntegrityError` for *any* entry that cannot
-        be served as written -- unparseable (torn) envelopes and hash
-        mismatches alike -- and ``FileNotFoundError`` only when the
-        entry genuinely does not exist.
+        be served as written -- torn envelopes, envelopes of another
+        slot or layout, and hash mismatches alike -- and
+        ``FileNotFoundError`` only when the entry genuinely does not
+        exist.
         """
         path = self.entry_path(fingerprint, name)
-        with open(path) as fileobj:
-            try:
-                envelope = json.load(fileobj)
-            except ValueError as exc:
-                raise StoreIntegrityError(
-                    f"artifact {name!r} of {fingerprint[:12]} is torn: "
-                    f"{exc}") from exc
-        if not isinstance(envelope, dict):
-            raise StoreIntegrityError(
-                f"artifact {name!r} of {fingerprint[:12]} is not an "
-                f"envelope")
-        payload = envelope.get("payload")
-        recorded = envelope.get("sha256")
-        actual = _payload_sha256(payload)
-        if recorded != actual:
+        with open(path, "rb") as fileobj:
+            data = fileobj.read()
+        head = _envelope_head(fingerprint, name)
+        key_at = len(head) + 64
+        recorded = data[len(head):key_at]
+        if not (data.startswith(head)
+                and _HEX_DIGEST_RE.fullmatch(recorded)
+                and data.startswith(_PAYLOAD_KEY, key_at)
+                and data.endswith(_TRAILER)):
+            raise _refusal(fingerprint, name, data)
+        encoded = data[key_at + len(_PAYLOAD_KEY):-len(_TRAILER)]
+        actual = hashlib.sha256(encoded).hexdigest()
+        if recorded != actual.encode("ascii"):
             raise StoreIntegrityError(
                 f"artifact {name!r} of {fingerprint[:12]} is corrupt: "
-                f"recorded sha256 {recorded} != recomputed {actual}")
-        return payload
+                f"recorded sha256 {recorded.decode('ascii')} != "
+                f"recomputed {actual}")
+        try:
+            return json.loads(encoded)
+        except ValueError as exc:
+            # Only a digest forged over bad bytes gets here.
+            raise StoreIntegrityError(
+                f"artifact {name!r} of {fingerprint[:12]} is corrupt: "
+                f"{exc}") from exc
 
     def quarantine(self, fingerprint: str, name: str) -> str:
         """Move a corrupt entry aside; returns its quarantine path.

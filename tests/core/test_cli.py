@@ -151,6 +151,15 @@ class TestRunOutput:
 
 
 class TestJournaledRunCommand:
+    def test_journaled_run_prints_what_a_plain_run_prints(self, tmp_path,
+                                                          capsys):
+        assert main(["run", "--preset", "chaos"]) == 0
+        plain = capsys.readouterr().out
+        assert "Figure 1" in plain
+        assert main(["run", "--preset", "chaos", "--journal-dir",
+                     str(tmp_path / "runs")]) == 0
+        assert capsys.readouterr().out == plain
+
     def test_run_then_flagless_resume(self, tmp_path, capsys):
         """A resume needs only the journal dir and run id: the config
         is recovered from the journal's run_begin record."""

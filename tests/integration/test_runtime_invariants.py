@@ -33,7 +33,7 @@ from repro.core.runner import JournaledRun
 from repro.pipeline.store import load_dataset, load_stats, save_dataset
 from repro.reliability.atomic import TMP_MARKER, tmp_path_for
 from repro.reliability.coverage import CoverageReport
-from repro.reliability.journal import JOURNAL_FILE
+from repro.reliability.journal import JOURNAL_FILE, replay
 from repro.serve.fingerprint import (
     NON_SEMANTIC_FIELDS,
     canonical_json,
@@ -94,7 +94,11 @@ def test_operational_settings_do_not_change_outputs(tmp_path):
     # here that its values publish the same bytes.
     config_fields = {spec.name for spec in dataclasses.fields(StudyConfig)}
     assert not config_fields & NON_SEMANTIC_FIELDS
-    config = StudyConfig.chaos_scale()
+    # At chaos scale's own visitor_min_days the filter keeps every
+    # device; five days drops some, so the filter's re-indexing is
+    # compared between the two paths too.
+    config = dataclasses.replace(StudyConfig.chaos_scale(),
+                                 visitor_min_days=5)
     legacy = {**config.to_payload(), **_RETIRED_KEYS}
     assert study_fingerprint(legacy) == study_fingerprint(config)
     assert StudyConfig.from_payload(legacy) == config
@@ -103,6 +107,13 @@ def test_operational_settings_do_not_change_outputs(tmp_path):
     journaled = JournaledRun.start(str(tmp_path / "journal"),
                                    config).execute()
     assert journaled.fingerprint == study_fingerprint(config)
+    (ingest,) = [record.payload["info"] for record in
+                 replay(os.path.join(journaled.run_dir,
+                                     JOURNAL_FILE)).records
+                 if record.kind == "stage_end"
+                 and record.payload["stage"] == "ingest"]
+    assert 1 <= ingest["devices_kept"] < ingest["devices"]
+    assert plain.dataset.n_devices == ingest["devices_kept"]
 
     # What the journaled run published: report, artifact files, store.
     assert journaled.report_text == render_full_report(plain) + "\n"

@@ -8,7 +8,7 @@ from repro.config import StudyConfig
 from repro.core.study import StudyArtifacts
 from repro.serve.fingerprint import study_fingerprint
 from repro.serve.service import DERIVED_ARTIFACTS, StudyService, artifact_names
-from repro.serve.store import ArtifactStore
+from repro.serve.store import ArtifactStore, StoreIntegrityError
 
 
 def test_known_artifacts_follow_the_study_enumeration():
@@ -161,6 +161,24 @@ def test_query_fingerprint_never_raises_on_corrupt_entries(tmp_path):
     assert "fig1" not in result.payloads
     assert store.counters["entries_quarantined"] == 1
     assert not store.has(fingerprint, "fig1")
+
+
+def test_racing_quarantines_count_the_entry_once(tmp_path):
+    """Two readers that both saw a corrupt entry: the first moves it
+    aside, the second finds the slot already free."""
+    store = ArtifactStore(str(tmp_path))
+    fingerprint = "ef" * 32
+    store.put(fingerprint, "summary", {"peak_active_devices": 3})
+    with open(store.entry_path(fingerprint, "summary"), "w") as fileobj:
+        fileobj.write("garbage")
+    with pytest.raises(StoreIntegrityError) as excinfo:
+        store.get(fingerprint, "summary")
+
+    service = StudyService(store)
+    service.quarantine_corrupt(fingerprint, "summary", excinfo.value)
+    service.quarantine_corrupt(fingerprint, "summary", excinfo.value)
+    assert store.counters["entries_quarantined"] == 1
+    assert not store.has(fingerprint, "summary")
 
 
 def test_outcomes_payload_shape(populated_store, ci_config):

@@ -1,13 +1,40 @@
 """ArtifactStore: round trips, integrity checks, hostile names."""
 
+import hashlib
 import json
 import os
+import urllib.error
+import urllib.request
 
 import pytest
 
+from repro.config import StudyConfig
+from repro.serve.fingerprint import canonical_json
+from repro.serve.server import ArtifactServer
+from repro.serve.service import StudyService
 from repro.serve.store import ArtifactStore, StoreIntegrityError
 
 FP = "ab" * 32  # a well-formed 64-hex fingerprint
+
+
+def _envelope(fingerprint, name, payload):
+    """The bytes ``put`` writes: a header naming the slot and the
+    payload's digest, then its canonical encoding."""
+    encoded = canonical_json(payload)
+    digest = hashlib.sha256(encoded.encode("utf-8")).hexdigest()
+    return (f'{{"fingerprint":"{fingerprint}","name":"{name}",'
+            f'"sha256":"{digest}","payload":{encoded}}}\n').encode("utf-8")
+
+
+def _write_legacy(store, fingerprint, name, payload):
+    """An envelope in the older indented, key-sorted layout, with the
+    digest it recorded: right hash, wrong bytes."""
+    digest = hashlib.sha256(
+        canonical_json(payload).encode("utf-8")).hexdigest()
+    envelope = {"name": name, "fingerprint": fingerprint,
+                "sha256": digest, "payload": payload}
+    with open(store.entry_path(fingerprint, name), "w") as fileobj:
+        fileobj.write(json.dumps(envelope, indent=2, sort_keys=True) + "\n")
 
 
 @pytest.fixture()
@@ -173,3 +200,133 @@ class TestCrashRecovery:
             with pytest.raises(DiskFullError):
                 retrying.put(FP, "summary", {"v": 1})
         assert not retrying.has(FP, "summary")
+
+
+class TestEnvelopeLayout:
+    def test_put_writes_one_canonical_envelope(self, store):
+        payload = {"b": [1, 2.5, None], "a": {"z": "x", "y": True}}
+        digest = store.put(FP, "fig1", payload)
+        assert digest == hashlib.sha256(
+            canonical_json(payload).encode("utf-8")).hexdigest()
+        with open(store.entry_path(FP, "fig1"), "rb") as fileobj:
+            assert fileobj.read() == _envelope(FP, "fig1", payload)
+
+    def test_digest_of_a_fixed_payload_is_pinned(self, store):
+        # sha256 of '{"peak_active_devices":21,"share":[0.5,0.25]}'.
+        assert store.put(FP, "summary", {"share": [0.5, 0.25],
+                                         "peak_active_devices": 21}) \
+            == "640e163e60657d8fbe9dbd92ba653dfbd8448996dd26af86bb2b84988e63111e"
+
+    def test_payload_byte_edited_in_place_is_corrupt(self, store):
+        store.put(FP, "summary", {"peak_active_devices": 21})
+        path = store.entry_path(FP, "summary")
+        with open(path, "rb") as fileobj:
+            data = fileobj.read()
+        edited = data.replace(b":21}", b":29}")
+        assert len(edited) == len(data) and edited != data
+        with open(path, "wb") as fileobj:
+            fileobj.write(edited)
+        with pytest.raises(StoreIntegrityError,
+                           match="summary.*corrupt.*recorded sha256"):
+            store.get(FP, "summary")
+
+    def test_legacy_layout_with_a_correct_hash_is_refused(self, store):
+        store.put(FP, "summary", {"peak_active_devices": 21})
+        _write_legacy(store, FP, "summary", {"peak_active_devices": 21})
+        with pytest.raises(StoreIntegrityError, match="summary.*corrupt"):
+            store.get(FP, "summary")
+
+    def test_envelope_copied_to_another_fingerprint_is_refused(self, store):
+        other = "cd" * 32
+        store.put(FP, "summary", {"v": 1})
+        store.put(other, "summary", {"v": 2})
+        with open(store.entry_path(FP, "summary"), "rb") as fileobj:
+            data = fileobj.read()
+        with open(store.entry_path(other, "summary"), "wb") as fileobj:
+            fileobj.write(data)
+        with pytest.raises(StoreIntegrityError, match="summary.*corrupt"):
+            store.get(other, "summary")
+
+    def test_envelope_copied_to_another_artifact_is_refused(self, store):
+        store.put(FP, "fig1", {"v": 1})
+        store.put(FP, "fig2", {"v": 2})
+        with open(store.entry_path(FP, "fig1"), "rb") as fileobj:
+            data = fileobj.read()
+        with open(store.entry_path(FP, "fig2"), "wb") as fileobj:
+            fileobj.write(data)
+        with pytest.raises(StoreIntegrityError, match="fig2.*corrupt"):
+            store.get(FP, "fig2")
+        assert store.get(FP, "fig1") == {"v": 1}
+
+
+def _http_get(server, path):
+    """(status, parsed body) of one GET, errors included."""
+    try:
+        with urllib.request.urlopen(server.url + path, timeout=30) as resp:
+            return resp.status, json.loads(resp.read())
+    except urllib.error.HTTPError as error:
+        return error.code, json.loads(error.read())
+
+
+class TestHealing:
+    """Entries ``get`` refuses are quarantined and recomputed, through
+    the service and through the HTTP route alike."""
+
+    @pytest.fixture()
+    def computed(self, store):
+        service = StudyService(store)
+        result = service.query(StudyConfig.chaos_scale())
+        return service, result.fingerprint, result.payloads["summary"]
+
+    def _assert_canonical(self, store, fingerprint, payload):
+        with open(store.entry_path(fingerprint, "summary"), "rb") as fp:
+            assert fp.read() == _envelope(fingerprint, "summary", payload)
+
+    def test_service_heals_a_legacy_entry(self, store, computed):
+        service, fingerprint, summary = computed
+        _write_legacy(store, fingerprint, "summary", summary)
+        result = service.query(StudyConfig.chaos_scale(),
+                               names=("summary",))
+        assert result.computed == ("summary",)
+        assert result.payloads["summary"] == summary
+        assert service.counters["artifacts_recovered"] == 1
+        assert store.counters["entries_quarantined"] == 1
+        self._assert_canonical(store, fingerprint, summary)
+
+    def test_http_route_heals_a_legacy_entry(self, store, computed):
+        service, fingerprint, summary = computed
+        _write_legacy(store, fingerprint, "summary", summary)
+        server = ArtifactServer(store, service=service).start_background()
+        try:
+            status, body = _http_get(
+                server, f"/artifacts/{fingerprint}/summary?compute=1")
+        finally:
+            server.shutdown()
+        assert (status, body["source"]) == (200, "computed")
+        assert body["payload"] == summary
+        assert store.counters["entries_quarantined"] == 1
+        self._assert_canonical(store, fingerprint, summary)
+
+    def test_http_route_serves_a_torn_entry_as_missing(self, store,
+                                                       computed):
+        service, fingerprint, summary = computed
+        with open(store.entry_path(fingerprint, "summary"), "w") as fp:
+            fp.write('{"payload": {"pea')  # torn mid-write
+        server = ArtifactServer(store, service=service).start_background()
+        try:
+            status, body = _http_get(server,
+                                     f"/artifacts/{fingerprint}/summary")
+            assert status == 404
+            assert "retry with ?compute=1" in body["error"]
+            assert store.counters["entries_quarantined"] == 1
+            status, body = _http_get(
+                server, f"/artifacts/{fingerprint}/summary?compute=1")
+            assert (status, body["source"]) == (200, "computed")
+            status, body = _http_get(
+                server, f"/artifacts/{fingerprint}/summary?compute=1")
+            assert (status, body["source"]) == (200, "store")
+        finally:
+            server.shutdown()
+        assert body["payload"] == summary
+        assert store.counters["entries_quarantined"] == 1
+        self._assert_canonical(store, fingerprint, summary)
